@@ -12,7 +12,6 @@ from .errors import (ConfigError, DatasetError, LongNavError, NoConsensusError,
 from .features import (Descriptor, Feature, LocalMap, MapAlternative, PathMap,
                        hamming_distance, local_map_at)
 from .fremen import DEFAULT_PERIODS, FremenModel, predict_many
-from .kernels import BACKEND, USING_NUMBA
 from .registration import (MatchOutcome, MatchPair, RegistrationParams,
                            RegistrationResult, classify_outcomes,
                            histogram_vote, match_features, register)
@@ -31,7 +30,7 @@ from .evaluation import (ComparisonReport, ErrorSequence, TTestResult,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND", "USING_NUMBA", "__version__",
+    "__version__",
     "LongNavError", "ConfigError", "NoConsensusError", "TeachError",
     "DatasetError",
     "Descriptor", "Feature", "LocalMap", "MapAlternative", "PathMap",

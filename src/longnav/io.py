@@ -10,6 +10,7 @@ width/4 characters. Positions round-trip at full float precision.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -51,9 +52,21 @@ def write_dataset(pairs, path) -> int:
     return n
 
 
+def _finite(rec: dict, key: str) -> float:
+    v = float(rec[key])
+    if not math.isfinite(v):
+        raise ValueError(f"{key} is {v}, not a finite number")
+    return v
+
+
 def read_dataset(path):
-    """Yield (traversal, Frame) pairs from a dataset file."""
+    """Yield (traversal, Frame) pairs from a dataset file.
+
+    Non-finite numbers, and descriptors whose width differs from the first
+    one in the file, are rejected with DatasetError naming path:line.
+    """
     p = Path(path)
+    n_hex = None  # hex digits per descriptor, fixed by the first one
     with p.open() as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -64,10 +77,15 @@ def read_dataset(path):
                 feats = []
                 for fr in rec["features"]:
                     s = fr["d"]
-                    feats.append(Feature(float(fr["x"]), float(fr["y"]),
+                    if n_hex is None:
+                        n_hex = len(s)
+                    elif len(s) != n_hex:
+                        raise ValueError(f"descriptor width {4 * len(s)} differs "
+                                         f"from the file's first, {4 * n_hex}")
+                    feats.append(Feature(_finite(fr, "x"), _finite(fr, "y"),
                                          _descriptor_from_hex(s, 4 * len(s))))
-                frame = Frame(int(rec["location"]), float(rec["time_s"]),
-                              feats, float(rec["gamma_px"]))
+                frame = Frame(int(rec["location"]), _finite(rec, "time_s"),
+                              feats, _finite(rec, "gamma_px"))
                 yield int(rec["traversal"]), frame
             except (KeyError, ValueError, TypeError) as e:
                 raise DatasetError(f"{p}:{lineno}: bad dataset record: {e}") from e

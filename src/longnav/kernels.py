@@ -1,53 +1,52 @@
-"""Hot descriptor-distance kernels: numba-accelerated with a pure-numpy fallback.
+"""Descriptor-distance kernels: one exact float32 matrix product.
 
 Descriptors are handled as packed bit vectors: C-contiguous ``uint64`` arrays
 of shape ``(n, n_words)``, bit ``i`` of a descriptor living at bit ``i % 64``
 of word ``i // 64``. Padding bits beyond the descriptor width must be zero.
 
-Backend selection: numba is used when importable, unless the environment
-variable ``LONGNAV_NUMBA`` is set to ``0`` (forces the numpy path). The active
-backend is reported by ``BACKEND`` / ``USING_NUMBA``; ``implementations()``
-exposes both for benchmarks and equivalence tests.
+Every kernel unpacks its rows into ±1 ``float32`` bit rows, so one matrix
+product gives ``dot = agreements - disagreements`` for all pairs, and
+``hamming = (64 * n_words - dot) / 2``. The product is exact: each partial sum
+is an integer of magnitude at most ``64 * n_words``, far below 2**24. Zero
+padding bits agree on both sides, so they add nothing to the distance. The
+reductions work on ``dot`` directly (nearest means largest ``dot``) and only
+the reduced vectors are converted to integer distances.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_ENV_FLAG = os.environ.get("LONGNAV_NUMBA", "1").strip().lower()
-_WANT_NUMBA = _ENV_FLAG not in ("0", "false", "off", "no")
-
-# 8-bit popcount table; used by the numpy fallback on older numpy and by
-# single-descriptor helpers.
-_POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-
-_HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
+BACKEND = "numpy"
 
 
 def popcount_words(words: np.ndarray) -> int:
     """Total number of set bits in a packed word array."""
-    if _HAS_BITWISE_COUNT:
-        return int(np.bitwise_count(words).sum())
-    return int(_POPCOUNT8[words.view(np.uint8)].sum())
+    return int(np.unpackbits(np.ascontiguousarray(words).view(np.uint8)).sum())
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
+def _signs(words: np.ndarray) -> np.ndarray:
+    """``(n, 64 * n_words)`` float32 rows of ±1, one entry per bit."""
+    octets = np.ascontiguousarray(words).view(np.uint8)
+    bits = np.unpackbits(octets, axis=1, bitorder="little")
+    return np.subtract(2 * bits, 1, dtype=np.float32)
 
-def hamming_matrix_np(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Bit agreements minus disagreements for all pairs, float32."""
+    return _signs(a) @ _signs(b).T
+
+
+def _distance(dot: np.ndarray, n_words: int) -> np.ndarray:
+    return ((64 * n_words - dot) * 0.5).astype(np.int64)
+
+
+def hamming_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """All-pairs Hamming distances, shape ``(len(a), len(b))``, int64."""
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        return np.zeros((a.shape[0], b.shape[0]), dtype=np.int64)
-    x = np.bitwise_xor(a[:, None, :], b[None, :, :])
-    if _HAS_BITWISE_COUNT:
-        return np.bitwise_count(x).sum(axis=2, dtype=np.int64)
-    return _POPCOUNT8[x.view(np.uint8)].sum(axis=2, dtype=np.int64)
+    return _distance(_dot(a, b), a.shape[1])
 
 
-def mutual_nearest_pairs_np(a: np.ndarray, b: np.ndarray, d_max: int):
+def mutual_nearest_pairs(a: np.ndarray, b: np.ndarray, d_max: int):
     """Mutual nearest neighbours under Hamming distance.
 
     Returns ``(a_idx, b_idx, dist)`` int64 arrays sorted by ``a_idx``. Ties in
@@ -56,188 +55,22 @@ def mutual_nearest_pairs_np(a: np.ndarray, b: np.ndarray, d_max: int):
     if a.shape[0] == 0 or b.shape[0] == 0:
         e = np.empty(0, dtype=np.int64)
         return e, e.copy(), e.copy()
-    dm = hamming_matrix_np(a, b)
-    best_b = dm.argmin(axis=1)
-    best_a = dm.argmin(axis=0)
+    dot = _dot(a, b)
+    best_b = dot.argmax(axis=1)
+    best_a = dot.argmax(axis=0)
     ii = np.arange(a.shape[0])
-    dist = dm[ii, best_b]
+    dist = _distance(dot[ii, best_b], a.shape[1])
     keep = (best_a[best_b] == ii) & (dist <= d_max)
     return ii[keep], best_b[keep], dist[keep]
 
 
-def nearest_distances_np(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def nearest_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-row distance from ``a`` to its nearest row of ``b`` (b non-empty)."""
-    return hamming_matrix_np(a, b).min(axis=1)
+    return _distance(_dot(a, b).max(axis=1), a.shape[1])
 
 
-def self_nearest_distances_np(a: np.ndarray) -> np.ndarray:
+def self_nearest_distances(a: np.ndarray) -> np.ndarray:
     """Per-row distance to the nearest *other* row (needs at least 2 rows)."""
-    dm = hamming_matrix_np(a, a)
-    np.fill_diagonal(dm, np.iinfo(np.int64).max)
-    return dm.min(axis=1)
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-_NUMBA_OK = False
-if _WANT_NUMBA:
-    try:
-        from numba import njit
-
-        _M1 = np.uint64(0x5555555555555555)
-        _M2 = np.uint64(0x3333333333333333)
-        _M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-        _H01 = np.uint64(0x0101010101010101)
-        _S1 = np.uint64(1)
-        _S2 = np.uint64(2)
-        _S4 = np.uint64(4)
-        _S56 = np.uint64(56)
-
-        @njit(inline="always")
-        def _popcount64(x):
-            x = x - ((x >> _S1) & _M1)
-            x = (x & _M2) + ((x >> _S2) & _M2)
-            x = (x + (x >> _S4)) & _M4
-            return (x * _H01) >> _S56
-
-        @njit(cache=True, nogil=True)
-        def _hamming_matrix_nb(a, b):
-            na, nb, nw = a.shape[0], b.shape[0], a.shape[1]
-            out = np.empty((na, nb), dtype=np.int64)
-            for i in range(na):
-                for j in range(nb):
-                    d = np.int64(0)
-                    for k in range(nw):
-                        d += np.int64(_popcount64(a[i, k] ^ b[j, k]))
-                    out[i, j] = d
-            return out
-
-        @njit(cache=True, nogil=True)
-        def _mutual_nearest_pairs_nb(a, b, d_max):
-            na, nb, nw = a.shape[0], b.shape[0], a.shape[1]
-            big = np.int64(1) << 40
-            best_b = np.full(na, -1, dtype=np.int64)
-            best_bd = np.full(na, big, dtype=np.int64)
-            best_a = np.full(nb, -1, dtype=np.int64)
-            best_ad = np.full(nb, big, dtype=np.int64)
-            for i in range(na):
-                for j in range(nb):
-                    d = np.int64(0)
-                    for k in range(nw):
-                        d += np.int64(_popcount64(a[i, k] ^ b[j, k]))
-                    if d < best_bd[i]:
-                        best_bd[i] = d
-                        best_b[i] = j
-                    if d < best_ad[j]:
-                        best_ad[j] = d
-                        best_a[j] = i
-            n = 0
-            for i in range(na):
-                j = best_b[i]
-                if j >= 0 and best_a[j] == i and best_bd[i] <= d_max:
-                    n += 1
-            ai = np.empty(n, dtype=np.int64)
-            bi = np.empty(n, dtype=np.int64)
-            dd = np.empty(n, dtype=np.int64)
-            c = 0
-            for i in range(na):
-                j = best_b[i]
-                if j >= 0 and best_a[j] == i and best_bd[i] <= d_max:
-                    ai[c] = i
-                    bi[c] = j
-                    dd[c] = best_bd[i]
-                    c += 1
-            return ai, bi, dd
-
-        @njit(cache=True, nogil=True)
-        def _nearest_distances_nb(a, b):
-            na, nb, nw = a.shape[0], b.shape[0], a.shape[1]
-            out = np.empty(na, dtype=np.int64)
-            for i in range(na):
-                best = np.int64(1) << 40
-                for j in range(nb):
-                    d = np.int64(0)
-                    for k in range(nw):
-                        d += np.int64(_popcount64(a[i, k] ^ b[j, k]))
-                    if d < best:
-                        best = d
-                out[i] = best
-            return out
-
-        @njit(cache=True, nogil=True)
-        def _self_nearest_distances_nb(a):
-            na, nw = a.shape[0], a.shape[1]
-            out = np.empty(na, dtype=np.int64)
-            for i in range(na):
-                best = np.int64(1) << 40
-                for j in range(na):
-                    if j == i:
-                        continue
-                    d = np.int64(0)
-                    for k in range(nw):
-                        d += np.int64(_popcount64(a[i, k] ^ a[j, k]))
-                    if d < best:
-                        best = d
-                out[i] = best
-            return out
-
-        _NUMBA_OK = True
-    except ImportError:  # pragma: no cover - runs where numba is absent
-        _NUMBA_OK = False
-
-
-def hamming_matrix_nb(a, b):
-    return _hamming_matrix_nb(a, b)
-
-
-def mutual_nearest_pairs_nb(a, b, d_max):
-    return _mutual_nearest_pairs_nb(a, b, np.int64(d_max))
-
-
-def nearest_distances_nb(a, b):
-    return _nearest_distances_nb(a, b)
-
-
-def self_nearest_distances_nb(a):
-    return _self_nearest_distances_nb(a)
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-USING_NUMBA = _NUMBA_OK
-BACKEND = "numba" if USING_NUMBA else "numpy"
-
-if USING_NUMBA:
-    hamming_matrix = hamming_matrix_nb
-    mutual_nearest_pairs = mutual_nearest_pairs_nb
-    nearest_distances = nearest_distances_nb
-    self_nearest_distances = self_nearest_distances_nb
-else:
-    hamming_matrix = hamming_matrix_np
-    mutual_nearest_pairs = mutual_nearest_pairs_np
-    nearest_distances = nearest_distances_np
-    self_nearest_distances = self_nearest_distances_np
-
-
-def implementations() -> dict:
-    """Kernel sets by backend name (numba only if available)."""
-    impls = {
-        "numpy": {
-            "hamming_matrix": hamming_matrix_np,
-            "mutual_nearest_pairs": mutual_nearest_pairs_np,
-            "nearest_distances": nearest_distances_np,
-            "self_nearest_distances": self_nearest_distances_np,
-        }
-    }
-    if _NUMBA_OK:
-        impls["numba"] = {
-            "hamming_matrix": hamming_matrix_nb,
-            "mutual_nearest_pairs": mutual_nearest_pairs_nb,
-            "nearest_distances": nearest_distances_nb,
-            "self_nearest_distances": self_nearest_distances_nb,
-        }
-    return impls
+    dot = _dot(a, a)
+    np.fill_diagonal(dot, -np.inf)
+    return _distance(dot.max(axis=1), a.shape[1])

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .errors import NoConsensusError
+from .errors import ConfigError, NoConsensusError
 from .features import pack_features
 
 
@@ -47,6 +47,21 @@ class RegistrationParams:
     image_width: int = 640
     min_votes: int = 3
     tolerance: float | None = None
+
+    def __post_init__(self):
+        if not self.d_max >= 0:
+            raise ConfigError(f"d_max must be >= 0, got {self.d_max}")
+        if not (math.isfinite(self.bin_width) and self.bin_width > 0):
+            raise ConfigError("bin_width must be finite and > 0, "
+                              f"got {self.bin_width}")
+        if self.image_width < 1:
+            raise ConfigError(f"image_width must be >= 1, got {self.image_width}")
+        if self.min_votes < 1:
+            raise ConfigError(f"min_votes must be >= 1, got {self.min_votes}")
+        t = self.tolerance
+        if t is not None and not (math.isfinite(t) and t >= 0):
+            raise ConfigError("tolerance must be None or finite and >= 0, "
+                              f"got {t}")
 
     def effective_tolerance(self) -> float:
         return self.bin_width if self.tolerance is None else self.tolerance

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import default_rng
 
-from .errors import ConfigError, TeachError
+from .errors import ConfigError, DatasetError, TeachError
 from .features import Descriptor, Feature, LocalMap, PathMap, pack_features
 from .kernels import self_nearest_distances
 from .registration import MatchOutcome, RegistrationParams, register
@@ -400,7 +400,8 @@ def replay_frames(frames, cfg: StrategyConfig, path: PathMap | None = None,
 
     Traversal-0 frames are the teach pass and build the path unless one is
     supplied. Returns (path, list of TraversalLog). Frames must arrive in
-    non-decreasing traversal order.
+    non-decreasing traversal order and repeat frames must name a taught
+    location; DatasetError otherwise.
     """
     teach_batch = []
     logs = []
@@ -440,13 +441,18 @@ def replay_frames(frames, cfg: StrategyConfig, path: PathMap | None = None,
 
     for tr, frame in frames:
         if tr < last_tr:
-            raise ValueError("frames out of traversal order")
+            raise DatasetError(f"traversal {tr} follows traversal {last_tr}: "
+                               "frames out of traversal order")
         last_tr = tr
         if tr == 0:
             if not ready:  # teach frames are redundant when a path is supplied
                 teach_batch.append(frame)
             continue
         ensure_path()
+        if not 0 <= frame.location < len(path.local_maps):
+            raise DatasetError(f"traversal {tr}: location {frame.location} is "
+                               f"outside the taught path of "
+                               f"{len(path.local_maps)} locations")
         if tr != current_tr:
             flush()
             current_tr = tr

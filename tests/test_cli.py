@@ -112,6 +112,48 @@ def test_replay_requires_strategy_choice(tmp_path, config_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _rewrite_dataset(src, dst, edit):
+    """Copy a JSONL dataset, passing each parsed record through edit."""
+    lines = [json.loads(line) for line in src.read_text().splitlines()]
+    dst.write_text("".join(json.dumps(rec) + "\n" for rec in edit(lines)))
+
+
+def _set_last_location(location):
+    def edit(recs):
+        recs[-1]["location"] = location
+        return recs
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set_last_location(7), "location 7 is outside the taught path"),
+    (_set_last_location(-1), "location -1 is outside the taught path"),
+    (lambda recs: recs[:2] + recs[-2:] + recs[2:-2], "out of traversal order"),
+], ids=["location-7", "location-minus-1", "traversal-backwards"])
+def test_replay_rejects_bad_frames(tmp_path, config_path, capsys, edit, message):
+    data = tmp_path / "data"
+    run_cli("generate", "--config", config_path, "--out", data)
+    bad = tmp_path / "bad.jsonl"
+    _rewrite_dataset(data / "dataset.jsonl", bad, edit)
+    capsys.readouterr()
+    assert run_cli("replay", "--config", config_path, "--out", tmp_path / "r",
+                   "--strategy", "score", "--dataset", bad) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+
+
+def test_bad_registration_config_exits_1(tmp_path, config_path, capsys):
+    doc = json.loads(config_path.read_text())
+    doc["registration"] = {"bin_width": 0}
+    bad = tmp_path / "bad_reg.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("generate", "--config", bad, "--out", tmp_path / "o") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bin_width" in err
+
+
 def test_simulate_writes_logs_and_final_map(tmp_path, config_path):
     out = tmp_path / "sim"
     assert run_cli("simulate", "--config", config_path, "--out", out,

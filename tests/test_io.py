@@ -1,5 +1,8 @@
 """Round-trip fidelity for datasets, map snapshots, and traversal logs."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -62,6 +65,42 @@ def test_dataset_blank_lines_skipped(tmp_path):
     write_dataset(frames, p)
     p.write_text(p.read_text().replace("\n", "\n\n"))
     assert len(list(read_dataset(p))) == len(frames)
+
+
+def _edit_line(path, lineno, edit):
+    """Parse line lineno (1-based) of a JSONL file, edit it, write it back."""
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[lineno - 1])
+    edit(rec)
+    lines[lineno - 1] = json.dumps(rec)  # writes NaN and Infinity bare
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("x", math.nan), ("y", math.inf), ("time_s", -math.inf),
+    ("gamma_px", math.nan),
+])
+def test_dataset_rejects_non_finite_numbers(tmp_path, field, value):
+    p = tmp_path / "d.jsonl"
+    write_dataset(generate_frames(small_world(), 1, 100.0), p)
+
+    def edit(rec):
+        target = rec["features"][1] if field in ("x", "y") else rec
+        target[field] = value
+    _edit_line(p, 3, edit)
+    with pytest.raises(DatasetError, match=f"d.jsonl:3: .*{field} is"):
+        list(read_dataset(p))
+
+
+def test_dataset_rejects_mixed_descriptor_widths(tmp_path):
+    p = tmp_path / "d.jsonl"
+    write_dataset(generate_frames(small_world(), 1, 100.0), p)
+
+    def edit(rec):  # one 256-bit descriptor cut to 128 bits
+        rec["features"][2]["d"] = rec["features"][2]["d"][32:]
+    _edit_line(p, 4, edit)
+    with pytest.raises(DatasetError, match="d.jsonl:4: .*width 128 differs"):
+        list(read_dataset(p))
 
 
 def snapshot_path_map():

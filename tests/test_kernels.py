@@ -1,4 +1,4 @@
-"""Distance kernels against a naive per-bit oracle, and backend equivalence."""
+"""Distance kernels against a naive per-bit oracle."""
 
 import numpy as np
 import pytest
@@ -41,7 +41,7 @@ def test_hamming_exhaustive_width4():
         for b in range(16):
             da = Descriptor.from_int(a, 4).words
             db = Descriptor.from_int(b, 4).words
-            m = kernels.hamming_matrix_np(da[None, :], db[None, :])
+            m = kernels.hamming_matrix(da[None, :], db[None, :])
             assert m[0, 0] == bit_loop_distance(da, db, 4) == bin(a ^ b).count("1")
 
 
@@ -56,6 +56,24 @@ def test_hamming_randomized_width256_against_bit_loop():
             assert m[i, j] == bit_loop_distance(a[i], b[j], 256)
 
 
+@pytest.mark.parametrize("width", [4, 64, 68, 128, 256, 512])
+def test_hamming_matrix_matches_bit_loop_across_widths(width):
+    # single and multi-word rows, with and without padding bits in the last word
+    rng = np.random.default_rng(width)
+    a = random_words(rng, 9, width)
+    b = random_words(rng, 11, width)
+    b[0] = a[0]  # distance 0
+    b[1] = ~a[1]  # distance width, once the padding is masked off again
+    if width % 64:
+        b[1, -1] &= np.uint64((1 << (width % 64)) - 1)
+    m = kernels.hamming_matrix(a, b)
+    assert m.dtype == np.int64
+    for i in range(len(a)):
+        for j in range(len(b)):
+            assert m[i, j] == bit_loop_distance(a[i], b[j], width)
+    assert m[0, 0] == 0 and m[1, 1] == width
+
+
 _rows = st.lists(st.integers(0, 2**64 - 1), min_size=4, max_size=4)
 
 
@@ -65,13 +83,10 @@ _rows = st.lists(st.integers(0, 2**64 - 1), min_size=4, max_size=4)
 def test_hamming_matrix_matches_oracle_property(aw, bw):
     a = np.array(aw, dtype=np.uint64)
     b = np.array(bw, dtype=np.uint64)
-    m = kernels.hamming_matrix_np(a, b)
+    m = kernels.hamming_matrix(a, b)
     for i in range(len(aw)):
         for j in range(len(bw)):
             assert m[i, j] == bit_loop_distance(a[i], b[j], 256)
-    impls = kernels.implementations()
-    if "numba" in impls:
-        assert np.array_equal(impls["numba"]["hamming_matrix"](a, b), m)
 
 
 @pytest.mark.parametrize("na,nb", [(0, 5), (5, 0), (0, 0), (1, 1), (7, 3)])
@@ -79,35 +94,38 @@ def test_hamming_matrix_shapes(na, nb):
     rng = np.random.default_rng(2)
     a = random_words(rng, na, 256)
     b = random_words(rng, nb, 256)
-    assert kernels.hamming_matrix_np(a, b).shape == (na, nb)
+    assert kernels.hamming_matrix(a, b).shape == (na, nb)
 
 
-def test_backends_agree_on_all_kernels():
-    impls = kernels.implementations()
-    if "numba" not in impls:
-        pytest.skip("numba backend not available")
+@pytest.mark.parametrize("na,nb", [(0, 5), (5, 0), (0, 0)])
+def test_mutual_nearest_pairs_empty(na, nb):
+    rng = np.random.default_rng(2)
+    pairs = kernels.mutual_nearest_pairs(random_words(rng, na, 256),
+                                         random_words(rng, nb, 256), 64)
+    assert [(p.shape, p.dtype) for p in pairs] == [((0,), np.int64)] * 3
+
+
+@pytest.mark.parametrize("width", [4, 68, 256])
+def test_nearest_distances_are_row_minima(width):
     rng = np.random.default_rng(3)
-    for trial in range(20):
-        na = int(rng.integers(1, 60))
-        nb = int(rng.integers(1, 60))
-        a = random_words(rng, na, 256)
-        b = random_words(rng, nb, 256)
-        # plant a few near-duplicates so matches exist below the threshold
-        k = min(na, nb, 10)
-        b[:k] = a[:k]
-        np_i = impls["numpy"]
-        nb_i = impls["numba"]
-        assert np.array_equal(np_i["hamming_matrix"](a, b),
-                              nb_i["hamming_matrix"](a, b))
-        p1 = np_i["mutual_nearest_pairs"](a, b, 64)
-        p2 = nb_i["mutual_nearest_pairs"](a, b, 64)
-        for x, y in zip(p1, p2):
-            assert np.array_equal(x, y)
-        assert np.array_equal(np_i["nearest_distances"](a, b),
-                              nb_i["nearest_distances"](a, b))
-        if na >= 2:
-            assert np.array_equal(np_i["self_nearest_distances"](a),
-                                  nb_i["self_nearest_distances"](a))
+    a = random_words(rng, 30, width)
+    b = random_words(rng, 17, width)
+    b[:5] = a[:5]
+    d = kernels.nearest_distances(a, b)
+    assert d.dtype == np.int64
+    assert np.array_equal(d, kernels.hamming_matrix(a, b).min(axis=1))
+
+
+@pytest.mark.parametrize("width", [4, 68, 256])
+def test_self_nearest_distances_are_row_minima_off_diagonal(width):
+    rng = np.random.default_rng(6)
+    a = random_words(rng, 25, width)
+    a[10] = a[2]
+    m = kernels.hamming_matrix(a, a)
+    np.fill_diagonal(m, np.iinfo(np.int64).max)
+    d = kernels.self_nearest_distances(a)
+    assert d.dtype == np.int64
+    assert np.array_equal(d, m.min(axis=1))
 
 
 def test_mutual_nearest_pairs_is_one_to_one_and_thresholded():
@@ -124,15 +142,39 @@ def test_mutual_nearest_pairs_is_one_to_one_and_thresholded():
         assert matched.get(i) == i
 
 
+def test_mutual_nearest_pairs_match_argmin_definition():
+    # 3-bit rows in 4 words: many equal distances, so the tie rule is exercised
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        a = random_words(rng, int(rng.integers(1, 30)), 256) & np.uint64(7)
+        b = random_words(rng, int(rng.integers(1, 30)), 256) & np.uint64(7)
+        m = kernels.hamming_matrix(a, b)
+        best_b = m.argmin(axis=1)
+        best_a = m.argmin(axis=0)
+        want = [(i, int(j), int(m[i, j])) for i, j in enumerate(best_b)
+                if best_a[j] == i and m[i, j] <= 2]
+        ai, bi, dd = kernels.mutual_nearest_pairs(a, b, 2)
+        assert list(zip(ai.tolist(), bi.tolist(), dd.tolist())) == want
+
+
 def test_mutual_nearest_ties_keep_first_index():
     # two identical map rows competing for one view row: index 0 must win
     a = np.zeros((2, 4), dtype=np.uint64)
     b = np.zeros((1, 4), dtype=np.uint64)
-    for name, impl in kernels.implementations().items():
-        ai, bi, dd = impl["mutual_nearest_pairs"](a, b, 64)
-        assert ai.tolist() == [0], name
-        assert bi.tolist() == [0]
-        assert dd.tolist() == [0]
+    ai, bi, dd = kernels.mutual_nearest_pairs(a, b, 64)
+    assert ai.tolist() == [0]
+    assert bi.tolist() == [0]
+    assert dd.tolist() == [0]
+
+
+def test_mutual_nearest_ties_keep_first_view_index():
+    # two identical view rows competing for one map row: index 0 must win
+    a = np.zeros((1, 4), dtype=np.uint64)
+    b = np.zeros((2, 4), dtype=np.uint64)
+    ai, bi, dd = kernels.mutual_nearest_pairs(a, b, 64)
+    assert ai.tolist() == [0]
+    assert bi.tolist() == [0]
+    assert dd.tolist() == [0]
 
 
 def test_self_nearest_excludes_self():
@@ -144,41 +186,3 @@ def test_self_nearest_excludes_self():
     a2[7] = a2[3]
     d2 = kernels.self_nearest_distances(a2)
     assert d2[3] == 0 and d2[7] == 0
-
-
-def test_numpy_fallback_env_flag():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import longnav
-
-    # The child records every attempt to import numba, so the flag is checked
-    # on machines without numba too, where "numpy False" comes out regardless.
-    code = (
-        "import sys\n"
-        "class Recorder:\n"
-        "    names = []\n"
-        "    def find_spec(self, name, path=None, target=None):\n"
-        "        if name.partition('.')[0] == 'numba':\n"
-        "            self.names.append(name)\n"
-        "        return None\n"
-        "sys.meta_path.insert(0, Recorder())\n"
-        "import longnav.kernels as k\n"
-        "print(k.BACKEND, k.USING_NUMBA)\n"
-        "print(Recorder.names)\n"
-    )
-    # Import the same copy of longnav as this process, installed or not.
-    src = str(Path(longnav.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": pythonpath, "LONGNAV_NUMBA": "0"},
-    )
-    assert out.returncode == 0, out.stderr
-    backend, attempted = out.stdout.splitlines()
-    assert backend.split() == ["numpy", "False"]
-    assert attempted == "[]", f"LONGNAV_NUMBA=0 still tried to import {attempted}"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from longnav.errors import NoConsensusError
+from longnav.errors import ConfigError, NoConsensusError
 from longnav.features import Descriptor, Feature, hamming_distance
 from longnav.registration import (MatchOutcome, MatchPair, RegistrationParams,
                                   classify_outcomes, histogram_vote,
@@ -208,3 +208,24 @@ def test_register_failure_as_value():
     assert res.failed
     res = register(map_feats[:2], view, RegistrationParams(min_votes=2))
     assert not res.failed and res.delta == pytest.approx(4.0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"d_max": -1}, {"d_max": float("nan")},
+    {"bin_width": 0.0}, {"bin_width": -5.0}, {"bin_width": float("inf")},
+    {"bin_width": float("nan")},
+    {"image_width": 0},
+    {"min_votes": 0},
+    {"tolerance": -1.0}, {"tolerance": float("nan")},
+    {"tolerance": float("inf")},
+], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+def test_registration_params_rejects_bad_values(kwargs):
+    with pytest.raises(ConfigError, match=next(iter(kwargs))):
+        RegistrationParams(**kwargs)
+
+
+def test_registration_params_accepts_edges():
+    p = RegistrationParams(d_max=0, bin_width=0.5, image_width=1, min_votes=1,
+                           tolerance=0.0)
+    assert p.effective_tolerance() == 0.0
+    assert RegistrationParams().effective_tolerance() == 10.0

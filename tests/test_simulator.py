@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from longnav.errors import ConfigError, TeachError
+from longnav.errors import ConfigError, DatasetError, TeachError
 from longnav.features import Descriptor, Feature
 from longnav.simulator import (Frame, RepeatState, World, WorldConfig,
                                generate_frames, generate_world, replay_frames,
@@ -243,10 +243,20 @@ def test_replay_rejects_out_of_order_and_missing_teach():
     teach_part = [(tr, f) for tr, f in frames if tr == 0]
     tr1 = [(tr, f) for tr, f in frames if tr == 1]
     tr2 = [(tr, f) for tr, f in frames if tr == 2]
-    with pytest.raises(ValueError):
+    with pytest.raises(DatasetError, match="out of traversal order"):
         replay_frames(teach_part + tr2 + tr1, StrategyConfig(kind="static"))
     with pytest.raises(TeachError):
         replay_frames(tr1 + tr2, StrategyConfig(kind="static"))
+
+
+@pytest.mark.parametrize("location", [-1, 2, 10**6])
+def test_replay_rejects_location_outside_path(location):
+    w = World(small_cfg(seed=13))  # two locations
+    frames = list(generate_frames(w, 1, 1000.0))
+    tr, f = frames[-1]
+    frames[-1] = (tr, Frame(location, f.time, f.features, f.gamma))
+    with pytest.raises(DatasetError, match=f"location {location} is outside"):
+        replay_frames(frames, StrategyConfig(kind="static"))
 
 
 def test_generate_world_helper():
