@@ -171,10 +171,10 @@ def _cmd_replay(args) -> int:
     strategy = _strategy_for(args, cfg)
     snapshot = read_map_snapshot(args.map) if args.map else None
     pairs = read_dataset(args.dataset)
-    _, logs = replay_frames(pairs, strategy, path=snapshot,
-                            feature_cap=cfg.feature_cap,
-                            image_width=cfg.world.image_width,
-                            params=cfg.registration)
+    _, (logs,) = replay_frames(pairs, [strategy], path=snapshot,
+                               feature_cap=cfg.feature_cap,
+                               image_width=cfg.world.image_width,
+                               params=cfg.registration)
     log_path = out / f"logs_{strategy.kind}.jsonl"
     write_logs(logs, log_path)
     print(_summarize(logs, cfg, strategy.kind))

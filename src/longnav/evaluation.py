@@ -1,10 +1,10 @@
 """Registration-error statistics, paired t-tests, and strategy comparisons.
 
-A comparison replays every strategy over the same evidence: in open loop each
-strategy consumes an identical frame stream (regenerated or re-read per
-strategy and verified byte-identical by hashing), in closed loop each strategy
-drives its own copy of the same seeded world. Errors eps_i = |delta_i -
-gamma_i| feed per-strategy CDFs and pairwise paired t-tests.
+A comparison replays every strategy over the same evidence: in open loop one
+frame stream is read once and every frame is fed to every strategy in turn
+(its sha256 is reported), in closed loop each strategy drives its own copy of
+the same seeded world. Errors eps_i = |delta_i - gamma_i| feed per-strategy
+CDFs and pairwise paired t-tests.
 """
 
 from __future__ import annotations
@@ -13,13 +13,12 @@ import hashlib
 import math
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betainc
 
-from .errors import ConfigError, DatasetError
+from .errors import ConfigError
 from .registration import RegistrationParams
 from .simulator import (World, WorldConfig, generate_frames, replay_frames,
                         run_closed_loop, teach)
@@ -116,28 +115,16 @@ def paired_t_test(a: ErrorSequence, b: ErrorSequence,
     return TTestResult(t, df, p, p < alpha)
 
 
-def _digest_frame(h, traversal: int, frame) -> None:
-    h.update(struct.pack("<qqdd", traversal, frame.location, frame.time,
-                         frame.gamma))
-    h.update(struct.pack("<q", len(frame.features)))
-    for f in frame.features:
-        h.update(struct.pack("<dd", f.x, f.y))
-        h.update(f.descriptor.words.tobytes())
-
-
-class _HashingStream:
-    """Iterates (traversal, frame) pairs while folding them into a sha256."""
-
-    def __init__(self, pairs):
-        self._pairs = pairs
-        self.digest = None
-
-    def __iter__(self):
-        h = hashlib.sha256()
-        for tr, frame in self._pairs:
-            _digest_frame(h, tr, frame)
-            yield tr, frame
-        self.digest = h.hexdigest()
+def _hashed(pairs, h):
+    """Yield (traversal, frame) pairs, folding each into the sha256 h."""
+    for tr, frame in pairs:
+        h.update(struct.pack("<qqdd", tr, frame.location, frame.time,
+                             frame.gamma))
+        h.update(struct.pack("<q", len(frame.features)))
+        for f in frame.features:
+            h.update(struct.pack("<dd", f.x, f.y))
+            h.update(f.descriptor.words.tobytes())
+        yield tr, frame
 
 
 def unique_labels(names) -> list:
@@ -195,32 +182,21 @@ def _normalize_schedule(schedule) -> tuple:
     return traversals, float(interval_s)
 
 
-def _thread_count(threads) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("LONGNAV_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"LONGNAV_THREADS must be an integer, got {env!r}")
-    return 1
-
-
 def compare_strategies(source, strategies, schedule=None, *, mode: str = "open",
                        run_seed: int = 0, offset_fn=None,
                        params: RegistrationParams | None = None,
                        feature_cap: int = 500,
                        failure_penalty: float | None = None,
                        thresholds=DEFAULT_THRESHOLDS, alpha: float = 0.05,
-                       initial_offset_m: float = 0.0, teach_time: float = 0.0,
-                       threads: int | None = None) -> ComparisonReport:
+                       initial_offset_m: float = 0.0,
+                       teach_time: float = 0.0) -> ComparisonReport:
     """Run every strategy over the same evidence and assemble the report.
 
     source: a World/WorldConfig (frames are generated), a dataset path, or an
-    in-memory list of (traversal, frame) pairs. mode "open" replays a shared
-    frame stream; mode "closed" gives each strategy a fresh world with the
-    same seed and lets its steering feed back.
+    in-memory iterable of (traversal, frame) pairs. mode "open" reads that
+    frame stream once and feeds every frame to every strategy; each label's
+    stream hash is the stream's one sha256. mode "closed" gives each strategy
+    a fresh world with the same seed and lets its steering feed back.
     """
     if not strategies:
         raise ConfigError("no strategies to compare")
@@ -234,65 +210,44 @@ def compare_strategies(source, strategies, schedule=None, *, mode: str = "open",
     elif isinstance(source, WorldConfig):
         world_cfg = source
 
+    image_width = world_cfg.image_width if world_cfg else 640
     if failure_penalty is None:
-        width = world_cfg.image_width if world_cfg else 640
-        failure_penalty = width / 2.0
+        failure_penalty = image_width / 2.0
+    reg_params = params or RegistrationParams(image_width=image_width)
 
     if world_cfg is not None:
         traversals, interval_s = _normalize_schedule(schedule)
-
-        def make_stream():
-            w = World(world_cfg)
-            return generate_frames(w, traversals, interval_s, run_seed,
-                                   offset_fn=offset_fn, teach_time=teach_time)
     elif mode == "closed":
         raise ConfigError("closed-loop comparison needs a world source")
-    elif isinstance(source, (str, os.PathLike)):
-        from .io import read_dataset
 
-        def make_stream():
-            return read_dataset(source)
-    else:
-        frame_list = source if isinstance(source, (list, tuple)) else list(source)
-        if not frame_list:
-            raise DatasetError("empty frame source")
-
-        def make_stream():
-            return iter(frame_list)
-
-    image_width = world_cfg.image_width if world_cfg else 640
-    reg_params = params or RegistrationParams(image_width=image_width)
-
-    def run_one(i: int):
-        cfg = strategies[i]
-        if mode == "closed":
+    if mode == "closed":
+        results = []
+        for cfg in strategies:
             world = World(world_cfg)
             path = teach(world, teach_time, feature_cap=feature_cap)
-            logs = run_closed_loop(world, path, cfg, traversals, interval_s,
-                                   run_seed=run_seed,
-                                   initial_offset_m=initial_offset_m,
-                                   params=reg_params)
-            return logs, None
-        stream = _HashingStream(make_stream())
-        _, logs = replay_frames(stream, cfg, feature_cap=feature_cap,
-                                image_width=image_width, params=reg_params)
-        return logs, stream.digest
-
-    n_workers = min(_thread_count(threads), len(strategies))
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(run_one, range(len(strategies))))
+            results.append(run_closed_loop(world, path, cfg, traversals,
+                                           interval_s, run_seed=run_seed,
+                                           initial_offset_m=initial_offset_m,
+                                           params=reg_params))
+        stream_hashes = dict.fromkeys(labels)
     else:
-        results = [run_one(i) for i in range(len(strategies))]
-
-    stream_hashes = {lab: digest for lab, (_, digest) in zip(labels, results)}
-    digests = {d for d in stream_hashes.values() if d is not None}
-    if len(digests) > 1:
-        raise RuntimeError("strategies consumed different frame streams: "
-                           f"{sorted(digests)}")
+        if world_cfg is not None:
+            pairs = generate_frames(World(world_cfg), traversals, interval_s,
+                                    run_seed, offset_fn=offset_fn,
+                                    teach_time=teach_time)
+        elif isinstance(source, (str, os.PathLike)):
+            from .io import read_dataset
+            pairs = read_dataset(source)
+        else:
+            pairs = source
+        h = hashlib.sha256()
+        _, results = replay_frames(_hashed(pairs, h), strategies,
+                                   feature_cap=feature_cap,
+                                   image_width=image_width, params=reg_params)
+        stream_hashes = dict.fromkeys(labels, h.hexdigest())
 
     sequences = [registration_errors(logs, failure_penalty, lab)
-                 for lab, (logs, _) in zip(labels, results)]
+                 for lab, logs in zip(labels, results)]
     return build_report(sequences, thresholds=thresholds, alpha=alpha,
                         mode=mode, stream_hashes=stream_hashes)
 
@@ -308,6 +263,12 @@ def build_report(sequences, *, thresholds=DEFAULT_THRESHOLDS,
     if len(set(labels)) != len(labels):
         raise ConfigError(f"duplicate sequence labels: {labels}")
     sequences, dropped = _align(sequences)
+    n_frames = len(sequences[0])
+    needed = 2 if len(labels) > 1 else 1  # a paired t-test needs 2 pairs
+    if n_frames < needed:
+        raise ConfigError(f"the sequences share {n_frames} frame(s); "
+                          f"a report on {len(labels)} sequence(s) needs at least "
+                          f"{needed}")
     seq_by_label = dict(zip(labels, sequences))
 
     mean_errors = {lab: s.mean() for lab, s in seq_by_label.items()}
@@ -322,7 +283,6 @@ def build_report(sequences, *, thresholds=DEFAULT_THRESHOLDS,
                 row[lb] = paired_t_test(seq_by_label[la], seq_by_label[lb], alpha)
         ttests[la] = row
     ranking = sorted(labels, key=lambda lab: mean_errors[lab])
-    n_frames = len(sequences[0]) if sequences else 0
     return ComparisonReport(mode, labels, seq_by_label, mean_errors,
                             failure_counts, tuple(float(t) for t in thresholds),
                             cdf, ttests, ranking, alpha, stream_hashes or {},

@@ -52,11 +52,17 @@ def write_dataset(pairs, path) -> int:
     return n
 
 
-def _finite(rec: dict, key: str) -> float:
-    v = float(rec[key])
+def _number(v, name: str) -> float:
+    """v as a float; ValueError unless it is a finite JSON number."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"{name} is {v!r}, not a number")
     if not math.isfinite(v):
-        raise ValueError(f"{key} is {v}, not a finite number")
-    return v
+        raise ValueError(f"{name} is {v}, not a finite number")
+    return float(v)
+
+
+def _finite(rec: dict, key: str) -> float:
+    return _number(rec[key], key)
 
 
 def read_dataset(path):
@@ -99,12 +105,20 @@ def _feature_snapshot(f: Feature) -> dict:
     }
 
 
+def _temporal_from_snapshot(doc: dict) -> FremenModel:
+    _finite(doc, "mu")
+    for comp in doc["components"]:
+        for v in comp:  # period, re, im
+            _number(v, "fremen component value")
+    return FremenModel.from_dict(doc)
+
+
 def _feature_from_snapshot(rec: dict, width: int) -> Feature:
     temporal = rec.get("temporal")
-    return Feature(float(rec["x"]), float(rec["y"]),
+    return Feature(_finite(rec, "x"), _finite(rec, "y"),
                    _descriptor_from_hex(rec["d"], width),
-                   score=float(rec.get("score", 0.0)),
-                   temporal=FremenModel.from_dict(temporal) if temporal else None,
+                   score=_number(rec.get("score", 0.0), "score"),
+                   temporal=_temporal_from_snapshot(temporal) if temporal else None,
                    inserted_at=int(rec.get("inserted_at", 0)))
 
 
@@ -144,11 +158,11 @@ def read_map_snapshot(path) -> PathMap:
                                     for r in a["features"]],
                                    int(a["created_at"]))
                     for a in lm.get("alternatives", [])]
-            maps.append(LocalMap(int(lm["index"]), float(lm["odometry_distance"]),
-                                 feats, alts))
+            maps.append(LocalMap(int(lm["index"]),
+                                 _finite(lm, "odometry_distance"), feats, alts))
         return PathMap(maps, image_width=int(doc["image_width"]),
                        descriptor_width=width,
-                       taught_at=float(doc.get("taught_at", 0.0)))
+                       taught_at=_number(doc.get("taught_at", 0.0), "taught_at"))
     except (KeyError, ValueError, TypeError) as e:
         raise DatasetError(f"{p}: bad map snapshot: {e}") from e
 
@@ -179,35 +193,46 @@ def write_logs(logs, path) -> int:
     return n
 
 
+def _number_or_null(v, name: str):
+    return None if v is None else _number(v, name)
+
+
 def read_logs(path) -> list:
-    """Rebuild TraversalLogs from a log file written by write_logs."""
+    """Rebuild TraversalLogs from a log file written by write_logs.
+
+    Non-numeric or non-finite delta_px, gamma_px, time_s or offset_m (delta_px
+    and offset_m may be null) are rejected with DatasetError naming path:line,
+    and so is a file without records.
+    """
     p = Path(path)
     logs = []
     current = None
-    try:
-        with p.open() as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
+    with p.open() as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
                 row = json.loads(line)
                 rec = LocationRecord(
                     location=int(row["location"]),
-                    delta=row["delta_px"],
-                    gamma=float(row["gamma_px"]),
+                    delta=_number_or_null(row["delta_px"], "delta_px"),
+                    gamma=_finite(row, "gamma_px"),
                     n_correct=int(row["n_correct"]),
                     n_incorrect=int(row["n_incorrect"]),
                     n_not_matched=int(row["n_not_matched"]),
                     map_size=int(row["map_size"]),
                     n_alternatives=int(row.get("n_alternatives", 1)),
                     best_alternative=int(row.get("best_alternative", 0)),
-                    offset_m=row.get("offset_m"))
+                    offset_m=_number_or_null(row.get("offset_m"), "offset_m"))
                 tr = int(row["traversal"])
-                if current is None or current.traversal != tr:
-                    current = TraversalLog(tr, row["strategy"],
-                                           float(row["time_s"]), [])
-                    logs.append(current)
-                current.records.append(rec)
-    except (KeyError, ValueError, TypeError) as e:
-        raise DatasetError(f"{p}: bad log record: {e}") from e
+                strategy, time_s = row["strategy"], _finite(row, "time_s")
+            except (KeyError, ValueError, TypeError) as e:
+                raise DatasetError(f"{p}:{lineno}: bad log record: {e}") from e
+            if current is None or current.traversal != tr:
+                current = TraversalLog(tr, strategy, time_s, [])
+                logs.append(current)
+            current.records.append(rec)
+    if not logs:
+        raise DatasetError(f"{p}: no log records")
     return logs

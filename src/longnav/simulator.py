@@ -15,6 +15,7 @@ seed sees the same environment evolution regardless of call order.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -392,74 +393,72 @@ def generate_frames(world: World, traversals: int, interval_s: float,
             yield tr, world.observe(loc, t, offset, rng)
 
 
-def replay_frames(frames, cfg: StrategyConfig, path: PathMap | None = None,
+def replay_frames(frames, strategies, path: PathMap | None = None,
                   feature_cap: int = 500, spacing_m: float = 1.0,
                   image_width: int = 640,
                   params: RegistrationParams | None = None):
-    """Open-loop replay of a (traversal, Frame) stream.
+    """Open-loop lockstep replay of one (traversal, Frame) stream through a
+    sequence of StrategyConfigs, reading the stream once.
 
-    Traversal-0 frames are the teach pass and build the path unless one is
-    supplied. Returns (path, list of TraversalLog). Frames must arrive in
+    Every repeat frame is processed by each strategy in turn, against that
+    strategy's own PathMap: a deep copy of `path` when one is supplied, else
+    one taught from the traversal-0 frames. Returns (paths, logs) with one
+    PathMap and one list of TraversalLog per strategy. Frames must arrive in
     non-decreasing traversal order and repeat frames must name a taught
     location; DatasetError otherwise.
     """
+    strategies = list(strategies)
+    if not strategies:
+        raise ConfigError("no strategies to replay")
     teach_batch = []
-    logs = []
-    records = []
-    current_tr = None
-    current_time = 0.0
+    paths = None
+    logs = [[] for _ in strategies]
     last_tr = 0
-    ready = path is not None
-    if ready:
-        init_strategy_state(path, cfg)
-        params = params or RegistrationParams(image_width=path.image_width)
 
-    def ensure_path():
-        nonlocal path, params, ready
-        if ready:
-            return
-        if not teach_batch:
-            raise TeachError("no traversal-0 frames and no path supplied")
-        if any(not f.features for f in teach_batch):
-            raise TeachError("a teaching frame has no features")
-        teach_batch.sort(key=lambda f: f.location)
-        width = teach_batch[0].features[0].descriptor.width
-        path = teach_from_frames(teach_batch, feature_cap=feature_cap,
-                                 spacing_m=spacing_m, image_width=image_width,
-                                 descriptor_width=width,
-                                 taught_at=teach_batch[0].time)
-        init_strategy_state(path, cfg)
-        params = params or RegistrationParams(image_width=path.image_width)
-        ready = True
-
-    def flush():
-        nonlocal records, current_tr
-        if current_tr is not None:
-            logs.append(TraversalLog(current_tr, cfg.kind, current_time, records))
-            records = []
-            current_tr = None
+    def make_paths():
+        nonlocal params
+        if path is not None:
+            made = [copy.deepcopy(path) for _ in strategies]
+        else:
+            if not teach_batch:
+                raise TeachError("no traversal-0 frames and no path supplied")
+            if any(not f.features for f in teach_batch):
+                raise TeachError("a teaching frame has no features")
+            teach_batch.sort(key=lambda f: f.location)
+            width = teach_batch[0].features[0].descriptor.width
+            made = [teach_from_frames(teach_batch, feature_cap=feature_cap,
+                                      spacing_m=spacing_m,
+                                      image_width=image_width,
+                                      descriptor_width=width,
+                                      taught_at=teach_batch[0].time)
+                    for _ in strategies]
+        for p, cfg in zip(made, strategies):
+            init_strategy_state(p, cfg)
+        params = params or RegistrationParams(image_width=made[0].image_width)
+        return made
 
     for tr, frame in frames:
         if tr < last_tr:
             raise DatasetError(f"traversal {tr} follows traversal {last_tr}: "
                                "frames out of traversal order")
-        last_tr = tr
         if tr == 0:
-            if not ready:  # teach frames are redundant when a path is supplied
+            if path is None:  # a supplied path makes the teach frames redundant
                 teach_batch.append(frame)
             continue
-        ensure_path()
-        if not 0 <= frame.location < len(path.local_maps):
+        if paths is None:
+            paths = make_paths()
+        n_maps = len(paths[0].local_maps)
+        if not 0 <= frame.location < n_maps:
             raise DatasetError(f"traversal {tr}: location {frame.location} is "
-                               f"outside the taught path of "
-                               f"{len(path.local_maps)} locations")
-        if tr != current_tr:
-            flush()
-            current_tr = tr
-            current_time = frame.time
-        rec, _ = process_frame(path.local_maps[frame.location], frame, cfg,
-                               tr, params)
-        records.append(rec)
-    flush()
-    ensure_path()
-    return path, logs
+                               f"outside the taught path of {n_maps} locations")
+        if tr != last_tr:
+            for cfg, strategy_logs in zip(strategies, logs):
+                strategy_logs.append(TraversalLog(tr, cfg.kind, frame.time, []))
+        last_tr = tr
+        for cfg, p, strategy_logs in zip(strategies, paths, logs):
+            rec, _ = process_frame(p.local_maps[frame.location], frame, cfg,
+                                   tr, params)
+            strategy_logs[-1].records.append(rec)
+    if paths is None:
+        paths = make_paths()
+    return paths, logs

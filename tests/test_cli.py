@@ -1,6 +1,7 @@
 """End-to-end command-line flows on a miniature world."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -197,6 +198,69 @@ def test_report_from_logs(tmp_path, config_path):
                    r2 / "logs_static.jsonl") == 0
     summary = json.loads((out / "summary.json").read_text())
     assert set(summary["mean_error_px"]) == {"score", "static"}
+
+
+def _replay_logs(tmp_path, config_path, strategy="score"):
+    data = tmp_path / "data"
+    if not (data / "dataset.jsonl").exists():
+        run_cli("generate", "--config", config_path, "--out", data)
+    out = tmp_path / f"r_{strategy}"
+    run_cli("replay", "--config", config_path, "--out", out,
+            "--strategy", strategy, "--dataset", data / "dataset.jsonl")
+    return out / f"logs_{strategy}.jsonl"
+
+
+def _report_error(capsys, config_path, tmp_path, *logs):
+    capsys.readouterr()
+    assert run_cli("report", "--config", config_path, "--out",
+                   tmp_path / "rep", "--logs", *logs) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("delta_px", math.nan), ("delta_px", "3.5"), ("gamma_px", math.inf),
+    ("time_s", math.nan), ("offset_m", -math.inf),
+])
+def test_report_rejects_bad_log_values(tmp_path, config_path, capsys,
+                                       key, value):
+    logs = _replay_logs(tmp_path, config_path)
+    rows = [json.loads(line) for line in logs.read_text().splitlines()]
+    rows[1][key] = value
+    logs.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    err = _report_error(capsys, config_path, tmp_path, logs)
+    assert f"logs_score.jsonl:2: bad log record: {key} is" in err
+
+
+def test_report_rejects_empty_log_file(tmp_path, config_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("\n")
+    err = _report_error(capsys, config_path, tmp_path, empty)
+    assert "empty.jsonl: no log records" in err
+
+
+def test_report_needs_two_common_frames(tmp_path, config_path, capsys):
+    score = _replay_logs(tmp_path, config_path, "score")
+    static = _replay_logs(tmp_path, config_path, "static")
+    static.write_text(static.read_text().splitlines()[0] + "\n")
+    err = _report_error(capsys, config_path, tmp_path, score, static)
+    assert "share 1 frame" in err
+
+
+def test_replay_rejects_non_finite_map(tmp_path, config_path, capsys):
+    data = tmp_path / "data"
+    run_cli("generate", "--config", config_path, "--out", data)
+    doc = json.loads((data / "map.json").read_text())
+    doc["local_maps"][0]["features"][0]["x"] = math.nan
+    bad = tmp_path / "bad_map.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("replay", "--config", config_path, "--out", tmp_path / "r",
+                   "--strategy", "score", "--dataset", data / "dataset.jsonl",
+                   "--map", bad) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "x is nan" in err
 
 
 def test_error_exit_codes(tmp_path, config_path, capsys):

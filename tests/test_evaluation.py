@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from longnav.errors import ConfigError
+from longnav.errors import ConfigError, LongNavError
 from longnav.evaluation import (ComparisonReport, ErrorSequence, build_report,
                                 compare_strategies, error_cdf, paired_t_test,
                                 registration_errors, unique_labels,
                                 write_report)
 from longnav.simulator import (LocationRecord, TraversalLog, WorldConfig,
                                World, generate_frames, uniform_offset_schedule)
-from longnav.strategies import StrategyConfig
+from longnav.strategies import STRATEGY_KINDS, StrategyConfig
 
 
 def rec(loc, delta, gamma):
@@ -209,9 +209,11 @@ def test_compare_list_source_matches_world_source():
                                    offset_fn=fn)
     frames = list(generate_frames(World(world_cfg()), 2, 3600.0, offset_fn=fn))
     rep_list = compare_strategies(frames, cfgs)
-    np.testing.assert_array_equal(rep_world.sequences["score"].values,
-                                  rep_list.sequences["score"].values)
-    assert rep_world.stream_hashes["score"] == rep_list.stream_hashes["score"]
+    rep_iter = compare_strategies(iter(frames), cfgs)
+    for rep in (rep_list, rep_iter):
+        np.testing.assert_array_equal(rep_world.sequences["score"].values,
+                                      rep.sequences["score"].values)
+        assert rep_world.stream_hashes["score"] == rep.stream_hashes["score"]
 
 
 def test_compare_closed_loop_runs():
@@ -223,15 +225,32 @@ def test_compare_closed_loop_runs():
     assert all(d is None for d in rep.stream_hashes.values())
 
 
-def test_compare_threaded_matches_serial():
-    cfgs = [StrategyConfig(kind="score"), StrategyConfig(kind="strict")]
-    kw = dict(schedule=(2, 3600.0),
+def test_compare_lockstep_matches_each_strategy_alone():
+    # strategies share the stream's Frame objects; any aliasing between them
+    # would make a strategy's errors depend on the company it runs in
+    cfgs = [StrategyConfig(kind=k) for k in STRATEGY_KINDS]
+    kw = dict(schedule=(3, 3600.0),
               offset_fn=uniform_offset_schedule(0.1, seed=5))
-    a = compare_strategies(world_cfg(), cfgs, threads=1, **kw)
-    b = compare_strategies(world_cfg(), cfgs, threads=2, **kw)
-    for lab in a.labels:
-        np.testing.assert_array_equal(a.sequences[lab].values,
-                                      b.sequences[lab].values)
+    together = compare_strategies(world_cfg(), cfgs, **kw)
+    for cfg in cfgs:
+        alone = compare_strategies(world_cfg(), [cfg], **kw)
+        np.testing.assert_array_equal(together.sequences[cfg.kind].values,
+                                      alone.sequences[cfg.kind].values)
+        assert together.stream_hashes[cfg.kind] == alone.stream_hashes[cfg.kind]
+
+
+def test_open_compare_observes_each_frame_once(monkeypatch):
+    calls = []
+    observe = World.observe
+
+    def counting(self, *args, **kwargs):
+        calls.append(args[0])
+        return observe(self, *args, **kwargs)
+
+    monkeypatch.setattr(World, "observe", counting)
+    cfgs = [StrategyConfig(kind=k) for k in ("static", "score", "fremen")]
+    compare_strategies(world_cfg(), cfgs, schedule=(2, 3600.0))
+    assert len(calls) == world_cfg().n_locations * (2 + 1)
 
 
 def test_compare_input_validation():
@@ -244,6 +263,8 @@ def test_compare_input_validation():
         compare_strategies(world_cfg(), [StrategyConfig()], schedule=(0, 1.0))
     with pytest.raises(ConfigError):
         compare_strategies([(1, None)], [StrategyConfig()], mode="closed")
+    with pytest.raises(LongNavError):
+        compare_strategies(iter([]), [StrategyConfig()])
 
 
 def test_build_report_aligns_and_counts_drops():
@@ -259,6 +280,9 @@ def test_build_report_aligns_and_counts_drops():
         build_report([a, ErrorSequence("a", a.values, a.failed, a.keys)])
     with pytest.raises(ConfigError):
         build_report([])
+    c = seq([4, 5], name="c", keys=[(1, 0), (1, 7)])
+    with pytest.raises(ConfigError, match="share 1 frame"):
+        build_report([a, c])
 
 
 def test_write_report_files(tmp_path):

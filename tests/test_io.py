@@ -162,6 +162,30 @@ def test_map_snapshot_malformed(tmp_path):
         read_map_snapshot(p)
 
 
+@pytest.mark.parametrize("edit, name", [
+    (lambda doc: doc["local_maps"][0]["features"][0].update(x=math.nan), "x"),
+    (lambda doc: doc["local_maps"][1]["features"][0].update(y=math.inf), "y"),
+    (lambda doc: doc["local_maps"][0]["features"][1].update(score=math.nan),
+     "score"),
+    (lambda doc: doc["local_maps"][1].update(odometry_distance=math.nan),
+     "odometry_distance"),
+    (lambda doc: doc.update(taught_at=-math.inf), "taught_at"),
+    (lambda doc: doc["local_maps"][0]["features"][1]["temporal"].update(
+        mu=math.nan), "mu"),
+    (lambda doc: doc["local_maps"][0]["features"][1]["temporal"]
+     ["components"][0].__setitem__(1, math.inf), "fremen component value"),
+    (lambda doc: doc["local_maps"][0]["features"][0].update(x="12.5"), "x"),
+], ids=["x", "y", "score", "odometry", "taught_at", "mu", "component", "x-str"])
+def test_map_snapshot_rejects_non_finite_values(tmp_path, edit, name):
+    p = tmp_path / "map.json"
+    write_map_snapshot(snapshot_path_map(), p)
+    doc = json.loads(p.read_text())
+    edit(doc)
+    p.write_text(json.dumps(doc))
+    with pytest.raises(DatasetError, match=f"bad map snapshot: {name} is"):
+        read_map_snapshot(p)
+
+
 def test_logs_round_trip(tmp_path):
     logs = [
         TraversalLog(1, "score", 100.0, [

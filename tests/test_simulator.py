@@ -227,7 +227,8 @@ def test_replay_matches_live_open_loop():
             for tr in range(1, 4)]
 
     stream = generate_frames(world(), 3, 1000.0, offset_fn=fn)
-    path_rep, replayed = replay_frames(stream, StrategyConfig(kind="score"))
+    (path_rep,), (replayed,) = replay_frames(stream,
+                                             [StrategyConfig(kind="score")])
     assert [lm.features for lm in path_rep.local_maps] \
         == [lm.features for lm in path_live.local_maps]
     for a, b in zip(live, replayed):
@@ -237,6 +238,21 @@ def test_replay_matches_live_open_loop():
                 == (rb.location, rb.delta, rb.gamma, rb.map_size)
 
 
+def test_replay_copies_a_supplied_path_per_strategy():
+    w = World(small_cfg(seed=15))
+    taught = teach(w, feature_cap=40)
+    before = [list(lm.features) for lm in taught.local_maps]
+    frames = list(generate_frames(w, 2, 1000.0))
+    cfgs = [StrategyConfig(kind="latest"), StrategyConfig(kind="aggressive")]
+    paths, logs = replay_frames(frames, cfgs, path=taught)
+    assert [lm.features for lm in taught.local_maps] == before
+    assert paths[0] is not paths[1] and all(p is not taught for p in paths)
+    assert [lm.features for lm in paths[0].local_maps] \
+        != [lm.features for lm in paths[1].local_maps]
+    assert [[log.strategy for log in strategy_logs] for strategy_logs in logs] \
+        == [["latest"] * 2, ["aggressive"] * 2]
+
+
 def test_replay_rejects_out_of_order_and_missing_teach():
     w = World(small_cfg(seed=13))
     frames = list(generate_frames(w, 2, 1000.0))
@@ -244,9 +260,9 @@ def test_replay_rejects_out_of_order_and_missing_teach():
     tr1 = [(tr, f) for tr, f in frames if tr == 1]
     tr2 = [(tr, f) for tr, f in frames if tr == 2]
     with pytest.raises(DatasetError, match="out of traversal order"):
-        replay_frames(teach_part + tr2 + tr1, StrategyConfig(kind="static"))
+        replay_frames(teach_part + tr2 + tr1, [StrategyConfig(kind="static")])
     with pytest.raises(TeachError):
-        replay_frames(tr1 + tr2, StrategyConfig(kind="static"))
+        replay_frames(tr1 + tr2, [StrategyConfig(kind="static")])
 
 
 @pytest.mark.parametrize("location", [-1, 2, 10**6])
@@ -256,7 +272,7 @@ def test_replay_rejects_location_outside_path(location):
     tr, f = frames[-1]
     frames[-1] = (tr, Frame(location, f.time, f.features, f.gamma))
     with pytest.raises(DatasetError, match=f"location {location} is outside"):
-        replay_frames(frames, StrategyConfig(kind="static"))
+        replay_frames(frames, [StrategyConfig(kind="static")])
 
 
 def test_generate_world_helper():
