@@ -17,9 +17,8 @@ from .registration import (MatchOutcome, MatchPair, RegistrationParams,
                            histogram_vote, match_features, register)
 from .strategies import (STRATEGY_KINDS, StrategyConfig, correct_positions,
                          rank_addition_candidates, score_update,
-                         select_active_features, select_best_alternative,
-                         update_map)
-from .simulator import (Frame, RepeatState, TraversalLog, World, WorldConfig,
+                         select_best_alternative, update_map)
+from .simulator import (Frame, TraversalLog, World, WorldConfig,
                         generate_frames, generate_world, replay_frames,
                         run_closed_loop, teach, teach_from_frames, traverse,
                         uniform_offset_schedule)
@@ -39,9 +38,9 @@ __all__ = [
     "match_features", "histogram_vote", "classify_outcomes", "register",
     "FremenModel", "DEFAULT_PERIODS", "predict_many",
     "STRATEGY_KINDS", "StrategyConfig", "score_update",
-    "select_active_features", "rank_addition_candidates", "correct_positions",
+    "rank_addition_candidates", "correct_positions",
     "update_map", "select_best_alternative",
-    "WorldConfig", "World", "Frame", "TraversalLog", "RepeatState",
+    "WorldConfig", "World", "Frame", "TraversalLog",
     "generate_world", "teach", "teach_from_frames", "traverse",
     "run_closed_loop", "generate_frames", "replay_frames",
     "uniform_offset_schedule",

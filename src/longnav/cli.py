@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -49,10 +50,26 @@ class RunConfig:
     def __post_init__(self):
         if not self.strategies:
             self.strategies = [StrategyConfig(kind=k) for k in STRATEGY_KINDS]
-        if self.traversals < 1:
-            raise ConfigError("traversals must be >= 1")
-        if self.mode not in ("open", "closed"):
-            raise ConfigError("mode must be open|closed")
+        self.validate()
+
+    def validate(self) -> None:
+        """Raise ConfigError naming the first setting no run can use; call
+        again after changing fields."""
+        for name, ok, rule in (
+                ("traversals", self.traversals >= 1, ">= 1"),
+                ("mode", self.mode in ("open", "closed"), "open|closed"),
+                ("seed", isinstance(self.seed, int) and self.seed >= 0,
+                 "a non-negative integer"),
+                ("interval_s", 0 < self.interval_s < math.inf, "finite and > 0"),
+                ("feature_cap", self.feature_cap >= 1, ">= 1"),
+                ("alpha", 0 < self.alpha < 1, "in (0, 1)"),
+                ("failure_penalty", self.failure_penalty is None
+                 or 0 <= self.failure_penalty < math.inf, "finite and >= 0"),
+                ("offset_amplitude_m", 0 <= self.offset_amplitude_m < math.inf,
+                 "finite and >= 0")):
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, "
+                                  f"got {getattr(self, name)!r}")
 
 
 def run_config_from_dict(doc: dict) -> RunConfig:
@@ -110,8 +127,7 @@ def _config_for(args) -> RunConfig:
         cfg.interval_s = args.interval_s
     if getattr(args, "mode", None) is not None:
         cfg.mode = args.mode
-    if cfg.traversals < 1:
-        raise ConfigError("traversals must be >= 1")
+    cfg.validate()
     return cfg
 
 
@@ -187,10 +203,11 @@ def _cmd_simulate(args) -> int:
     out = _out_dir(args)
     strategy = _strategy_for(args, cfg)
     world = generate_world(cfg.world)
-    path = teach(world, 0.0, feature_cap=cfg.feature_cap)
-    logs = run_closed_loop(world, path, strategy, cfg.traversals,
-                           cfg.interval_s, run_seed=cfg.seed,
-                           params=cfg.registration)
+    (path,), (logs,) = run_closed_loop(world, [strategy], cfg.traversals,
+                                       cfg.interval_s,
+                                       feature_cap=cfg.feature_cap,
+                                       run_seed=cfg.seed,
+                                       params=cfg.registration)
     log_path = out / f"logs_{strategy.kind}.jsonl"
     write_logs(logs, log_path)
     write_map_snapshot(path, out / "map_final.json")

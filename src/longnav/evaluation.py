@@ -2,9 +2,9 @@
 
 A comparison replays every strategy over the same evidence: in open loop one
 frame stream is read once and every frame is fed to every strategy in turn
-(its sha256 is reported), in closed loop each strategy drives its own copy of
-the same seeded world. Errors eps_i = |delta_i - gamma_i| feed per-strategy
-CDFs and pairwise paired t-tests.
+(its sha256 is reported), in closed loop every strategy steers its own frames
+through one seeded world, in lockstep. Errors eps_i = |delta_i - gamma_i|
+feed per-strategy CDFs and pairwise paired t-tests.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from scipy.special import betainc
 from .errors import ConfigError
 from .registration import RegistrationParams
 from .simulator import (World, WorldConfig, generate_frames, replay_frames,
-                        run_closed_loop, teach)
+                        run_closed_loop)
 
 DEFAULT_THRESHOLDS = tuple(float(v) for v in range(0, 101))
 
@@ -176,10 +176,13 @@ def _normalize_schedule(schedule) -> tuple:
         traversals, interval_s = schedule
     except (TypeError, ValueError):
         raise ConfigError("schedule must be (traversal count, interval seconds)")
-    traversals = int(traversals)
+    traversals, interval_s = int(traversals), float(interval_s)
     if traversals < 1:
         raise ConfigError("schedule needs at least one traversal")
-    return traversals, float(interval_s)
+    if not 0 < interval_s < math.inf:
+        raise ConfigError(f"schedule interval must be finite and > 0 s, "
+                          f"got {interval_s}")
+    return traversals, interval_s
 
 
 def compare_strategies(source, strategies, schedule=None, *, mode: str = "open",
@@ -188,15 +191,14 @@ def compare_strategies(source, strategies, schedule=None, *, mode: str = "open",
                        feature_cap: int = 500,
                        failure_penalty: float | None = None,
                        thresholds=DEFAULT_THRESHOLDS, alpha: float = 0.05,
-                       initial_offset_m: float = 0.0,
-                       teach_time: float = 0.0) -> ComparisonReport:
+                       initial_offset_m: float = 0.0) -> ComparisonReport:
     """Run every strategy over the same evidence and assemble the report.
 
     source: a World/WorldConfig (frames are generated), a dataset path, or an
     in-memory iterable of (traversal, frame) pairs. mode "open" reads that
     frame stream once and feeds every frame to every strategy; each label's
-    stream hash is the stream's one sha256. mode "closed" gives each strategy
-    a fresh world with the same seed and lets its steering feed back.
+    stream hash is the stream's one sha256. mode "closed" runs every strategy
+    in lockstep through one world, each steering its own frames.
     """
     if not strategies:
         raise ConfigError("no strategies to compare")
@@ -221,20 +223,16 @@ def compare_strategies(source, strategies, schedule=None, *, mode: str = "open",
         raise ConfigError("closed-loop comparison needs a world source")
 
     if mode == "closed":
-        results = []
-        for cfg in strategies:
-            world = World(world_cfg)
-            path = teach(world, teach_time, feature_cap=feature_cap)
-            results.append(run_closed_loop(world, path, cfg, traversals,
-                                           interval_s, run_seed=run_seed,
-                                           initial_offset_m=initial_offset_m,
-                                           params=reg_params))
+        _, results = run_closed_loop(World(world_cfg), strategies, traversals,
+                                     interval_s, feature_cap=feature_cap,
+                                     run_seed=run_seed,
+                                     initial_offset_m=initial_offset_m,
+                                     params=reg_params)
         stream_hashes = dict.fromkeys(labels)
     else:
         if world_cfg is not None:
             pairs = generate_frames(World(world_cfg), traversals, interval_s,
-                                    run_seed, offset_fn=offset_fn,
-                                    teach_time=teach_time)
+                                    run_seed, offset_fn=offset_fn)
         elif isinstance(source, (str, os.PathLike)):
             from .io import read_dataset
             pairs = read_dataset(source)

@@ -100,16 +100,6 @@ class FremenModel:
         m._im = np.array([c[2] for c in comps], dtype=np.float64)
         return m
 
-    def copy(self) -> "FremenModel":
-        m = FremenModel.__new__(FremenModel)
-        m.periods = self.periods
-        m._omega = self._omega
-        m.n_obs = self.n_obs
-        m.mu = self.mu
-        m._re = self._re.copy()
-        m._im = self._im.copy()
-        return m
-
     def __repr__(self) -> str:
         return f"FremenModel(n_obs={self.n_obs}, mu={self.mu:.4f})"
 

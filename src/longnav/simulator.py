@@ -9,8 +9,8 @@ lateral offset is carried on every frame.
 
 Determinism: the world is a pure function of its seed; per-frame noise comes
 from default_rng((run_seed, traversal, location)); turnover advances from
-default_rng((world_seed, salt, traversal)) so every strategy sharing a world
-seed sees the same environment evolution regardless of call order.
+default_rng((world_seed, salt, traversal)) and observing leaves the pools
+untouched, so strategies sharing one world see it evolve as they would alone.
 """
 
 from __future__ import annotations
@@ -279,17 +279,6 @@ def teach(world: World, t: float = 0.0, feature_cap: int = 500) -> PathMap:
                              descriptor_width=cfg.descriptor_width, taught_at=t)
 
 
-@dataclass
-class RepeatState:
-    """Mutable cursor for a sequence of repeat traversals."""
-
-    traversal: int = 1
-    offset_m: float = 0.0
-    run_seed: int = 0
-    offset_fn: object = None  # open-loop schedule: (traversal, location) -> m
-    params: RegistrationParams | None = None
-
-
 def uniform_offset_schedule(amplitude_m: float, seed: int = 0):
     """Open-loop schedule: offset drawn uniform in +-amplitude_m per frame,
     deterministic in (seed, traversal, location)."""
@@ -326,67 +315,97 @@ def process_frame(local_map: LocalMap, frame: Frame, cfg: StrategyConfig,
     return rec, reg
 
 
-def traverse(world: World, path: PathMap, cfg: StrategyConfig, t: float,
-             closed_loop: bool, state: RepeatState) -> TraversalLog:
-    """One pass over all locations at time t.
+def _strategy_paths(strategies, teach_batch, path: PathMap | None = None,
+                    feature_cap: int = 500, spacing_m: float = 1.0,
+                    image_width: int = 640) -> list:
+    """One PathMap per strategy, its strategy state attached: a deep copy of
+    `path` when one is supplied, else taught from the teach frames."""
+    if path is not None:
+        paths = [copy.deepcopy(path) for _ in strategies]
+    else:
+        if not teach_batch:
+            raise TeachError("no traversal-0 frames and no path supplied")
+        if any(not f.features for f in teach_batch):
+            raise TeachError("a teaching frame has no features")
+        frames = sorted(teach_batch, key=lambda f: f.location)
+        width = frames[0].features[0].descriptor.width
+        paths = [teach_from_frames(frames, feature_cap=feature_cap,
+                                   spacing_m=spacing_m, image_width=image_width,
+                                   descriptor_width=width,
+                                   taught_at=frames[0].time)
+                 for _ in strategies]
+    for p, cfg in zip(paths, strategies):
+        init_strategy_state(p, cfg)
+    return paths
 
-    Closed loop: the lateral offset evolves as offset - gain*(delta/px_per_m)
-    plus odometry noise after every location; a failed registration leaves the
-    offset uncorrected. Open loop: offsets come from state.offset_fn and delta
-    never feeds back.
+
+def traverse(world: World, paths, strategies, traversal: int, t: float,
+             offsets: list, run_seed: int,
+             params: RegistrationParams) -> list:
+    """One closed-loop pass over all locations at time t; returns one
+    TraversalLog per strategy.
+
+    Turnover advances once. At each location every strategy in turn draws its
+    own frame at its own offset from default_rng((run_seed, traversal,
+    location)) and registers it against its own path. The offset, updated in
+    place in `offsets`, then evolves as offset - gain*(delta/px_per_m) plus
+    odometry noise from the same rng; a failed registration leaves it
+    uncorrected.
     """
     wc = world.config
-    params = state.params or RegistrationParams(image_width=wc.image_width)
-    world.advance_turnover(state.traversal)
-    records = []
+    world.advance_turnover(traversal)
+    logs = [TraversalLog(traversal, cfg.kind, t, []) for cfg in strategies]
     for loc in range(wc.n_locations):
-        if closed_loop:
-            offset = state.offset_m
-        elif state.offset_fn is not None:
-            offset = state.offset_fn(state.traversal, loc)
-        else:
-            offset = 0.0
-        rng = default_rng((state.run_seed, state.traversal, loc))
-        frame = world.observe(loc, t, offset, rng)
-        rec, reg = process_frame(path.local_maps[loc], frame, cfg,
-                                 state.traversal, params, offset_m=offset)
-        records.append(rec)
-        if closed_loop:
+        for i, (cfg, path, log) in enumerate(zip(strategies, paths, logs)):
+            rng = default_rng((run_seed, traversal, loc))
+            frame = world.observe(loc, t, offsets[i], rng)
+            rec, reg = process_frame(path.local_maps[loc], frame, cfg,
+                                     traversal, params, offset_m=offsets[i])
+            log.records.append(rec)
             if reg.delta is not None:
-                state.offset_m -= wc.steering_gain * (reg.delta / wc.px_per_m)
+                offsets[i] -= wc.steering_gain * (reg.delta / wc.px_per_m)
             if wc.odometry_noise > 0:
-                state.offset_m += float(rng.normal(0.0, wc.odometry_noise))
-    log = TraversalLog(state.traversal, cfg.kind, t, records)
-    state.traversal += 1
-    return log
-
-
-def run_closed_loop(world: World, path: PathMap, cfg: StrategyConfig,
-                    traversals: int, interval_s: float, run_seed: int = 0,
-                    initial_offset_m: float = 0.0,
-                    params: RegistrationParams | None = None) -> list:
-    """Drive `traversals` closed-loop passes at fixed time intervals after the
-    teach time; returns one TraversalLog per traversal."""
-    init_strategy_state(path, cfg)
-    state = RepeatState(traversal=1, offset_m=initial_offset_m,
-                        run_seed=run_seed, params=params)
-    logs = []
-    for tr in range(1, traversals + 1):
-        logs.append(traverse(world, path, cfg, path.taught_at + tr * interval_s,
-                             True, state))
+                offsets[i] += float(rng.normal(0.0, wc.odometry_noise))
     return logs
 
 
+def run_closed_loop(world: World, strategies, traversals: int,
+                    interval_s: float, feature_cap: int = 500,
+                    run_seed: int = 0, initial_offset_m: float = 0.0,
+                    params: RegistrationParams | None = None):
+    """Closed-loop lockstep run of a sequence of StrategyConfigs through one
+    world, every strategy steering its own frames.
+
+    The teach pass is drawn once at time 0 and taught per strategy; then
+    `traversals` passes follow at fixed intervals. Returns (paths, logs) with
+    one PathMap and one list of TraversalLog per strategy, like replay_frames.
+    """
+    strategies = list(strategies)
+    if not strategies:
+        raise ConfigError("no strategies to run")
+    wc = world.config
+    paths = _strategy_paths(strategies, teach_frames(world),
+                            feature_cap=feature_cap, spacing_m=wc.spacing_m,
+                            image_width=wc.image_width)
+    params = params or RegistrationParams(image_width=wc.image_width)
+    offsets = [initial_offset_m] * len(strategies)
+    by_traversal = [traverse(world, paths, strategies, tr, tr * interval_s,
+                             offsets, run_seed, params)
+                    for tr in range(1, traversals + 1)]
+    return paths, [[logs[i] for logs in by_traversal]
+                   for i in range(len(strategies))]
+
+
 def generate_frames(world: World, traversals: int, interval_s: float,
-                    run_seed: int = 0, offset_fn=None, teach_time: float = 0.0):
+                    run_seed: int = 0, offset_fn=None):
     """Yield (traversal, Frame) pairs: the teach pass as traversal 0, then the
     repeat traversals. Advances the world's turnover state in place; consume
     once per world."""
-    for frame in teach_frames(world, teach_time):
+    for frame in teach_frames(world):
         yield 0, frame
     for tr in range(1, traversals + 1):
         world.advance_turnover(tr)
-        t = teach_time + tr * interval_s
+        t = tr * interval_s
         for loc in range(world.config.n_locations):
             offset = offset_fn(tr, loc) if offset_fn is not None else 0.0
             rng = default_rng((run_seed, tr, loc))
@@ -394,8 +413,7 @@ def generate_frames(world: World, traversals: int, interval_s: float,
 
 
 def replay_frames(frames, strategies, path: PathMap | None = None,
-                  feature_cap: int = 500, spacing_m: float = 1.0,
-                  image_width: int = 640,
+                  feature_cap: int = 500, image_width: int = 640,
                   params: RegistrationParams | None = None):
     """Open-loop lockstep replay of one (traversal, Frame) stream through a
     sequence of StrategyConfigs, reading the stream once.
@@ -410,33 +428,12 @@ def replay_frames(frames, strategies, path: PathMap | None = None,
     strategies = list(strategies)
     if not strategies:
         raise ConfigError("no strategies to replay")
+    params = params or RegistrationParams(
+        image_width=path.image_width if path is not None else image_width)
     teach_batch = []
     paths = None
     logs = [[] for _ in strategies]
     last_tr = 0
-
-    def make_paths():
-        nonlocal params
-        if path is not None:
-            made = [copy.deepcopy(path) for _ in strategies]
-        else:
-            if not teach_batch:
-                raise TeachError("no traversal-0 frames and no path supplied")
-            if any(not f.features for f in teach_batch):
-                raise TeachError("a teaching frame has no features")
-            teach_batch.sort(key=lambda f: f.location)
-            width = teach_batch[0].features[0].descriptor.width
-            made = [teach_from_frames(teach_batch, feature_cap=feature_cap,
-                                      spacing_m=spacing_m,
-                                      image_width=image_width,
-                                      descriptor_width=width,
-                                      taught_at=teach_batch[0].time)
-                    for _ in strategies]
-        for p, cfg in zip(made, strategies):
-            init_strategy_state(p, cfg)
-        params = params or RegistrationParams(image_width=made[0].image_width)
-        return made
-
     for tr, frame in frames:
         if tr < last_tr:
             raise DatasetError(f"traversal {tr} follows traversal {last_tr}: "
@@ -446,7 +443,8 @@ def replay_frames(frames, strategies, path: PathMap | None = None,
                 teach_batch.append(frame)
             continue
         if paths is None:
-            paths = make_paths()
+            paths = _strategy_paths(strategies, teach_batch, path, feature_cap,
+                                    image_width=image_width)
         n_maps = len(paths[0].local_maps)
         if not 0 <= frame.location < n_maps:
             raise DatasetError(f"traversal {tr}: location {frame.location} is "
@@ -460,5 +458,6 @@ def replay_frames(frames, strategies, path: PathMap | None = None,
                                    tr, params)
             strategy_logs[-1].records.append(rec)
     if paths is None:
-        paths = make_paths()
+        paths = _strategy_paths(strategies, teach_batch, path, feature_cap,
+                                image_width=image_width)
     return paths, logs

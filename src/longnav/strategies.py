@@ -101,11 +101,6 @@ def select_active_indices(local_map: LocalMap, cfg: StrategyConfig,
     return sorted(order[:cfg.m])
 
 
-def select_active_features(local_map: LocalMap, cfg: StrategyConfig,
-                           t: float) -> list:
-    return [local_map.features[i] for i in select_active_indices(local_map, cfg, t)]
-
-
 def rank_addition_candidates(unmatched_view, local_map: LocalMap) -> list:
     """Unmatched view features ordered most-unique-first, uniqueness being the
     Hamming distance to the nearest map feature; ties keep view order."""
@@ -163,10 +158,10 @@ def update_map(local_map: LocalMap, view, reg, cfg: StrategyConfig, t: float,
                traversal: int, active_indices=None) -> LocalMap:
     """Apply one traversal's registration result to the local map (in place).
 
-    reg must have been computed against select_active_features of this map at
-    time t (for multiple: against the best alternative). On a failed
-    registration only score/temporal bookkeeping runs; nothing is ever
-    inserted or removed.
+    reg must have been computed against the features select_active_indices
+    picks from this map at time t (for multiple: against the best
+    alternative). On a failed registration only score/temporal bookkeeping
+    runs; nothing is ever inserted or removed.
     """
     kind = cfg.kind
     if kind == "static":

@@ -72,10 +72,9 @@ def test_c2_latest_map_drift(capsys):
                           visibility_amp=(0.0, 0.05), clutter_count=20,
                           alias_prob=0.02, bit_flip_prob=0.01,
                           turnover_prob=0.0, odometry_noise=0.02)
-        w = World(cfg)
-        path = teach(w)
-        logs = run_closed_loop(w, path, StrategyConfig(kind=kind), TRAVERSALS,
-                               SPAN_S / TRAVERSALS, run_seed=seed)
+        _, (logs,) = run_closed_loop(World(cfg), [StrategyConfig(kind=kind)],
+                                     TRAVERSALS, SPAN_S / TRAVERSALS,
+                                     run_seed=seed)
 
         def window(lo, hi):
             vals = [abs(r.delta - r.gamma) if r.delta is not None else PENALTY
@@ -112,10 +111,9 @@ def test_c3_day_night_robustness(capsys):
     interval = 39600.0  # 11 h steps sweep the full clock across traversals
 
     def night_day_ratio(kind):
-        w = World(world.config)
-        path = teach(w)
-        logs = run_closed_loop(w, path, StrategyConfig(kind=kind), TRAVERSALS,
-                               interval, run_seed=0)
+        _, (logs,) = run_closed_loop(World(world.config),
+                                     [StrategyConfig(kind=kind)], TRAVERSALS,
+                                     interval, run_seed=0)
         day, night = [], []
         for log in logs:
             if log.traversal <= TRAVERSALS - 30:
@@ -174,10 +172,8 @@ def test_c5_closed_loop_convergence(capsys):
                       visibility_mean=(1.0, 1.0), visibility_amp=(0.0, 0.0),
                       bit_flip_prob=0.0, position_jitter=0.0, clutter_count=0,
                       alias_prob=0.0, turnover_prob=0.0, odometry_noise=0.0)
-    w = World(cfg)
-    path = teach(w)
-    logs = run_closed_loop(w, path, StrategyConfig(kind="static"), 1, 3600.0,
-                           run_seed=0, initial_offset_m=0.1)
+    _, (logs,) = run_closed_loop(World(cfg), [StrategyConfig(kind="static")],
+                                 1, 3600.0, run_seed=0, initial_offset_m=0.1)
     offsets = [r.offset_m for r in logs[0].records]
     analytic = [0.1 * (1.0 - cfg.steering_gain) ** k for k in range(len(offsets))]
     max_dev = max(abs(o - a) for o, a in zip(offsets, analytic))

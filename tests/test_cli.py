@@ -155,6 +155,32 @@ def test_bad_registration_config_exits_1(tmp_path, config_path, capsys):
     assert err.startswith("error:") and "bin_width" in err
 
 
+@pytest.mark.parametrize("args, edit, message", [
+    (["--seed", "-1"], {}, "seed"),
+    ([], {"seed": -3}, "seed"),
+    (["--interval-s", "nan"], {}, "interval_s"),
+    (["--interval-s", "inf"], {}, "interval_s"),
+    (["--interval-s", "-100"], {}, "interval_s"),
+    ([], {"feature_cap": 0}, "feature_cap"),
+    ([], {"alpha": 2}, "alpha"),
+    ([], {"failure_penalty": -5}, "failure_penalty"),
+    ([], {"offset_amplitude_m": -1}, "offset_amplitude_m"),
+], ids=["seed-flag", "seed-config", "interval-nan", "interval-inf",
+        "interval-negative", "feature-cap-0", "alpha-2", "penalty-negative",
+        "offset-amplitude-negative"])
+def test_compare_rejects_bad_run_config(tmp_path, config_path, capsys, args,
+                                        edit, message):
+    doc = dict(json.loads(config_path.read_text()), **edit)
+    bad = tmp_path / "bad_run.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("compare", "--config", bad, "--out", tmp_path / "o",
+                   *args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+
+
 def test_simulate_writes_logs_and_final_map(tmp_path, config_path):
     out = tmp_path / "sim"
     assert run_cli("simulate", "--config", config_path, "--out", out,

@@ -253,6 +253,33 @@ def test_open_compare_observes_each_frame_once(monkeypatch):
     assert len(calls) == world_cfg().n_locations * (2 + 1)
 
 
+def test_closed_compare_matches_each_strategy_alone():
+    # every strategy steers its own frames through one shared world; any
+    # coupling between them would make a strategy's errors depend on the
+    # company it runs in
+    cfgs = [StrategyConfig(kind=k) for k in STRATEGY_KINDS]
+    kw = dict(schedule=(3, 3600.0), mode="closed", initial_offset_m=0.05)
+    together = compare_strategies(world_cfg(turnover_prob=0.05), cfgs, **kw)
+    for cfg in cfgs:
+        alone = compare_strategies(world_cfg(turnover_prob=0.05), [cfg], **kw)
+        np.testing.assert_array_equal(together.sequences[cfg.kind].values,
+                                      alone.sequences[cfg.kind].values)
+
+
+def test_closed_compare_turns_one_world_over_once(monkeypatch):
+    calls = []
+    advance = World.advance_turnover
+
+    def counting(self, traversal):
+        calls.append(traversal)
+        return advance(self, traversal)
+
+    monkeypatch.setattr(World, "advance_turnover", counting)
+    cfgs = [StrategyConfig(kind=k) for k in ("static", "score", "fremen")]
+    compare_strategies(world_cfg(), cfgs, schedule=(2, 3600.0), mode="closed")
+    assert calls == [1, 2]
+
+
 def test_compare_input_validation():
     with pytest.raises(ConfigError):
         compare_strategies(world_cfg(), [], schedule=(2, 1.0))
@@ -261,6 +288,10 @@ def test_compare_input_validation():
                            mode="sideways")
     with pytest.raises(ConfigError):
         compare_strategies(world_cfg(), [StrategyConfig()], schedule=(0, 1.0))
+    for interval_s in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="interval"):
+            compare_strategies(world_cfg(), [StrategyConfig()],
+                               schedule=(2, interval_s))
     with pytest.raises(ConfigError):
         compare_strategies([(1, None)], [StrategyConfig()], mode="closed")
     with pytest.raises(LongNavError):

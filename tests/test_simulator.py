@@ -6,10 +6,10 @@ from numpy.random import default_rng
 
 from longnav.errors import ConfigError, DatasetError, TeachError
 from longnav.features import Descriptor, Feature
-from longnav.simulator import (Frame, RepeatState, World, WorldConfig,
-                               generate_frames, generate_world, replay_frames,
-                               run_closed_loop, teach, teach_from_frames,
-                               teach_frames, traverse, uniform_offset_schedule)
+from longnav.simulator import (Frame, World, WorldConfig, generate_frames,
+                               generate_world, replay_frames, run_closed_loop,
+                               teach, teach_from_frames, teach_frames,
+                               uniform_offset_schedule)
 from longnav.strategies import StrategyConfig
 
 
@@ -159,9 +159,8 @@ def test_turnover_zero_is_identity():
 
 def test_closed_loop_zero_offset_is_fixed_point():
     cfg = quiet_cfg(n_locations=4, landmarks_per_location=100)
-    w = World(cfg)
-    path = teach(w)
-    logs = run_closed_loop(w, path, StrategyConfig(kind="static"), 3, 3600.0)
+    _, (logs,) = run_closed_loop(World(cfg), [StrategyConfig(kind="static")],
+                                 3, 3600.0)
     for log in logs:
         for rec in log.records:
             assert rec.offset_m == 0.0
@@ -171,10 +170,8 @@ def test_closed_loop_zero_offset_is_fixed_point():
 
 def test_closed_loop_contraction_matches_recurrence():
     cfg = quiet_cfg(n_locations=8, landmarks_per_location=150)
-    w = World(cfg)
-    path = teach(w)
-    logs = run_closed_loop(w, path, StrategyConfig(kind="static"), 1, 3600.0,
-                           initial_offset_m=0.1)
+    _, (logs,) = run_closed_loop(World(cfg), [StrategyConfig(kind="static")],
+                                 1, 3600.0, initial_offset_m=0.1)
     recs = logs[0].records
     offset = 0.1
     hit = None
@@ -189,53 +186,38 @@ def test_closed_loop_contraction_matches_recurrence():
 
 def test_open_loop_gamma_follows_schedule():
     cfg = quiet_cfg(n_locations=4, landmarks_per_location=100)
-    w = World(cfg)
-    path = teach(w)
     fn = uniform_offset_schedule(0.25, seed=9)
     assert fn(3, 1) == fn(3, 1)  # schedule is a pure function
-    state = RepeatState(offset_fn=fn)
-    log = traverse(w, path, StrategyConfig(kind="static"), 3600.0, False, state)
-    for loc, rec in enumerate(log.records):
-        assert rec.offset_m == fn(1, loc)
-        assert rec.gamma == pytest.approx(200.0 * rec.offset_m)
-        assert abs(rec.offset_m) <= 0.25
+    repeats = [(tr, f) for tr, f in generate_frames(World(cfg), 2, 3600.0,
+                                                    offset_fn=fn) if tr > 0]
+    assert len(repeats) == 2 * cfg.n_locations
+    for tr, frame in repeats:
+        offset = fn(tr, frame.location)
+        assert abs(offset) <= 0.25
+        assert frame.gamma == cfg.px_per_m * offset
 
 
 def test_repeat_runs_are_reproducible():
     def run(run_seed):
-        cfg = small_cfg(seed=11)
-        w = World(cfg)
-        path = teach(w)
-        return run_closed_loop(w, path, StrategyConfig(kind="score"), 4, 3600.0,
-                               run_seed=run_seed, initial_offset_m=0.02)
+        _, (logs,) = run_closed_loop(World(small_cfg(seed=11)),
+                                     [StrategyConfig(kind="score")], 4, 3600.0,
+                                     run_seed=run_seed, initial_offset_m=0.02)
+        return logs
     assert run(0) == run(0)
     a, b = run(0), run(1)
     assert any(ra.records != rb.records for ra, rb in zip(a, b))
 
 
 def test_replay_matches_live_open_loop():
+    # replay teaches from the stream's traversal-0 frames the same path the
+    # live teach pass builds from the world
     def world():
         return World(small_cfg(n_locations=3, landmarks_per_location=80, seed=12))
 
-    fn = uniform_offset_schedule(0.1, seed=2)
-    cfg = StrategyConfig(kind="score")
-
-    w = world()
-    path_live = teach(w)
-    state = RepeatState(offset_fn=fn)
-    live = [traverse(w, path_live, cfg, 1000.0 * tr, False, state)
-            for tr in range(1, 4)]
-
-    stream = generate_frames(world(), 3, 1000.0, offset_fn=fn)
-    (path_rep,), (replayed,) = replay_frames(stream,
-                                             [StrategyConfig(kind="score")])
+    (path_rep,), _ = replay_frames(generate_frames(world(), 0, 1000.0),
+                                   [StrategyConfig(kind="score")])
     assert [lm.features for lm in path_rep.local_maps] \
-        == [lm.features for lm in path_live.local_maps]
-    for a, b in zip(live, replayed):
-        assert a.traversal == b.traversal and a.time == b.time
-        for ra, rb in zip(a.records, b.records):
-            assert (ra.location, ra.delta, ra.gamma, ra.map_size) \
-                == (rb.location, rb.delta, rb.gamma, rb.map_size)
+        == [lm.features for lm in teach(world()).local_maps]
 
 
 def test_replay_copies_a_supplied_path_per_strategy():

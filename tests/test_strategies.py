@@ -12,9 +12,8 @@ from longnav.registration import (MatchOutcome, MatchPair, RegistrationResult,
                                   register)
 from longnav.strategies import (StrategyConfig, correct_positions,
                                 init_strategy_state, rank_addition_candidates,
-                                score_update, select_active_features,
-                                select_active_indices, select_best_alternative,
-                                update_map)
+                                score_update, select_active_indices,
+                                select_best_alternative, update_map)
 
 C = MatchOutcome.MatchedCorrectly
 I = MatchOutcome.MatchedIncorrectly
@@ -97,8 +96,6 @@ def test_select_active_score_cap():
         f.score = s
     cfg = StrategyConfig(kind="score", m=2)
     assert select_active_indices(lm, cfg, 0.0) == [0, 2]
-    feats = select_active_features(lm, cfg, 0.0)
-    assert [f.score for f in feats] == [5.0, 9.0]
 
 
 def test_select_active_ties_prefer_newest_then_first():
