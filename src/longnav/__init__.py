@@ -9,10 +9,10 @@ evaluation harness with paired significance tests.
 
 from .errors import (ConfigError, DatasetError, LongNavError, NoConsensusError,
                      TeachError)
-from .features import (Descriptor, Feature, LocalMap, MapAlternative, PathMap,
-                       hamming_distance, local_map_at)
+from .features import (Descriptor, FeatureBlock, LocalMap, MapAlternative,
+                       PathMap, hamming_distance)
 from .fremen import DEFAULT_PERIODS, FremenModel, predict_many
-from .registration import (MatchOutcome, MatchPair, RegistrationParams,
+from .registration import (MatchOutcome, Pairs, RegistrationParams,
                            RegistrationResult, classify_outcomes,
                            histogram_vote, match_features, register)
 from .strategies import (STRATEGY_KINDS, StrategyConfig, correct_positions,
@@ -32,9 +32,9 @@ __all__ = [
     "__version__",
     "LongNavError", "ConfigError", "NoConsensusError", "TeachError",
     "DatasetError",
-    "Descriptor", "Feature", "LocalMap", "MapAlternative", "PathMap",
-    "hamming_distance", "local_map_at",
-    "MatchOutcome", "MatchPair", "RegistrationParams", "RegistrationResult",
+    "Descriptor", "FeatureBlock", "LocalMap", "MapAlternative", "PathMap",
+    "hamming_distance",
+    "MatchOutcome", "Pairs", "RegistrationParams", "RegistrationResult",
     "match_features", "histogram_vote", "classify_outcomes", "register",
     "FremenModel", "DEFAULT_PERIODS", "predict_many",
     "STRATEGY_KINDS", "StrategyConfig", "score_update",

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .errors import ConfigError, LongNavError
+from .errors import (ConfigError, LongNavError, check_settings, in_range,
+                     is_int)
 from .evaluation import (build_report, compare_strategies, registration_errors,
                          unique_labels, write_report)
 from .io import (read_dataset, read_logs, read_map_snapshot, write_dataset,
@@ -55,21 +55,19 @@ class RunConfig:
     def validate(self) -> None:
         """Raise ConfigError naming the first setting no run can use; call
         again after changing fields."""
-        for name, ok, rule in (
-                ("traversals", self.traversals >= 1, ">= 1"),
-                ("mode", self.mode in ("open", "closed"), "open|closed"),
-                ("seed", isinstance(self.seed, int) and self.seed >= 0,
-                 "a non-negative integer"),
-                ("interval_s", 0 < self.interval_s < math.inf, "finite and > 0"),
-                ("feature_cap", self.feature_cap >= 1, ">= 1"),
-                ("alpha", 0 < self.alpha < 1, "in (0, 1)"),
-                ("failure_penalty", self.failure_penalty is None
-                 or 0 <= self.failure_penalty < math.inf, "finite and >= 0"),
-                ("offset_amplitude_m", 0 <= self.offset_amplitude_m < math.inf,
-                 "finite and >= 0")):
-            if not ok:
-                raise ConfigError(f"{name} must be {rule}, "
-                                  f"got {getattr(self, name)!r}")
+        check_settings(self, [
+            ("traversals", is_int(self.traversals, 1), "a positive integer"),
+            ("mode", self.mode in ("open", "closed"), "open|closed"),
+            ("seed", is_int(self.seed, 0), "a non-negative integer"),
+            ("interval_s", in_range(self.interval_s, 0.0) and self.interval_s > 0,
+             "finite and > 0"),
+            ("feature_cap", is_int(self.feature_cap, 1), "a positive integer"),
+            ("alpha", in_range(self.alpha, 0.0, 1.0) and 0 < self.alpha < 1,
+             "in (0, 1)"),
+            ("failure_penalty", self.failure_penalty is None
+             or in_range(self.failure_penalty, 0.0), "finite and >= 0"),
+            ("offset_amplitude_m", in_range(self.offset_amplitude_m, 0.0),
+             "finite and >= 0")])
 
 
 def run_config_from_dict(doc: dict) -> RunConfig:

@@ -116,14 +116,17 @@ def paired_t_test(a: ErrorSequence, b: ErrorSequence,
 
 
 def _hashed(pairs, h):
-    """Yield (traversal, frame) pairs, folding each into the sha256 h."""
+    """Yield (traversal, frame) pairs, folding each into the sha256 h: the
+    frame's header, then per feature its x and y ("<dd") and its words."""
     for tr, frame in pairs:
         h.update(struct.pack("<qqdd", tr, frame.location, frame.time,
                              frame.gamma))
-        h.update(struct.pack("<q", len(frame.features)))
-        for f in frame.features:
-            h.update(struct.pack("<dd", f.x, f.y))
-            h.update(f.descriptor.words.tobytes())
+        f = frame.features
+        h.update(struct.pack("<q", len(f)))
+        rows = np.empty(len(f), dtype=[("x", "<f8"), ("y", "<f8"),
+                                       ("words", np.uint64, f.words.shape[1:])])
+        rows["x"], rows["y"], rows["words"] = f.x, f.y, f.words
+        h.update(rows.tobytes())
         yield tr, frame
 
 

@@ -1,14 +1,14 @@
-"""Core domain types: binary descriptors, image features, local maps, paths."""
+"""Core domain types: binary descriptors, feature blocks, local maps, paths."""
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
-from .kernels import popcount_words
+from .fremen import FremenModel
+from .kernels import bit_rows, popcount_words
 
 DEFAULT_DESCRIPTOR_WIDTH = 256
 
@@ -39,15 +39,6 @@ class Descriptor:
         self.width = width
 
     @classmethod
-    def _wrap(cls, words: np.ndarray, width: int) -> "Descriptor":
-        # trusted fast path for bulk construction: words must already be a
-        # contiguous uint64 row of the right length with padding bits clear
-        d = cls.__new__(cls)
-        d.words = words
-        d.width = width
-        return d
-
-    @classmethod
     def from_int(cls, value: int, width: int = DEFAULT_DESCRIPTOR_WIDTH) -> "Descriptor":
         if value < 0 or value >> width:
             raise ConfigError(f"value does not fit in {width} bits")
@@ -59,13 +50,21 @@ class Descriptor:
     def from_hex(cls, s: str, width: int | None = None) -> "Descriptor":
         if width is None:
             width = 4 * len(s)
-        return cls.from_int(int(s, 16), width)
+        n_words = (width + 63) // 64
+        try:
+            words = words_from_hex([s], n_words)[0]
+        except ValueError as e:
+            raise ConfigError(f"bad hex descriptor {s!r}: {e}") from e
+        d = cls(words, width)
+        if not np.array_equal(d.words, words):
+            raise ConfigError(f"value does not fit in {width} bits")
+        return d
 
     def to_int(self) -> int:
         return int.from_bytes(self.words.astype("<u8").tobytes(), "little")
 
     def to_hex(self) -> str:
-        return format(self.to_int(), f"0{self.width // 4}x")
+        return hex_rows(self.words[None], self.width)[0]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Descriptor):
@@ -86,27 +85,183 @@ def hamming_distance(a: Descriptor, b: Descriptor) -> int:
     return popcount_words(np.bitwise_xor(a.words, b.words))
 
 
-@dataclass
-class Feature:
-    """One image feature: sub-pixel position plus descriptor and per-strategy state.
+def hex_rows(words: np.ndarray, width: int) -> list:
+    """Lowercase hex of each packed descriptor row, width/4 digits each."""
+    n, n_words = words.shape
+    if not n:
+        return []
+    # most significant word first, each word big-endian: the integer's digits
+    digits = words[:, ::-1].astype(">u8").tobytes().hex()
+    step = 16 * n_words
+    skip = step - width // 4
+    return [digits[i + skip:i + step] for i in range(0, n * step, step)]
 
-    Exactly one of score/temporal is meaningful for a given strategy; the other
-    stays at its default.
+
+def words_from_hex(strings, n_words: int) -> np.ndarray:
+    """Packed ``(n, n_words)`` rows from hex descriptors of one length;
+    ValueError when a string is not hex or does not fit."""
+    strings = list(strings)
+    if not strings:
+        return np.zeros((0, n_words), dtype=np.uint64)
+    n_hex = len(strings[0])
+    if not n_hex:
+        raise ValueError("empty hex descriptor")
+    if n_hex % 2:
+        strings = ["0" + s for s in strings]
+        n_hex += 1
+    n_bytes = n_hex // 2
+    if n_bytes > 8 * n_words:
+        raise ValueError(f"descriptor of {4 * n_hex} bits exceeds {64 * n_words}")
+    raw = bytes.fromhex("".join(strings))
+    if len(raw) != n_bytes * len(strings):
+        raise ValueError("malformed hex descriptor")
+    octets = np.zeros((len(strings), 8 * n_words), dtype=np.uint8)
+    octets[:, :n_bytes] = np.frombuffer(raw, dtype=np.uint8).reshape(-1, n_bytes)[:, ::-1]
+    return octets.view("<u8").astype(np.uint64, copy=False)
+
+
+def _rows(a, idx):
+    return None if a is None else a[idx]
+
+
+class FeatureBlock:
+    """Image features as a struct of arrays, one row per feature.
+
+    Every block has sub-pixel positions ``x``, ``y`` (float64) and packed
+    descriptors ``words`` (``(n, n_words)`` uint64) of ``width`` bits. A map
+    block also carries per-row strategy state: ``inserted_at`` (int64, the
+    traversal that inserted the row), ``score`` (float64) and, when rows carry
+    temporal models, one batched ``temporal`` FremenModel. These are None on
+    the blocks of camera frames. ``has_temporal`` marks the rows of
+    ``temporal`` that stand for a real model when only some rows have one
+    (the others hold empty rows); it is None when every row has one.
+
+    Rows never change in place except for ``score`` and ``temporal``; a map
+    update builds a new block with ``take`` and ``concat``. The ±1 bit rows
+    of the descriptors (see ``pack_features``) are computed once and travel
+    with the rows, so rows kept or moved between blocks are never unpacked
+    again.
     """
 
-    x: float
-    y: float
-    descriptor: Descriptor
-    score: float = 0.0
-    temporal: object = None  # FremenModel when the fremen strategy owns the map
-    inserted_at: int = 0
+    __slots__ = ("x", "y", "words", "width", "inserted_at", "score",
+                 "temporal", "has_temporal", "_bits")
+
+    def __init__(self, x, y, words, width: int = DEFAULT_DESCRIPTOR_WIDTH, *,
+                 inserted_at=None, score=None, temporal=None, has_temporal=None,
+                 bits=None):
+        self.x = x
+        self.y = y
+        self.words = words
+        self.width = width
+        self.inserted_at = inserted_at
+        self.score = score
+        self.temporal = temporal
+        self.has_temporal = has_temporal
+        self._bits = bits
+
+    def __len__(self) -> int:
+        return self.x.shape[0]
+
+    def __repr__(self) -> str:
+        return f"FeatureBlock({len(self)} rows, width={self.width})"
+
+    def take(self, idx) -> "FeatureBlock":
+        """The rows idx (index array, boolean mask or slice), in that order.
+        A slice gives views that share memory with this block."""
+        return FeatureBlock(self.x[idx], self.y[idx], self.words[idx], self.width,
+                            inserted_at=_rows(self.inserted_at, idx),
+                            score=_rows(self.score, idx),
+                            temporal=None if self.temporal is None
+                            else self.temporal.take(idx),
+                            has_temporal=_rows(self.has_temporal, idx),
+                            bits=_rows(self._bits, idx))
+
+    def with_x(self, x) -> "FeatureBlock":
+        """The same rows at new x positions. Positions, descriptors and bit
+        rows are shared; the result owns copies of the mutable state."""
+        return FeatureBlock(x, self.y, self.words, self.width,
+                            inserted_at=self.inserted_at,
+                            **self._state_copy(), bits=self._bits)
+
+    def as_map(self, inserted_at: int, temporal=None) -> "FeatureBlock":
+        """The same rows as a fresh map block: inserted at one traversal,
+        score 0, the given temporal model for every row."""
+        n = len(self)
+        return FeatureBlock(self.x, self.y, self.words, self.width,
+                            inserted_at=np.full(n, inserted_at, dtype=np.int64),
+                            score=np.zeros(n), temporal=temporal, bits=self._bits)
+
+    def copy_state(self) -> "FeatureBlock":
+        """A block sharing this one's rows and bit rows but owning copies of
+        the mutable state (score and temporal model)."""
+        return FeatureBlock(self.x, self.y, self.words, self.width,
+                            inserted_at=self.inserted_at,
+                            **self._state_copy(), bits=pack_features(self))
+
+    def _state_copy(self) -> dict:
+        return {"score": None if self.score is None else self.score.copy(),
+                "temporal": None if self.temporal is None
+                else self.temporal.copy(),
+                "has_temporal": self.has_temporal}
+
+    def temporal_rows(self) -> np.ndarray:
+        """Boolean per row: does the row carry a temporal model."""
+        if self.has_temporal is not None:
+            return self.has_temporal
+        return np.full(len(self), self.temporal is not None)
+
+
+def _temporal_of(block: FeatureBlock, periods) -> FremenModel:
+    """The block's temporal rows, or empty rows of the given periods."""
+    if block.temporal is not None:
+        return block.temporal
+    return FremenModel(periods, len(block))
+
+
+def concat(a: FeatureBlock, b: FeatureBlock | None) -> FeatureBlock:
+    """Rows of a followed by rows of b; a itself when b is None or empty.
+
+    When only one side carries temporal models the other side's rows get
+    empty ones, marked absent in ``has_temporal``; ValueError when the two
+    sides' models use different period sets."""
+    if b is None or not len(b):
+        return a
+    if not len(a):
+        return b
+    if a.width != b.width:
+        raise ValueError(f"descriptor width mismatch: {a.width} vs {b.width}")
+
+    def cat(u, v):
+        return None if u is None or v is None else np.concatenate((u, v))
+
+    temporal = has_temporal = None
+    if a.temporal is not None or b.temporal is not None:
+        periods = (b.temporal if a.temporal is None else a.temporal).periods
+        temporal = FremenModel.concat([_temporal_of(a, periods),
+                                       _temporal_of(b, periods)])
+        has_temporal = np.concatenate((a.temporal_rows(), b.temporal_rows()))
+        if has_temporal.all():
+            has_temporal = None
+    return FeatureBlock(cat(a.x, b.x), cat(a.y, b.y), cat(a.words, b.words),
+                        a.width, inserted_at=cat(a.inserted_at, b.inserted_at),
+                        score=cat(a.score, b.score), temporal=temporal,
+                        has_temporal=has_temporal, bits=cat(a._bits, b._bits))
+
+
+def pack_features(block: FeatureBlock) -> np.ndarray:
+    """The block's descriptors as ±1 int8 bit rows, ``(n, 64 * n_words)``
+    (see ``kernels.bit_rows``): unpacked on first use, then cached on the
+    block."""
+    if block._bits is None:
+        block._bits = bit_rows(block.words)
+    return block._bits
 
 
 @dataclass
 class MapAlternative:
     """One alternative feature set for the multiple-map strategy."""
 
-    features: list
+    features: FeatureBlock
     created_at: int
 
 
@@ -120,7 +275,7 @@ class LocalMap:
 
     index: int
     odometry_distance: float
-    features: list
+    features: FeatureBlock
     alternatives: list = field(default_factory=list)
 
 
@@ -143,26 +298,11 @@ class PathMap:
     def length_m(self) -> float:
         return self._distances[-1] if self._distances else 0.0
 
-
-def local_map_at(path: PathMap, d: float) -> LocalMap:
-    """Local map whose odometry distance is the greatest value <= d."""
-    if not path.local_maps:
-        raise ValueError("path has no local maps")
-    if d < 0 or d > path._distances[-1]:
-        raise ValueError(f"odometry distance {d} outside [0, {path._distances[-1]}]")
-    i = bisect.bisect_right(path._distances, d) - 1
-    return path.local_maps[max(i, 0)]
-
-
-def pack_features(features, n_words: int | None = None) -> np.ndarray:
-    """Stack feature descriptors into a C-contiguous (n, n_words) uint64 matrix."""
-    if not features:
-        return np.zeros((0, n_words or 0), dtype=np.uint64)
-    first = features[0].descriptor.words
-    out = np.empty((len(features), first.shape[0]), dtype=np.uint64)
-    for i, f in enumerate(features):
-        w = f.descriptor.words
-        if w.shape[0] != first.shape[0]:
-            raise ValueError("descriptor width mismatch within feature list")
-        out[i] = w
-    return out
+    def copy(self) -> "PathMap":
+        """A path one strategy can update without touching this one."""
+        maps = [LocalMap(lm.index, lm.odometry_distance, lm.features.copy_state(),
+                         [MapAlternative(a.features.copy_state(), a.created_at)
+                          for a in lm.alternatives])
+                for lm in self.local_maps]
+        return PathMap(maps, self.image_width, self.descriptor_width,
+                       self.taught_at)

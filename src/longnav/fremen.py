@@ -1,9 +1,14 @@
 """Frequency-enhanced temporal model of a feature's match-score signal.
 
-Each model keeps a running mean (the DC term) and, for every candidate period,
-a running complex average of v * exp(-i omega t). Prediction reconstructs the
-signal from the DC term plus the strongest components and clamps it to the
-observation range [-1, 1].
+Each model row keeps a running mean (the DC term) and, for every candidate
+period, a running complex average of v * exp(-i omega t). Prediction
+reconstructs the signal from the DC term plus the strongest components and
+clamps it to the observation range [-1, 1].
+
+One FremenModel holds the rows of a whole map as arrays: ``mu`` and ``n_obs``
+of shape ``(n,)`` and the component averages of shape ``(n, P)``. A model made
+without a row count is a single model (shapes ``()`` and ``(P,)``); the same
+broadcasting code serves both.
 """
 
 from __future__ import annotations
@@ -21,28 +26,30 @@ DEFAULT_ORDER = 2
 class FremenModel:
     __slots__ = ("periods", "_omega", "n_obs", "mu", "_re", "_im")
 
-    def __init__(self, periods=DEFAULT_PERIODS):
+    def __init__(self, periods=DEFAULT_PERIODS, n: int | None = None):
         self.periods = tuple(float(p) for p in periods)
-        if any(p <= 0 for p in self.periods):
+        if any(not p > 0 for p in self.periods):
             raise ValueError("candidate periods must be positive")
         self._omega = 2.0 * np.pi / np.asarray(self.periods, dtype=np.float64)
-        self.n_obs = 0
-        self.mu = 0.0
-        self._re = np.zeros(len(self.periods))
-        self._im = np.zeros(len(self.periods))
+        rows = () if n is None else (n,)
+        self.n_obs = np.zeros(rows, dtype=np.int64)
+        self.mu = np.zeros(rows)
+        self._re = np.zeros(rows + (len(self.periods),))
+        self._im = np.zeros(rows + (len(self.periods),))
 
-    def add_observation(self, v: float, t: float) -> "FremenModel":
-        """Fold one observation v in [-1, 1] taken at time t (seconds) into
-        the running means."""
-        v = float(v)
-        if not (-1.0 <= v <= 1.0):
+    def add_observation(self, v, t: float) -> "FremenModel":
+        """Fold one observation per row, v in [-1, 1] taken at time t
+        (seconds), into the running means."""
+        v = np.asarray(v, dtype=np.float64)
+        if not np.all((v >= -1.0) & (v <= 1.0)):
             raise ValueError(f"observation {v} outside [-1, 1]")
         if not math.isfinite(t):
             raise ValueError("observation time must be finite")
         self.n_obs += 1
-        k = 1.0 / self.n_obs
+        k = np.asarray(1.0 / self.n_obs)
         self.mu += (v - self.mu) * k
         wt = self._omega * t
+        v, k = v[..., None], k[..., None]
         self._re += (v * np.cos(wt) - self._re) * k
         self._im += (-v * np.sin(wt) - self._im) * k
         return self
@@ -50,24 +57,11 @@ class FremenModel:
     def predict(self, t: float, order: int = DEFAULT_ORDER) -> float:
         """Reconstructed score at time t from the DC term plus the `order`
         strongest spectral components, clamped to [-1, 1]."""
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        if self.n_obs == 0:
-            return 0.0
-        val = self.mu
-        if order > 0:
-            amp2 = self._re * self._re + self._im * self._im
-            k = min(order, amp2.shape[0])
-            # stable sort so amplitude ties resolve identically in predict_many
-            top = np.argsort(-amp2, kind="stable")[:k]
-            wt = self._omega[top] * t
-            val += 2.0 * float(np.dot(self._re[top], np.cos(wt))
-                               - np.dot(self._im[top], np.sin(wt)))
-        return min(1.0, max(-1.0, val))
+        return float(predict_many(self, t, order))
 
     def mean_score(self) -> float:
         """Mean observed value over the model's whole history (0 when empty)."""
-        return self.mu
+        return float(self.mu)
 
     def dominant_components(self, k: int = DEFAULT_ORDER):
         """Top-k components as (period_s, amplitude, phase), strongest first;
@@ -82,10 +76,38 @@ class FremenModel:
         return [(self.periods[j], float(amp[j]),
                  float(math.atan2(self._im[j], self._re[j]))) for j in order[:k]]
 
+    def take(self, idx) -> "FremenModel":
+        """A copy of rows idx; an integer index gives a single model."""
+        m = FremenModel.__new__(FremenModel)
+        m.periods, m._omega = self.periods, self._omega
+        m.n_obs = np.array(self.n_obs[idx])
+        m.mu = np.array(self.mu[idx])
+        m._re = np.array(self._re[idx])
+        m._im = np.array(self._im[idx])
+        return m
+
+    def copy(self) -> "FremenModel":
+        return self.take(...)
+
+    @classmethod
+    def concat(cls, models) -> "FremenModel":
+        """Stack single models and row blocks, in order, into one block;
+        ValueError unless all share one period set."""
+        m = cls.__new__(cls)
+        m.periods, m._omega = models[0].periods, models[0]._omega
+        if any(p.periods != m.periods for p in models):
+            raise ValueError("cannot stack fremen models with different periods")
+        m.n_obs = np.concatenate([np.atleast_1d(p.n_obs) for p in models])
+        m.mu = np.concatenate([np.atleast_1d(p.mu) for p in models])
+        m._re = np.concatenate([np.atleast_2d(p._re) for p in models])
+        m._im = np.concatenate([np.atleast_2d(p._im) for p in models])
+        return m
+
     def to_dict(self) -> dict:
+        """A single model as JSON-ready values."""
         return {
-            "n_obs": self.n_obs,
-            "mu": self.mu,
+            "n_obs": int(self.n_obs),
+            "mu": float(self.mu),
             "components": [[self.periods[j], float(self._re[j]), float(self._im[j])]
                            for j in range(len(self.periods))],
         }
@@ -94,40 +116,33 @@ class FremenModel:
     def from_dict(cls, d: dict) -> "FremenModel":
         comps = d["components"]
         m = cls(periods=[c[0] for c in comps])
-        m.n_obs = int(d["n_obs"])
-        m.mu = float(d["mu"])
+        m.n_obs = np.array(int(d["n_obs"]))
+        m.mu = np.array(float(d["mu"]))
         m._re = np.array([c[1] for c in comps], dtype=np.float64)
         m._im = np.array([c[2] for c in comps], dtype=np.float64)
         return m
 
     def __repr__(self) -> str:
-        return f"FremenModel(n_obs={self.n_obs}, mu={self.mu:.4f})"
+        if self.mu.ndim:
+            return f"FremenModel(rows={self.mu.shape[0]})"
+        return f"FremenModel(n_obs={int(self.n_obs)}, mu={float(self.mu):.4f})"
 
 
-def predict_many(models, t: float, order: int = DEFAULT_ORDER) -> np.ndarray:
-    """Vectorized predict() over a list of models sharing one period set."""
-    n = len(models)
-    if n == 0:
-        return np.zeros(0)
-    first = models[0]
-    p = first._omega.shape[0]
-    mu = np.empty(n)
-    nobs = np.empty(n, dtype=np.int64)
-    re = np.empty((n, p))
-    im = np.empty((n, p))
-    for i, m in enumerate(models):
-        mu[i] = m.mu
-        nobs[i] = m.n_obs
-        re[i] = m._re
-        im[i] = m._im
-    val = mu.copy()
+def predict_many(model: FremenModel, t: float,
+                 order: int = DEFAULT_ORDER) -> np.ndarray:
+    """Predicted score of every row of the model at time t (a 0-d array for
+    a single model); rows without observations predict 0."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    val = np.array(model.mu, dtype=np.float64)
     if order > 0:
-        k = min(order, p)
+        re, im = model._re, model._im
+        k = min(order, re.shape[-1])
         amp2 = re * re + im * im
-        top = np.argsort(-amp2, axis=1, kind="stable")[:, :k]
-        wt = first._omega[top] * t
-        val += 2.0 * (np.take_along_axis(re, top, axis=1) * np.cos(wt)
-                      - np.take_along_axis(im, top, axis=1) * np.sin(wt)).sum(axis=1)
+        top = np.argsort(-amp2, axis=-1, kind="stable")[..., :k]
+        wt = model._omega[top] * t
+        val += 2.0 * (np.take_along_axis(re, top, axis=-1) * np.cos(wt)
+                      - np.take_along_axis(im, top, axis=-1) * np.sin(wt)).sum(axis=-1)
     np.clip(val, -1.0, 1.0, out=val)
-    val[nobs == 0] = 0.0
+    val[model.n_obs == 0] = 0.0
     return val

@@ -16,23 +16,16 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DatasetError
-from .features import Descriptor, Feature, LocalMap, PathMap
+from .features import (FeatureBlock, LocalMap, MapAlternative, PathMap,
+                       hex_rows, words_from_hex)
 from .fremen import FremenModel
 from .simulator import Frame, LocationRecord, TraversalLog
 
 
-def _descriptor_from_hex(s: str, width: int) -> Descriptor:
-    if len(s) % 2 == 0:
-        raw = bytes.fromhex(s)[::-1]
-        nw = (width + 63) // 64
-        buf = raw.ljust(nw * 8, b"\x00")
-        words = np.frombuffer(buf, dtype="<u8").astype(np.uint64, copy=False)
-        return Descriptor._wrap(words, width)
-    return Descriptor.from_hex(s, width)
-
-
-def _feature_record(f: Feature) -> dict:
-    return {"x": f.x, "y": f.y, "d": f.descriptor.to_hex()}
+def _feature_records(block: FeatureBlock) -> list:
+    return [{"x": x, "y": y, "d": d}
+            for x, y, d in zip(block.x.tolist(), block.y.tolist(),
+                               hex_rows(block.words, block.width))]
 
 
 def write_dataset(pairs, path) -> int:
@@ -45,7 +38,7 @@ def write_dataset(pairs, path) -> int:
                 "location": int(frame.location),
                 "time_s": float(frame.time),
                 "gamma_px": float(frame.gamma),
-                "features": [_feature_record(f) for f in frame.features],
+                "features": _feature_records(frame.features),
             }
             fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
             n += 1
@@ -65,6 +58,18 @@ def _finite(rec: dict, key: str) -> float:
     return _number(rec[key], key)
 
 
+def _numbers(values: list, name: str) -> np.ndarray:
+    """values as a float64 array; ValueError unless all are finite JSON
+    numbers."""
+    if not set(map(type, values)) <= {int, float}:
+        for v in values:
+            _number(v, name)
+    out = np.array(values, dtype=np.float64)
+    if not np.isfinite(out).all():
+        _number(float(out[~np.isfinite(out)][0]), name)
+    return out
+
+
 def read_dataset(path):
     """Yield (traversal, Frame) pairs from a dataset file.
 
@@ -80,29 +85,38 @@ def read_dataset(path):
                 continue
             try:
                 rec = json.loads(line)
-                feats = []
-                for fr in rec["features"]:
-                    s = fr["d"]
-                    if n_hex is None:
-                        n_hex = len(s)
-                    elif len(s) != n_hex:
+                feats = rec["features"]
+                hexes = [fr["d"] for fr in feats]
+                if n_hex is None and hexes:
+                    n_hex = len(hexes[0])
+                for s in hexes:
+                    if len(s) != n_hex:
                         raise ValueError(f"descriptor width {4 * len(s)} differs "
                                          f"from the file's first, {4 * n_hex}")
-                    feats.append(Feature(_finite(fr, "x"), _finite(fr, "y"),
-                                         _descriptor_from_hex(s, 4 * len(s))))
+                width = 4 * (n_hex or 0)
+                block = FeatureBlock(_numbers([fr["x"] for fr in feats], "x"),
+                                     _numbers([fr["y"] for fr in feats], "y"),
+                                     words_from_hex(hexes, (width + 63) // 64),
+                                     width)
                 frame = Frame(int(rec["location"]), _finite(rec, "time_s"),
-                              feats, _finite(rec, "gamma_px"))
+                              block, _finite(rec, "gamma_px"))
                 yield int(rec["traversal"]), frame
             except (KeyError, ValueError, TypeError) as e:
                 raise DatasetError(f"{p}:{lineno}: bad dataset record: {e}") from e
 
 
-def _feature_snapshot(f: Feature) -> dict:
-    return {
-        "x": f.x, "y": f.y, "d": f.descriptor.to_hex(),
-        "score": f.score, "inserted_at": f.inserted_at,
-        "temporal": f.temporal.to_dict() if f.temporal is not None else None,
-    }
+def _snapshot_records(block: FeatureBlock) -> list:
+    n = len(block)
+    temporal = [None] * n
+    if block.temporal is not None:
+        temporal = [block.temporal.take(i).to_dict() if has else None
+                    for i, has in enumerate(block.temporal_rows().tolist())]
+    return [{"x": x, "y": y, "d": d, "score": score, "inserted_at": ins,
+             "temporal": tm}
+            for x, y, d, score, ins, tm in zip(
+                block.x.tolist(), block.y.tolist(),
+                hex_rows(block.words, block.width), block.score.tolist(),
+                block.inserted_at.tolist(), temporal)]
 
 
 def _temporal_from_snapshot(doc: dict) -> FremenModel:
@@ -113,13 +127,28 @@ def _temporal_from_snapshot(doc: dict) -> FremenModel:
     return FremenModel.from_dict(doc)
 
 
-def _feature_from_snapshot(rec: dict, width: int) -> Feature:
-    temporal = rec.get("temporal")
-    return Feature(_finite(rec, "x"), _finite(rec, "y"),
-                   _descriptor_from_hex(rec["d"], width),
-                   score=_number(rec.get("score", 0.0), "score"),
-                   temporal=_temporal_from_snapshot(temporal) if temporal else None,
-                   inserted_at=int(rec.get("inserted_at", 0)))
+def _block_from_snapshot(recs: list, width: int) -> FeatureBlock:
+    """A map block from snapshot rows. When only some rows have a temporal
+    model the others get empty ones, marked absent in ``has_temporal``."""
+    docs = [rec.get("temporal") for rec in recs]
+    temporal = has_temporal = None
+    if any(docs):
+        models = [_temporal_from_snapshot(d) if d else None for d in docs]
+        periods = next(m.periods for m in models if m is not None)
+        temporal = FremenModel.concat([FremenModel(periods) if m is None else m
+                                       for m in models])
+        has_temporal = np.array([m is not None for m in models])
+        if has_temporal.all():
+            has_temporal = None
+    return FeatureBlock(
+        np.array([_finite(r, "x") for r in recs], dtype=np.float64),
+        np.array([_finite(r, "y") for r in recs], dtype=np.float64),
+        words_from_hex([r["d"] for r in recs], (width + 63) // 64), width,
+        inserted_at=np.array([int(r.get("inserted_at", 0)) for r in recs],
+                             dtype=np.int64),
+        score=np.array([_number(r.get("score", 0.0), "score") for r in recs],
+                       dtype=np.float64),
+        temporal=temporal, has_temporal=has_temporal)
 
 
 def write_map_snapshot(path_map: PathMap, path) -> None:
@@ -131,10 +160,10 @@ def write_map_snapshot(path_map: PathMap, path) -> None:
             {
                 "index": lm.index,
                 "odometry_distance": lm.odometry_distance,
-                "features": [_feature_snapshot(f) for f in lm.features],
+                "features": _snapshot_records(lm.features),
                 "alternatives": [
                     {"created_at": alt.created_at,
-                     "features": [_feature_snapshot(f) for f in alt.features]}
+                     "features": _snapshot_records(alt.features)}
                     for alt in lm.alternatives
                 ],
             }
@@ -145,17 +174,14 @@ def write_map_snapshot(path_map: PathMap, path) -> None:
 
 
 def read_map_snapshot(path) -> PathMap:
-    from .features import MapAlternative
-
     p = Path(path)
     try:
         doc = json.loads(p.read_text())
         width = int(doc["descriptor_width"])
         maps = []
         for lm in doc["local_maps"]:
-            feats = [_feature_from_snapshot(r, width) for r in lm["features"]]
-            alts = [MapAlternative([_feature_from_snapshot(r, width)
-                                    for r in a["features"]],
+            feats = _block_from_snapshot(lm["features"], width)
+            alts = [MapAlternative(_block_from_snapshot(a["features"], width),
                                    int(a["created_at"]))
                     for a in lm.get("alternatives", [])]
             maps.append(LocalMap(int(lm["index"]),

@@ -11,7 +11,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -20,17 +19,29 @@ from .errors import ConfigError, NoConsensusError
 from .features import pack_features
 
 
-class MatchOutcome(enum.Enum):
-    NotMatched = "not_matched"
-    MatchedCorrectly = "matched_correctly"
-    MatchedIncorrectly = "matched_incorrectly"
+class MatchOutcome(enum.IntEnum):
+    """Outcome of one map feature; outcome arrays hold these as int8."""
+
+    NotMatched = 0
+    MatchedCorrectly = 1
+    MatchedIncorrectly = 2
 
 
-class MatchPair(NamedTuple):
-    map_index: int
-    view_index: int
-    difference: float  # x_view - x_map, pixels
-    distance: int  # Hamming distance, bits
+@dataclass
+class Pairs:
+    """Accepted one-to-one matches as parallel arrays, sorted by map index."""
+
+    map_idx: np.ndarray  # int64 row of the map block
+    view_idx: np.ndarray  # int64 row of the view block
+    diff: np.ndarray  # float64 x_view - x_map, pixels
+    dist: np.ndarray  # int64 Hamming distance, bits
+
+    def __len__(self) -> int:
+        return self.map_idx.shape[0]
+
+
+_NO_PAIRS = Pairs(*(np.empty(0, dtype=t)
+                    for t in (np.int64, np.int64, np.float64, np.int64)))
 
 
 @dataclass
@@ -71,8 +82,8 @@ class RegistrationParams:
 class RegistrationResult:
     delta: float | None  # None when registration failed
     histogram: list  # (bin center, count) for non-empty bins
-    pairs: list  # MatchPair list
-    outcomes: list  # MatchOutcome per map feature
+    pairs: Pairs
+    outcomes: np.ndarray  # int8 MatchOutcome per map feature
     correct_count: int
 
     @property
@@ -80,28 +91,22 @@ class RegistrationResult:
         return self.delta is None
 
 
-def match_features(map_features, view_features, d_max: int = 64) -> list:
+def match_features(map_features, view_features, d_max: int = 64) -> Pairs:
     """Mutual nearest neighbours under Hamming distance, one-to-one, coupled
     with the horizontal position difference of each accepted pair."""
-    if not map_features or not view_features:
-        return []
-    if map_features[0].descriptor.width != view_features[0].descriptor.width:
+    if not len(map_features) or not len(view_features):
+        return _NO_PAIRS
+    if map_features.width != view_features.width:
         raise ValueError("map and view descriptor widths differ")
     a = pack_features(map_features)
     b = pack_features(view_features)
     ai, bi, dist = kernels.mutual_nearest_pairs(a, b, d_max)
-    pairs = []
-    for i, j, d in zip(ai, bi, dist):
-        i = int(i)
-        j = int(j)
-        diff = view_features[j].x - map_features[i].x
-        pairs.append(MatchPair(i, j, diff, int(d)))
-    return pairs
+    return Pairs(ai, bi, view_features.x[bi] - map_features.x[ai], dist)
 
 
-def histogram_vote(pairs, bin_width: float = 10.0, image_width: int = 640,
+def histogram_vote(diff, bin_width: float = 10.0, image_width: int = 640,
                    min_votes: int = 1):
-    """Estimate the shift delta from matched pairs.
+    """Estimate the shift delta from the matched pairs' differences.
 
     Differences are binned over [-W, W]; the winning bin is the most populated
     one (ties prefer the center closer to zero) and delta is the mean of the
@@ -110,38 +115,39 @@ def histogram_vote(pairs, bin_width: float = 10.0, image_width: int = 640,
     """
     if bin_width <= 0:
         raise ValueError("bin_width must be positive")
-    if not pairs:
+    diffs = np.asarray(diff, dtype=np.float64)
+    if not diffs.size:
         raise NoConsensusError("no matched pairs to vote with")
     w = float(image_width)
-    diffs = np.array([p.difference for p in pairs], dtype=np.float64)
     n_bins = max(1, math.ceil(2.0 * w / bin_width))
     idx = np.floor((diffs + w) / bin_width).astype(np.int64)
-    np.clip(idx, 0, n_bins - 1, out=idx)
+    np.minimum(np.maximum(idx, 0, out=idx), n_bins - 1, out=idx)
     counts = np.bincount(idx, minlength=n_bins)
     top = counts.max()
-    candidates = np.flatnonzero(counts == top)
-    centers = -w + (candidates + 0.5) * bin_width
-    pick = min(range(len(candidates)), key=lambda k: (abs(centers[k]), centers[k]))
-    win = candidates[pick]
     if top < min_votes:
         raise NoConsensusError(f"winning bin has {int(top)} votes, need {min_votes}")
-    delta = float(diffs[idx == win].mean())
+    candidates = np.flatnonzero(counts == top)
+    centers = -w + (candidates + 0.5) * bin_width
+    _, _, pick = min(zip(np.abs(centers).tolist(), centers.tolist(),
+                         range(len(candidates))))
+    inside = diffs[idx == candidates[pick]]
+    delta = float(np.add.reduce(inside) / inside.size)  # the mean, as np.mean
     nonempty = np.flatnonzero(counts)
-    histogram = [(float(-w + (b + 0.5) * bin_width), int(counts[b])) for b in nonempty]
+    histogram = list(zip((-w + (nonempty + 0.5) * bin_width).tolist(),
+                         counts[nonempty].tolist()))
     return delta, histogram
 
 
-def classify_outcomes(map_size: int, pairs, delta: float | None,
-                      tolerance: float = 10.0) -> list:
-    """One outcome per map feature; failed registration means all NotMatched."""
-    outcomes = [MatchOutcome.NotMatched] * map_size
+def classify_outcomes(map_size: int, pairs: Pairs, delta: float | None,
+                      tolerance: float = 10.0) -> np.ndarray:
+    """One int8 outcome per map feature; failed registration means all
+    NotMatched."""
+    outcomes = np.zeros(map_size, dtype=np.int8)  # NotMatched
     if delta is None:
         return outcomes
-    for p in pairs:
-        if abs(p.difference - delta) <= tolerance:
-            outcomes[p.map_index] = MatchOutcome.MatchedCorrectly
-        else:
-            outcomes[p.map_index] = MatchOutcome.MatchedIncorrectly
+    outcomes[pairs.map_idx] = np.where(np.abs(pairs.diff - delta) <= tolerance,
+                                       MatchOutcome.MatchedCorrectly,
+                                       MatchOutcome.MatchedIncorrectly)
     return outcomes
 
 
@@ -151,12 +157,12 @@ def register(map_features, view_features,
     p = params or RegistrationParams()
     pairs = match_features(map_features, view_features, p.d_max)
     try:
-        delta, histogram = histogram_vote(pairs, p.bin_width, p.image_width,
+        delta, histogram = histogram_vote(pairs.diff, p.bin_width, p.image_width,
                                           p.min_votes)
     except NoConsensusError:
         outcomes = classify_outcomes(len(map_features), pairs, None)
         return RegistrationResult(None, [], pairs, outcomes, 0)
     outcomes = classify_outcomes(len(map_features), pairs, delta,
                                  p.effective_tolerance())
-    correct = sum(1 for o in outcomes if o is MatchOutcome.MatchedCorrectly)
+    correct = int(np.count_nonzero(outcomes == MatchOutcome.MatchedCorrectly))
     return RegistrationResult(delta, histogram, pairs, outcomes, correct)

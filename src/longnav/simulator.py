@@ -15,14 +15,15 @@ untouched, so strategies sharing one world see it evolve as they would alone.
 
 from __future__ import annotations
 
-import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import default_rng
 
-from .errors import ConfigError, DatasetError, TeachError
-from .features import Descriptor, Feature, LocalMap, PathMap, pack_features
+from .errors import (ConfigError, DatasetError, TeachError, check_settings,
+                     in_range, is_int)
+from .features import FeatureBlock, LocalMap, PathMap, pack_features
 from .kernels import self_nearest_distances
 from .registration import MatchOutcome, RegistrationParams, register
 from .strategies import (StrategyConfig, init_strategy_state,
@@ -59,24 +60,36 @@ class WorldConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("bit_flip_prob", "turnover_prob", "alias_prob"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {v}")
-        for name in ("n_locations", "landmarks_per_location", "image_width",
-                     "image_height"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive")
-        if self.descriptor_width <= 0 or self.descriptor_width % 4:
-            raise ConfigError("descriptor_width must be a positive multiple of 4")
-        if self.day_period <= 0 or self.px_per_m <= 0 or self.spacing_m <= 0:
-            raise ConfigError("day_period, px_per_m, spacing_m must be positive")
-        if not 0.0 < self.steering_gain <= 1.0:
-            raise ConfigError("steering_gain must be in (0, 1]")
-        if self.position_jitter < 0 or self.odometry_noise < 0 or self.clutter_count < 0:
-            raise ConfigError("noise magnitudes must be >= 0")
-        if int(self.seed) < 0:
-            raise ConfigError("seed must be a non-negative integer")
+        def pair(v):
+            return (isinstance(v, (tuple, list)) and len(v) == 2
+                    and all(in_range(u, -math.inf) for u in v) and v[0] <= v[1])
+
+        phases = self.visibility_phases
+        check_settings(self, [
+            *((name, in_range(getattr(self, name), 0.0, 1.0), "in [0, 1]")
+              for name in ("bit_flip_prob", "turnover_prob", "alias_prob")),
+            *((name, is_int(getattr(self, name), 1), "a positive integer")
+              for name in ("n_locations", "landmarks_per_location",
+                           "image_width", "image_height")),
+            ("descriptor_width", is_int(self.descriptor_width, 4)
+             and self.descriptor_width % 4 == 0, "a positive multiple of 4"),
+            *((name, in_range(getattr(self, name), 0.0)
+               and getattr(self, name) > 0, "finite and > 0")
+              for name in ("day_period", "px_per_m", "spacing_m")),
+            *((name, pair(getattr(self, name)),
+               "a [low, high] pair of finite numbers, low <= high")
+              for name in ("visibility_mean", "visibility_amp")),
+            ("visibility_phases", phases is None or (
+                isinstance(phases, (tuple, list)) and len(phases) > 0
+                and all(in_range(u, -math.inf) for u in phases)),
+             "null or a non-empty list of finite numbers"),
+            ("steering_gain", in_range(self.steering_gain, 0.0, 1.0)
+             and self.steering_gain > 0, "in (0, 1]"),
+            *((name, in_range(getattr(self, name), 0.0), "finite and >= 0")
+              for name in ("position_jitter", "odometry_noise")),
+            *((name, is_int(getattr(self, name), 0), "a non-negative integer")
+              for name in ("clutter_count", "alias_flip_bits", "seed")),
+        ])
 
 
 @dataclass
@@ -85,7 +98,7 @@ class Frame:
 
     location: int
     time: float
-    features: list
+    features: FeatureBlock  # x, y and words only
     gamma: float  # ground-truth shift in pixels
 
 
@@ -223,14 +236,14 @@ class World:
             words = words ^ _bernoulli_words(rng, xs.size, cfg.descriptor_width,
                                              cfg.bit_flip_prob)
         width = cfg.descriptor_width
-        features = [Feature(float(x), float(y), Descriptor._wrap(w, width))
-                    for x, y, w in zip(xs, ys, words)]
         if cfg.clutter_count > 0:
             cx = rng.uniform(0.0, cfg.image_width, cfg.clutter_count)
             cy = rng.uniform(0.0, cfg.image_height, cfg.clutter_count)
             cw = _random_words(rng, cfg.clutter_count, width)
-            features.extend(Feature(float(x), float(y), Descriptor._wrap(w, width))
-                            for x, y, w in zip(cx, cy, cw))
+            xs = np.concatenate((xs, cx))
+            ys = np.concatenate((ys, cy))
+            words = np.concatenate((words, cw))
+        features = FeatureBlock(xs, ys, words, width)
         return Frame(location, t, features, gamma)
 
 
@@ -256,17 +269,15 @@ def teach_from_frames(frames, feature_cap: int = 500, spacing_m: float = 1.0,
     local_maps = []
     for i, frame in enumerate(frames):
         feats = frame.features
-        if not feats:
+        n = len(feats)
+        if not n:
             raise TeachError(f"teaching frame for location {frame.location} "
                              "yielded no features")
-        keep = range(len(feats))
-        if len(feats) > feature_cap:
+        if n > feature_cap:
             uniq = self_nearest_distances(pack_features(feats))
-            order = sorted(keep, key=lambda j: (-uniq[j], j))
-            keep = sorted(order[:feature_cap])
-        taught = [Feature(feats[j].x, feats[j].y, feats[j].descriptor,
-                          inserted_at=0) for j in keep]
-        local_maps.append(LocalMap(i, i * spacing_m, taught))
+            order = np.lexsort((np.arange(n), -uniq))
+            feats = feats.take(np.sort(order[:feature_cap]))
+        local_maps.append(LocalMap(i, i * spacing_m, feats.as_map(0)))
     return PathMap(local_maps, image_width=image_width,
                    descriptor_width=descriptor_width, taught_at=taught_at)
 
@@ -300,11 +311,12 @@ def process_frame(local_map: LocalMap, frame: Frame, cfg: StrategyConfig,
     else:
         best_i = 0
         idx = select_active_indices(local_map, cfg, t)
-        active = [local_map.features[i] for i in idx]
+        feats = local_map.features
+        active = feats if len(idx) == len(feats) else feats.take(idx)
         reg = register(active, frame.features, params)
     update_map(local_map, frame.features, reg, cfg, t, traversal,
                active_indices=idx)
-    n_inc = sum(1 for o in reg.outcomes if o is MatchOutcome.MatchedIncorrectly)
+    n_inc = int(np.count_nonzero(reg.outcomes == MatchOutcome.MatchedIncorrectly))
     rec = LocationRecord(
         location=frame.location, delta=reg.delta, gamma=frame.gamma,
         n_correct=reg.correct_count, n_incorrect=n_inc,
@@ -318,22 +330,20 @@ def process_frame(local_map: LocalMap, frame: Frame, cfg: StrategyConfig,
 def _strategy_paths(strategies, teach_batch, path: PathMap | None = None,
                     feature_cap: int = 500, spacing_m: float = 1.0,
                     image_width: int = 640) -> list:
-    """One PathMap per strategy, its strategy state attached: a deep copy of
-    `path` when one is supplied, else taught from the teach frames."""
-    if path is not None:
-        paths = [copy.deepcopy(path) for _ in strategies]
-    else:
+    """One PathMap per strategy, its strategy state attached: a copy of
+    `path` when one is supplied, else of the path taught once from the teach
+    frames. The copies share the feature rows and own their mutable state."""
+    if path is None:
         if not teach_batch:
             raise TeachError("no traversal-0 frames and no path supplied")
-        if any(not f.features for f in teach_batch):
+        if any(not len(f.features) for f in teach_batch):
             raise TeachError("a teaching frame has no features")
         frames = sorted(teach_batch, key=lambda f: f.location)
-        width = frames[0].features[0].descriptor.width
-        paths = [teach_from_frames(frames, feature_cap=feature_cap,
-                                   spacing_m=spacing_m, image_width=image_width,
-                                   descriptor_width=width,
-                                   taught_at=frames[0].time)
-                 for _ in strategies]
+        path = teach_from_frames(frames, feature_cap=feature_cap,
+                                 spacing_m=spacing_m, image_width=image_width,
+                                 descriptor_width=frames[0].features.width,
+                                 taught_at=frames[0].time)
+    paths = [path.copy() for _ in strategies]
     for p, cfg in zip(paths, strategies):
         init_strategy_state(p, cfg)
     return paths

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError
-from .features import Feature, LocalMap, MapAlternative, pack_features
+from .errors import ConfigError, check_settings, in_range, is_int
+from .features import (FeatureBlock, LocalMap, MapAlternative, concat,
+                       pack_features)
 from .fremen import DEFAULT_PERIODS, FremenModel, predict_many
 from .registration import MatchOutcome, RegistrationParams, register
 
@@ -51,111 +52,126 @@ class StrategyConfig:
         if self.kind not in STRATEGY_KINDS:
             raise ConfigError(f"unknown strategy kind {self.kind!r}; "
                               f"expected one of {'|'.join(STRATEGY_KINDS)}")
-        for name in ("s_c", "s_i", "s_n"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
-                raise ConfigError(f"{name} must be finite and >= 0, got {v}")
-        if not 0 < self.exchange_fraction <= 1:
-            raise ConfigError("exchange_fraction must be in (0, 1]")
-        if self.m < 1:
-            raise ConfigError("m must be >= 1")
+        periods = self.fremen_periods
+        check_settings(self, [
+            *((name, in_range(getattr(self, name), 0.0), "finite and >= 0")
+              for name in ("s_c", "s_i", "s_n")),
+            ("exchange_fraction", in_range(self.exchange_fraction, 0.0, 1.0)
+             and self.exchange_fraction > 0, "in (0, 1]"),
+            *((name, in_range(getattr(self, name), 0.0, 1.0), "in [0, 1]")
+              for name in ("summary_add_fraction", "multiple_threshold")),
+            *((name, is_int(getattr(self, name), 1), "a positive integer")
+              for name in ("m", "multiple_max_alternatives", "image_width")),
+            ("fremen_order", is_int(self.fremen_order, 0),
+             "a non-negative integer"),
+            ("fremen_periods", isinstance(periods, (tuple, list))
+             and len(periods) > 0
+             and all(in_range(p, 0.0) and p > 0 for p in periods),
+             "a non-empty list of finite periods > 0"),
+        ])
 
 
-def score_update(feature: Feature, outcome: MatchOutcome, cfg: StrategyConfig,
-                 t: float) -> Feature:
-    """Fold one match outcome into the feature's strategy state (in place)."""
-    if outcome is MatchOutcome.MatchedCorrectly:
-        v = cfg.s_c
-    elif outcome is MatchOutcome.MatchedIncorrectly:
-        v = -cfg.s_i
-    else:
-        v = -cfg.s_n
+def score_update(block: FeatureBlock, outcomes, cfg: StrategyConfig,
+                 t: float) -> FeatureBlock:
+    """Fold one match outcome per row into the block's strategy state (in
+    place)."""
+    if cfg.kind not in ("score", "fremen"):
+        return block
+    outcomes = np.asarray(outcomes)
+    v = np.where(outcomes == MatchOutcome.MatchedCorrectly, cfg.s_c,
+                 np.where(outcomes == MatchOutcome.MatchedIncorrectly, -cfg.s_i,
+                          -cfg.s_n))
     if cfg.kind == "score":
-        feature.score += v
-    elif cfg.kind == "fremen":
-        if feature.temporal is None:
-            feature.temporal = FremenModel(cfg.fremen_periods)
-        feature.temporal.add_observation(v, t)
-    return feature
+        block.score += v
+    else:
+        if block.temporal is None:
+            block.temporal = FremenModel(cfg.fremen_periods, len(block))
+        block.temporal.add_observation(v, t)
+        block.has_temporal = None  # every row now has a model
+    return block
+
+
+def _ranked(key_order, n: int, m: int) -> np.ndarray:
+    """The first m of n rows under np.lexsort keys (last key primary, row
+    index the final tiebreak), in row order."""
+    order = np.lexsort((np.arange(n),) + key_order)
+    return np.sort(order[:m])
 
 
 def select_active_indices(local_map: LocalMap, cfg: StrategyConfig,
-                          t: float) -> list:
+                          t: float) -> np.ndarray:
     """Indices of the features used for localisation, in map order.
 
     Fremen ranks by predicted score at t, score by accumulated score, every
     other strategy keeps all features; the top m survive the cap, ties going
-    to the newest inserted_at and then to list order.
+    to the newest inserted_at and then to row order.
     """
     feats = local_map.features
     n = len(feats)
     if n <= cfg.m:
-        return list(range(n))
+        return np.arange(n)
     if cfg.kind == "fremen":
-        key = predict_many([f.temporal for f in feats], t, cfg.fremen_order)
+        key = predict_many(feats.temporal, t, cfg.fremen_order)
     elif cfg.kind == "score":
-        key = np.array([f.score for f in feats])
+        key = feats.score
     else:
         key = np.zeros(n)
-    order = sorted(range(n), key=lambda i: (-key[i], -feats[i].inserted_at, i))
-    return sorted(order[:cfg.m])
+    return _ranked((-feats.inserted_at, -key), n, cfg.m)
 
 
-def rank_addition_candidates(unmatched_view, local_map: LocalMap) -> list:
+def rank_addition_candidates(unmatched_view: FeatureBlock,
+                             local_map: LocalMap) -> FeatureBlock:
     """Unmatched view features ordered most-unique-first, uniqueness being the
     Hamming distance to the nearest map feature; ties keep view order."""
-    if not unmatched_view:
-        return []
-    if not local_map.features:
-        return list(unmatched_view)
-    a = pack_features(unmatched_view)
-    b = pack_features(local_map.features)
-    dist = kernels.nearest_distances(a, b)
-    order = sorted(range(len(unmatched_view)), key=lambda i: (-dist[i], i))
-    return [unmatched_view[i] for i in order]
+    if not len(unmatched_view) or not len(local_map.features):
+        return unmatched_view
+    dist = kernels.nearest_distances(pack_features(unmatched_view),
+                                     pack_features(local_map.features))
+    return unmatched_view.take(np.lexsort((np.arange(dist.shape[0]), -dist)))
 
 
-def correct_positions(features, delta: float, image_width: int = 640) -> list:
-    """Copies of the features shifted by -delta, x clipped into [0, W)."""
+def correct_positions(features: FeatureBlock, delta: float,
+                      image_width: int = 640) -> FeatureBlock:
+    """The rows shifted by -delta, x clipped into [0, W); the result owns
+    copies of the score and temporal state (see ``FeatureBlock.with_x``)."""
     hi = np.nextafter(float(image_width), 0.0)
-    out = []
-    for f in features:
-        x = min(max(f.x - delta, 0.0), hi)
-        out.append(Feature(x, f.y, f.descriptor, score=f.score,
-                           temporal=f.temporal, inserted_at=f.inserted_at))
-    return out
+    return features.with_x(np.clip(features.x - delta, 0.0, hi))
 
 
 def init_strategy_state(path_or_map, cfg: StrategyConfig) -> None:
-    """Attach fresh temporal models to taught features when fremen owns them."""
+    """Attach fresh temporal models to taught features when fremen owns them;
+    rows marked without a model keep their empty one as a fresh model."""
     if cfg.kind != "fremen":
         return
     maps = getattr(path_or_map, "local_maps", None) or [path_or_map]
     for lm in maps:
-        for f in lm.features:
-            if f.temporal is None:
-                f.temporal = FremenModel(cfg.fremen_periods)
+        if lm.features.temporal is None:
+            lm.features.temporal = FremenModel(cfg.fremen_periods,
+                                               len(lm.features))
+        lm.features.has_temporal = None
 
 
-def _new_feature(template: Feature, traversal: int, cfg: StrategyConfig) -> Feature:
-    temporal = FremenModel(cfg.fremen_periods) if cfg.kind == "fremen" else None
-    return Feature(template.x, template.y, template.descriptor, score=0.0,
-                   temporal=temporal, inserted_at=traversal)
+def _new_rows(view: FeatureBlock, delta: float, traversal: int,
+              cfg: StrategyConfig) -> FeatureBlock:
+    rows = correct_positions(view, delta, cfg.image_width)
+    temporal = (FremenModel(cfg.fremen_periods, len(rows))
+                if cfg.kind == "fremen" else None)
+    return rows.as_map(traversal, temporal)
 
 
 def _insert_candidates(view, reg, local_map, count, traversal, cfg):
     # candidates are ranked against the map as it stands before any removal
     if count <= 0 or reg.delta is None:
-        return []
-    matched = {p.view_index for p in reg.pairs}
-    unmatched = [f for j, f in enumerate(view) if j not in matched]
-    ranked = rank_addition_candidates(unmatched, local_map)[:count]
-    corrected = correct_positions(ranked, reg.delta, cfg.image_width)
-    return [_new_feature(f, traversal, cfg) for f in corrected]
+        return None
+    unmatched = np.ones(len(view), dtype=bool)
+    unmatched[reg.pairs.view_idx] = False
+    ranked = rank_addition_candidates(view.take(unmatched), local_map)
+    return _new_rows(ranked.take(slice(count)), reg.delta, traversal, cfg)
 
 
-def update_map(local_map: LocalMap, view, reg, cfg: StrategyConfig, t: float,
-               traversal: int, active_indices=None) -> LocalMap:
+def update_map(local_map: LocalMap, view: FeatureBlock, reg,
+               cfg: StrategyConfig, t: float, traversal: int,
+               active_indices=None) -> LocalMap:
     """Apply one traversal's registration result to the local map (in place).
 
     reg must have been computed against the features select_active_indices
@@ -170,8 +186,7 @@ def update_map(local_map: LocalMap, view, reg, cfg: StrategyConfig, t: float,
 
     if kind == "latest":
         if not failed:
-            corrected = correct_positions(view, reg.delta, cfg.image_width)
-            local_map.features = [_new_feature(f, traversal, cfg) for f in corrected]
+            local_map.features = _new_rows(view, reg.delta, traversal, cfg)
         return local_map
 
     if kind == "multiple":
@@ -184,64 +199,53 @@ def update_map(local_map: LocalMap, view, reg, cfg: StrategyConfig, t: float,
                 warnings.warn("alternative cap reached; new alternative dropped",
                               stacklevel=2)
             else:
-                corrected = correct_positions(view, reg.delta, cfg.image_width)
-                alt = [_new_feature(f, traversal, cfg) for f in corrected]
+                alt = _new_rows(view, reg.delta, traversal, cfg)
                 local_map.alternatives.append(MapAlternative(alt, traversal))
         return local_map
 
     feats = local_map.features
+    n = len(feats)
     if active_indices is None:
         active_indices = select_active_indices(local_map, cfg, t)
 
     # one outcome per map feature; features outside the active set count as
     # not matched for bookkeeping and outcome-based pruning
-    outcome_of = [MatchOutcome.NotMatched] * len(feats)
+    outcome_of = np.zeros(n, dtype=np.int8)  # MatchOutcome.NotMatched
     if not failed:
-        for k, i in enumerate(active_indices):
-            outcome_of[i] = reg.outcomes[k]
+        outcome_of[active_indices] = reg.outcomes
 
     if kind in ("score", "fremen"):
-        for f, o in zip(feats, outcome_of):
-            score_update(f, o, cfg, t)
+        score_update(feats, outcome_of, cfg, t)
 
     if failed:
         return local_map
 
     if kind == "aggressive":
-        remove = {i for i, o in enumerate(outcome_of)
-                  if o is not MatchOutcome.MatchedCorrectly}
-        n_insert = len(remove)
+        remove = outcome_of != MatchOutcome.MatchedCorrectly
+        n_insert = int(np.count_nonzero(remove))
     elif kind == "strict":
-        remove = {i for i, o in enumerate(outcome_of)
-                  if o is MatchOutcome.MatchedIncorrectly}
-        n_insert = len(remove)
+        remove = outcome_of == MatchOutcome.MatchedIncorrectly
+        n_insert = int(np.count_nonzero(remove))
     elif kind == "summary":
-        remove = {i for i, o in enumerate(outcome_of)
-                  if o is MatchOutcome.MatchedIncorrectly}
+        remove = outcome_of == MatchOutcome.MatchedIncorrectly
         n_insert = math.ceil(cfg.summary_add_fraction * len(view))
     else:  # score, fremen: exchange the n worst features
-        n = math.ceil(cfg.exchange_fraction * len(feats))
-        if kind == "score":
-            key = [f.score for f in feats]
-        else:
-            key = [f.temporal.mean_score() if f.temporal else 0.0 for f in feats]
-        order = sorted(range(len(feats)),
-                       key=lambda i: (key[i], feats[i].inserted_at, i))
-        remove = set(order[:n])
-        n_insert = n
+        n_insert = math.ceil(cfg.exchange_fraction * n)
+        key = feats.score if kind == "score" else feats.temporal.mu
+        remove = np.zeros(n, dtype=bool)
+        remove[_ranked((feats.inserted_at, key), n, n_insert)] = True
 
     inserted = _insert_candidates(view, reg, local_map, n_insert, traversal, cfg)
-    local_map.features = [f for i, f in enumerate(feats) if i not in remove]
-    local_map.features.extend(inserted)
+    kept = feats.take(~remove) if remove.any() else feats
+    local_map.features = concat(kept, inserted)
     return local_map
 
 
-def _cap_newest(features, m: int) -> list:
-    if len(features) <= m:
-        return list(features)
-    order = sorted(range(len(features)),
-                   key=lambda i: (-features[i].inserted_at, i))
-    return [features[i] for i in sorted(order[:m])]
+def _cap_newest(features: FeatureBlock, m: int) -> FeatureBlock:
+    n = len(features)
+    if n <= m:
+        return features
+    return features.take(_ranked((-features.inserted_at,), n, m))
 
 
 def select_best_alternative(local_map: LocalMap, view, cfg: StrategyConfig,

@@ -16,14 +16,17 @@ from numpy.random import default_rng
 
 from longnav.evaluation import (ErrorSequence, compare_strategies, error_cdf,
                                 paired_t_test)
-from longnav.features import Descriptor, Feature, LocalMap
+from longnav.features import Descriptor, LocalMap
 from longnav.fremen import FremenModel
-from longnav.registration import MatchPair, RegistrationResult, register
+from longnav.registration import (MatchOutcome, Pairs, RegistrationResult,
+                                  register)
 from longnav.simulator import (World, WorldConfig, run_closed_loop, teach,
                                uniform_offset_schedule)
 from longnav.strategies import (STRATEGY_KINDS, StrategyConfig,
                                 init_strategy_state, select_active_indices,
                                 update_map)
+
+from blocks import block_from_descriptors
 
 SPAN_S = 90 * 86400.0
 TRAVERSALS = 178
@@ -263,31 +266,38 @@ def test_c7_statistics_oracles(capsys):
 
 def _random_feature(rng, width=256):
     words = rng.integers(0, 2**64, size=4, dtype=np.uint64)
-    return Feature(float(rng.uniform(0.0, 640.0)),
-                   float(rng.uniform(0.0, 480.0)),
-                   Descriptor(words, width))
+    return (float(rng.uniform(0.0, 640.0)), float(rng.uniform(0.0, 480.0)),
+            Descriptor(words, width))
+
+
+def _random_block(rng, n):
+    rows = [_random_feature(rng) for _ in range(n)]
+    return block_from_descriptors([r[0] for r in rows],
+                                         [r[1] for r in rows],
+                                         [r[2] for r in rows])
 
 
 def _synth_registration(map_size, view, success, rng):
     # pairs stay below half the view so insertion candidates are always
     # abundant; on failure every outcome degrades to NotMatched, matching
     # what a no-consensus registration reports
-    from longnav.registration import MatchOutcome
     k = int(rng.integers(0, min(map_size, len(view) // 2) + 1))
     map_idx = rng.choice(map_size, size=k, replace=False) if k else []
     view_idx = rng.choice(len(view), size=k, replace=False) if k else []
-    pairs = [MatchPair(int(mi), int(vi), float(rng.uniform(-50, 50)),
-                       int(rng.integers(0, 65)))
+    drawn = [(int(mi), int(vi), float(rng.uniform(-50, 50)),
+              int(rng.integers(0, 65)))
              for mi, vi in zip(map_idx, view_idx)]
-    outcomes = [MatchOutcome.NotMatched] * map_size
+    pairs = Pairs(*(np.array([p[c] for p in drawn], dtype=t) for c, t in
+                    enumerate((np.int64, np.int64, np.float64, np.int64))))
+    outcomes = np.full(map_size, MatchOutcome.NotMatched, dtype=np.int8)
     correct = 0
     if success:
-        for p in pairs:
+        for mi in pairs.map_idx:
             if rng.random() < 0.7:
-                outcomes[p.map_index] = MatchOutcome.MatchedCorrectly
+                outcomes[mi] = MatchOutcome.MatchedCorrectly
                 correct += 1
             else:
-                outcomes[p.map_index] = MatchOutcome.MatchedIncorrectly
+                outcomes[mi] = MatchOutcome.MatchedIncorrectly
     delta = float(rng.uniform(-50.0, 50.0)) if success else None
     return RegistrationResult(delta, [], pairs, outcomes, correct)
 
@@ -297,21 +307,20 @@ def test_c8_map_size_laws(capsys):
     for kind in sorted(STRATEGY_KINDS):
         rng = default_rng(len(kind) * 1000 + 17)
         cfg = StrategyConfig(kind=kind)
-        lm = LocalMap(0, 0.0, [_random_feature(rng) for _ in range(60)])
+        lm = LocalMap(0, 0.0, _random_block(rng, 60).as_map(0))
         init_strategy_state(lm, cfg)
         teach_size = len(lm.features)
         for step in range(1000):
             t = step * 3600.0
-            view = [_random_feature(rng)
-                    for _ in range(int(rng.integers(30, 51)))]
+            view = _random_block(rng, int(rng.integers(30, 51)))
             success = rng.random() < 0.85
             # outcomes align with the active subset, exactly as a real
             # registration pass would produce them
             active = select_active_indices(lm, cfg, t)
             reg = _synth_registration(len(active), view, success, rng)
             before = len(lm.features)
-            n_incorrect = sum(
-                1 for o in reg.outcomes if o.name == "MatchedIncorrectly")
+            n_incorrect = int(np.count_nonzero(
+                reg.outcomes == MatchOutcome.MatchedIncorrectly))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 update_map(lm, view, reg, cfg, t=t, traversal=step + 1,

@@ -181,6 +181,44 @@ def test_compare_rejects_bad_run_config(tmp_path, config_path, capsys, args,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("world", "px_per_m", math.nan),
+    ("world", "day_period", math.nan),
+    ("world", "visibility_mean", [0.9, 0.1]),
+    ("world", "n_locations", 2.5),
+    ("world", "landmarks_per_location", 50.5),
+    ("world", "odometry_noise", math.nan),
+    ("world", "position_jitter", math.nan),
+    ("run", "traversals", 1.5),
+    ("strategy", "fremen_periods", []),
+    ("strategy", "fremen_order", -1),
+    ("strategy", "multiple_max_alternatives", 0),
+    ("strategy", "summary_add_fraction", -1),
+], ids=["px-per-m-nan", "day-period-nan", "visibility-mean-inverted",
+        "n-locations-fraction", "landmarks-fraction", "odometry-noise-nan",
+        "position-jitter-nan", "traversals-fraction", "fremen-periods-empty",
+        "fremen-order-negative", "max-alternatives-0",
+        "summary-fraction-negative"])
+def test_compare_rejects_unusable_settings(tmp_path, config_path, capsys,
+                                           section, key, value):
+    # each of these once ran to exit 0 on a meaningless world, truncated
+    # silently, or died in a numpy traceback
+    doc = json.loads(config_path.read_text())
+    if section == "world":
+        doc["world"][key] = value
+    elif section == "strategy":
+        doc["strategies"] = [{"kind": "score", key: value}]
+    else:
+        doc[key] = value
+    bad = tmp_path / "bad_settings.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("compare", "--config", bad, "--out", tmp_path / "o") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert "Traceback" not in err
+
+
 def test_simulate_writes_logs_and_final_map(tmp_path, config_path):
     out = tmp_path / "sim"
     assert run_cli("simulate", "--config", config_path, "--out", out,

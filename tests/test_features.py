@@ -1,4 +1,4 @@
-"""Descriptor packing, Hamming distance, and path retrieval semantics."""
+"""Descriptor packing, Hamming distance, feature blocks and path maps."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from longnav.errors import ConfigError
-from longnav.features import (Descriptor, Feature, LocalMap, PathMap,
-                              hamming_distance, local_map_at, pack_features)
+from longnav.features import (Descriptor, LocalMap, PathMap, concat,
+                              hamming_distance, pack_features)
+from longnav.fremen import FremenModel
+from longnav.kernels import bit_rows
+
+from blocks import block_from_descriptors
 
 
 def test_descriptor_int_hex_roundtrip():
@@ -99,33 +103,10 @@ def test_hamming_width_mismatch():
 
 
 def _path(distances):
-    maps = [LocalMap(i, d, [Feature(0.0, 0.0, Descriptor.from_int(i, 8))])
+    maps = [LocalMap(i, d, block_from_descriptors(
+                [0.0], [0.0], [Descriptor.from_int(i, 8)]))
             for i, d in enumerate(distances)]
     return PathMap(maps)
-
-
-def test_local_map_at_floor_semantics():
-    path = _path([0.0, 1.0, 2.0])
-    assert local_map_at(path, 1.4).index == 1
-    assert local_map_at(path, 0.0).index == 0
-    assert local_map_at(path, 2.0).index == 2
-
-
-def test_local_map_at_out_of_range():
-    path = _path([0.0, 1.0, 2.0])
-    with pytest.raises(ValueError):
-        local_map_at(path, -0.1)
-    with pytest.raises(ValueError):
-        local_map_at(path, 2.1)
-
-
-def test_local_map_at_monotone():
-    rng = np.random.default_rng(3)
-    dists = np.cumsum(rng.uniform(0.3, 2.0, 12)).tolist()
-    path = _path([0.0] + dists)
-    queries = sorted(rng.uniform(0.0, dists[-1], 200))
-    indexes = [local_map_at(path, q).index for q in queries]
-    assert indexes == sorted(indexes)
 
 
 def test_pathmap_requires_increasing_distances():
@@ -137,11 +118,44 @@ def test_pathmap_requires_increasing_distances():
 
 def test_pack_features_stacks_words():
     rng = np.random.default_rng(4)
-    feats = [Feature(0.0, 0.0, Descriptor.from_int(int(rng.integers(0, 1 << 62)), 256))
+    descs = [Descriptor.from_int(int(rng.integers(0, 1 << 62)), 256)
              for _ in range(7)]
+    feats = block_from_descriptors(np.zeros(7), np.zeros(7), descs)
     m = pack_features(feats)
-    assert m.shape == (7, 4)
-    for i, f in enumerate(feats):
-        assert np.array_equal(m[i], f.descriptor.words)
-    assert pack_features([]).shape == (0, 0)
-    assert pack_features([], n_words=4).shape == (0, 4)
+    assert m.shape == (7, 256) and m.dtype == np.int8
+    for i, d in enumerate(descs):
+        assert np.array_equal(m[i], bit_rows(d.words[None])[0])
+    assert pack_features(feats) is m  # unpacked once, then cached
+    assert np.array_equal(pack_features(feats.take([3, 1])), m[[3, 1]])
+    assert pack_features(block_from_descriptors([], [], [])).shape == (0, 256)
+
+
+def _rows(n, start, **state):
+    descs = [Descriptor.from_int(start + i, 64) for i in range(n)]
+    return block_from_descriptors(np.arange(n, dtype=float), np.zeros(n), descs,
+                                  inserted_at=np.zeros(n, dtype=np.int64),
+                                  score=np.zeros(n), **state)
+
+
+def test_concat_keeps_models_of_one_side():
+    m = FremenModel(n=2).add_observation(np.array([0.5, -0.5]), 60.0)
+    with_models, without = _rows(2, 0, temporal=m), _rows(3, 10)
+    for a, b, has in ((with_models, without, [True] * 2 + [False] * 3),
+                      (without, with_models, [False] * 3 + [True] * 2)):
+        out = concat(a, b)
+        assert out.temporal_rows().tolist() == has
+        kept = out.temporal.take(np.array(has))
+        assert kept.mu.tolist() == [0.5, -0.5] and kept.n_obs.tolist() == [1, 1]
+        assert out.temporal.take(~np.array(has)).n_obs.tolist() == [0] * 3
+        # the mask follows rows through take
+        assert out.take([4, 0]).temporal_rows().tolist() == [has[4], has[0]]
+    both = concat(with_models, _rows(1, 20, temporal=FremenModel(n=1)))
+    assert both.has_temporal is None and len(both.temporal.mu) == 3
+    assert concat(without, _rows(1, 20)).temporal is None
+
+
+def test_concat_rejects_models_with_different_periods():
+    a = _rows(1, 0, temporal=FremenModel(n=1))
+    b = _rows(1, 5, temporal=FremenModel((3600.0,), n=1))
+    with pytest.raises(ValueError, match="different periods"):
+        concat(a, b)

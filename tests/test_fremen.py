@@ -1,5 +1,7 @@
 """Spectral visibility model: accumulator oracles, least-squares cross-check."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,21 @@ def test_training_mse_non_increasing_in_order():
         assert b <= a + 1e-9
 
 
+def scalar_prediction(m, t, order):
+    """One model's clamped DC term plus its `order` strongest components,
+    summed in plain Python from mu, re, im and the periods."""
+    if int(m.n_obs) == 0:
+        return 0.0
+    re, im = m._re.tolist(), m._im.tolist()
+    amp2 = [r * r + i * i for r, i in zip(re, im)]
+    top = sorted(range(len(re)), key=lambda j: -amp2[j])[:order]
+    val = float(m.mu)
+    for j in top:
+        wt = 2.0 * math.pi / m.periods[j] * t
+        val += 2.0 * (re[j] * math.cos(wt) - im[j] * math.sin(wt))
+    return min(1.0, max(-1.0, val))
+
+
 def test_predict_many_matches_scalar_path():
     rng = np.random.default_rng(5)
     models = []
@@ -158,9 +175,16 @@ def test_predict_many_matches_scalar_path():
         models.append(feed(rng.uniform(-1, 1, size=n),
                            rng.uniform(0, 30 * DAY, size=n)))
     for t in (0.0, 3.7 * DAY, 55 * DAY):
-        batch = predict_many(models, t, order=2)
-        single = np.array([m.predict(t, order=2) for m in models])
+        batch = predict_many(FremenModel.concat(models), t, order=2)
+        single = np.array([scalar_prediction(m, t, 2) for m in models])
         np.testing.assert_allclose(batch, single, atol=1e-12)
+        np.testing.assert_allclose([m.predict(t, order=2) for m in models],
+                                   single, atol=1e-12)
+
+
+def test_concat_rejects_mixed_periods():
+    with pytest.raises(ValueError, match="different periods"):
+        FremenModel.concat([FremenModel(), FremenModel((DAY, DAY / 2))])
 
 
 def test_serialization_round_trip():

@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 
 from longnav.errors import DatasetError
-from longnav.features import (Descriptor, Feature, LocalMap, MapAlternative,
-                              PathMap)
+from longnav.features import Descriptor, LocalMap, MapAlternative, PathMap
 from longnav.fremen import FremenModel
 from longnav.io import (read_dataset, read_logs, read_map_snapshot,
                         write_dataset, write_logs, write_map_snapshot)
 from longnav.simulator import (LocationRecord, TraversalLog, World,
                                WorldConfig, generate_frames, teach,
                                uniform_offset_schedule)
+
+from blocks import block_from_descriptors
 
 
 def small_world():
@@ -33,10 +34,10 @@ def test_dataset_round_trip_is_lossless(tmp_path):
     for (tr0, f0), (tr1, f1) in zip(frames, back):
         assert tr0 == tr1
         assert (f0.location, f0.time, f0.gamma) == (f1.location, f1.time, f1.gamma)
-        assert len(f0.features) == len(f1.features)
-        for a, b in zip(f0.features, f1.features):
-            assert (a.x, a.y) == (b.x, b.y)
-            assert a.descriptor == b.descriptor
+        a, b = f0.features, f1.features
+        assert len(a) == len(b)
+        assert (a.x.tolist(), a.y.tolist()) == (b.x.tolist(), b.y.tolist())
+        assert np.array_equal(a.words, b.words) and a.width == b.width
 
 
 def test_dataset_rewrite_is_byte_identical(tmp_path):
@@ -44,6 +45,21 @@ def test_dataset_rewrite_is_byte_identical(tmp_path):
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     write_dataset(frames, p1)
     write_dataset(read_dataset(p1), p2)
+    assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_dataset_frame_without_features_round_trips(tmp_path):
+    frames = list(generate_frames(small_world(), 1, 100.0))
+    tr, f = frames[0]
+    empty = block_from_descriptors([], [], [])
+    frames[0] = (tr, type(f)(f.location, f.time, empty, f.gamma))
+    p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    write_dataset(frames, p1)
+    back = list(read_dataset(p1))
+    assert len(back[0][1].features) == 0
+    assert [len(f.features) for _, f in back[1:]] \
+        == [len(f.features) for _, f in frames[1:]]
+    write_dataset(back, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -103,19 +119,42 @@ def test_dataset_rejects_mixed_descriptor_widths(tmp_path):
         list(read_dataset(p))
 
 
+def _block(rows):
+    """A map block from (x, y, descriptor, score, inserted_at, temporal)
+    rows; a row whose temporal is None has no model."""
+    x, y, d, score, inserted_at, models = zip(*rows)
+    has = np.array([m is not None for m in models])
+    temporal = None
+    if has.any():
+        temporal = FremenModel.concat([FremenModel() if m is None else m
+                                       for m in models])
+    return block_from_descriptors(
+        x, y, list(d), score=np.array(score),
+        inserted_at=np.array(inserted_at, dtype=np.int64), temporal=temporal,
+        has_temporal=None if has.all() else has)
+
+
+def _models(block):
+    """Each row's temporal model as a dict, None where the row has none."""
+    if block.temporal is None:
+        return [None] * len(block)
+    return [block.temporal.take(i).to_dict() if has else None
+            for i, has in enumerate(block.temporal_rows().tolist())]
+
+
 def snapshot_path_map():
     rng = np.random.default_rng(6)
-    feats = []
+    rows = []
     for i in range(5):
         d = Descriptor.from_int(int.from_bytes(rng.bytes(32), "little"), 256)
         m = FremenModel()
         for k in range(i):
             m.add_observation(1.0 if k % 2 else -1.0, k * 3600.0)
-        feats.append(Feature(float(rng.uniform(0, 640)), float(rng.uniform(0, 480)),
-                             d, score=float(i) - 2.5,
-                             temporal=m if i % 2 else None, inserted_at=i))
-    alt = MapAlternative([Feature(1.0, 2.0, feats[0].descriptor, inserted_at=3)], 3)
-    maps = [LocalMap(0, 0.0, feats[:3], [alt]), LocalMap(1, 1.5, feats[3:])]
+        rows.append((float(rng.uniform(0, 640)), float(rng.uniform(0, 480)),
+                     d, float(i) - 2.5, i, m if i % 2 else None))
+    alt = MapAlternative(_block([(1.0, 2.0, rows[0][2], 0.0, 3, None)]), 3)
+    maps = [LocalMap(0, 0.0, _block(rows[:3]), [alt]),
+            LocalMap(1, 1.5, _block(rows[3:]))]
     return PathMap(maps, image_width=800, descriptor_width=256, taught_at=42.0)
 
 
@@ -125,25 +164,37 @@ def test_map_snapshot_round_trip(tmp_path):
     write_map_snapshot(pm, p)
     back = read_map_snapshot(p)
 
+    doc = json.loads(p.read_text())
+    assert [[r["temporal"] is None for r in lm["features"]]
+            for lm in doc["local_maps"]] == [[True, False, True], [False, True]]
     assert back.image_width == 800 and back.taught_at == 42.0
     assert len(back.local_maps) == 2
     for lm0, lm1 in zip(pm.local_maps, back.local_maps):
         assert (lm0.index, lm0.odometry_distance) == (lm1.index, lm1.odometry_distance)
-        for a, b in zip(lm0.features, lm1.features):
-            assert (a.x, a.y, a.score, a.inserted_at) == (b.x, b.y, b.score, b.inserted_at)
-            assert a.descriptor == b.descriptor
-            if a.temporal is None:
-                assert b.temporal is None
-            else:
-                assert b.temporal.to_dict() == a.temporal.to_dict()
+        a, b = lm0.features, lm1.features
+        for col in ("x", "y", "score", "inserted_at", "words"):
+            assert np.array_equal(getattr(a, col), getattr(b, col)), col
+        assert _models(b) == _models(a)
+        assert None in _models(b) and _models(b) != [None] * len(b)
     alt0 = pm.local_maps[0].alternatives[0]
     alt1 = back.local_maps[0].alternatives[0]
     assert alt1.created_at == alt0.created_at
-    assert alt1.features[0].descriptor == alt0.features[0].descriptor
+    assert np.array_equal(alt1.features.words, alt0.features.words)
 
     p2 = tmp_path / "map2.json"
     write_map_snapshot(back, p2)
     assert p.read_bytes() == p2.read_bytes()
+
+
+def test_map_snapshot_rejects_mixed_fremen_periods(tmp_path):
+    p = tmp_path / "map.json"
+    write_map_snapshot(snapshot_path_map(), p)
+    doc = json.loads(p.read_text())
+    rec = doc["local_maps"][0]["features"][0]
+    rec["temporal"] = {"n_obs": 0, "mu": 0.0, "components": [[3600.0, 0.0, 0.0]]}
+    p.write_text(json.dumps(doc))
+    with pytest.raises(DatasetError, match="different periods"):
+        read_map_snapshot(p)
 
 
 def test_map_snapshot_from_teach(tmp_path):

@@ -4,16 +4,26 @@ import numpy as np
 import pytest
 
 from longnav.errors import ConfigError, NoConsensusError
-from longnav.features import Descriptor, Feature, hamming_distance
-from longnav.registration import (MatchOutcome, MatchPair, RegistrationParams,
+from longnav.features import Descriptor, hamming_distance
+from longnav.registration import (MatchOutcome, Pairs, RegistrationParams,
                                   classify_outcomes, histogram_vote,
                                   match_features, register)
 
+from blocks import block_from_descriptors
+
 
 def rand_feature(rng, width=256, x=None):
+    """One (x, y, descriptor) row."""
     v = int.from_bytes(rng.bytes(width // 8), "little")
-    return Feature(float(rng.uniform(0, 640)) if x is None else float(x),
-                   float(rng.uniform(0, 480)), Descriptor.from_int(v, width))
+    return (float(rng.uniform(0, 640)) if x is None else float(x),
+            float(rng.uniform(0, 480)), Descriptor.from_int(v, width))
+
+
+def block(rows):
+    """A FeatureBlock from (x, y, descriptor) rows."""
+    return block_from_descriptors([r[0] for r in rows],
+                                         [r[1] for r in rows],
+                                         [r[2] for r in rows])
 
 
 def flip_bits(desc, bits, rng):
@@ -25,60 +35,62 @@ def flip_bits(desc, bits, rng):
 
 def test_match_identity():
     rng = np.random.default_rng(0)
-    feats = [rand_feature(rng) for _ in range(10)]
+    feats = block([rand_feature(rng) for _ in range(10)])
     pairs = match_features(feats, feats, 64)
     assert len(pairs) == 10
-    assert all(p.map_index == p.view_index and p.distance == 0 for p in pairs)
+    assert (pairs.map_idx == pairs.view_idx).all() and (pairs.dist == 0).all()
 
 
 def test_match_threshold_excludes_far_descriptors():
     rng = np.random.default_rng(1)
     f = rand_feature(rng)
-    far = Feature(f.x, f.y, flip_bits(f.descriptor, 80, rng))
-    assert match_features([f], [far], 64) == []
+    far = (f[0], f[1], flip_bits(f[2], 80, rng))
+    assert len(match_features(block([f]), block([far]), 64)) == 0
 
 
 def test_match_planted_pairs_against_brute_force():
     rng = np.random.default_rng(2)
     map_feats = [rand_feature(rng) for _ in range(5)]
-    view_feats = [Feature(m.x + 3.0, m.y, flip_bits(m.descriptor, 5, rng))
-                  for m in map_feats]
+    view_feats = [(x + 3.0, y, flip_bits(d, 5, rng)) for x, y, d in map_feats]
     view_feats += [rand_feature(rng) for _ in range(2)]
-    pairs = match_features(map_feats, view_feats, 64)
+    pairs = match_features(block(map_feats), block(view_feats), 64)
 
     # oracle: exhaustive all-pairs distances, mutual argmin, threshold
-    dm = np.array([[hamming_distance(m.descriptor, v.descriptor)
+    dm = np.array([[hamming_distance(m[2], v[2])
                     for v in view_feats] for m in map_feats])
     expect = []
     for i in range(5):
         j = int(dm[i].argmin())
         if int(dm[:, j].argmin()) == i and dm[i, j] <= 64:
             expect.append((i, j, int(dm[i, j])))
-    assert [(p.map_index, p.view_index, p.distance) for p in pairs] == expect
+    assert list(zip(pairs.map_idx.tolist(), pairs.view_idx.tolist(),
+                    pairs.dist.tolist())) == expect
     assert len(pairs) == 5
 
 
 def test_match_empty_and_width_mismatch():
     rng = np.random.default_rng(3)
-    f = rand_feature(rng)
-    assert match_features([], [f]) == []
-    assert match_features([f], []) == []
+    f = block([rand_feature(rng)])
+    assert len(match_features(block([]), f)) == 0
+    assert len(match_features(f, block([]))) == 0
     with pytest.raises(ValueError):
-        match_features([f], [rand_feature(rng, width=128)])
+        match_features(f, block([rand_feature(rng, width=128)]))
 
 
 def _pairs(diffs):
-    return [MatchPair(i, i, float(d), 0) for i, d in enumerate(diffs)]
+    idx = np.arange(len(diffs))
+    return Pairs(idx, idx, np.asarray(diffs, dtype=np.float64),
+                 np.zeros(len(diffs), dtype=np.int64))
 
 
 def test_histogram_vote_degenerate():
-    delta, hist = histogram_vote(_pairs([7.0] * 5), 10.0)
+    delta, hist = histogram_vote(_pairs([7.0] * 5).diff, 10.0)
     assert delta == pytest.approx(7.0)
     assert sum(c for _, c in hist) == 5
 
 
 def test_histogram_vote_hand_example():
-    delta, hist = histogram_vote(_pairs([12, 13, 11, 55, 12, -40]), 10.0)
+    delta, hist = histogram_vote(_pairs([12, 13, 11, 55, 12, -40]).diff, 10.0)
     # winning bin [10, 20): mean of 12, 13, 11, 12
     assert delta == pytest.approx((12 + 13 + 11 + 12) / 4)
     by_center = dict(hist)
@@ -89,16 +101,16 @@ def test_histogram_vote_hand_example():
 
 def test_histogram_vote_empty_and_min_votes():
     with pytest.raises(NoConsensusError):
-        histogram_vote([], 10.0)
+        histogram_vote(np.empty(0), 10.0)
     with pytest.raises(NoConsensusError):
-        histogram_vote(_pairs([1.0, 2.0]), 10.0, min_votes=3)
+        histogram_vote(_pairs([1.0, 2.0]).diff, 10.0, min_votes=3)
 
 
 def test_histogram_vote_tie_prefers_small_shift():
     # two bins with two votes each; the one nearer zero must win
-    delta, _ = histogram_vote(_pairs([52.0, 55.0, 2.0, 5.0]), 10.0)
+    delta, _ = histogram_vote(_pairs([52.0, 55.0, 2.0, 5.0]).diff, 10.0)
     assert delta == pytest.approx(3.5)
-    delta, _ = histogram_vote(_pairs([-52.0, -55.0, -2.0, -5.0]), 10.0)
+    delta, _ = histogram_vote(_pairs([-52.0, -55.0, -2.0, -5.0]).diff, 10.0)
     assert delta == pytest.approx(-3.5)
 
 
@@ -108,7 +120,7 @@ def test_histogram_vote_matches_hand_binning_oracle():
         diffs = rng.uniform(-640, 640, size=rng.integers(1, 40)).tolist()
         bw = float(rng.choice([5.0, 10.0, 20.0]))
         try:
-            delta, hist = histogram_vote(_pairs(diffs), bw)
+            delta, hist = histogram_vote(_pairs(diffs).diff, bw)
         except NoConsensusError:
             continue
         # oracle: enumerate bins by hand
@@ -125,22 +137,23 @@ def test_histogram_vote_matches_hand_binning_oracle():
 
 def test_classify_outcomes_examples():
     pairs = _pairs([10.0, 10.0, 10.0])
-    out = classify_outcomes(3, pairs, 10.0, tolerance=10.0)
+    out = classify_outcomes(3, pairs, 10.0, tolerance=10.0).tolist()
     assert out == [MatchOutcome.MatchedCorrectly] * 3
 
-    out = classify_outcomes(1, _pairs([35.0]), 10.0, tolerance=10.0)
+    out = classify_outcomes(1, _pairs([35.0]), 10.0, tolerance=10.0).tolist()
     assert out == [MatchOutcome.MatchedIncorrectly]
 
-    pairs = [MatchPair(0, 0, 10.0, 0), MatchPair(1, 1, 12.0, 0),
-             MatchPair(2, 2, 9.0, 0), MatchPair(4, 4, 60.0, 0)]
-    out = classify_outcomes(6, pairs, 10.0, tolerance=10.0)
+    idx = np.array([0, 1, 2, 4])
+    pairs = Pairs(idx, idx, np.array([10.0, 12.0, 9.0, 60.0]),
+                  np.zeros(4, dtype=np.int64))
+    out = classify_outcomes(6, pairs, 10.0, tolerance=10.0).tolist()
     # oracle: per-feature loop
     expect = []
-    by_map = {p.map_index: p for p in pairs}
+    by_map = dict(zip(pairs.map_idx.tolist(), pairs.diff.tolist()))
     for i in range(6):
         if i not in by_map:
             expect.append(MatchOutcome.NotMatched)
-        elif abs(by_map[i].difference - 10.0) <= 10.0:
+        elif abs(by_map[i] - 10.0) <= 10.0:
             expect.append(MatchOutcome.MatchedCorrectly)
         else:
             expect.append(MatchOutcome.MatchedIncorrectly)
@@ -152,43 +165,43 @@ def test_classify_outcomes_examples():
 
 def test_classify_failed_registration_all_not_matched():
     out = classify_outcomes(4, _pairs([1.0]), None)
-    assert out == [MatchOutcome.NotMatched] * 4
+    assert out.tolist() == [MatchOutcome.NotMatched] * 4
 
 
 def test_outcome_partition_sums_to_map_size():
     rng = np.random.default_rng(5)
     for _ in range(20):
         n_map = int(rng.integers(1, 30))
-        pairs = [MatchPair(i, i, float(rng.uniform(-100, 100)), 0)
-                 for i in rng.choice(n_map, size=rng.integers(0, n_map + 1),
-                                     replace=False)]
+        idx = rng.choice(n_map, size=rng.integers(0, n_map + 1), replace=False)
+        pairs = Pairs(idx, idx,
+                      np.array([float(rng.uniform(-100, 100)) for _ in idx]),
+                      np.zeros(idx.size, dtype=np.int64))
         out = classify_outcomes(n_map, pairs, 5.0, tolerance=10.0)
         assert len(out) == n_map
 
 
 def shifted_view(map_feats, shift, rng, flip=3):
-    return [Feature(m.x + shift, m.y, flip_bits(m.descriptor, flip, rng))
-            for m in map_feats]
+    return [(x + shift, y, flip_bits(d, flip, rng)) for x, y, d in map_feats]
 
 
 def test_shift_equivariance():
     rng = np.random.default_rng(6)
     map_feats = [rand_feature(rng, x=rng.uniform(100, 500)) for _ in range(40)]
     view = shifted_view(map_feats, 7.0, rng)
-    base = register(map_feats, view)
+    base = register(block(map_feats), block(view))
     for s in (-30.0, 13.0, 60.0):
-        moved = [Feature(v.x + s, v.y, v.descriptor) for v in view]
-        res = register(map_feats, moved)
+        moved = [(x + s, y, d) for x, y, d in view]
+        res = register(block(map_feats), block(moved))
         assert abs((res.delta - base.delta) - s) <= 10.0
-        assert res.outcomes == base.outcomes
+        assert np.array_equal(res.outcomes, base.outcomes)
 
 
 def test_injected_shift_recovery():
     rng = np.random.default_rng(7)
     map_feats = [rand_feature(rng, x=rng.uniform(50, 400)) for _ in range(60)]
     for gamma in (-80.0, -5.0, 0.0, 33.0, 120.0):
-        view = [Feature(m.x + gamma, m.y, m.descriptor) for m in map_feats]
-        res = register(map_feats, view)
+        view = [(x + gamma, y, d) for x, y, d in map_feats]
+        res = register(block(map_feats), block(view))
         assert res.delta is not None
         assert abs(res.delta - gamma) <= 10.0
         assert res.correct_count == len(map_feats)
@@ -197,16 +210,16 @@ def test_injected_shift_recovery():
 def test_register_failure_as_value():
     rng = np.random.default_rng(8)
     map_feats = [rand_feature(rng) for _ in range(5)]
-    res = register(map_feats, [], RegistrationParams())
+    res = register(block(map_feats), block([]), RegistrationParams())
     assert res.failed and res.delta is None
-    assert res.outcomes == [MatchOutcome.NotMatched] * 5
+    assert res.outcomes.tolist() == [MatchOutcome.NotMatched] * 5
     assert res.correct_count == 0
 
     # two coincident pairs under min_votes=3 must fail, not guess
-    view = [Feature(m.x + 4.0, m.y, m.descriptor) for m in map_feats[:2]]
-    res = register(map_feats[:2], view, RegistrationParams(min_votes=3))
+    view = block([(x + 4.0, y, d) for x, y, d in map_feats[:2]])
+    res = register(block(map_feats[:2]), view, RegistrationParams(min_votes=3))
     assert res.failed
-    res = register(map_feats[:2], view, RegistrationParams(min_votes=2))
+    res = register(block(map_feats[:2]), view, RegistrationParams(min_votes=2))
     assert not res.failed and res.delta == pytest.approx(4.0)
 
 

@@ -5,12 +5,14 @@ import pytest
 from numpy.random import default_rng
 
 from longnav.errors import ConfigError, DatasetError, TeachError
-from longnav.features import Descriptor, Feature
+from longnav.features import Descriptor
 from longnav.simulator import (Frame, World, WorldConfig, generate_frames,
                                generate_world, replay_frames, run_closed_loop,
                                teach, teach_from_frames, teach_frames,
                                uniform_offset_schedule)
 from longnav.strategies import StrategyConfig
+
+from blocks import block_from_descriptors
 
 
 def small_cfg(**kw):
@@ -30,6 +32,12 @@ def quiet_cfg(**kw):
     kw.setdefault("turnover_prob", 0.0)
     kw.setdefault("odometry_noise", 0.0)
     return small_cfg(**kw)
+
+
+def rows(path):
+    """Every local map's feature columns, to compare paths by value."""
+    return [(f.x.tolist(), f.y.tolist(), f.words.tolist(), f.inserted_at.tolist(),
+             f.score.tolist()) for f in (lm.features for lm in path.local_maps)]
 
 
 def test_config_validation():
@@ -61,9 +69,9 @@ def test_noise_free_observation_reproduces_pool():
     frame = w.observe(1, 0.0, 0.0, default_rng(0))
     assert frame.gamma == 0.0
     assert len(frame.features) == 60
-    np.testing.assert_allclose([f.x for f in frame.features], pool.x)
-    got = sorted(f.descriptor.to_int() for f in frame.features)
-    expect = sorted(Descriptor._wrap(row, 256).to_int() for row in pool.desc)
+    np.testing.assert_allclose(frame.features.x, pool.x)
+    got = sorted(Descriptor(row, 256).to_int() for row in frame.features.words)
+    expect = sorted(Descriptor(row, 256).to_int() for row in pool.desc)
     assert got == expect
 
 
@@ -74,7 +82,7 @@ def test_offset_sets_gamma_and_shifts_positions():
     pool = w.pools[0]
     kept = pool.x + 10.0
     kept = kept[(kept >= 0) & (kept < 640)]
-    np.testing.assert_allclose(sorted(f.x for f in frame.features), sorted(kept))
+    np.testing.assert_allclose(sorted(frame.features.x), sorted(kept))
 
 
 def test_observe_location_bounds():
@@ -114,26 +122,28 @@ def test_teach_builds_capped_path():
     for i, lm in enumerate(path.local_maps):
         assert lm.index == i and lm.odometry_distance == 2.0 * i
         assert len(lm.features) == 50
-        assert all(f.inserted_at == 0 for f in lm.features)
+        assert (lm.features.inserted_at == 0).all()
     assert path.length_m == pytest.approx(4.0)
 
 
 def test_teach_cap_drops_least_unique_first():
     rng = np.random.default_rng(5)
-    feats = [Feature(float(i), 0.0,
-                     Descriptor.from_int(int.from_bytes(rng.bytes(32), "little"), 256))
+    descs = [Descriptor.from_int(int.from_bytes(rng.bytes(32), "little"), 256)
              for i in range(10)]
-    feats.append(Feature(99.0, 0.0, feats[0].descriptor))  # exact duplicate
+    descs.append(descs[0])  # exact duplicate
+    feats = block_from_descriptors([float(i) for i in range(10)] + [99.0],
+                                          [0.0] * 11, descs)
     frame = Frame(0, 0.0, feats, 0.0)
     path = teach_from_frames([frame], feature_cap=10)
-    kept = [f.descriptor for f in path.local_maps[0].features]
-    assert sum(d == feats[0].descriptor for d in kept) == 1
+    kept = [Descriptor(w, 256) for w in path.local_maps[0].features.words]
+    assert sum(d == descs[0] for d in kept) == 1
     assert len(kept) == 10
 
 
 def test_teach_empty_frame_raises():
     with pytest.raises(TeachError):
-        teach_from_frames([Frame(0, 0.0, [], 0.0)])
+        teach_from_frames([Frame(0, 0.0, block_from_descriptors([], [], []),
+                                 0.0)])
 
 
 def test_turnover_survival_rate():
@@ -216,21 +226,19 @@ def test_replay_matches_live_open_loop():
 
     (path_rep,), _ = replay_frames(generate_frames(world(), 0, 1000.0),
                                    [StrategyConfig(kind="score")])
-    assert [lm.features for lm in path_rep.local_maps] \
-        == [lm.features for lm in teach(world()).local_maps]
+    assert rows(path_rep) == rows(teach(world()))
 
 
 def test_replay_copies_a_supplied_path_per_strategy():
     w = World(small_cfg(seed=15))
     taught = teach(w, feature_cap=40)
-    before = [list(lm.features) for lm in taught.local_maps]
+    before = rows(taught)
     frames = list(generate_frames(w, 2, 1000.0))
     cfgs = [StrategyConfig(kind="latest"), StrategyConfig(kind="aggressive")]
     paths, logs = replay_frames(frames, cfgs, path=taught)
-    assert [lm.features for lm in taught.local_maps] == before
+    assert rows(taught) == before
     assert paths[0] is not paths[1] and all(p is not taught for p in paths)
-    assert [lm.features for lm in paths[0].local_maps] \
-        != [lm.features for lm in paths[1].local_maps]
+    assert rows(paths[0]) != rows(paths[1])
     assert [[log.strategy for log in strategy_logs] for strategy_logs in logs] \
         == [["latest"] * 2, ["aggressive"] * 2]
 
