@@ -130,11 +130,10 @@ class FeatureBlock:
     Every block has sub-pixel positions ``x``, ``y`` (float64) and packed
     descriptors ``words`` (``(n, n_words)`` uint64) of ``width`` bits. A map
     block also carries per-row strategy state: ``inserted_at`` (int64, the
-    traversal that inserted the row), ``score`` (float64) and, when rows carry
-    temporal models, one batched ``temporal`` FremenModel. These are None on
-    the blocks of camera frames. ``has_temporal`` marks the rows of
-    ``temporal`` that stand for a real model when only some rows have one
-    (the others hold empty rows); it is None when every row has one.
+    traversal that inserted the row), ``score`` (float64) and, under fremen,
+    one batched ``temporal`` FremenModel with a model for every row (see
+    ``strategies.init_strategy_state``). These are None on the blocks of
+    camera frames.
 
     Rows never change in place except for ``score`` and ``temporal``; a map
     update builds a new block with ``take`` and ``concat``. The ±1 bit rows
@@ -144,11 +143,10 @@ class FeatureBlock:
     """
 
     __slots__ = ("x", "y", "words", "width", "inserted_at", "score",
-                 "temporal", "has_temporal", "_bits")
+                 "temporal", "_bits")
 
     def __init__(self, x, y, words, width: int = DEFAULT_DESCRIPTOR_WIDTH, *,
-                 inserted_at=None, score=None, temporal=None, has_temporal=None,
-                 bits=None):
+                 inserted_at=None, score=None, temporal=None, bits=None):
         self.x = x
         self.y = y
         self.words = words
@@ -156,7 +154,6 @@ class FeatureBlock:
         self.inserted_at = inserted_at
         self.score = score
         self.temporal = temporal
-        self.has_temporal = has_temporal
         self._bits = bits
 
     def __len__(self) -> int:
@@ -173,15 +170,12 @@ class FeatureBlock:
                             score=_rows(self.score, idx),
                             temporal=None if self.temporal is None
                             else self.temporal.take(idx),
-                            has_temporal=_rows(self.has_temporal, idx),
                             bits=_rows(self._bits, idx))
 
     def with_x(self, x) -> "FeatureBlock":
-        """The same rows at new x positions. Positions, descriptors and bit
-        rows are shared; the result owns copies of the mutable state."""
-        return FeatureBlock(x, self.y, self.words, self.width,
-                            inserted_at=self.inserted_at,
-                            **self._state_copy(), bits=self._bits)
+        """The same rows at new x positions, without strategy state; y,
+        descriptors and bit rows are shared."""
+        return FeatureBlock(x, self.y, self.words, self.width, bits=self._bits)
 
     def as_map(self, inserted_at: int, temporal=None) -> "FeatureBlock":
         """The same rows as a fresh map block: inserted at one traversal,
@@ -196,56 +190,37 @@ class FeatureBlock:
         the mutable state (score and temporal model)."""
         return FeatureBlock(self.x, self.y, self.words, self.width,
                             inserted_at=self.inserted_at,
-                            **self._state_copy(), bits=pack_features(self))
-
-    def _state_copy(self) -> dict:
-        return {"score": None if self.score is None else self.score.copy(),
-                "temporal": None if self.temporal is None
-                else self.temporal.copy(),
-                "has_temporal": self.has_temporal}
-
-    def temporal_rows(self) -> np.ndarray:
-        """Boolean per row: does the row carry a temporal model."""
-        if self.has_temporal is not None:
-            return self.has_temporal
-        return np.full(len(self), self.temporal is not None)
-
-
-def _temporal_of(block: FeatureBlock, periods) -> FremenModel:
-    """The block's temporal rows, or empty rows of the given periods."""
-    if block.temporal is not None:
-        return block.temporal
-    return FremenModel(periods, len(block))
+                            score=None if self.score is None
+                            else self.score.copy(),
+                            temporal=None if self.temporal is None
+                            else self.temporal.copy(),
+                            bits=pack_features(self))
 
 
 def concat(a: FeatureBlock, b: FeatureBlock | None) -> FeatureBlock:
     """Rows of a followed by rows of b; a itself when b is None or empty.
 
-    When only one side carries temporal models the other side's rows get
-    empty ones, marked absent in ``has_temporal``; ValueError when the two
-    sides' models use different period sets."""
+    ValueError unless both sides carry temporal models or neither does, and
+    when the two sides' models use different period sets."""
     if b is None or not len(b):
         return a
     if not len(a):
         return b
     if a.width != b.width:
         raise ValueError(f"descriptor width mismatch: {a.width} vs {b.width}")
+    if (a.temporal is None) != (b.temporal is None):
+        raise ValueError("cannot concatenate rows with temporal models and "
+                         "rows without")
 
     def cat(u, v):
         return None if u is None or v is None else np.concatenate((u, v))
 
-    temporal = has_temporal = None
-    if a.temporal is not None or b.temporal is not None:
-        periods = (b.temporal if a.temporal is None else a.temporal).periods
-        temporal = FremenModel.concat([_temporal_of(a, periods),
-                                       _temporal_of(b, periods)])
-        has_temporal = np.concatenate((a.temporal_rows(), b.temporal_rows()))
-        if has_temporal.all():
-            has_temporal = None
+    temporal = (None if a.temporal is None
+                else FremenModel.concat([a.temporal, b.temporal]))
     return FeatureBlock(cat(a.x, b.x), cat(a.y, b.y), cat(a.words, b.words),
                         a.width, inserted_at=cat(a.inserted_at, b.inserted_at),
                         score=cat(a.score, b.score), temporal=temporal,
-                        has_temporal=has_temporal, bits=cat(a._bits, b._bits))
+                        bits=cat(a._bits, b._bits))
 
 
 def pack_features(block: FeatureBlock) -> np.ndarray:

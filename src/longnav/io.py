@@ -109,8 +109,7 @@ def _snapshot_records(block: FeatureBlock) -> list:
     n = len(block)
     temporal = [None] * n
     if block.temporal is not None:
-        temporal = [block.temporal.take(i).to_dict() if has else None
-                    for i, has in enumerate(block.temporal_rows().tolist())]
+        temporal = [block.temporal.take(i).to_dict() for i in range(n)]
     return [{"x": x, "y": y, "d": d, "score": score, "inserted_at": ins,
              "temporal": tm}
             for x, y, d, score, ins, tm in zip(
@@ -128,18 +127,16 @@ def _temporal_from_snapshot(doc: dict) -> FremenModel:
 
 
 def _block_from_snapshot(recs: list, width: int) -> FeatureBlock:
-    """A map block from snapshot rows. When only some rows have a temporal
-    model the others get empty ones, marked absent in ``has_temporal``."""
-    docs = [rec.get("temporal") for rec in recs]
-    temporal = has_temporal = None
-    if any(docs):
-        models = [_temporal_from_snapshot(d) if d else None for d in docs]
-        periods = next(m.periods for m in models if m is not None)
-        temporal = FremenModel.concat([FremenModel(periods) if m is None else m
-                                       for m in models])
-        has_temporal = np.array([m is not None for m in models])
-        if has_temporal.all():
-            has_temporal = None
+    """A map block from snapshot rows; ValueError when some rows have a
+    temporal model and others do not."""
+    has = [r.get("temporal") is not None for r in recs]
+    temporal = None
+    if any(has):
+        if not all(has):
+            raise ValueError("a feature set mixes rows with and without a "
+                             "temporal model")
+        temporal = FremenModel.concat([_temporal_from_snapshot(r["temporal"])
+                                       for r in recs])
     return FeatureBlock(
         np.array([_finite(r, "x") for r in recs], dtype=np.float64),
         np.array([_finite(r, "y") for r in recs], dtype=np.float64),
@@ -148,7 +145,7 @@ def _block_from_snapshot(recs: list, width: int) -> FeatureBlock:
                              dtype=np.int64),
         score=np.array([_number(r.get("score", 0.0), "score") for r in recs],
                        dtype=np.float64),
-        temporal=temporal, has_temporal=has_temporal)
+        temporal=temporal)
 
 
 def write_map_snapshot(path_map: PathMap, path) -> None:

@@ -81,7 +81,6 @@ class RegistrationParams:
 @dataclass
 class RegistrationResult:
     delta: float | None  # None when registration failed
-    histogram: list  # (bin center, count) for non-empty bins
     pairs: Pairs
     outcomes: np.ndarray  # int8 MatchOutcome per map feature
     correct_count: int
@@ -157,12 +156,12 @@ def register(map_features, view_features,
     p = params or RegistrationParams()
     pairs = match_features(map_features, view_features, p.d_max)
     try:
-        delta, histogram = histogram_vote(pairs.diff, p.bin_width, p.image_width,
-                                          p.min_votes)
+        delta, _ = histogram_vote(pairs.diff, p.bin_width, p.image_width,
+                                  p.min_votes)
     except NoConsensusError:
         outcomes = classify_outcomes(len(map_features), pairs, None)
-        return RegistrationResult(None, [], pairs, outcomes, 0)
+        return RegistrationResult(None, pairs, outcomes, 0)
     outcomes = classify_outcomes(len(map_features), pairs, delta,
                                  p.effective_tolerance())
     correct = int(np.count_nonzero(outcomes == MatchOutcome.MatchedCorrectly))
-    return RegistrationResult(delta, histogram, pairs, outcomes, correct)
+    return RegistrationResult(delta, pairs, outcomes, correct)

@@ -259,13 +259,16 @@ def teach_frames(world: World, t: float = 0.0) -> list:
 
 
 def teach_from_frames(frames, feature_cap: int = 500, spacing_m: float = 1.0,
-                      image_width: int = 640, descriptor_width: int = 256,
-                      taught_at: float = 0.0) -> PathMap:
-    """Build the taught path from one frame per location (location order).
+                      image_width: int = 640) -> PathMap:
+    """Build the taught path from one frame per location (location order),
+    taught at the first frame's time with its descriptor width; TeachError
+    when there are no frames or one has no features.
 
     When a frame holds more than feature_cap features, the most unique ones
     (largest Hamming distance to their nearest in-frame neighbour) are kept.
     """
+    if not frames:
+        raise TeachError("no teaching frames (traversal 0) to teach a path from")
     local_maps = []
     for i, frame in enumerate(frames):
         feats = frame.features
@@ -279,15 +282,15 @@ def teach_from_frames(frames, feature_cap: int = 500, spacing_m: float = 1.0,
             feats = feats.take(np.sort(order[:feature_cap]))
         local_maps.append(LocalMap(i, i * spacing_m, feats.as_map(0)))
     return PathMap(local_maps, image_width=image_width,
-                   descriptor_width=descriptor_width, taught_at=taught_at)
+                   descriptor_width=frames[0].features.width,
+                   taught_at=frames[0].time)
 
 
 def teach(world: World, t: float = 0.0, feature_cap: int = 500) -> PathMap:
     """Teach pass: one local map per location at spacing_m intervals."""
     cfg = world.config
     return teach_from_frames(teach_frames(world, t), feature_cap=feature_cap,
-                             spacing_m=cfg.spacing_m, image_width=cfg.image_width,
-                             descriptor_width=cfg.descriptor_width, taught_at=t)
+                             spacing_m=cfg.spacing_m, image_width=cfg.image_width)
 
 
 def uniform_offset_schedule(amplitude_m: float, seed: int = 0):
@@ -334,15 +337,9 @@ def _strategy_paths(strategies, teach_batch, path: PathMap | None = None,
     `path` when one is supplied, else of the path taught once from the teach
     frames. The copies share the feature rows and own their mutable state."""
     if path is None:
-        if not teach_batch:
-            raise TeachError("no traversal-0 frames and no path supplied")
-        if any(not len(f.features) for f in teach_batch):
-            raise TeachError("a teaching frame has no features")
-        frames = sorted(teach_batch, key=lambda f: f.location)
-        path = teach_from_frames(frames, feature_cap=feature_cap,
-                                 spacing_m=spacing_m, image_width=image_width,
-                                 descriptor_width=frames[0].features.width,
-                                 taught_at=frames[0].time)
+        path = teach_from_frames(sorted(teach_batch, key=lambda f: f.location),
+                                 feature_cap=feature_cap, spacing_m=spacing_m,
+                                 image_width=image_width)
     paths = [path.copy() for _ in strategies]
     for p, cfg in zip(paths, strategies):
         init_strategy_state(p, cfg)
@@ -432,14 +429,17 @@ def replay_frames(frames, strategies, path: PathMap | None = None,
     strategy's own PathMap: a deep copy of `path` when one is supplied, else
     one taught from the traversal-0 frames. Returns (paths, logs) with one
     PathMap and one list of TraversalLog per strategy. Frames must arrive in
-    non-decreasing traversal order and repeat frames must name a taught
-    location; DatasetError otherwise.
+    non-decreasing traversal order, repeat frames must name a taught
+    location and a supplied path must have the run's image_width;
+    DatasetError otherwise.
     """
     strategies = list(strategies)
     if not strategies:
         raise ConfigError("no strategies to replay")
-    params = params or RegistrationParams(
-        image_width=path.image_width if path is not None else image_width)
+    if path is not None and path.image_width != image_width:
+        raise DatasetError(f"the path was taught at image_width "
+                           f"{path.image_width}; this run uses {image_width}")
+    params = params or RegistrationParams(image_width=image_width)
     teach_batch = []
     paths = None
     logs = [[] for _ in strategies]

@@ -74,7 +74,8 @@ class StrategyConfig:
 def score_update(block: FeatureBlock, outcomes, cfg: StrategyConfig,
                  t: float) -> FeatureBlock:
     """Fold one match outcome per row into the block's strategy state (in
-    place)."""
+    place); under fremen the block holds the models init_strategy_state
+    gave it."""
     if cfg.kind not in ("score", "fremen"):
         return block
     outcomes = np.asarray(outcomes)
@@ -84,10 +85,7 @@ def score_update(block: FeatureBlock, outcomes, cfg: StrategyConfig,
     if cfg.kind == "score":
         block.score += v
     else:
-        if block.temporal is None:
-            block.temporal = FremenModel(cfg.fremen_periods, len(block))
         block.temporal.add_observation(v, t)
-        block.has_temporal = None  # every row now has a model
     return block
 
 
@@ -132,23 +130,29 @@ def rank_addition_candidates(unmatched_view: FeatureBlock,
 
 def correct_positions(features: FeatureBlock, delta: float,
                       image_width: int = 640) -> FeatureBlock:
-    """The rows shifted by -delta, x clipped into [0, W); the result owns
-    copies of the score and temporal state (see ``FeatureBlock.with_x``)."""
+    """The rows shifted by -delta, x clipped into [0, W), without strategy
+    state (see ``FeatureBlock.with_x``)."""
     hi = np.nextafter(float(image_width), 0.0)
     return features.with_x(np.clip(features.x - delta, 0.0, hi))
 
 
 def init_strategy_state(path_or_map, cfg: StrategyConfig) -> None:
-    """Attach fresh temporal models to taught features when fremen owns them;
-    rows marked without a model keep their empty one as a fresh model."""
-    if cfg.kind != "fremen":
-        return
-    maps = getattr(path_or_map, "local_maps", None) or [path_or_map]
-    for lm in maps:
-        if lm.features.temporal is None:
-            lm.features.temporal = FremenModel(cfg.fremen_periods,
-                                               len(lm.features))
-        lm.features.has_temporal = None
+    """Decide which rows carry a temporal model: under fremen every row of
+    each taught set, a supplied model kept and the other sets given fresh
+    ones; under every other kind, and in alternatives, none. ConfigError
+    when a supplied model's periods differ from cfg.fremen_periods."""
+    periods = tuple(float(p) for p in cfg.fremen_periods)
+    for lm in getattr(path_or_map, "local_maps", [path_or_map]):
+        for alt in lm.alternatives:
+            alt.features.temporal = None
+        feats = lm.features
+        if cfg.kind != "fremen":
+            feats.temporal = None
+        elif feats.temporal is None:
+            feats.temporal = FremenModel(periods, len(feats))
+        elif feats.temporal.periods != periods:
+            raise ConfigError(f"the map's fremen periods {feats.temporal.periods}"
+                              f" differ from fremen_periods {periods}")
 
 
 def _new_rows(view: FeatureBlock, delta: float, traversal: int,

@@ -299,7 +299,7 @@ def _synth_registration(map_size, view, success, rng):
             else:
                 outcomes[mi] = MatchOutcome.MatchedIncorrectly
     delta = float(rng.uniform(-50.0, 50.0)) if success else None
-    return RegistrationResult(delta, [], pairs, outcomes, correct)
+    return RegistrationResult(delta, pairs, outcomes, correct)
 
 
 def test_c8_map_size_laws(capsys):

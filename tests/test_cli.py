@@ -2,14 +2,19 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import longnav
 from longnav.cli import (DEFAULT_INTERVAL_S, RunConfig, load_run_config, main,
                          run_config_from_dict)
 from longnav.errors import ConfigError
+from longnav.io import read_map_snapshot, write_map_snapshot
+from longnav.strategies import STRATEGY_KINDS
 
 
 @pytest.fixture
@@ -327,6 +332,88 @@ def test_replay_rejects_non_finite_map(tmp_path, config_path, capsys):
     assert err.startswith("error:") and "x is nan" in err
 
 
+@pytest.fixture
+def fremen_run(tmp_path, config_path):
+    """generate's dataset and the map_final.json of a closed fremen run."""
+    run_cli("generate", "--config", config_path, "--out", tmp_path / "data")
+    run_cli("simulate", "--config", config_path, "--strategy", "fremen",
+            "--out", tmp_path / "sim")
+    return tmp_path / "data" / "dataset.jsonl", tmp_path / "sim" / "map_final.json"
+
+
+def _replay_error(capsys, tmp_path, *args):
+    capsys.readouterr()
+    assert run_cli("replay", "--out", tmp_path / "r", *args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    return err
+
+
+def test_replay_rejects_map_with_other_fremen_periods(tmp_path, config_path,
+                                                      fremen_run, capsys):
+    dataset, final = fremen_run
+    doc = json.loads(config_path.read_text())
+    doc["strategies"] = [{"kind": "fremen", "fremen_periods": [86400, 43200]}]
+    cfg = tmp_path / "periods.json"
+    cfg.write_text(json.dumps(doc))
+    err = _replay_error(capsys, tmp_path, "--config", cfg, "--dataset", dataset,
+                        "--map", final)
+    # both period sets: the config's, and the map's default diurnal ones
+    assert "(86400.0, 43200.0)" in err and "43200.0, 28800.0" in err
+
+
+def test_replay_rejects_map_mixing_temporal_rows(tmp_path, config_path,
+                                                 fremen_run, capsys):
+    dataset, final = fremen_run
+    doc = json.loads(final.read_text())
+    doc["local_maps"][1]["features"][0]["temporal"] = None
+    final.write_text(json.dumps(doc))
+    err = _replay_error(capsys, tmp_path, "--config", config_path,
+                        "--strategy", "fremen", "--dataset", dataset,
+                        "--map", final)
+    assert "mixes rows with and without a temporal model" in err
+
+
+def test_replay_rejects_map_of_other_image_width(tmp_path, config_path, capsys):
+    doc = json.loads(config_path.read_text())
+    doc["world"]["image_width"] = 800
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps(doc))
+    run_cli("generate", "--config", wide, "--out", tmp_path / "data")
+    err = _replay_error(capsys, tmp_path, "--strategy", "latest", "--dataset",
+                        tmp_path / "data" / "dataset.jsonl",
+                        "--map", tmp_path / "data" / "map.json")
+    assert "image_width 800; this run uses 640" in err
+
+
+def test_written_maps_have_models_on_every_row_or_none(tmp_path):
+    # fremen's taught sets carry a model on every row; nothing else carries any
+    world = {"n_locations": 3, "landmarks_per_location": 60, "seed": 4,
+             "turnover_prob": 0.05}
+    for kind in STRATEGY_KINDS:
+        cfg = tmp_path / f"{kind}.json"
+        cfg.write_text(json.dumps({
+            "world": world, "traversals": 4, "interval_s": 21600.0,
+            "strategies": [{"kind": kind, "m": 30, "multiple_threshold": 0.9}]}))
+        assert run_cli("simulate", "--config", cfg, "--out", tmp_path / kind) == 0
+    assert run_cli("generate", "--config", cfg, "--out", tmp_path / "gen") == 0
+    maps = [(k, tmp_path / k / "map_final.json") for k in STRATEGY_KINDS]
+    n_alternatives = 0
+    for kind, p in maps + [("generate", tmp_path / "gen" / "map.json")]:
+        doc = json.loads(p.read_text())
+        for lm in doc["local_maps"]:
+            n_alternatives += len(lm["alternatives"])
+            sets = [(True, lm["features"])] + [(False, a["features"])
+                                               for a in lm["alternatives"]]
+            for taught, rows in sets:
+                has = {r["temporal"] is not None for r in rows}
+                assert has == {kind == "fremen" and taught}, (kind, lm["index"])
+        again = tmp_path / "again.json"
+        write_map_snapshot(read_map_snapshot(p), again)
+        assert again.read_bytes() == p.read_bytes(), kind
+    assert n_alternatives > 0
+
+
 def test_error_exit_codes(tmp_path, config_path, capsys):
     assert run_cli("generate", "--config", config_path) == 1  # no --out
     assert "error:" in capsys.readouterr().err
@@ -348,7 +435,11 @@ def test_error_exit_codes(tmp_path, config_path, capsys):
 
 
 def test_console_entry_point():
+    # the child imports the same package as the tests, installed or not
+    src = str(Path(longnav.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run([sys.executable, "-m", "longnav.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "generate" in proc.stdout and "compare" in proc.stdout

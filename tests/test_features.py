@@ -137,20 +137,15 @@ def _rows(n, start, **state):
                                   score=np.zeros(n), **state)
 
 
-def test_concat_keeps_models_of_one_side():
+def test_concat_rejects_models_on_one_side():
     m = FremenModel(n=2).add_observation(np.array([0.5, -0.5]), 60.0)
     with_models, without = _rows(2, 0, temporal=m), _rows(3, 10)
-    for a, b, has in ((with_models, without, [True] * 2 + [False] * 3),
-                      (without, with_models, [False] * 3 + [True] * 2)):
-        out = concat(a, b)
-        assert out.temporal_rows().tolist() == has
-        kept = out.temporal.take(np.array(has))
-        assert kept.mu.tolist() == [0.5, -0.5] and kept.n_obs.tolist() == [1, 1]
-        assert out.temporal.take(~np.array(has)).n_obs.tolist() == [0] * 3
-        # the mask follows rows through take
-        assert out.take([4, 0]).temporal_rows().tolist() == [has[4], has[0]]
+    for a, b in ((with_models, without), (without, with_models)):
+        with pytest.raises(ValueError, match="rows without"):
+            concat(a, b)
     both = concat(with_models, _rows(1, 20, temporal=FremenModel(n=1)))
-    assert both.has_temporal is None and len(both.temporal.mu) == 3
+    assert both.temporal.mu.tolist() == [0.5, -0.5, 0.0]
+    assert both.temporal.n_obs.tolist() == [1, 1, 0]
     assert concat(without, _rows(1, 20)).temporal is None
 
 

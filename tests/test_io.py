@@ -121,28 +121,24 @@ def test_dataset_rejects_mixed_descriptor_widths(tmp_path):
 
 def _block(rows):
     """A map block from (x, y, descriptor, score, inserted_at, temporal)
-    rows; a row whose temporal is None has no model."""
+    rows; temporal is a model on every row or None on every row."""
     x, y, d, score, inserted_at, models = zip(*rows)
-    has = np.array([m is not None for m in models])
-    temporal = None
-    if has.any():
-        temporal = FremenModel.concat([FremenModel() if m is None else m
-                                       for m in models])
+    temporal = None if models[0] is None else FremenModel.concat(models)
     return block_from_descriptors(
         x, y, list(d), score=np.array(score),
-        inserted_at=np.array(inserted_at, dtype=np.int64), temporal=temporal,
-        has_temporal=None if has.all() else has)
+        inserted_at=np.array(inserted_at, dtype=np.int64), temporal=temporal)
 
 
 def _models(block):
-    """Each row's temporal model as a dict, None where the row has none."""
+    """Each row's temporal model as a dict, None where the block has none."""
     if block.temporal is None:
         return [None] * len(block)
-    return [block.temporal.take(i).to_dict() if has else None
-            for i, has in enumerate(block.temporal_rows().tolist())]
+    return [block.temporal.take(i).to_dict() for i in range(len(block))]
 
 
 def snapshot_path_map():
+    """A path whose first local map has a model on every row (as fremen
+    writes it) and whose second local map and alternative have none."""
     rng = np.random.default_rng(6)
     rows = []
     for i in range(5):
@@ -151,7 +147,7 @@ def snapshot_path_map():
         for k in range(i):
             m.add_observation(1.0 if k % 2 else -1.0, k * 3600.0)
         rows.append((float(rng.uniform(0, 640)), float(rng.uniform(0, 480)),
-                     d, float(i) - 2.5, i, m if i % 2 else None))
+                     d, float(i) - 2.5, i, m if i < 3 else None))
     alt = MapAlternative(_block([(1.0, 2.0, rows[0][2], 0.0, 3, None)]), 3)
     maps = [LocalMap(0, 0.0, _block(rows[:3]), [alt]),
             LocalMap(1, 1.5, _block(rows[3:]))]
@@ -166,7 +162,7 @@ def test_map_snapshot_round_trip(tmp_path):
 
     doc = json.loads(p.read_text())
     assert [[r["temporal"] is None for r in lm["features"]]
-            for lm in doc["local_maps"]] == [[True, False, True], [False, True]]
+            for lm in doc["local_maps"]] == [[False] * 3, [True] * 2]
     assert back.image_width == 800 and back.taught_at == 42.0
     assert len(back.local_maps) == 2
     for lm0, lm1 in zip(pm.local_maps, back.local_maps):
@@ -175,7 +171,7 @@ def test_map_snapshot_round_trip(tmp_path):
         for col in ("x", "y", "score", "inserted_at", "words"):
             assert np.array_equal(getattr(a, col), getattr(b, col)), col
         assert _models(b) == _models(a)
-        assert None in _models(b) and _models(b) != [None] * len(b)
+    assert back.local_maps[0].features.temporal.n_obs.tolist() == [0, 1, 2]
     alt0 = pm.local_maps[0].alternatives[0]
     alt1 = back.local_maps[0].alternatives[0]
     assert alt1.created_at == alt0.created_at
@@ -184,6 +180,21 @@ def test_map_snapshot_round_trip(tmp_path):
     p2 = tmp_path / "map2.json"
     write_map_snapshot(back, p2)
     assert p.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("local_map, pattern", [(0, [True, False, True]),
+                                                (1, [True, False])],
+                         ids=["models-on-some", "model-on-one"])
+def test_map_snapshot_rejects_mixed_temporal_rows(tmp_path, local_map, pattern):
+    p = tmp_path / "map.json"
+    write_map_snapshot(snapshot_path_map(), p)
+    doc = json.loads(p.read_text())
+    model = doc["local_maps"][0]["features"][1]["temporal"]
+    for rec, has in zip(doc["local_maps"][local_map]["features"], pattern):
+        rec["temporal"] = model if has else None
+    p.write_text(json.dumps(doc))
+    with pytest.raises(DatasetError, match="mixes rows with and without"):
+        read_map_snapshot(p)
 
 
 def test_map_snapshot_rejects_mixed_fremen_periods(tmp_path):

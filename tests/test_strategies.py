@@ -8,7 +8,7 @@ import pytest
 from longnav.errors import ConfigError
 from longnav.features import (Descriptor, LocalMap, MapAlternative,
                               hamming_distance)
-from longnav.fremen import FremenModel
+from longnav.fremen import DEFAULT_PERIODS, FremenModel
 from longnav.registration import (MatchOutcome, Pairs, RegistrationResult,
                                   register)
 from longnav.strategies import (StrategyConfig, correct_positions,
@@ -64,12 +64,12 @@ def synthetic_reg(outcomes, view_pairs, delta=0.0):
     v = np.array([p[1] for p in view_pairs], dtype=np.int64)
     pairs = Pairs(m, v, np.full(len(view_pairs), delta, dtype=np.float64),
                   np.zeros(len(view_pairs), dtype=np.int64))
-    return RegistrationResult(delta, [(delta, len(pairs))], pairs,
-                              np.array(outcomes, dtype=np.int8), outcomes.count(C))
+    return RegistrationResult(delta, pairs, np.array(outcomes, dtype=np.int8),
+                              outcomes.count(C))
 
 
 def failed_reg(n):
-    return RegistrationResult(None, [], synthetic_reg([], []).pairs,
+    return RegistrationResult(None, synthetic_reg([], []).pairs,
                               np.full(n, N, dtype=np.int8), 0)
 
 
@@ -102,9 +102,10 @@ def test_score_update_arithmetic():
 
 def test_score_update_feeds_temporal_model():
     cfg = StrategyConfig(kind="fremen")
-    f = block([feature(0, 0, Descriptor.from_int(0, 64))])
+    lm = LocalMap(0, 0.0, block([feature(0, 0, Descriptor.from_int(0, 64))]))
+    init_strategy_state(lm, cfg)
+    f = lm.features
     score_update(f, [C], cfg, 0.0)
-    assert isinstance(f.temporal, FremenModel)
     assert f.temporal.n_obs[0] == 1 and f.temporal.mu[0] == 1.0
     score_update(f, [I], cfg, 3600.0)
     assert f.temporal.mu[0] == pytest.approx(0.0)
@@ -182,23 +183,16 @@ def test_rank_addition_candidates_empty_cases():
 
 def test_correct_positions():
     d = Descriptor.from_int(7, 64)
-    m = FremenModel().add_observation(0.5, 3600.0)
-    # only the first feature has a temporal model
     feats = block([feature(100.0, 5.0, d, score=2.0, inserted_at=3),
                    feature(5.0, 0.0, d), feature(630.0, 0.0, d)],
-                  temporal=FremenModel.concat([m, FremenModel(), FremenModel()]),
-                  has_temporal=np.array([True, False, False]))
+                  temporal=FremenModel(n=3).add_observation(np.ones(3), 0.0))
     out = correct_positions(feats, 50.0, image_width=640)
     assert out.x[0] == pytest.approx(50.0)
     assert out.x[1] == 0.0  # clipped at the left edge
-    assert (out.y[0], out.score[0], out.inserted_at[0]) == (5.0, 2.0, 3)
-    assert out.temporal.take(0).to_dict() == m.to_dict() and out is not feats
-    assert out.temporal_rows().tolist() == [True, False, False]
-    # the result owns its state: updating it leaves the input alone
-    out.score += 1.0
-    out.temporal.add_observation(1.0, 0.0)
+    assert out.y.tolist() == [5.0, 0.0, 0.0] and out is not feats
+    # the result is rows for a fresh map: it carries no strategy state
+    assert (out.inserted_at, out.score, out.temporal) == (None, None, None)
     assert feats.score.tolist() == [2.0, 0.0, 0.0]
-    assert feats.temporal.take(0).to_dict() == m.to_dict()
 
     out = correct_positions(feats, -50.0, image_width=640)
     assert out.x[2] < 640.0 and out.x[2] == pytest.approx(640.0)
@@ -294,31 +288,54 @@ def test_score_exchange_picks_lowest_scores():
     assert (lm.features.inserted_at == 5).sum() == 25
 
 
-def test_score_exchange_keeps_other_rows_temporal_models():
-    # a map read from a fremen snapshot, then managed by score
-    rng = np.random.default_rng(13)
+def _snapshot_map(rng, periods=DEFAULT_PERIODS):
+    """A local map as read from a fremen snapshot: one observed model on every
+    taught row, and an alternative whose rows carry models too."""
     lm = make_map(rng, 40)
-    models = FremenModel(n=40).add_observation(np.linspace(-1, 1, 40), 60.0)
-    lm.features.temporal = models.copy()
+    lm.features.temporal = FremenModel(periods, 40).add_observation(
+        np.linspace(-1, 1, 40), 60.0)
+    alt = make_map(rng, 5).features
+    alt.temporal = FremenModel(n=5)
+    lm.alternatives.append(MapAlternative(alt, 1))
+    return lm
+
+
+def test_init_strategy_state_keeps_supplied_models_for_fremen():
+    rng = np.random.default_rng(14)
+    lm = _snapshot_map(rng)
+    models = lm.features.temporal.copy()
+    fresh = make_map(rng, 3)
+    cfg = StrategyConfig(kind="fremen")
+    for m in (lm, fresh):
+        init_strategy_state(m, cfg)
+    assert lm.features.temporal.mu.tolist() == models.mu.tolist()
+    assert lm.features.temporal.n_obs.tolist() == [1] * 40
+    assert lm.alternatives[0].features.temporal is None
+    assert fresh.features.temporal.n_obs.tolist() == [0] * 3
+    assert fresh.features.temporal.periods == cfg.fremen_periods
+    # the exchange concatenates kept rows and new ones, both with models
+    update_map(lm, rand_view(rng, 10), synthetic_reg([C] * 40, []), cfg, 0.0, 5)
+    assert len(lm.features.temporal.mu) == len(lm.features) == 40
+
+
+def test_init_strategy_state_drops_models_for_score():
+    rng = np.random.default_rng(13)
+    lm = _snapshot_map(rng)
+    init_strategy_state(lm, StrategyConfig(kind="score"))
+    assert lm.features.temporal is None
+    assert lm.alternatives[0].features.temporal is None
     update_map(lm, rand_view(rng, 10), synthetic_reg([C] * 40, []),
                StrategyConfig(kind="score"), 0.0, 5)
-    new = lm.features.inserted_at == 5
-    assert new.sum() == 2  # ceil(0.05 * 40)
-    assert lm.features.temporal_rows().tolist() == (~new).tolist()
-    assert set(lm.features.temporal.mu[~new].tolist()) \
-        <= set(models.mu.tolist())
+    assert (lm.features.inserted_at == 5).sum() == 2  # ceil(0.05 * 40)
+    assert lm.features.temporal is None
 
 
-def test_fremen_gives_rows_without_models_fresh_ones():
-    rng = np.random.default_rng(14)
-    lm = make_map(rng, 3)
-    lm.features.temporal = FremenModel.concat(
-        [FremenModel().add_observation(0.5, 60.0), FremenModel(), FremenModel()])
-    lm.features.has_temporal = np.array([True, False, False])
-    init_strategy_state(lm, StrategyConfig(kind="fremen"))
-    assert lm.features.has_temporal is None
-    assert lm.features.temporal.n_obs.tolist() == [1, 0, 0]
-    assert lm.features.temporal.mu.tolist() == [0.5, 0.0, 0.0]
+def test_init_strategy_state_rejects_other_fremen_periods():
+    lm = _snapshot_map(np.random.default_rng(15), periods=(86400.0, 3600.0))
+    with pytest.raises(ConfigError, match=r"\(86400.0, 3600.0\) differ from "
+                       r"fremen_periods \(86400.0, 43200.0\)"):
+        init_strategy_state(lm, StrategyConfig(kind="fremen",
+                                               fremen_periods=(86400, 43200)))
 
 
 def test_fremen_updates_every_feature_and_exchanges():
