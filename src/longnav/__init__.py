@@ -7,8 +7,7 @@ map-update strategies, a synthetic changing world to exercise them, and an
 evaluation harness with paired significance tests.
 """
 
-from .errors import (ConfigError, DatasetError, LongNavError, NoConsensusError,
-                     TeachError)
+from .errors import ConfigError, DatasetError, LongNavError, TeachError
 from .features import (Descriptor, FeatureBlock, LocalMap, MapAlternative,
                        PathMap, hamming_distance)
 from .fremen import DEFAULT_PERIODS, FremenModel, predict_many
@@ -30,8 +29,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "LongNavError", "ConfigError", "NoConsensusError", "TeachError",
-    "DatasetError",
+    "LongNavError", "ConfigError", "TeachError", "DatasetError",
     "Descriptor", "FeatureBlock", "LocalMap", "MapAlternative", "PathMap",
     "hamming_distance",
     "MatchOutcome", "Pairs", "RegistrationParams", "RegistrationResult",

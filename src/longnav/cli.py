@@ -68,6 +68,10 @@ class RunConfig:
              or in_range(self.failure_penalty, 0.0), "finite and >= 0"),
             ("offset_amplitude_m", in_range(self.offset_amplitude_m, 0.0),
              "finite and >= 0")])
+        if self.registration.image_width != self.world.image_width:
+            raise ConfigError(f"registration.image_width "
+                              f"{self.registration.image_width} differs from "
+                              f"world.image_width {self.world.image_width}")
 
 
 def run_config_from_dict(doc: dict) -> RunConfig:
@@ -86,7 +90,6 @@ def run_config_from_dict(doc: dict) -> RunConfig:
             if isinstance(entry, str):
                 entry = {"kind": entry}
             entry = dict(entry)
-            entry.setdefault("image_width", world.image_width)
             if isinstance(entry.get("fremen_periods"), list):
                 entry["fremen_periods"] = tuple(entry["fremen_periods"])
             strategies.append(StrategyConfig(**entry))
@@ -141,7 +144,7 @@ def _out_dir(args) -> Path:
 def _strategy_for(args, cfg: RunConfig) -> StrategyConfig:
     name = getattr(args, "strategy", None)
     if name:
-        return StrategyConfig(kind=name, image_width=cfg.world.image_width)
+        return StrategyConfig(kind=name)
     if len(cfg.strategies) == 1:
         return cfg.strategies[0]
     raise ConfigError("--strategy <kind> is required (config lists several)")
@@ -187,7 +190,6 @@ def _cmd_replay(args) -> int:
     pairs = read_dataset(args.dataset)
     _, (logs,) = replay_frames(pairs, [strategy], path=snapshot,
                                feature_cap=cfg.feature_cap,
-                               image_width=cfg.world.image_width,
                                params=cfg.registration)
     log_path = out / f"logs_{strategy.kind}.jsonl"
     write_logs(logs, log_path)

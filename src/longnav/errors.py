@@ -13,10 +13,6 @@ class ConfigError(LongNavError, ValueError):
     """Invalid world, strategy, or run configuration."""
 
 
-class NoConsensusError(LongNavError):
-    """Histogram voting could not produce a shift estimate."""
-
-
 class TeachError(LongNavError):
     """Teaching failed (e.g. a location yielded no features)."""
 

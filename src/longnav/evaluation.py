@@ -197,7 +197,7 @@ def compare_strategies(source, strategies, schedule=None, *, mode: str = "open",
                        initial_offset_m: float = 0.0) -> ComparisonReport:
     """Run every strategy over the same evidence and assemble the report.
 
-    source: a World/WorldConfig (frames are generated), a dataset path, or an
+    source: a WorldConfig (frames are generated), a dataset path, or an
     in-memory iterable of (traversal, frame) pairs. mode "open" reads that
     frame stream once and feeds every frame to every strategy; each label's
     stream hash is the stream's one sha256. mode "closed" runs every strategy
@@ -209,12 +209,7 @@ def compare_strategies(source, strategies, schedule=None, *, mode: str = "open",
         raise ConfigError(f"mode must be open|closed, got {mode!r}")
     labels = unique_labels([cfg.kind for cfg in strategies])
 
-    world_cfg = None
-    if isinstance(source, World):
-        world_cfg = source.config
-    elif isinstance(source, WorldConfig):
-        world_cfg = source
-
+    world_cfg = source if isinstance(source, WorldConfig) else None
     image_width = world_cfg.image_width if world_cfg else 640
     if failure_penalty is None:
         failure_penalty = image_width / 2.0
@@ -243,8 +238,7 @@ def compare_strategies(source, strategies, schedule=None, *, mode: str = "open",
             pairs = source
         h = hashlib.sha256()
         _, results = replay_frames(_hashed(pairs, h), strategies,
-                                   feature_cap=feature_cap,
-                                   image_width=image_width, params=reg_params)
+                                   feature_cap=feature_cap, params=reg_params)
         stream_hashes = dict.fromkeys(labels, h.hexdigest())
 
     sequences = [registration_errors(logs, failure_penalty, lab)

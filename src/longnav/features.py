@@ -267,11 +267,6 @@ class PathMap:
         dists = [m.odometry_distance for m in self.local_maps]
         if any(b <= a for a, b in zip(dists, dists[1:])):
             raise ConfigError("local map odometry distances must be strictly increasing")
-        self._distances = dists
-
-    @property
-    def length_m(self) -> float:
-        return self._distances[-1] if self._distances else 0.0
 
     def copy(self) -> "PathMap":
         """A path one strategy can update without touching this one."""

@@ -127,8 +127,10 @@ def _temporal_from_snapshot(doc: dict) -> FremenModel:
 
 
 def _block_from_snapshot(recs: list, width: int) -> FeatureBlock:
-    """A map block from snapshot rows; ValueError when some rows have a
-    temporal model and others do not."""
+    """A map block from snapshot rows; ValueError when a row is not an
+    object, or when some rows have a temporal model and others do not."""
+    if not all(isinstance(r, dict) for r in recs):
+        raise ValueError("a feature record is not an object")
     has = [r.get("temporal") is not None for r in recs]
     temporal = None
     if any(has):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, NoConsensusError
+from .errors import check_settings, in_range, is_int
 from .features import pack_features
 
 
@@ -60,19 +60,16 @@ class RegistrationParams:
     tolerance: float | None = None
 
     def __post_init__(self):
-        if not self.d_max >= 0:
-            raise ConfigError(f"d_max must be >= 0, got {self.d_max}")
-        if not (math.isfinite(self.bin_width) and self.bin_width > 0):
-            raise ConfigError("bin_width must be finite and > 0, "
-                              f"got {self.bin_width}")
-        if self.image_width < 1:
-            raise ConfigError(f"image_width must be >= 1, got {self.image_width}")
-        if self.min_votes < 1:
-            raise ConfigError(f"min_votes must be >= 1, got {self.min_votes}")
         t = self.tolerance
-        if t is not None and not (math.isfinite(t) and t >= 0):
-            raise ConfigError("tolerance must be None or finite and >= 0, "
-                              f"got {t}")
+        check_settings(self, [
+            ("d_max", is_int(self.d_max, 0), "a non-negative integer"),
+            ("bin_width", in_range(self.bin_width, 0.0) and self.bin_width > 0,
+             "finite and > 0"),
+            *((name, is_int(getattr(self, name), 1), "a positive integer")
+              for name in ("image_width", "min_votes")),
+            ("tolerance", t is None or in_range(t, 0.0),
+             "null or finite and >= 0"),
+        ])
 
     def effective_tolerance(self) -> float:
         return self.bin_width if self.tolerance is None else self.tolerance
@@ -84,10 +81,6 @@ class RegistrationResult:
     pairs: Pairs
     outcomes: np.ndarray  # int8 MatchOutcome per map feature
     correct_count: int
-
-    @property
-    def failed(self) -> bool:
-        return self.delta is None
 
 
 def match_features(map_features, view_features, d_max: int = 64) -> Pairs:
@@ -104,19 +97,19 @@ def match_features(map_features, view_features, d_max: int = 64) -> Pairs:
 
 
 def histogram_vote(diff, bin_width: float = 10.0, image_width: int = 640,
-                   min_votes: int = 1):
+                   min_votes: int = 1) -> float | None:
     """Estimate the shift delta from the matched pairs' differences.
 
     Differences are binned over [-W, W]; the winning bin is the most populated
     one (ties prefer the center closer to zero) and delta is the mean of the
-    differences inside it. Raises NoConsensusError when there are no pairs or
-    the winning bin holds fewer than min_votes entries.
+    differences inside it. None when there are no pairs or the winning bin
+    holds fewer than min_votes entries.
     """
     if bin_width <= 0:
         raise ValueError("bin_width must be positive")
     diffs = np.asarray(diff, dtype=np.float64)
     if not diffs.size:
-        raise NoConsensusError("no matched pairs to vote with")
+        return None
     w = float(image_width)
     n_bins = max(1, math.ceil(2.0 * w / bin_width))
     idx = np.floor((diffs + w) / bin_width).astype(np.int64)
@@ -124,17 +117,13 @@ def histogram_vote(diff, bin_width: float = 10.0, image_width: int = 640,
     counts = np.bincount(idx, minlength=n_bins)
     top = counts.max()
     if top < min_votes:
-        raise NoConsensusError(f"winning bin has {int(top)} votes, need {min_votes}")
+        return None
     candidates = np.flatnonzero(counts == top)
     centers = -w + (candidates + 0.5) * bin_width
     _, _, pick = min(zip(np.abs(centers).tolist(), centers.tolist(),
                          range(len(candidates))))
     inside = diffs[idx == candidates[pick]]
-    delta = float(np.add.reduce(inside) / inside.size)  # the mean, as np.mean
-    nonempty = np.flatnonzero(counts)
-    histogram = list(zip((-w + (nonempty + 0.5) * bin_width).tolist(),
-                         counts[nonempty].tolist()))
-    return delta, histogram
+    return float(np.add.reduce(inside) / inside.size)  # the mean, as np.mean
 
 
 def classify_outcomes(map_size: int, pairs: Pairs, delta: float | None,
@@ -155,12 +144,7 @@ def register(map_features, view_features,
     """Full registration pass; failure is reported as delta None, never raised."""
     p = params or RegistrationParams()
     pairs = match_features(map_features, view_features, p.d_max)
-    try:
-        delta, _ = histogram_vote(pairs.diff, p.bin_width, p.image_width,
-                                  p.min_votes)
-    except NoConsensusError:
-        outcomes = classify_outcomes(len(map_features), pairs, None)
-        return RegistrationResult(None, pairs, outcomes, 0)
+    delta = histogram_vote(pairs.diff, p.bin_width, p.image_width, p.min_votes)
     outcomes = classify_outcomes(len(map_features), pairs, delta,
                                  p.effective_tolerance())
     correct = int(np.count_nonzero(outcomes == MatchOutcome.MatchedCorrectly))

@@ -309,16 +309,17 @@ def process_frame(local_map: LocalMap, frame: Frame, cfg: StrategyConfig,
     (LocationRecord, RegistrationResult)."""
     t = frame.time
     if cfg.kind == "multiple":
-        best_i, reg = select_best_alternative(local_map, frame.features, cfg, params)
+        best_i, reg = select_best_alternative(local_map, frame.features, cfg,
+                                              t, params)
         idx = None
     else:
         best_i = 0
-        idx = select_active_indices(local_map, cfg, t)
         feats = local_map.features
+        idx = select_active_indices(feats, cfg, t)
         active = feats if len(idx) == len(feats) else feats.take(idx)
         reg = register(active, frame.features, params)
     update_map(local_map, frame.features, reg, cfg, t, traversal,
-               active_indices=idx)
+               active_indices=idx, image_width=params.image_width)
     n_inc = int(np.count_nonzero(reg.outcomes == MatchOutcome.MatchedIncorrectly))
     rec = LocationRecord(
         location=frame.location, delta=reg.delta, gamma=frame.gamma,
@@ -420,7 +421,7 @@ def generate_frames(world: World, traversals: int, interval_s: float,
 
 
 def replay_frames(frames, strategies, path: PathMap | None = None,
-                  feature_cap: int = 500, image_width: int = 640,
+                  feature_cap: int = 500,
                   params: RegistrationParams | None = None):
     """Open-loop lockstep replay of one (traversal, Frame) stream through a
     sequence of StrategyConfigs, reading the stream once.
@@ -430,16 +431,17 @@ def replay_frames(frames, strategies, path: PathMap | None = None,
     one taught from the traversal-0 frames. Returns (paths, logs) with one
     PathMap and one list of TraversalLog per strategy. Frames must arrive in
     non-decreasing traversal order, repeat frames must name a taught
-    location and a supplied path must have the run's image_width;
-    DatasetError otherwise.
+    location and a supplied path must have params.image_width; DatasetError
+    otherwise.
     """
     strategies = list(strategies)
     if not strategies:
         raise ConfigError("no strategies to replay")
+    params = params or RegistrationParams()
+    image_width = params.image_width
     if path is not None and path.image_width != image_width:
         raise DatasetError(f"the path was taught at image_width "
                            f"{path.image_width}; this run uses {image_width}")
-    params = params or RegistrationParams(image_width=image_width)
     teach_batch = []
     paths = None
     logs = [[] for _ in strategies]

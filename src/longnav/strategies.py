@@ -45,7 +45,6 @@ class StrategyConfig:
     multiple_max_alternatives: int = 8
     fremen_order: int = 2
     fremen_periods: tuple = DEFAULT_PERIODS
-    image_width: int = 640
 
     def __post_init__(self):
         self.kind = str(self.kind).lower()
@@ -61,7 +60,7 @@ class StrategyConfig:
             *((name, in_range(getattr(self, name), 0.0, 1.0), "in [0, 1]")
               for name in ("summary_add_fraction", "multiple_threshold")),
             *((name, is_int(getattr(self, name), 1), "a positive integer")
-              for name in ("m", "multiple_max_alternatives", "image_width")),
+              for name in ("m", "multiple_max_alternatives")),
             ("fremen_order", is_int(self.fremen_order, 0),
              "a non-negative integer"),
             ("fremen_periods", isinstance(periods, (tuple, list))
@@ -96,15 +95,14 @@ def _ranked(key_order, n: int, m: int) -> np.ndarray:
     return np.sort(order[:m])
 
 
-def select_active_indices(local_map: LocalMap, cfg: StrategyConfig,
+def select_active_indices(feats: FeatureBlock, cfg: StrategyConfig,
                           t: float) -> np.ndarray:
-    """Indices of the features used for localisation, in map order.
+    """Indices of the rows used for localisation, in row order.
 
     Fremen ranks by predicted score at t, score by accumulated score, every
-    other strategy keeps all features; the top m survive the cap, ties going
+    other strategy keeps all rows; the top m survive the cap, ties going
     to the newest inserted_at and then to row order.
     """
-    feats = local_map.features
     n = len(feats)
     if n <= cfg.m:
         return np.arange(n)
@@ -156,32 +154,35 @@ def init_strategy_state(path_or_map, cfg: StrategyConfig) -> None:
 
 
 def _new_rows(view: FeatureBlock, delta: float, traversal: int,
-              cfg: StrategyConfig) -> FeatureBlock:
-    rows = correct_positions(view, delta, cfg.image_width)
+              cfg: StrategyConfig, image_width: int) -> FeatureBlock:
+    rows = correct_positions(view, delta, image_width)
     temporal = (FremenModel(cfg.fremen_periods, len(rows))
                 if cfg.kind == "fremen" else None)
     return rows.as_map(traversal, temporal)
 
 
-def _insert_candidates(view, reg, local_map, count, traversal, cfg):
+def _insert_candidates(view, reg, local_map, count, traversal, cfg,
+                       image_width):
     # candidates are ranked against the map as it stands before any removal
     if count <= 0 or reg.delta is None:
         return None
     unmatched = np.ones(len(view), dtype=bool)
     unmatched[reg.pairs.view_idx] = False
     ranked = rank_addition_candidates(view.take(unmatched), local_map)
-    return _new_rows(ranked.take(slice(count)), reg.delta, traversal, cfg)
+    return _new_rows(ranked.take(slice(count)), reg.delta, traversal, cfg,
+                     image_width)
 
 
 def update_map(local_map: LocalMap, view: FeatureBlock, reg,
                cfg: StrategyConfig, t: float, traversal: int,
-               active_indices=None) -> LocalMap:
+               active_indices=None, image_width: int = 640) -> LocalMap:
     """Apply one traversal's registration result to the local map (in place).
 
     reg must have been computed against the features select_active_indices
     picks from this map at time t (for multiple: against the best
-    alternative). On a failed registration only score/temporal bookkeeping
-    runs; nothing is ever inserted or removed.
+    alternative). New rows are clipped into the registration's image_width.
+    On a failed registration only score/temporal bookkeeping runs; nothing is
+    ever inserted or removed.
     """
     kind = cfg.kind
     if kind == "static":
@@ -190,7 +191,8 @@ def update_map(local_map: LocalMap, view: FeatureBlock, reg,
 
     if kind == "latest":
         if not failed:
-            local_map.features = _new_rows(view, reg.delta, traversal, cfg)
+            local_map.features = _new_rows(view, reg.delta, traversal, cfg,
+                                           image_width)
         return local_map
 
     if kind == "multiple":
@@ -203,14 +205,14 @@ def update_map(local_map: LocalMap, view: FeatureBlock, reg,
                 warnings.warn("alternative cap reached; new alternative dropped",
                               stacklevel=2)
             else:
-                alt = _new_rows(view, reg.delta, traversal, cfg)
+                alt = _new_rows(view, reg.delta, traversal, cfg, image_width)
                 local_map.alternatives.append(MapAlternative(alt, traversal))
         return local_map
 
     feats = local_map.features
     n = len(feats)
     if active_indices is None:
-        active_indices = select_active_indices(local_map, cfg, t)
+        active_indices = select_active_indices(feats, cfg, t)
 
     # one outcome per map feature; features outside the active set count as
     # not matched for bookkeeping and outcome-based pruning
@@ -239,30 +241,27 @@ def update_map(local_map: LocalMap, view: FeatureBlock, reg,
         remove = np.zeros(n, dtype=bool)
         remove[_ranked((feats.inserted_at, key), n, n_insert)] = True
 
-    inserted = _insert_candidates(view, reg, local_map, n_insert, traversal, cfg)
+    inserted = _insert_candidates(view, reg, local_map, n_insert, traversal,
+                                  cfg, image_width)
     kept = feats.take(~remove) if remove.any() else feats
     local_map.features = concat(kept, inserted)
     return local_map
 
 
-def _cap_newest(features: FeatureBlock, m: int) -> FeatureBlock:
-    n = len(features)
-    if n <= m:
-        return features
-    return features.take(_ranked((-features.inserted_at,), n, m))
-
-
 def select_best_alternative(local_map: LocalMap, view, cfg: StrategyConfig,
-                            params: RegistrationParams | None = None):
-    """Register the view against every alternative (taught set first) and
-    return (index, RegistrationResult) of the one with most correct matches;
-    ties keep the oldest alternative. Index 0 is the taught map."""
+                            t: float, params: RegistrationParams | None = None):
+    """Register the view against the rows select_active_indices picks from
+    every alternative (taught set first) and return (index,
+    RegistrationResult) of the one with most correct matches; ties keep the
+    oldest alternative. Index 0 is the taught map."""
     alts = [local_map.features] + [a.features for a in local_map.alternatives]
     best_i = 0
     best_reg = None
     best_key = (-1, -1)
     for i, feats in enumerate(alts):
-        reg = register(_cap_newest(feats, cfg.m), view, params)
+        idx = select_active_indices(feats, cfg, t)
+        active = feats if len(idx) == len(feats) else feats.take(idx)
+        reg = register(active, view, params)
         key = (0 if reg.delta is None else 1, reg.correct_count)
         if best_reg is None or key > best_key:
             best_i, best_reg, best_key = i, reg, key

@@ -316,7 +316,7 @@ def test_c8_map_size_laws(capsys):
             success = rng.random() < 0.85
             # outcomes align with the active subset, exactly as a real
             # registration pass would produce them
-            active = select_active_indices(lm, cfg, t)
+            active = select_active_indices(lm.features, cfg, t)
             reg = _synth_registration(len(active), view, success, rng)
             before = len(lm.features)
             n_incorrect = int(np.count_nonzero(

@@ -41,7 +41,7 @@ def test_run_config_from_dict():
     assert cfg.world.visibility_mean == (0.6, 0.8)
     assert [s.kind for s in cfg.strategies] == ["fremen", "score"]
     assert cfg.strategies[1].m == 100
-    assert cfg.strategies[0].image_width == cfg.world.image_width
+    assert cfg.registration.image_width == cfg.world.image_width
     assert cfg.mode == "closed"
     assert cfg.interval_s == DEFAULT_INTERVAL_S
 
@@ -199,11 +199,18 @@ def test_compare_rejects_bad_run_config(tmp_path, config_path, capsys, args,
     ("strategy", "fremen_order", -1),
     ("strategy", "multiple_max_alternatives", 0),
     ("strategy", "summary_add_fraction", -1),
+    ("strategy", "image_width", 300),
+    ("registration", "image_width", 645),
+    ("registration", "min_votes", 2.5),
+    ("registration", "d_max", 40.5),
+    ("registration", "min_votes", True),
 ], ids=["px-per-m-nan", "day-period-nan", "visibility-mean-inverted",
         "n-locations-fraction", "landmarks-fraction", "odometry-noise-nan",
         "position-jitter-nan", "traversals-fraction", "fremen-periods-empty",
         "fremen-order-negative", "max-alternatives-0",
-        "summary-fraction-negative"])
+        "summary-fraction-negative", "strategy-image-width",
+        "registration-image-width-other", "min-votes-fraction",
+        "d-max-fraction", "min-votes-bool"])
 def test_compare_rejects_unusable_settings(tmp_path, config_path, capsys,
                                            section, key, value):
     # each of these once ran to exit 0 on a meaningless world, truncated
@@ -213,6 +220,8 @@ def test_compare_rejects_unusable_settings(tmp_path, config_path, capsys,
         doc["world"][key] = value
     elif section == "strategy":
         doc["strategies"] = [{"kind": "score", key: value}]
+    elif section == "registration":
+        doc["registration"] = {key: value}
     else:
         doc[key] = value
     bad = tmp_path / "bad_settings.json"
@@ -330,6 +339,20 @@ def test_replay_rejects_non_finite_map(tmp_path, config_path, capsys):
                    "--map", bad) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "x is nan" in err
+
+
+def test_replay_rejects_map_feature_record_not_object(tmp_path, config_path,
+                                                      capsys):
+    data = tmp_path / "data"
+    run_cli("generate", "--config", config_path, "--out", data)
+    doc = json.loads((data / "map.json").read_text())
+    doc["local_maps"][0]["features"][0] = 5
+    bad = tmp_path / "bad_map.json"
+    bad.write_text(json.dumps(doc))
+    err = _replay_error(capsys, tmp_path, "--config", config_path,
+                        "--strategy", "score", "--dataset",
+                        data / "dataset.jsonl", "--map", bad)
+    assert "a feature record is not an object" in err
 
 
 @pytest.fixture

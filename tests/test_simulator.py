@@ -123,7 +123,6 @@ def test_teach_builds_capped_path():
         assert lm.index == i and lm.odometry_distance == 2.0 * i
         assert len(lm.features) == 50
         assert (lm.features.inserted_at == 0).all()
-    assert path.length_m == pytest.approx(4.0)
 
 
 def test_teach_cap_drops_least_unique_first():

@@ -121,7 +121,7 @@ def test_score_update_noop_for_outcome_blind_kinds():
 def test_select_active_no_cap():
     rng = np.random.default_rng(0)
     lm = make_map(rng, 5)
-    assert select_active_indices(lm, StrategyConfig(kind="score", m=500),
+    assert select_active_indices(lm.features, StrategyConfig(kind="score", m=500),
                                  0.0).tolist() == [0, 1, 2, 3, 4]
 
 
@@ -130,7 +130,7 @@ def test_select_active_score_cap():
     lm = make_map(rng, 4)
     lm.features.score[:] = [5.0, 1.0, 9.0, 3.0]
     cfg = StrategyConfig(kind="score", m=2)
-    assert select_active_indices(lm, cfg, 0.0).tolist() == [0, 2]
+    assert select_active_indices(lm.features, cfg, 0.0).tolist() == [0, 2]
 
 
 def test_select_active_ties_prefer_newest_then_first():
@@ -138,9 +138,9 @@ def test_select_active_ties_prefer_newest_then_first():
     lm = make_map(rng, 4)
     lm.features.inserted_at[:] = range(4)
     cfg = StrategyConfig(kind="score", m=2)
-    assert select_active_indices(lm, cfg, 0.0).tolist() == [2, 3]
+    assert select_active_indices(lm.features, cfg, 0.0).tolist() == [2, 3]
     lm.features.inserted_at[:] = 0
-    assert select_active_indices(lm, cfg, 0.0).tolist() == [0, 1]
+    assert select_active_indices(lm.features, cfg, 0.0).tolist() == [0, 1]
 
 
 def test_select_active_fremen_uses_prediction():
@@ -153,8 +153,8 @@ def test_select_active_fremen_uses_prediction():
         model.add_observation(np.where(seen_by_day, 1.0, -1.0), d * 86400 + day)
         model.add_observation(np.where(seen_by_day, -1.0, 1.0), d * 86400 + night)
     cfg = StrategyConfig(kind="fremen", m=2)
-    assert select_active_indices(lm, cfg, 20 * 86400 + day).tolist() == [0, 2]
-    assert select_active_indices(lm, cfg, 20 * 86400 + night).tolist() == [1, 3]
+    assert select_active_indices(lm.features, cfg, 20 * 86400 + day).tolist() == [0, 2]
+    assert select_active_indices(lm.features, cfg, 20 * 86400 + night).tolist() == [1, 3]
 
 
 def test_rank_addition_candidates_oracle():
@@ -343,7 +343,7 @@ def test_fremen_updates_every_feature_and_exchanges():
     lm = make_map(rng, 40)
     cfg = StrategyConfig(kind="fremen", m=20)
     init_strategy_state(lm, cfg)
-    active = select_active_indices(lm, cfg, 0.0)
+    active = select_active_indices(lm.features, cfg, 0.0)
     outcomes = [C if i % 4 else I for i in range(20)]
     view = rand_view(rng, 10)
     reg = synthetic_reg(outcomes, [])
@@ -431,18 +431,18 @@ def test_select_best_alternative():
     cfg = StrategyConfig(kind="multiple")
 
     view = block([feature(f["x"] + 2.0, f["y"], f["d"]) for f in other])
-    idx, reg = select_best_alternative(lm, view, cfg)
+    idx, reg = select_best_alternative(lm, view, cfg, 0.0)
     assert idx == 1 and reg.correct_count == 10
     assert reg.delta == pytest.approx(2.0)
 
     view = block([feature(f["x"], f["y"], f["d"]) for f in taught])
-    idx, reg = select_best_alternative(lm, view, cfg)
+    idx, reg = select_best_alternative(lm, view, cfg, 0.0)
     assert idx == 0 and reg.correct_count == 10
 
     # identical alternatives tie; the taught set (oldest) wins
     lm2 = LocalMap(0, 0.0, block(taught),
                    alternatives=[MapAlternative(block(taught), 1)])
-    idx, _ = select_best_alternative(lm2, view, cfg)
+    idx, _ = select_best_alternative(lm2, view, cfg, 0.0)
     assert idx == 0
 
 
@@ -454,5 +454,20 @@ def test_select_best_alternative_registers_against_cap():
     cfg = StrategyConfig(kind="multiple", m=6)
     # view matches only the features outside the newest-m cap: must not count
     view = block([feature(f["x"], f["y"], f["d"]) for f in old])
-    idx, reg = select_best_alternative(lm, view, cfg)
+    idx, reg = select_best_alternative(lm, view, cfg, 0.0)
     assert idx == 0 and reg.correct_count == 0
+
+
+def test_select_best_alternative_caps_each_alternative():
+    rng = np.random.default_rng(20)
+    taught = [rand_feature(rng) for _ in range(4)]
+    # old and new rows interleaved, so the newest m are not the first m
+    rows = [rand_feature(rng, inserted_at=1 + i % 2) for i in range(12)]
+    lm = LocalMap(0, 0.0, block(taught),
+                  alternatives=[MapAlternative(block(rows), 1)])
+    cfg = StrategyConfig(kind="multiple", m=6)
+    view = block([feature(f["x"] + 2.0, f["y"], f["d"]) for f in rows])
+    idx, reg = select_best_alternative(lm, view, cfg, 0.0)
+    assert idx == 1 and len(reg.outcomes) == 6 and reg.correct_count == 6
+    # the matched view rows are exactly the alternative's newest rows
+    assert sorted(reg.pairs.view_idx.tolist()) == list(range(1, 12, 2))
