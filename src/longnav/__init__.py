@@ -17,7 +17,7 @@ from .registration import (MatchOutcome, Pairs, RegistrationParams,
 from .strategies import (STRATEGY_KINDS, StrategyConfig, correct_positions,
                          rank_addition_candidates, score_update,
                          select_best_alternative, update_map)
-from .simulator import (Frame, TraversalLog, World, WorldConfig,
+from .simulator import (Frame, LocationRecord, World, WorldConfig,
                         generate_frames, generate_world, replay_frames,
                         run_closed_loop, teach, teach_from_frames, traverse,
                         uniform_offset_schedule)
@@ -38,7 +38,7 @@ __all__ = [
     "STRATEGY_KINDS", "StrategyConfig", "score_update",
     "rank_addition_candidates", "correct_positions",
     "update_map", "select_best_alternative",
-    "WorldConfig", "World", "Frame", "TraversalLog",
+    "WorldConfig", "World", "Frame", "LocationRecord",
     "generate_world", "teach", "teach_from_frames", "traverse",
     "run_closed_loop", "generate_frames", "replay_frames",
     "uniform_offset_schedule",

@@ -237,10 +237,9 @@ def _cmd_report(args) -> int:
     cfg = _config_for(args)
     out = _out_dir(args)
     all_logs = [read_logs(p) for p in args.logs]
-    names = unique_labels([logs[0].strategy if logs else f"logs{i}"
-                           for i, logs in enumerate(all_logs)])
-    sequences = [registration_errors(logs, _penalty(cfg), name)
-                 for logs, name in zip(all_logs, names)]
+    names = unique_labels([records[0].strategy for records in all_logs])
+    sequences = [registration_errors(records, _penalty(cfg), name)
+                 for records, name in zip(all_logs, names)]
     report = build_report(sequences, alpha=cfg.alpha)
     summary_path, cdf_path = write_report(report, out)
     print(f"wrote {summary_path} and {cdf_path}")

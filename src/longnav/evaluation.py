@@ -50,26 +50,25 @@ class TTestResult:
     significant: bool
 
 
-def registration_errors(logs, failure_penalty: float = 320.0,
+def registration_errors(records, failure_penalty: float = 320.0,
                         strategy: str | None = None) -> ErrorSequence:
-    """eps_i = |delta_i - gamma_i| over all records; failed registrations get
-    the penalty value and a flag."""
+    """eps_i = |delta_i - gamma_i| over LocationRecords; failed registrations
+    get the penalty value and a flag. The label defaults to the first
+    record's strategy."""
     values = []
     failed = []
     keys = []
-    name = strategy
-    for log in logs:
-        if name is None:
-            name = log.strategy
-        for rec in log.records:
-            if rec.delta is None:
-                values.append(float(failure_penalty))
-                failed.append(True)
-            else:
-                values.append(abs(rec.delta - rec.gamma))
-                failed.append(False)
-            keys.append((log.traversal, rec.location))
-    return ErrorSequence(name or "", np.asarray(values, dtype=np.float64),
+    for rec in records:
+        if rec.delta_px is None:
+            values.append(float(failure_penalty))
+            failed.append(True)
+        else:
+            values.append(abs(rec.delta_px - rec.gamma_px))
+            failed.append(False)
+        keys.append((rec.traversal, rec.location))
+    if strategy is None and records:
+        strategy = records[0].strategy
+    return ErrorSequence(strategy or "", np.asarray(values, dtype=np.float64),
                          np.asarray(failed, dtype=bool), keys)
 
 
@@ -241,8 +240,8 @@ def compare_strategies(source, strategies, schedule=None, *, mode: str = "open",
                                    feature_cap=feature_cap, params=reg_params)
         stream_hashes = dict.fromkeys(labels, h.hexdigest())
 
-    sequences = [registration_errors(logs, failure_penalty, lab)
-                 for lab, logs in zip(labels, results)]
+    sequences = [registration_errors(records, failure_penalty, lab)
+                 for lab, records in zip(labels, results)]
     return build_report(sequences, thresholds=thresholds, alpha=alpha,
                         mode=mode, stream_hashes=stream_hashes)
 

@@ -4,11 +4,13 @@ Dataset lines look like
 {"traversal":0,"location":3,"time_s":0.0,"gamma_px":0.0,
  "features":[{"x":12.5,"y":80.0,"d":"<hex>"}]}
 with the teach pass stored as traversal 0. Descriptors are lowercase hex,
-width/4 characters. Positions round-trip at full float precision.
+width/4 characters. Positions round-trip at full float precision. A log line
+is one LocationRecord, keyed by its field names.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -19,7 +21,7 @@ from .errors import DatasetError
 from .features import (FeatureBlock, LocalMap, MapAlternative, PathMap,
                        hex_rows, words_from_hex)
 from .fremen import FremenModel
-from .simulator import Frame, LocationRecord, TraversalLog
+from .simulator import Frame, LocationRecord
 
 
 def _feature_records(block: FeatureBlock) -> list:
@@ -52,6 +54,13 @@ def _number(v, name: str) -> float:
     if not math.isfinite(v):
         raise ValueError(f"{name} is {v}, not a finite number")
     return float(v)
+
+
+def _integer(v, name: str) -> int:
+    """v itself; ValueError unless it is a JSON integer."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"{name} is {v!r}, not an integer")
+    return v
 
 
 def _finite(rec: dict, key: str) -> float:
@@ -98,9 +107,10 @@ def read_dataset(path):
                                      _numbers([fr["y"] for fr in feats], "y"),
                                      words_from_hex(hexes, (width + 63) // 64),
                                      width)
-                frame = Frame(int(rec["location"]), _finite(rec, "time_s"),
-                              block, _finite(rec, "gamma_px"))
-                yield int(rec["traversal"]), frame
+                frame = Frame(_integer(rec["location"], "location"),
+                              _finite(rec, "time_s"), block,
+                              _finite(rec, "gamma_px"))
+                yield _integer(rec["traversal"], "traversal"), frame
             except (KeyError, ValueError, TypeError) as e:
                 raise DatasetError(f"{p}:{lineno}: bad dataset record: {e}") from e
 
@@ -143,8 +153,8 @@ def _block_from_snapshot(recs: list, width: int) -> FeatureBlock:
         np.array([_finite(r, "x") for r in recs], dtype=np.float64),
         np.array([_finite(r, "y") for r in recs], dtype=np.float64),
         words_from_hex([r["d"] for r in recs], (width + 63) // 64), width,
-        inserted_at=np.array([int(r.get("inserted_at", 0)) for r in recs],
-                             dtype=np.int64),
+        inserted_at=np.array([_integer(r.get("inserted_at", 0), "inserted_at")
+                              for r in recs], dtype=np.int64),
         score=np.array([_number(r.get("score", 0.0), "score") for r in recs],
                        dtype=np.float64),
         temporal=temporal)
@@ -176,46 +186,30 @@ def read_map_snapshot(path) -> PathMap:
     p = Path(path)
     try:
         doc = json.loads(p.read_text())
-        width = int(doc["descriptor_width"])
+        width = _integer(doc["descriptor_width"], "descriptor_width")
         maps = []
         for lm in doc["local_maps"]:
             feats = _block_from_snapshot(lm["features"], width)
             alts = [MapAlternative(_block_from_snapshot(a["features"], width),
-                                   int(a["created_at"]))
+                                   _integer(a["created_at"], "created_at"))
                     for a in lm.get("alternatives", [])]
-            maps.append(LocalMap(int(lm["index"]),
+            maps.append(LocalMap(_integer(lm["index"], "index"),
                                  _finite(lm, "odometry_distance"), feats, alts))
-        return PathMap(maps, image_width=int(doc["image_width"]),
+        return PathMap(maps,
+                       image_width=_integer(doc["image_width"], "image_width"),
                        descriptor_width=width,
                        taught_at=_number(doc.get("taught_at", 0.0), "taught_at"))
     except (KeyError, ValueError, TypeError) as e:
         raise DatasetError(f"{p}: bad map snapshot: {e}") from e
 
 
-def write_logs(logs, path) -> int:
-    """One JSONL line per location record; returns the line count."""
-    n = 0
+def write_logs(records, path) -> int:
+    """One JSONL line per LocationRecord; returns the line count."""
     with Path(path).open("w") as fh:
-        for log in logs:
-            for rec in log.records:
-                row = {
-                    "traversal": log.traversal,
-                    "strategy": log.strategy,
-                    "time_s": log.time,
-                    "location": rec.location,
-                    "delta_px": rec.delta,
-                    "gamma_px": rec.gamma,
-                    "n_correct": rec.n_correct,
-                    "n_incorrect": rec.n_incorrect,
-                    "n_not_matched": rec.n_not_matched,
-                    "map_size": rec.map_size,
-                    "n_alternatives": rec.n_alternatives,
-                    "best_alternative": rec.best_alternative,
-                    "offset_m": rec.offset_m,
-                }
-                fh.write(json.dumps(row, separators=(",", ":")) + "\n")
-                n += 1
-    return n
+        for rec in records:
+            fh.write(json.dumps(dataclasses.asdict(rec),
+                                separators=(",", ":")) + "\n")
+    return len(records)
 
 
 def _number_or_null(v, name: str):
@@ -223,15 +217,15 @@ def _number_or_null(v, name: str):
 
 
 def read_logs(path) -> list:
-    """Rebuild TraversalLogs from a log file written by write_logs.
+    """The LocationRecords of a log file written by write_logs.
 
-    Non-numeric or non-finite delta_px, gamma_px, time_s or offset_m (delta_px
+    Non-integer traversal, location or counts, a non-string strategy, and
+    non-numeric or non-finite delta_px, gamma_px, time_s or offset_m (delta_px
     and offset_m may be null) are rejected with DatasetError naming path:line,
     and so is a file without records.
     """
     p = Path(path)
-    logs = []
-    current = None
+    records = []
     with p.open() as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -239,25 +233,28 @@ def read_logs(path) -> list:
                 continue
             try:
                 row = json.loads(line)
-                rec = LocationRecord(
-                    location=int(row["location"]),
-                    delta=_number_or_null(row["delta_px"], "delta_px"),
-                    gamma=_finite(row, "gamma_px"),
-                    n_correct=int(row["n_correct"]),
-                    n_incorrect=int(row["n_incorrect"]),
-                    n_not_matched=int(row["n_not_matched"]),
-                    map_size=int(row["map_size"]),
-                    n_alternatives=int(row.get("n_alternatives", 1)),
-                    best_alternative=int(row.get("best_alternative", 0)),
-                    offset_m=_number_or_null(row.get("offset_m"), "offset_m"))
-                tr = int(row["traversal"])
-                strategy, time_s = row["strategy"], _finite(row, "time_s")
+                if not isinstance(row["strategy"], str):
+                    raise ValueError(f"strategy is {row['strategy']!r}, "
+                                     "not a string")
+                records.append(LocationRecord(
+                    traversal=_integer(row["traversal"], "traversal"),
+                    strategy=row["strategy"],
+                    time_s=_finite(row, "time_s"),
+                    location=_integer(row["location"], "location"),
+                    delta_px=_number_or_null(row["delta_px"], "delta_px"),
+                    gamma_px=_finite(row, "gamma_px"),
+                    n_correct=_integer(row["n_correct"], "n_correct"),
+                    n_incorrect=_integer(row["n_incorrect"], "n_incorrect"),
+                    n_not_matched=_integer(row["n_not_matched"],
+                                           "n_not_matched"),
+                    map_size=_integer(row["map_size"], "map_size"),
+                    n_alternatives=_integer(row.get("n_alternatives", 1),
+                                            "n_alternatives"),
+                    best_alternative=_integer(row.get("best_alternative", 0),
+                                              "best_alternative"),
+                    offset_m=_number_or_null(row.get("offset_m"), "offset_m")))
             except (KeyError, ValueError, TypeError) as e:
                 raise DatasetError(f"{p}:{lineno}: bad log record: {e}") from e
-            if current is None or current.traversal != tr:
-                current = TraversalLog(tr, strategy, time_s, [])
-                logs.append(current)
-            current.records.append(rec)
-    if not logs:
+    if not records:
         raise DatasetError(f"{p}: no log records")
-    return logs
+    return records

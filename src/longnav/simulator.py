@@ -104,9 +104,15 @@ class Frame:
 
 @dataclass
 class LocationRecord:
+    """One strategy's result on one frame, and one row of a log file: the
+    row's keys are these field names, in this order."""
+
+    traversal: int
+    strategy: str
+    time_s: float  # the frame's time
     location: int
-    delta: float | None
-    gamma: float
+    delta_px: float | None  # None: registration failed
+    gamma_px: float
     n_correct: int
     n_incorrect: int
     n_not_matched: int
@@ -114,14 +120,6 @@ class LocationRecord:
     n_alternatives: int = 1
     best_alternative: int = 0
     offset_m: float | None = None
-
-
-@dataclass
-class TraversalLog:
-    traversal: int
-    strategy: str
-    time: float
-    records: list
 
 
 @dataclass
@@ -322,7 +320,8 @@ def process_frame(local_map: LocalMap, frame: Frame, cfg: StrategyConfig,
                active_indices=idx, image_width=params.image_width)
     n_inc = int(np.count_nonzero(reg.outcomes == MatchOutcome.MatchedIncorrectly))
     rec = LocationRecord(
-        location=frame.location, delta=reg.delta, gamma=frame.gamma,
+        traversal=traversal, strategy=cfg.kind, time_s=t,
+        location=frame.location, delta_px=reg.delta, gamma_px=frame.gamma,
         n_correct=reg.correct_count, n_incorrect=n_inc,
         n_not_matched=len(reg.outcomes) - reg.correct_count - n_inc,
         map_size=len(local_map.features),
@@ -348,10 +347,10 @@ def _strategy_paths(strategies, teach_batch, path: PathMap | None = None,
 
 
 def traverse(world: World, paths, strategies, traversal: int, t: float,
-             offsets: list, run_seed: int,
-             params: RegistrationParams) -> list:
-    """One closed-loop pass over all locations at time t; returns one
-    TraversalLog per strategy.
+             offsets: list, logs: list, run_seed: int,
+             params: RegistrationParams) -> None:
+    """One closed-loop pass over all locations at time t, appending each
+    strategy's LocationRecords to its list in `logs`.
 
     Turnover advances once. At each location every strategy in turn draws its
     own frame at its own offset from default_rng((run_seed, traversal,
@@ -362,19 +361,17 @@ def traverse(world: World, paths, strategies, traversal: int, t: float,
     """
     wc = world.config
     world.advance_turnover(traversal)
-    logs = [TraversalLog(traversal, cfg.kind, t, []) for cfg in strategies]
     for loc in range(wc.n_locations):
         for i, (cfg, path, log) in enumerate(zip(strategies, paths, logs)):
             rng = default_rng((run_seed, traversal, loc))
             frame = world.observe(loc, t, offsets[i], rng)
             rec, reg = process_frame(path.local_maps[loc], frame, cfg,
                                      traversal, params, offset_m=offsets[i])
-            log.records.append(rec)
+            log.append(rec)
             if reg.delta is not None:
                 offsets[i] -= wc.steering_gain * (reg.delta / wc.px_per_m)
             if wc.odometry_noise > 0:
                 offsets[i] += float(rng.normal(0.0, wc.odometry_noise))
-    return logs
 
 
 def run_closed_loop(world: World, strategies, traversals: int,
@@ -386,7 +383,8 @@ def run_closed_loop(world: World, strategies, traversals: int,
 
     The teach pass is drawn once at time 0 and taught per strategy; then
     `traversals` passes follow at fixed intervals. Returns (paths, logs) with
-    one PathMap and one list of TraversalLog per strategy, like replay_frames.
+    one PathMap and one list of LocationRecord per strategy, like
+    replay_frames.
     """
     strategies = list(strategies)
     if not strategies:
@@ -397,11 +395,11 @@ def run_closed_loop(world: World, strategies, traversals: int,
                             image_width=wc.image_width)
     params = params or RegistrationParams(image_width=wc.image_width)
     offsets = [initial_offset_m] * len(strategies)
-    by_traversal = [traverse(world, paths, strategies, tr, tr * interval_s,
-                             offsets, run_seed, params)
-                    for tr in range(1, traversals + 1)]
-    return paths, [[logs[i] for logs in by_traversal]
-                   for i in range(len(strategies))]
+    logs = [[] for _ in strategies]
+    for tr in range(1, traversals + 1):
+        traverse(world, paths, strategies, tr, tr * interval_s, offsets, logs,
+                 run_seed, params)
+    return paths, logs
 
 
 def generate_frames(world: World, traversals: int, interval_s: float,
@@ -429,7 +427,7 @@ def replay_frames(frames, strategies, path: PathMap | None = None,
     Every repeat frame is processed by each strategy in turn, against that
     strategy's own PathMap: a deep copy of `path` when one is supplied, else
     one taught from the traversal-0 frames. Returns (paths, logs) with one
-    PathMap and one list of TraversalLog per strategy. Frames must arrive in
+    PathMap and one list of LocationRecord per strategy. Frames must arrive in
     non-decreasing traversal order, repeat frames must name a taught
     location and a supplied path must have params.image_width; DatasetError
     otherwise.
@@ -461,14 +459,11 @@ def replay_frames(frames, strategies, path: PathMap | None = None,
         if not 0 <= frame.location < n_maps:
             raise DatasetError(f"traversal {tr}: location {frame.location} is "
                                f"outside the taught path of {n_maps} locations")
-        if tr != last_tr:
-            for cfg, strategy_logs in zip(strategies, logs):
-                strategy_logs.append(TraversalLog(tr, cfg.kind, frame.time, []))
         last_tr = tr
-        for cfg, p, strategy_logs in zip(strategies, paths, logs):
+        for cfg, p, log in zip(strategies, paths, logs):
             rec, _ = process_frame(p.local_maps[frame.location], frame, cfg,
                                    tr, params)
-            strategy_logs[-1].records.append(rec)
+            log.append(rec)
     if paths is None:
         paths = _strategy_paths(strategies, teach_batch, path, feature_cap,
                                 image_width=image_width)

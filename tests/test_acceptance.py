@@ -80,9 +80,8 @@ def test_c2_latest_map_drift(capsys):
                                      run_seed=seed)
 
         def window(lo, hi):
-            vals = [abs(r.delta - r.gamma) if r.delta is not None else PENALTY
-                    for log in logs if lo <= log.traversal <= hi
-                    for r in log.records]
+            vals = [abs(r.delta_px - r.gamma_px) if r.delta_px is not None
+                    else PENALTY for r in logs if lo <= r.traversal <= hi]
             return float(np.mean(vals))
 
         return window(150, 178) / window(1, 29)
@@ -118,14 +117,14 @@ def test_c3_day_night_robustness(capsys):
                                      [StrategyConfig(kind=kind)], TRAVERSALS,
                                      interval, run_seed=0)
         day, night = [], []
-        for log in logs:
-            if log.traversal <= TRAVERSALS - 30:
+        for r in logs:
+            if r.traversal <= TRAVERSALS - 30:
                 continue
-            phase = math.cos(2 * math.pi * log.time / 86400.0)
+            phase = math.cos(2 * math.pi * r.time_s / 86400.0)
             if phase >= 0.85:
-                day.extend(r.n_correct for r in log.records)
+                day.append(r.n_correct)
             elif phase <= -0.85:
-                night.extend(r.n_correct for r in log.records)
+                night.append(r.n_correct)
         return float(np.mean(night)) / float(np.mean(day))
 
     r_static = night_day_ratio("static")
@@ -177,7 +176,7 @@ def test_c5_closed_loop_convergence(capsys):
                       alias_prob=0.0, turnover_prob=0.0, odometry_noise=0.0)
     _, (logs,) = run_closed_loop(World(cfg), [StrategyConfig(kind="static")],
                                  1, 3600.0, run_seed=0, initial_offset_m=0.1)
-    offsets = [r.offset_m for r in logs[0].records]
+    offsets = [r.offset_m for r in logs]
     analytic = [0.1 * (1.0 - cfg.steering_gain) ** k for k in range(len(offsets))]
     max_dev = max(abs(o - a) for o, a in zip(offsets, analytic))
     hit = next((i for i, o in enumerate(offsets) if abs(o) < 0.005), None)

@@ -299,7 +299,8 @@ def _report_error(capsys, config_path, tmp_path, *logs):
 
 @pytest.mark.parametrize("key, value", [
     ("delta_px", math.nan), ("delta_px", "3.5"), ("gamma_px", math.inf),
-    ("time_s", math.nan), ("offset_m", -math.inf),
+    ("time_s", math.nan), ("offset_m", -math.inf), ("traversal", 1.9),
+    ("location", "0"), ("n_correct", True), ("strategy", 5),
 ])
 def test_report_rejects_bad_log_values(tmp_path, config_path, capsys,
                                        key, value):
@@ -466,3 +467,9 @@ def test_console_entry_point():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "generate" in proc.stdout and "compare" in proc.stdout
+
+
+def test_every_export_resolves():
+    # a name left in __all__ after its type is deleted breaks `import *`
+    missing = [name for name in longnav.__all__ if not hasattr(longnav, name)]
+    assert not missing, missing

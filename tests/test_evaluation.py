@@ -12,14 +12,16 @@ from longnav.evaluation import (ComparisonReport, ErrorSequence, build_report,
                                 compare_strategies, error_cdf, paired_t_test,
                                 registration_errors, unique_labels,
                                 write_report)
-from longnav.simulator import (LocationRecord, TraversalLog, WorldConfig,
-                               World, generate_frames, uniform_offset_schedule)
+from longnav.simulator import (LocationRecord, WorldConfig, World,
+                               generate_frames, uniform_offset_schedule)
 from longnav.strategies import STRATEGY_KINDS, StrategyConfig
 
 
-def rec(loc, delta, gamma):
-    return LocationRecord(location=loc, delta=delta, gamma=gamma, n_correct=0,
-                          n_incorrect=0, n_not_matched=0, map_size=1)
+def rec(loc, delta, gamma, traversal=1):
+    return LocationRecord(traversal=traversal, strategy="s", time_s=0.0,
+                          location=loc, delta_px=delta, gamma_px=gamma,
+                          n_correct=0, n_incorrect=0, n_not_matched=0,
+                          map_size=1)
 
 
 def seq(values, name="x", keys=None, failed=None):
@@ -32,9 +34,8 @@ def seq(values, name="x", keys=None, failed=None):
 
 
 def test_registration_errors_arithmetic():
-    logs = [TraversalLog(1, "s", 0.0, [rec(0, 5.0, 0.0), rec(1, -3.0, 0.0)]),
-            TraversalLog(2, "s", 1.0, [rec(0, 2.0, 2.0)])]
-    es = registration_errors(logs)
+    es = registration_errors([rec(0, 5.0, 0.0), rec(1, -3.0, 0.0),
+                              rec(0, 2.0, 2.0, traversal=2)])
     assert es.strategy == "s"
     np.testing.assert_allclose(es.values, [5.0, 3.0, 0.0])
     assert not es.failed.any()
@@ -51,14 +52,12 @@ def test_registration_errors_penalty_and_recount():
             n_fail += 1
         else:
             records.append(rec(loc, float(rng.normal()), 1.0))
-    es = registration_errors([TraversalLog(1, "s", 0.0, records)],
-                             failure_penalty=320.0)
+    es = registration_errors(records, failure_penalty=320.0)
     assert int(es.failed.sum()) == n_fail
     assert (es.values[es.failed] == 320.0).all()
     assert (es.values >= 0).all()
 
-    es2 = registration_errors([TraversalLog(1, "s", 0.0, records)],
-                              failure_penalty=99.0, strategy="other")
+    es2 = registration_errors(records, failure_penalty=99.0, strategy="other")
     assert es2.strategy == "other"
     assert (es2.values[es2.failed] == 99.0).all()
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,9 +12,10 @@ from longnav.features import Descriptor, LocalMap, MapAlternative, PathMap
 from longnav.fremen import FremenModel
 from longnav.io import (read_dataset, read_logs, read_map_snapshot,
                         write_dataset, write_logs, write_map_snapshot)
-from longnav.simulator import (LocationRecord, TraversalLog, World,
-                               WorldConfig, generate_frames, teach,
-                               uniform_offset_schedule)
+from longnav.simulator import (LocationRecord, World, WorldConfig,
+                               generate_frames, replay_frames,
+                               run_closed_loop, teach, uniform_offset_schedule)
+from longnav.strategies import StrategyConfig
 
 from blocks import block_from_descriptors
 
@@ -94,7 +96,7 @@ def _edit_line(path, lineno, edit):
 
 @pytest.mark.parametrize("field, value", [
     ("x", math.nan), ("y", math.inf), ("time_s", -math.inf),
-    ("gamma_px", math.nan),
+    ("gamma_px", math.nan), ("location", 1.7), ("traversal", 2.4),
 ])
 def test_dataset_rejects_non_finite_numbers(tmp_path, field, value):
     p = tmp_path / "d.jsonl"
@@ -237,7 +239,11 @@ def test_map_snapshot_malformed(tmp_path):
     (lambda doc: doc["local_maps"][0]["features"][1]["temporal"]
      ["components"][0].__setitem__(1, math.inf), "fremen component value"),
     (lambda doc: doc["local_maps"][0]["features"][0].update(x="12.5"), "x"),
-], ids=["x", "y", "score", "odometry", "taught_at", "mu", "component", "x-str"])
+    (lambda doc: doc.update(image_width=640.9), "image_width"),
+    (lambda doc: doc["local_maps"][1]["features"][0].update(inserted_at=0.5),
+     "inserted_at"),
+], ids=["x", "y", "score", "odometry", "taught_at", "mu", "component", "x-str",
+        "image_width", "inserted_at"])
 def test_map_snapshot_rejects_non_finite_values(tmp_path, edit, name):
     p = tmp_path / "map.json"
     write_map_snapshot(snapshot_path_map(), p)
@@ -249,20 +255,68 @@ def test_map_snapshot_rejects_non_finite_values(tmp_path, edit, name):
 
 
 def test_logs_round_trip(tmp_path):
-    logs = [
-        TraversalLog(1, "score", 100.0, [
-            LocationRecord(0, 3.5, 2.0, 10, 1, 2, 500, offset_m=0.01),
-            LocationRecord(1, None, 0.0, 0, 0, 13, 500),
-        ]),
-        TraversalLog(2, "score", 200.0, [
-            LocationRecord(0, -1.25, -1.0, 9, 0, 4, 510, n_alternatives=3,
-                           best_alternative=2),
-        ]),
+    records = [
+        LocationRecord(1, "score", 100.0, 0, 3.5, 2.0, 10, 1, 2, 500,
+                       offset_m=0.01),
+        LocationRecord(1, "score", 130.0, 1, None, 0.0, 0, 0, 13, 500),
+        LocationRecord(2, "score", 200.0, 0, -1.25, -1.0, 9, 0, 4, 510,
+                       n_alternatives=3, best_alternative=2),
     ]
     p = tmp_path / "logs.jsonl"
-    assert write_logs(logs, p) == 3
-    back = read_logs(p)
-    assert back == logs
+    assert write_logs(records, p) == 3
+    assert read_logs(p) == records
+    for line in p.read_text().splitlines():
+        assert list(json.loads(line)) == [f.name for f in fields(LocationRecord)]
+
+
+def test_log_row_without_optional_fields_reads_defaults(tmp_path):
+    p = tmp_path / "logs.jsonl"
+    p.write_text('{"traversal":1,"strategy":"static","time_s":5.0,'
+                 '"location":0,"delta_px":null,"gamma_px":2.0,"n_correct":0,'
+                 '"n_incorrect":0,"n_not_matched":7,"map_size":7}\n')
+    assert read_logs(p) == [LocationRecord(1, "static", 5.0, 0, None, 2.0,
+                                           0, 0, 7, 7, n_alternatives=1,
+                                           best_alternative=0, offset_m=None)]
+
+
+def test_logs_round_trip_run_output(tmp_path):
+    """Closed-loop and replayed records come back equal from their files."""
+    cfgs = [StrategyConfig(kind="multiple", m=40, multiple_threshold=0.6),
+            StrategyConfig(kind="fremen")]
+    wc = WorldConfig(n_locations=2, landmarks_per_location=60,
+                     visibility_mean=(0.05, 0.8), visibility_amp=(0.3, 0.5),
+                     visibility_phases=(0.0, math.pi), turnover_prob=0.05,
+                     clutter_count=10, seed=5)
+    _, closed = run_closed_loop(World(wc), cfgs, 4, 10800.0)
+    _, replayed = replay_frames(
+        generate_frames(World(wc), 4, 10800.0,
+                        offset_fn=uniform_offset_schedule(0.1)), cfgs)
+    for i, records in enumerate(closed + replayed):
+        p = tmp_path / f"logs{i}.jsonl"
+        write_logs(records, p)
+        assert read_logs(p) == records
+    everything = closed[0] + closed[1] + replayed[0] + replayed[1]
+    assert any(r.n_alternatives > 1 for r in everything)
+    assert any(r.delta_px is None for r in everything)
+
+
+def test_replayed_records_log_their_own_frame_times(tmp_path):
+    """A dataset may give each frame of a traversal its own time; each
+    record, and its log row, carries its frame's time."""
+    frames = []
+    for tr, f in generate_frames(small_world(), 2, 3600.0):
+        t = f.time + 60.0 * f.location if tr else f.time
+        frames.append((tr, type(f)(f.location, t, f.features, f.gamma)))
+    data = tmp_path / "d.jsonl"
+    write_dataset(frames, data)
+    _, (records,) = replay_frames(read_dataset(data),
+                                  [StrategyConfig(kind="fremen")])
+    want = [f.time for tr, f in frames if tr]
+    assert [rec.time_s for rec in records] == want == [3600.0, 3660.0,
+                                                        7200.0, 7260.0]
+    p = tmp_path / "logs.jsonl"
+    write_logs(records, p)
+    assert [rec.time_s for rec in read_logs(p)] == want
 
 
 def test_logs_malformed(tmp_path):
