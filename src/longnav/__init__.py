@@ -8,8 +8,7 @@ evaluation harness with paired significance tests.
 """
 
 from .errors import ConfigError, DatasetError, LongNavError, TeachError
-from .features import (Descriptor, FeatureBlock, LocalMap, MapAlternative,
-                       PathMap, hamming_distance)
+from .features import FeatureBlock, LocalMap, MapAlternative, PathMap
 from .fremen import DEFAULT_PERIODS, FremenModel, predict_many
 from .registration import (MatchOutcome, Pairs, RegistrationParams,
                            RegistrationResult, classify_outcomes,
@@ -30,8 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "LongNavError", "ConfigError", "TeachError", "DatasetError",
-    "Descriptor", "FeatureBlock", "LocalMap", "MapAlternative", "PathMap",
-    "hamming_distance",
+    "FeatureBlock", "LocalMap", "MapAlternative", "PathMap",
     "MatchOutcome", "Pairs", "RegistrationParams", "RegistrationResult",
     "match_features", "histogram_vote", "classify_outcomes", "register",
     "FremenModel", "DEFAULT_PERIODS", "predict_many",

@@ -1,4 +1,4 @@
-"""Core domain types: binary descriptors, feature blocks, local maps, paths."""
+"""Core domain types: feature blocks of binary descriptors, local maps, paths."""
 
 from __future__ import annotations
 
@@ -8,81 +8,9 @@ import numpy as np
 
 from .errors import ConfigError
 from .fremen import FremenModel
-from .kernels import bit_rows, popcount_words
+from .kernels import bit_rows
 
 DEFAULT_DESCRIPTOR_WIDTH = 256
-
-
-class Descriptor:
-    """Fixed-width binary descriptor packed into uint64 words.
-
-    Bit ``i`` lives at bit ``i % 64`` of word ``i // 64``; words are
-    little-endian with respect to the integer value, so ``from_int`` /
-    ``to_int`` round-trip. Width must be a multiple of 4 (hex contract).
-    """
-
-    __slots__ = ("words", "width")
-
-    def __init__(self, words: np.ndarray, width: int = DEFAULT_DESCRIPTOR_WIDTH):
-        if width <= 0 or width % 4 != 0:
-            raise ConfigError(f"descriptor width must be a positive multiple of 4, got {width}")
-        n_words = (width + 63) // 64
-        words = np.ascontiguousarray(words, dtype=np.uint64)
-        if words.shape != (n_words,):
-            raise ConfigError(f"expected {n_words} words for width {width}, got shape {words.shape}")
-        # zero any padding bits beyond the declared width
-        tail = width % 64
-        if tail:
-            words = words.copy()
-            words[-1] &= np.uint64((1 << tail) - 1)
-        self.words = words
-        self.width = width
-
-    @classmethod
-    def from_int(cls, value: int, width: int = DEFAULT_DESCRIPTOR_WIDTH) -> "Descriptor":
-        if value < 0 or value >> width:
-            raise ConfigError(f"value does not fit in {width} bits")
-        n_words = (width + 63) // 64
-        raw = value.to_bytes(n_words * 8, "little")
-        return cls(np.frombuffer(raw, dtype="<u8").astype(np.uint64), width)
-
-    @classmethod
-    def from_hex(cls, s: str, width: int | None = None) -> "Descriptor":
-        if width is None:
-            width = 4 * len(s)
-        n_words = (width + 63) // 64
-        try:
-            words = words_from_hex([s], n_words)[0]
-        except ValueError as e:
-            raise ConfigError(f"bad hex descriptor {s!r}: {e}") from e
-        d = cls(words, width)
-        if not np.array_equal(d.words, words):
-            raise ConfigError(f"value does not fit in {width} bits")
-        return d
-
-    def to_int(self) -> int:
-        return int.from_bytes(self.words.astype("<u8").tobytes(), "little")
-
-    def to_hex(self) -> str:
-        return hex_rows(self.words[None], self.width)[0]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Descriptor):
-            return NotImplemented
-        return self.width == other.width and bool(np.array_equal(self.words, other.words))
-
-    def __hash__(self) -> int:
-        return hash((self.width, self.words.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"Descriptor(0x{self.to_hex()}, width={self.width})"
-
-
-def hamming_distance(a: Descriptor, b: Descriptor) -> int:
-    """Number of differing bits between two equal-width descriptors."""
-    if a.width != b.width:
-        raise ValueError(f"descriptor width mismatch: {a.width} vs {b.width}")
-    return popcount_words(np.bitwise_xor(a.words, b.words))
 
 
 def hex_rows(words: np.ndarray, width: int) -> list:

@@ -222,10 +222,13 @@ def read_logs(path) -> list:
     Non-integer traversal, location or counts, a non-string strategy, and
     non-numeric or non-finite delta_px, gamma_px, time_s or offset_m (delta_px
     and offset_m may be null) are rejected with DatasetError naming path:line,
-    and so is a file without records.
+    and so is a row of another strategy than the first row's or a repeated
+    (traversal, location), since a log holds one strategy's run; so is a
+    file without records.
     """
     p = Path(path)
     records = []
+    seen = set()
     with p.open() as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -236,7 +239,7 @@ def read_logs(path) -> list:
                 if not isinstance(row["strategy"], str):
                     raise ValueError(f"strategy is {row['strategy']!r}, "
                                      "not a string")
-                records.append(LocationRecord(
+                rec = LocationRecord(
                     traversal=_integer(row["traversal"], "traversal"),
                     strategy=row["strategy"],
                     time_s=_finite(row, "time_s"),
@@ -252,9 +255,19 @@ def read_logs(path) -> list:
                                             "n_alternatives"),
                     best_alternative=_integer(row.get("best_alternative", 0),
                                               "best_alternative"),
-                    offset_m=_number_or_null(row.get("offset_m"), "offset_m")))
+                    offset_m=_number_or_null(row.get("offset_m"), "offset_m"))
             except (KeyError, ValueError, TypeError) as e:
                 raise DatasetError(f"{p}:{lineno}: bad log record: {e}") from e
+            if records and rec.strategy != records[0].strategy:
+                raise DatasetError(f"{p}:{lineno}: a {rec.strategy!r} record in "
+                                   f"a log of {records[0].strategy!r}; one log "
+                                   "file holds one strategy")
+            key = (rec.traversal, rec.location)
+            if key in seen:
+                raise DatasetError(f"{p}:{lineno}: traversal {key[0]}, location "
+                                   f"{key[1]} is logged twice")
+            seen.add(key)
+            records.append(rec)
     if not records:
         raise DatasetError(f"{p}: no log records")
     return records

@@ -11,9 +11,19 @@ which it unpacks with ``bit_rows``, or bit rows already unpacked (a
 ``FeatureBlock`` caches them, see ``features.pack_features``). Bit rows are
 stored as ``int8``, a quarter of the memory of ``float32``, and widened only
 for the product. The product is exact: each partial sum is an integer of
-magnitude at most ``n_bits``, far below 2**24. Zero padding bits agree on both sides, so they add nothing to
-the distance. The reductions work on ``dot`` directly (nearest means largest
-``dot``) and only the reduced vectors are converted to integer distances.
+magnitude at most ``n_bits``, far below 2**24. Zero padding bits agree on
+both sides, so they add nothing to the distance. The reductions work on
+``dot`` directly (nearest means largest ``dot``) and only the reduced vectors
+are converted to integer distances.
+
+A comparison registers each camera view against many feature sets (every
+strategy's active rows, and each of ``multiple``'s alternatives), and those
+sets share most of their rows. ``ViewProduct`` multiplies the view once with
+the distinct rows of all of them (see ``distinct_rows``), and
+``mutual_nearest_pairs`` and ``nearest_distances`` reduce a set's rows of
+that product when handed them as ``dot`` instead of multiplying again. Being
+exact, the shared product gives every set the same distances, and so the
+same pairs and rankings, as a product of its own.
 """
 
 from __future__ import annotations
@@ -22,10 +32,10 @@ import numpy as np
 
 BACKEND = "numpy"
 
-
-def popcount_words(words: np.ndarray) -> int:
-    """Total number of set bits in a packed word array."""
-    return int(np.unpackbits(np.ascontiguousarray(words).view(np.uint8)).sum())
+# odd multipliers mixing every word of a row into one sort key; rows that
+# differ in exactly one word never share a key
+_ROW_MIX = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F,
+                     0x165667B19E3779F9, 0xD6E8FEB86659FD93], dtype=np.uint64)
 
 
 def bit_rows(a: np.ndarray) -> np.ndarray:
@@ -36,6 +46,10 @@ def bit_rows(a: np.ndarray) -> np.ndarray:
     octets = np.ascontiguousarray(a).view(np.uint8)
     bits = np.unpackbits(octets, axis=1, bitorder="little")
     return (2 * bits - 1).view(np.int8)  # uint8 arithmetic wraps 0 to 255, i.e. -1
+
+
+def _n_bits(a: np.ndarray) -> int:
+    return a.shape[1] if a.dtype == np.int8 else 64 * a.shape[1]
 
 
 def _dot(a: np.ndarray, b: np.ndarray):
@@ -51,21 +65,86 @@ def _distance(dot: np.ndarray, n_bits: int) -> np.ndarray:
     return ((n_bits - dot) * 0.5).astype(np.int64)
 
 
-def hamming_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """All-pairs Hamming distances, shape ``(len(a), len(b))``, int64."""
-    return _distance(*_dot(a, b))
+def distinct_rows(words: np.ndarray):
+    """``(first, inverse)`` for the rows of packed ``words``: ``inverse[i]``
+    numbers row i's distinct value and ``first[u]`` is a row holding value
+    u. Two rows share a number exactly when they are equal in every word."""
+    n = words.shape[0]
+    mix = np.resize(_ROW_MIX, words.shape[1])
+    key = (words * mix).sum(axis=1, dtype=np.uint64)  # wraps modulo 2**64
+    order = np.argsort(key)
+    key = key[order]
+    new = np.ones(n, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    first = order[new]
+    if not (words[first[inverse]] == words).all():
+        # two different rows share a key: number the rows by sorting them
+        _, first, inverse = np.unique(words, axis=0, return_index=True,
+                                      return_inverse=True)
+    return first, inverse.reshape(n)
 
 
-def mutual_nearest_pairs(a: np.ndarray, b: np.ndarray, d_max: int):
+class ViewProduct:
+    """One view's ``dot`` with the rows of several row sets, from one matrix
+    product over their distinct rows.
+
+    ``sets`` holds one ``(words, bits)`` pair per set: its packed rows and
+    their bit rows (see ``bit_rows``). A single set is multiplied as it is;
+    several are multiplied once per distinct row (see ``distinct_rows``),
+    and when no row repeats, each set is a run of the product's rows.
+    ``dot(k)`` is set k's ``(len(set k), len(view))`` float32 product with
+    the view, equal to the one ``mutual_nearest_pairs`` would compute.
+    """
+
+    __slots__ = ("_dot", "_rows")
+
+    def __init__(self, view: np.ndarray, sets):
+        if len(sets) == 1:
+            bits = sets[0][1]
+            self._rows = [slice(None)]
+        else:
+            words = np.concatenate([w for w, _ in sets])
+            bits = np.concatenate([b for _, b in sets])
+            first, inverse = distinct_rows(words)
+            ends = np.cumsum([len(w) for w, _ in sets])
+            if len(first) == len(words):
+                self._rows = [slice(e - len(w), e) for e, (w, _) in zip(ends, sets)]
+            else:
+                bits = bits[first]
+                self._rows = np.split(inverse, ends[:-1])
+        self._dot = _dot(bits, view)[0]
+
+    def dot(self, k: int) -> np.ndarray:
+        """Set k's product with the view: a view of the shared product when
+        the set is a run of its rows, else a copy of the set's rows."""
+        return self._dot[self._rows[k]]
+
+    def part(self, start: int, stop: int) -> "ViewProduct":
+        """The same product, for the sets start..stop-1 only, renumbered
+        from 0."""
+        part = object.__new__(ViewProduct)
+        part._dot, part._rows = self._dot, self._rows[start:stop]
+        return part
+
+
+def mutual_nearest_pairs(a: np.ndarray, b: np.ndarray, d_max: int,
+                         dot: np.ndarray | None = None):
     """Mutual nearest neighbours under Hamming distance.
 
     Returns ``(a_idx, b_idx, dist)`` int64 arrays sorted by ``a_idx``. Ties in
     the nearest neighbour are broken toward the lower index on both sides.
+    ``dot``, when given, is a's product with b computed elsewhere (for
+    instance ``ViewProduct.dot``) and is reduced instead of multiplying.
     """
     if a.shape[0] == 0 or b.shape[0] == 0:
         e = np.empty(0, dtype=np.int64)
         return e, e.copy(), e.copy()
-    dot, n_bits = _dot(a, b)
+    if dot is None:
+        dot, n_bits = _dot(a, b)
+    else:
+        n_bits = _n_bits(a)
     best_b = dot.argmax(axis=1)
     best_a = dot.argmax(axis=0)
     ii = np.arange(a.shape[0])
@@ -74,10 +153,23 @@ def mutual_nearest_pairs(a: np.ndarray, b: np.ndarray, d_max: int):
     return ii[keep], best_b[keep], dist[keep]
 
 
-def nearest_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-row distance from ``a`` to its nearest row of ``b`` (b non-empty)."""
-    dot, n_bits = _dot(a, b)
-    return _distance(dot.max(axis=1), n_bits)
+def nearest_distances(a: np.ndarray, b: np.ndarray,
+                      dot: np.ndarray | None = None, rows=None) -> np.ndarray:
+    """Per-row distance from ``a`` to its nearest row of ``b`` (b non-empty).
+
+    ``dot``, when given, holds a's products with b's rows ``rows`` (all of b
+    when rows is None), computed elsewhere; only b's other rows are
+    multiplied here.
+    """
+    if dot is None:
+        dot, n_bits = _dot(a, b)
+        return _distance(dot.max(axis=1), n_bits)
+    best = dot.max(axis=1, initial=-np.inf)
+    if rows is not None and len(rows) < b.shape[0]:
+        rest = np.ones(b.shape[0], dtype=bool)
+        rest[rows] = False
+        best = np.maximum(best, _dot(a, b[rest])[0].max(axis=1))
+    return _distance(best, _n_bits(a))
 
 
 def self_nearest_distances(a: np.ndarray) -> np.ndarray:

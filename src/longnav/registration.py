@@ -83,16 +83,27 @@ class RegistrationResult:
     correct_count: int
 
 
-def match_features(map_features, view_features, d_max: int = 64) -> Pairs:
+def view_product(view_features, blocks) -> kernels.ViewProduct:
+    """The view's products with the rows of each block, from one matrix
+    product over their distinct rows (see kernels.ViewProduct)."""
+    if any(b.width != view_features.width for b in blocks):
+        raise ValueError("map and view descriptor widths differ")
+    return kernels.ViewProduct(pack_features(view_features),
+                               [(b.words, pack_features(b)) for b in blocks])
+
+
+def match_features(map_features, view_features, d_max: int = 64,
+                   dot=None) -> Pairs:
     """Mutual nearest neighbours under Hamming distance, one-to-one, coupled
-    with the horizontal position difference of each accepted pair."""
+    with the horizontal position difference of each accepted pair. dot,
+    when given, is the map rows' product with the view (see view_product)."""
     if not len(map_features) or not len(view_features):
         return _NO_PAIRS
     if map_features.width != view_features.width:
         raise ValueError("map and view descriptor widths differ")
     a = pack_features(map_features)
     b = pack_features(view_features)
-    ai, bi, dist = kernels.mutual_nearest_pairs(a, b, d_max)
+    ai, bi, dist = kernels.mutual_nearest_pairs(a, b, d_max, dot)
     return Pairs(ai, bi, view_features.x[bi] - map_features.x[ai], dist)
 
 
@@ -140,10 +151,13 @@ def classify_outcomes(map_size: int, pairs: Pairs, delta: float | None,
 
 
 def register(map_features, view_features,
-             params: RegistrationParams | None = None) -> RegistrationResult:
-    """Full registration pass; failure is reported as delta None, never raised."""
+             params: RegistrationParams | None = None,
+             dot=None) -> RegistrationResult:
+    """Full registration pass; failure is reported as delta None, never
+    raised. dot, when given, is the map rows' product with the view (see
+    view_product)."""
     p = params or RegistrationParams()
-    pairs = match_features(map_features, view_features, p.d_max)
+    pairs = match_features(map_features, view_features, p.d_max, dot)
     delta = histogram_vote(pairs.diff, p.bin_width, p.image_width, p.min_votes)
     outcomes = classify_outcomes(len(map_features), pairs, delta,
                                  p.effective_tolerance())

@@ -25,10 +25,10 @@ from .errors import (ConfigError, DatasetError, TeachError, check_settings,
                      in_range, is_int)
 from .features import FeatureBlock, LocalMap, PathMap, pack_features
 from .kernels import self_nearest_distances
-from .registration import MatchOutcome, RegistrationParams, register
-from .strategies import (StrategyConfig, init_strategy_state,
-                         select_active_indices, select_best_alternative,
-                         update_map)
+from .registration import (MatchOutcome, RegistrationParams, register,
+                           view_product)
+from .strategies import (StrategyConfig, active_sets, init_strategy_state,
+                         select_best_alternative, update_map)
 
 _SALT_WORLD = 0x1A11D
 _SALT_TEACH = 0x7EAC4
@@ -302,22 +302,30 @@ def uniform_offset_schedule(amplitude_m: float, seed: int = 0):
 
 def process_frame(local_map: LocalMap, frame: Frame, cfg: StrategyConfig,
                   traversal: int, params: RegistrationParams,
-                  offset_m: float | None = None):
+                  offset_m: float | None = None, sets=None, product=None):
     """Register one frame against its local map, update the map, and return
-    (LocationRecord, RegistrationResult)."""
+    (LocationRecord, RegistrationResult).
+
+    sets are the map's active rows at the frame's time (see active_sets) and
+    product their products with the frame's view (see view_product); both
+    are made here unless given. Registration and the insertion ranking
+    reduce the product."""
     t = frame.time
+    view = frame.features
+    if sets is None:
+        sets = active_sets(local_map, cfg, t)
+        product = view_product(view, [active for _, active in sets])
     if cfg.kind == "multiple":
-        best_i, reg = select_best_alternative(local_map, frame.features, cfg,
-                                              t, params)
-        idx = None
+        best_i, reg = select_best_alternative(local_map, view, cfg, t, params,
+                                              sets, product)
+        idx = dot = None
     else:
         best_i = 0
-        feats = local_map.features
-        idx = select_active_indices(feats, cfg, t)
-        active = feats if len(idx) == len(feats) else feats.take(idx)
-        reg = register(active, frame.features, params)
-    update_map(local_map, frame.features, reg, cfg, t, traversal,
-               active_indices=idx, image_width=params.image_width)
+        (idx, active), = sets
+        dot = product.dot(0)
+        reg = register(active, view, params, dot)
+    update_map(local_map, view, reg, cfg, t, traversal, active_indices=idx,
+               image_width=params.image_width, dot=dot)
     n_inc = int(np.count_nonzero(reg.outcomes == MatchOutcome.MatchedIncorrectly))
     rec = LocationRecord(
         traversal=traversal, strategy=cfg.kind, time_s=t,
@@ -418,6 +426,24 @@ def generate_frames(world: World, traversals: int, interval_s: float,
             yield tr, world.observe(loc, t, offset, rng)
 
 
+def _replay_frame(frame: Frame, traversal: int, strategies, paths, logs,
+                  params: RegistrationParams) -> None:
+    """Every strategy's process_frame on one frame, all registering through
+    one product of the view with their active rows; the product is freed on
+    return."""
+    maps = [p.local_maps[frame.location] for p in paths]
+    sets = [active_sets(lm, cfg, frame.time)
+            for lm, cfg in zip(maps, strategies)]
+    product = view_product(frame.features,
+                           [active for ss in sets for _, active in ss])
+    start = 0
+    for cfg, lm, ss, log in zip(strategies, maps, sets, logs):
+        rec, _ = process_frame(lm, frame, cfg, traversal, params, sets=ss,
+                               product=product.part(start, start + len(ss)))
+        start += len(ss)
+        log.append(rec)
+
+
 def replay_frames(frames, strategies, path: PathMap | None = None,
                   feature_cap: int = 500,
                   params: RegistrationParams | None = None):
@@ -426,11 +452,12 @@ def replay_frames(frames, strategies, path: PathMap | None = None,
 
     Every repeat frame is processed by each strategy in turn, against that
     strategy's own PathMap: a deep copy of `path` when one is supplied, else
-    one taught from the traversal-0 frames. Returns (paths, logs) with one
-    PathMap and one list of LocationRecord per strategy. Frames must arrive in
-    non-decreasing traversal order, repeat frames must name a taught
-    location and a supplied path must have params.image_width; DatasetError
-    otherwise.
+    one taught from the traversal-0 frames. Each view is multiplied once
+    with the distinct active rows of all strategies (see _replay_frame).
+    Returns (paths, logs) with one PathMap and one list of LocationRecord per
+    strategy. Frames must arrive in non-decreasing traversal order, repeat
+    frames must name a taught location and a supplied path must have
+    params.image_width; DatasetError otherwise.
     """
     strategies = list(strategies)
     if not strategies:
@@ -460,10 +487,7 @@ def replay_frames(frames, strategies, path: PathMap | None = None,
             raise DatasetError(f"traversal {tr}: location {frame.location} is "
                                f"outside the taught path of {n_maps} locations")
         last_tr = tr
-        for cfg, p, log in zip(strategies, paths, logs):
-            rec, _ = process_frame(p.local_maps[frame.location], frame, cfg,
-                                   tr, params)
-            log.append(rec)
+        _replay_frame(frame, tr, strategies, paths, logs, params)
     if paths is None:
         paths = _strategy_paths(strategies, teach_batch, path, feature_cap,
                                 image_width=image_width)

@@ -115,14 +115,34 @@ def select_active_indices(feats: FeatureBlock, cfg: StrategyConfig,
     return _ranked((-feats.inserted_at, -key), n, cfg.m)
 
 
+def active_sets(local_map: LocalMap, cfg: StrategyConfig, t: float) -> list:
+    """(indices, rows) that select_active_indices picks at t from each
+    feature set the strategy registers a view against: the taught set, and
+    under multiple every alternative after it."""
+    sets = [local_map.features]
+    if cfg.kind == "multiple":
+        sets += [a.features for a in local_map.alternatives]
+    out = []
+    for feats in sets:
+        idx = select_active_indices(feats, cfg, t)
+        out.append((idx, feats if len(idx) == len(feats) else feats.take(idx)))
+    return out
+
+
 def rank_addition_candidates(unmatched_view: FeatureBlock,
-                             local_map: LocalMap) -> FeatureBlock:
+                             local_map: LocalMap, dot=None,
+                             rows=None) -> FeatureBlock:
     """Unmatched view features ordered most-unique-first, uniqueness being the
-    Hamming distance to the nearest map feature; ties keep view order."""
+    Hamming distance to the nearest map feature; ties keep view order.
+
+    dot, when given, holds the unmatched features' products with the map
+    rows `rows` (all rows when None), e.g. from the registration's product;
+    only the other map rows are multiplied (see kernels.nearest_distances)."""
     if not len(unmatched_view) or not len(local_map.features):
         return unmatched_view
     dist = kernels.nearest_distances(pack_features(unmatched_view),
-                                     pack_features(local_map.features))
+                                     pack_features(local_map.features),
+                                     dot, rows)
     return unmatched_view.take(np.lexsort((np.arange(dist.shape[0]), -dist)))
 
 
@@ -162,25 +182,32 @@ def _new_rows(view: FeatureBlock, delta: float, traversal: int,
 
 
 def _insert_candidates(view, reg, local_map, count, traversal, cfg,
-                       image_width):
+                       image_width, active_indices, dot):
     # candidates are ranked against the map as it stands before any removal
     if count <= 0 or reg.delta is None:
         return None
     unmatched = np.ones(len(view), dtype=bool)
     unmatched[reg.pairs.view_idx] = False
-    ranked = rank_addition_candidates(view.take(unmatched), local_map)
+    if dot is not None:
+        dot = dot[:, unmatched].T
+    ranked = rank_addition_candidates(view.take(unmatched), local_map, dot,
+                                      active_indices)
     return _new_rows(ranked.take(slice(count)), reg.delta, traversal, cfg,
                      image_width)
 
 
 def update_map(local_map: LocalMap, view: FeatureBlock, reg,
                cfg: StrategyConfig, t: float, traversal: int,
-               active_indices=None, image_width: int = 640) -> LocalMap:
+               active_indices=None, image_width: int = 640,
+               dot=None) -> LocalMap:
     """Apply one traversal's registration result to the local map (in place).
 
     reg must have been computed against the features select_active_indices
     picks from this map at time t (for multiple: against the best
-    alternative). New rows are clipped into the registration's image_width.
+    alternative). dot, when given, is those rows' product with the view
+    (see registration.view_product); the insertion ranking reuses it, and
+    then active_indices must be given too. New rows are clipped into the
+    registration's image_width.
     On a failed registration only score/temporal bookkeeping runs; nothing is
     ever inserted or removed.
     """
@@ -242,26 +269,30 @@ def update_map(local_map: LocalMap, view: FeatureBlock, reg,
         remove[_ranked((feats.inserted_at, key), n, n_insert)] = True
 
     inserted = _insert_candidates(view, reg, local_map, n_insert, traversal,
-                                  cfg, image_width)
+                                  cfg, image_width, active_indices, dot)
     kept = feats.take(~remove) if remove.any() else feats
     local_map.features = concat(kept, inserted)
     return local_map
 
 
 def select_best_alternative(local_map: LocalMap, view, cfg: StrategyConfig,
-                            t: float, params: RegistrationParams | None = None):
+                            t: float, params: RegistrationParams | None = None,
+                            sets=None, product=None):
     """Register the view against the rows select_active_indices picks from
     every alternative (taught set first) and return (index,
     RegistrationResult) of the one with most correct matches; ties keep the
-    oldest alternative. Index 0 is the taught map."""
-    alts = [local_map.features] + [a.features for a in local_map.alternatives]
+    oldest alternative. Index 0 is the taught map.
+
+    sets, when given, are those rows as active_sets picks them, and product
+    their products with the view (see registration.view_product)."""
+    if sets is None:
+        sets = active_sets(local_map, cfg, t)
     best_i = 0
     best_reg = None
     best_key = (-1, -1)
-    for i, feats in enumerate(alts):
-        idx = select_active_indices(feats, cfg, t)
-        active = feats if len(idx) == len(feats) else feats.take(idx)
-        reg = register(active, view, params)
+    for i, (_, active) in enumerate(sets):
+        reg = register(active, view, params,
+                       None if product is None else product.dot(i))
         key = (0 if reg.delta is None else 1, reg.correct_count)
         if best_reg is None or key > best_key:
             best_i, best_reg, best_key = i, reg, key

@@ -16,7 +16,7 @@ from numpy.random import default_rng
 
 from longnav.evaluation import (ErrorSequence, compare_strategies, error_cdf,
                                 paired_t_test)
-from longnav.features import Descriptor, LocalMap
+from longnav.features import LocalMap
 from longnav.fremen import FremenModel
 from longnav.registration import (MatchOutcome, Pairs, RegistrationResult,
                                   register)
@@ -26,7 +26,7 @@ from longnav.strategies import (STRATEGY_KINDS, StrategyConfig,
                                 init_strategy_state, select_active_indices,
                                 update_map)
 
-from blocks import block_from_descriptors
+from blocks import Descriptor, block_from_descriptors
 
 SPAN_S = 90 * 86400.0
 TRAVERSALS = 178

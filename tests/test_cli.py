@@ -319,6 +319,32 @@ def test_report_rejects_empty_log_file(tmp_path, config_path, capsys):
     assert "empty.jsonl: no log records" in err
 
 
+@pytest.mark.parametrize("with_score", [False, True])
+def test_report_rejects_log_mixing_strategies(tmp_path, config_path, capsys,
+                                              with_score):
+    # cat logs_score.jsonl logs_static.jsonl > mixed.jsonl
+    score = _replay_logs(tmp_path, config_path, "score")
+    static = _replay_logs(tmp_path, config_path, "static")
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text(score.read_text() + static.read_text())
+    n_score = len(score.read_text().splitlines())
+    logs = (mixed, score) if with_score else (mixed,)
+    err = _report_error(capsys, config_path, tmp_path, *logs)
+    assert (f"mixed.jsonl:{n_score + 1}: a 'static' record in a log of "
+            "'score'") in err
+
+
+def test_report_rejects_repeated_frame(tmp_path, config_path, capsys):
+    score = _replay_logs(tmp_path, config_path, "score")
+    rows = score.read_text().splitlines()
+    doubled = tmp_path / "doubled.jsonl"
+    doubled.write_text("\n".join(rows + rows[:1]) + "\n")
+    err = _report_error(capsys, config_path, tmp_path, doubled)
+    row = json.loads(rows[0])
+    assert (f"doubled.jsonl:{len(rows) + 1}: traversal {row['traversal']}, "
+            f"location {row['location']} is logged twice") in err
+
+
 def test_report_needs_two_common_frames(tmp_path, config_path, capsys):
     score = _replay_logs(tmp_path, config_path, "score")
     static = _replay_logs(tmp_path, config_path, "static")

@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from longnav.errors import ConfigError
-from longnav.features import (Descriptor, LocalMap, PathMap, concat,
-                              hamming_distance, pack_features)
+from longnav.features import LocalMap, PathMap, concat, pack_features
 from longnav.fremen import FremenModel
 from longnav.kernels import bit_rows
 
-from blocks import block_from_descriptors
+from blocks import Descriptor, block_from_descriptors, hamming_distance
 
 
 def test_descriptor_int_hex_roundtrip():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from longnav.errors import DatasetError
-from longnav.features import Descriptor, LocalMap, MapAlternative, PathMap
+from longnav.features import LocalMap, MapAlternative, PathMap
 from longnav.fremen import FremenModel
 from longnav.io import (read_dataset, read_logs, read_map_snapshot,
                         write_dataset, write_logs, write_map_snapshot)
@@ -17,7 +17,7 @@ from longnav.simulator import (LocationRecord, World, WorldConfig,
                                run_closed_loop, teach, uniform_offset_schedule)
 from longnav.strategies import StrategyConfig
 
-from blocks import block_from_descriptors
+from blocks import Descriptor, block_from_descriptors
 
 
 def small_world():

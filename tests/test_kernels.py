@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from longnav import kernels
-from longnav.features import Descriptor
+
+from blocks import (ROW, Descriptor, hamming_matrix, popcount_words,
+                    shared_sets)
 
 
 def bit_loop_distance(a_words, b_words, width):
@@ -33,7 +35,7 @@ def test_popcount_words_matches_python():
     rng = np.random.default_rng(0)
     for _ in range(200):
         w = random_words(rng, 1, 256)[0]
-        assert kernels.popcount_words(w) == sum(bin(int(x)).count("1") for x in w)
+        assert popcount_words(w) == sum(bin(int(x)).count("1") for x in w)
 
 
 def test_hamming_exhaustive_width4():
@@ -41,7 +43,7 @@ def test_hamming_exhaustive_width4():
         for b in range(16):
             da = Descriptor.from_int(a, 4).words
             db = Descriptor.from_int(b, 4).words
-            m = kernels.hamming_matrix(da[None, :], db[None, :])
+            m = hamming_matrix(da[None, :], db[None, :])
             assert m[0, 0] == bit_loop_distance(da, db, 4) == bin(a ^ b).count("1")
 
 
@@ -49,7 +51,7 @@ def test_hamming_randomized_width256_against_bit_loop():
     rng = np.random.default_rng(1)
     a = random_words(rng, 100, 256)
     b = random_words(rng, 100, 256)
-    m = kernels.hamming_matrix(a, b)
+    m = hamming_matrix(a, b)
     # 10^4 pairs, each checked against the per-bit loop
     for i in range(100):
         for j in range(100):
@@ -66,7 +68,7 @@ def test_hamming_matrix_matches_bit_loop_across_widths(width):
     b[1] = ~a[1]  # distance width, once the padding is masked off again
     if width % 64:
         b[1, -1] &= np.uint64((1 << (width % 64)) - 1)
-    m = kernels.hamming_matrix(a, b)
+    m = hamming_matrix(a, b)
     assert m.dtype == np.int64
     for i in range(len(a)):
         for j in range(len(b)):
@@ -83,7 +85,7 @@ _rows = st.lists(st.integers(0, 2**64 - 1), min_size=4, max_size=4)
 def test_hamming_matrix_matches_oracle_property(aw, bw):
     a = np.array(aw, dtype=np.uint64)
     b = np.array(bw, dtype=np.uint64)
-    m = kernels.hamming_matrix(a, b)
+    m = hamming_matrix(a, b)
     for i in range(len(aw)):
         for j in range(len(bw)):
             assert m[i, j] == bit_loop_distance(a[i], b[j], 256)
@@ -94,7 +96,7 @@ def test_hamming_matrix_shapes(na, nb):
     rng = np.random.default_rng(2)
     a = random_words(rng, na, 256)
     b = random_words(rng, nb, 256)
-    assert kernels.hamming_matrix(a, b).shape == (na, nb)
+    assert hamming_matrix(a, b).shape == (na, nb)
 
 
 @pytest.mark.parametrize("na,nb", [(0, 5), (5, 0), (0, 0)])
@@ -113,7 +115,7 @@ def test_nearest_distances_are_row_minima(width):
     b[:5] = a[:5]
     d = kernels.nearest_distances(a, b)
     assert d.dtype == np.int64
-    assert np.array_equal(d, kernels.hamming_matrix(a, b).min(axis=1))
+    assert np.array_equal(d, hamming_matrix(a, b).min(axis=1))
 
 
 @pytest.mark.parametrize("width", [4, 68, 256])
@@ -121,7 +123,7 @@ def test_self_nearest_distances_are_row_minima_off_diagonal(width):
     rng = np.random.default_rng(6)
     a = random_words(rng, 25, width)
     a[10] = a[2]
-    m = kernels.hamming_matrix(a, a)
+    m = hamming_matrix(a, a)
     np.fill_diagonal(m, np.iinfo(np.int64).max)
     d = kernels.self_nearest_distances(a)
     assert d.dtype == np.int64
@@ -148,7 +150,7 @@ def test_mutual_nearest_pairs_match_argmin_definition():
     for _ in range(20):
         a = random_words(rng, int(rng.integers(1, 30)), 256) & np.uint64(7)
         b = random_words(rng, int(rng.integers(1, 30)), 256) & np.uint64(7)
-        m = kernels.hamming_matrix(a, b)
+        m = hamming_matrix(a, b)
         best_b = m.argmin(axis=1)
         best_a = m.argmin(axis=0)
         want = [(i, int(j), int(m[i, j])) for i, j in enumerate(best_b)
@@ -186,3 +188,56 @@ def test_self_nearest_excludes_self():
     a2[7] = a2[3]
     d2 = kernels.self_nearest_distances(a2)
     assert d2[3] == 0 and d2[7] == 0
+
+
+@given(st.lists(ROW, max_size=30))
+@settings(max_examples=60, deadline=None)
+def test_distinct_rows_numbers_equal_rows_alike(rows):
+    words = np.array(rows, dtype=np.uint64).reshape(len(rows), 2)
+    first, inverse = kernels.distinct_rows(words)
+    assert np.array_equal(words[first[inverse]], words)
+    same_row = (words[:, None] == words[None]).all(axis=2)
+    assert np.array_equal(inverse[:, None] == inverse[None], same_row)
+    assert len(first) == len(set(rows))
+
+
+def test_distinct_rows_tells_apart_rows_sharing_a_sort_key():
+    # w0*M0 + w1*M1 (mod 2**64) is unchanged by w0 += M1, w1 -= M0
+    m0, m1 = (int(v) for v in kernels._ROW_MIX[:2])
+    a = (12345, 678)
+    b = ((a[0] + m1) % 2**64, (a[1] - m0) % 2**64)
+    assert (a[0] * m0 + a[1] * m1) % 2**64 == (b[0] * m0 + b[1] * m1) % 2**64
+    first, inverse = kernels.distinct_rows(np.array([a, b, a, b],
+                                                    dtype=np.uint64))
+    assert len(first) == 2
+    assert inverse[0] == inverse[2] != inverse[1] == inverse[3]
+
+
+@given(shared_sets())
+@settings(max_examples=80, deadline=None)
+def test_view_product_equals_each_sets_own_product(data):
+    pool, sets, view, active = data
+    vw = pool[view]
+    set_words = [pool[s][np.array(a, dtype=bool)] for s, a in zip(sets, active)]
+    product = kernels.ViewProduct(kernels.bit_rows(vw),
+                                  [(w, kernels.bit_rows(w)) for w in set_words])
+    for k, w in enumerate(set_words):
+        own = kernels._dot(w, vw)[0]
+        assert np.array_equal(product.dot(k), own)
+        shared = kernels.mutual_nearest_pairs(w, vw, 64, product.dot(k))
+        for got, want in zip(shared, kernels.mutual_nearest_pairs(w, vw, 64)):
+            assert np.array_equal(got, want) and got.dtype == want.dtype
+    part = product.part(len(sets) - 1, len(sets))
+    assert np.array_equal(part.dot(0), product.dot(len(sets) - 1))
+
+
+@pytest.mark.parametrize("n_rows", [0, 7, 17])
+def test_nearest_distances_multiplies_only_rows_not_handed_in(n_rows):
+    rng = np.random.default_rng(8)
+    a = random_words(rng, 30, 256)
+    b = random_words(rng, 17, 256)
+    b[:5] = a[:5]
+    rows = np.sort(rng.choice(17, n_rows, replace=False))
+    dot = kernels._dot(a, b[rows])[0]
+    assert np.array_equal(kernels.nearest_distances(a, b, dot, rows),
+                          kernels.nearest_distances(a, b))

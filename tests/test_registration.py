@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from longnav.errors import ConfigError
-from longnav.features import Descriptor, hamming_distance
 from longnav.registration import (MatchOutcome, Pairs, RegistrationParams,
                                   classify_outcomes, histogram_vote,
                                   match_features, register)
 
-from blocks import block_from_descriptors
+from blocks import Descriptor, block_from_descriptors, hamming_distance
 
 
 def rand_feature(rng, width=256, x=None):

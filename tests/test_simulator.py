@@ -1,18 +1,23 @@
 """World generation, observation noise, teach pass, and loop dynamics."""
 
+import gc
+import math
+import weakref
+
 import numpy as np
 import pytest
 from numpy.random import default_rng
 
+from longnav import kernels
 from longnav.errors import ConfigError, DatasetError, TeachError
-from longnav.features import Descriptor
+from longnav.io import write_map_snapshot
 from longnav.simulator import (Frame, World, WorldConfig, generate_frames,
                                generate_world, replay_frames, run_closed_loop,
                                teach, teach_from_frames, teach_frames,
                                uniform_offset_schedule)
-from longnav.strategies import StrategyConfig
+from longnav.strategies import STRATEGY_KINDS, StrategyConfig
 
-from blocks import block_from_descriptors
+from blocks import Descriptor, block_from_descriptors
 
 
 def small_cfg(**kw):
@@ -265,3 +270,50 @@ def test_replay_rejects_location_outside_path(location):
 def test_generate_world_helper():
     w = generate_world(small_cfg(seed=14))
     assert isinstance(w, World) and len(w.pools) == 2
+
+
+def scarce_bimodal_stream(traversals=24):
+    """The C1 world's scarce day-or-night landmarks, two locations, as one
+    in-memory frame list."""
+    cfg = small_cfg(seed=0, landmarks_per_location=120,
+                    visibility_mean=(0.45, 0.55), visibility_amp=(0.40, 0.50),
+                    visibility_phases=(0.0, math.pi))
+    return list(generate_frames(World(cfg), traversals, 90 * 86400.0 / 178,
+                                offset_fn=uniform_offset_schedule(0.25, 0)))
+
+
+def test_lockstep_replay_matches_each_strategy_alone(tmp_path):
+    # one product per view, shared by all eight strategies, must give each
+    # the logs and final map it gets from products of its own; m=60 leaves
+    # summary's rows outside the active set for the insertion ranking
+    frames = scarce_bimodal_stream()
+    cfgs = [StrategyConfig(kind=k, m=60) for k in STRATEGY_KINDS]
+    paths, logs = replay_frames(frames, cfgs)
+    for cfg, path, log in zip(cfgs, paths, logs):
+        (alone_path,), (alone_log,) = replay_frames(frames, [cfg])
+        assert log == alone_log, cfg.kind
+        write_map_snapshot(path, tmp_path / "together.json")
+        write_map_snapshot(alone_path, tmp_path / "alone.json")
+        assert ((tmp_path / "together.json").read_bytes()
+                == (tmp_path / "alone.json").read_bytes()), cfg.kind
+    kinds = [cfg.kind for cfg in cfgs]
+    summary = paths[kinds.index("summary")]
+    assert max(len(lm.features) for lm in summary.local_maps) > 60
+    assert max(r.n_alternatives for r in logs[kinds.index("multiple")]) > 1
+
+
+def test_replay_keeps_no_view_product_alive(monkeypatch):
+    products = []
+    build = kernels.ViewProduct.__init__
+
+    def recording(self, view, sets):
+        build(self, view, sets)
+        products.append(weakref.ref(self._dot))
+
+    monkeypatch.setattr(kernels.ViewProduct, "__init__", recording)
+    frames = scarce_bimodal_stream(traversals=3)
+    paths, logs = replay_frames(frames, [StrategyConfig(kind=k)
+                                         for k in STRATEGY_KINDS])
+    gc.collect()
+    assert len(products) == 3 * 2  # one per repeat frame
+    assert all(ref() is None for ref in products)

@@ -4,19 +4,20 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from longnav.errors import ConfigError
-from longnav.features import (Descriptor, LocalMap, MapAlternative,
-                              hamming_distance)
+from longnav.features import FeatureBlock, LocalMap, MapAlternative
 from longnav.fremen import DEFAULT_PERIODS, FremenModel
-from longnav.registration import (MatchOutcome, Pairs, RegistrationResult,
-                                  register)
+from longnav.registration import (MatchOutcome, Pairs, RegistrationParams,
+                                  RegistrationResult, register, view_product)
 from longnav.strategies import (StrategyConfig, correct_positions,
                                 init_strategy_state, rank_addition_candidates,
                                 score_update, select_active_indices,
                                 select_best_alternative, update_map)
 
-from blocks import block_from_descriptors
+from blocks import (Descriptor, block_from_descriptors, hamming_distance,
+                    shared_sets)
 
 C = MatchOutcome.MatchedCorrectly
 I = MatchOutcome.MatchedIncorrectly
@@ -170,6 +171,41 @@ def test_rank_addition_candidates_oracle():
     order = sorted(range(len(rows)), key=lambda i: (-dist[i], i))
     assert keys(ranked) == [keys(cands)[i] for i in order]
     assert ranked.x.tolist() == [rows[i]["x"] for i in order]
+
+
+@given(shared_sets())
+@settings(max_examples=80, deadline=None)
+def test_shared_product_gives_each_set_its_own_pairs_and_ranking(data):
+    # several maps against one view, through one product over their
+    # active rows: every map gets the pairs and the insertion order that
+    # products of its own give
+    pool, sets, view_rows, active = data
+
+    def rows_block(idx, x0):
+        n = len(idx)
+        return FeatureBlock(x0 + 10.0 * np.arange(n), np.zeros(n),
+                            pool[np.asarray(idx, dtype=np.intp)], 128)
+
+    view = rows_block(view_rows, 3.0)
+    maps = [rows_block(s, 0.0).as_map(0) for s in sets]
+    actives = [np.flatnonzero(a) for a in active]
+    product = view_product(view, [m.take(idx) for m, idx in zip(maps, actives)])
+    params = RegistrationParams(d_max=128, min_votes=1)
+    for k, (feats, idx) in enumerate(zip(maps, actives)):
+        dot = product.dot(k)
+        shared = register(feats.take(idx), view, params, dot)
+        own = register(feats.take(idx), view, params)
+        for field in ("map_idx", "view_idx", "diff", "dist"):
+            assert np.array_equal(getattr(shared.pairs, field),
+                                  getattr(own.pairs, field))
+        unmatched = np.ones(len(view), dtype=bool)
+        unmatched[own.pairs.view_idx] = False
+        lm = LocalMap(0, 0.0, feats)
+        ranked = rank_addition_candidates(view.take(unmatched), lm,
+                                          dot[:, unmatched].T, idx)
+        want = rank_addition_candidates(view.take(unmatched), lm)
+        assert ranked.x.tolist() == want.x.tolist()
+        assert keys(ranked) == keys(want)
 
 
 def test_rank_addition_candidates_empty_cases():
