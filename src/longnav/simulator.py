@@ -316,8 +316,7 @@ def process_frame(local_map: LocalMap, frame: Frame, cfg: StrategyConfig,
         sets = active_sets(local_map, cfg, t)
         product = view_product(view, [active for _, active in sets])
     if cfg.kind == "multiple":
-        best_i, reg = select_best_alternative(local_map, view, cfg, t, params,
-                                              sets, product)
+        best_i, reg = select_best_alternative(view, sets, product, params)
         idx = dot = None
     else:
         best_i = 0

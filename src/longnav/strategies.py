@@ -275,24 +275,18 @@ def update_map(local_map: LocalMap, view: FeatureBlock, reg,
     return local_map
 
 
-def select_best_alternative(local_map: LocalMap, view, cfg: StrategyConfig,
-                            t: float, params: RegistrationParams | None = None,
-                            sets=None, product=None):
-    """Register the view against the rows select_active_indices picks from
-    every alternative (taught set first) and return (index,
-    RegistrationResult) of the one with most correct matches; ties keep the
-    oldest alternative. Index 0 is the taught map.
-
-    sets, when given, are those rows as active_sets picks them, and product
-    their products with the view (see registration.view_product)."""
-    if sets is None:
-        sets = active_sets(local_map, cfg, t)
+def select_best_alternative(view, sets, product,
+                            params: RegistrationParams | None = None):
+    """Register the view against every alternative's active rows, sets as
+    active_sets picks them (taught set first), reducing their products with
+    the view, product (see registration.view_product); return (index,
+    RegistrationResult) of the one with most correct matches. Ties keep the
+    oldest alternative. Index 0 is the taught map."""
     best_i = 0
     best_reg = None
     best_key = (-1, -1)
     for i, (_, active) in enumerate(sets):
-        reg = register(active, view, params,
-                       None if product is None else product.dot(i))
+        reg = register(active, view, params, product.dot(i))
         key = (0 if reg.delta is None else 1, reg.correct_count)
         if best_reg is None or key > best_key:
             best_i, best_reg, best_key = i, reg, key

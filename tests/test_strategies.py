@@ -11,9 +11,10 @@ from longnav.features import FeatureBlock, LocalMap, MapAlternative
 from longnav.fremen import DEFAULT_PERIODS, FremenModel
 from longnav.registration import (MatchOutcome, Pairs, RegistrationParams,
                                   RegistrationResult, register, view_product)
-from longnav.strategies import (StrategyConfig, correct_positions,
-                                init_strategy_state, rank_addition_candidates,
-                                score_update, select_active_indices,
+from longnav.strategies import (StrategyConfig, active_sets,
+                                correct_positions, init_strategy_state,
+                                rank_addition_candidates, score_update,
+                                select_active_indices,
                                 select_best_alternative, update_map)
 
 from blocks import (Descriptor, block_from_descriptors, hamming_distance,
@@ -458,6 +459,13 @@ def test_multiple_cap_warns_and_drops():
     assert len(lm.alternatives) == 2
 
 
+def select_best(lm, view, cfg, t):
+    """select_best_alternative on the map's active rows at time t."""
+    sets = active_sets(lm, cfg, t)
+    product = view_product(view, [active for _, active in sets])
+    return select_best_alternative(view, sets, product)
+
+
 def test_select_best_alternative():
     rng = np.random.default_rng(18)
     taught = [rand_feature(rng) for _ in range(10)]
@@ -467,18 +475,18 @@ def test_select_best_alternative():
     cfg = StrategyConfig(kind="multiple")
 
     view = block([feature(f["x"] + 2.0, f["y"], f["d"]) for f in other])
-    idx, reg = select_best_alternative(lm, view, cfg, 0.0)
+    idx, reg = select_best(lm, view, cfg, 0.0)
     assert idx == 1 and reg.correct_count == 10
     assert reg.delta == pytest.approx(2.0)
 
     view = block([feature(f["x"], f["y"], f["d"]) for f in taught])
-    idx, reg = select_best_alternative(lm, view, cfg, 0.0)
+    idx, reg = select_best(lm, view, cfg, 0.0)
     assert idx == 0 and reg.correct_count == 10
 
     # identical alternatives tie; the taught set (oldest) wins
     lm2 = LocalMap(0, 0.0, block(taught),
                    alternatives=[MapAlternative(block(taught), 1)])
-    idx, _ = select_best_alternative(lm2, view, cfg, 0.0)
+    idx, _ = select_best(lm2, view, cfg, 0.0)
     assert idx == 0
 
 
@@ -490,7 +498,7 @@ def test_select_best_alternative_registers_against_cap():
     cfg = StrategyConfig(kind="multiple", m=6)
     # view matches only the features outside the newest-m cap: must not count
     view = block([feature(f["x"], f["y"], f["d"]) for f in old])
-    idx, reg = select_best_alternative(lm, view, cfg, 0.0)
+    idx, reg = select_best(lm, view, cfg, 0.0)
     assert idx == 0 and reg.correct_count == 0
 
 
@@ -503,7 +511,7 @@ def test_select_best_alternative_caps_each_alternative():
                   alternatives=[MapAlternative(block(rows), 1)])
     cfg = StrategyConfig(kind="multiple", m=6)
     view = block([feature(f["x"] + 2.0, f["y"], f["d"]) for f in rows])
-    idx, reg = select_best_alternative(lm, view, cfg, 0.0)
+    idx, reg = select_best(lm, view, cfg, 0.0)
     assert idx == 1 and len(reg.outcomes) == 6 and reg.correct_count == 6
     # the matched view rows are exactly the alternative's newest rows
     assert sorted(reg.pairs.view_idx.tolist()) == list(range(1, 12, 2))
