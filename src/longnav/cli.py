@@ -142,12 +142,15 @@ def _out_dir(args) -> Path:
 
 
 def _strategy_for(args, cfg: RunConfig) -> StrategyConfig:
+    """The config's one entry for --strategy (the defaults when it lists
+    none), or without the flag the config's only entry."""
     name = getattr(args, "strategy", None)
-    if name:
-        return StrategyConfig(kind=name)
-    if len(cfg.strategies) == 1:
-        return cfg.strategies[0]
-    raise ConfigError("--strategy <kind> is required (config lists several)")
+    listed = [s for s in cfg.strategies if s.kind == name or not name]
+    if len(listed) > 1 and not name:
+        raise ConfigError("--strategy <kind> is required (config lists several)")
+    if len(listed) > 1:
+        raise ConfigError(f"the config lists strategy {name!r} {len(listed)} times")
+    return listed[0] if listed else StrategyConfig(kind=name)
 
 
 def _offset_fn(cfg: RunConfig):

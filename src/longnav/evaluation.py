@@ -192,7 +192,7 @@ def compare_strategies(source, strategies, schedule=None, *, mode: str = "open",
                        params: RegistrationParams | None = None,
                        feature_cap: int = 500,
                        failure_penalty: float | None = None,
-                       thresholds=DEFAULT_THRESHOLDS, alpha: float = 0.05,
+                       alpha: float = 0.05,
                        initial_offset_m: float = 0.0) -> ComparisonReport:
     """Run every strategy over the same evidence and assemble the report.
 
@@ -242,8 +242,8 @@ def compare_strategies(source, strategies, schedule=None, *, mode: str = "open",
 
     sequences = [registration_errors(records, failure_penalty, lab)
                  for lab, records in zip(labels, results)]
-    return build_report(sequences, thresholds=thresholds, alpha=alpha,
-                        mode=mode, stream_hashes=stream_hashes)
+    return build_report(sequences, alpha=alpha, mode=mode,
+                        stream_hashes=stream_hashes)
 
 
 def build_report(sequences, *, thresholds=DEFAULT_THRESHOLDS,

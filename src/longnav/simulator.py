@@ -16,7 +16,7 @@ untouched, so strategies sharing one world see it evolve as they would alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.random import default_rng
@@ -163,23 +163,24 @@ class World:
         rng = default_rng((config.seed, _SALT_WORLD))
         self.pools = [self._make_pool(rng) for _ in range(config.n_locations)]
 
-    def _draw_visibility(self, rng, n: int):
+    def _draw_landmarks(self, rng, n: int) -> _Pool:
+        """n fresh landmarks, drawn as x, y, visibility law, descriptor."""
         cfg = self.config
+        x = rng.uniform(0.0, cfg.image_width, n)
+        y = rng.uniform(0.0, cfg.image_height, n)
         mu = rng.uniform(cfg.visibility_mean[0], cfg.visibility_mean[1], n)
         amp = rng.uniform(cfg.visibility_amp[0], cfg.visibility_amp[1], n)
         if cfg.visibility_phases is None:
             phase = rng.uniform(0.0, 2.0 * np.pi, n)
         else:
             phase = rng.choice(np.asarray(cfg.visibility_phases, dtype=np.float64), size=n)
-        return mu, amp, phase
+        desc = _random_words(rng, n, cfg.descriptor_width)
+        return _Pool(x, y, mu, amp, phase, desc)
 
     def _make_pool(self, rng) -> _Pool:
         cfg = self.config
         n = cfg.landmarks_per_location
-        x = rng.uniform(0.0, cfg.image_width, n)
-        y = rng.uniform(0.0, cfg.image_height, n)
-        mu, amp, phase = self._draw_visibility(rng, n)
-        desc = _random_words(rng, n, cfg.descriptor_width)
+        pool = self._draw_landmarks(rng, n)
         if cfg.alias_prob > 0:
             # plant near-duplicate descriptors so aliased (wrong-place) matches
             # are possible, as they are with real imagery
@@ -188,8 +189,8 @@ class World:
                 base = rng.integers(0, n, size=twins.size)
                 flips = _bernoulli_words(rng, twins.size, cfg.descriptor_width,
                                          cfg.alias_flip_bits / cfg.descriptor_width)
-                desc[twins] = desc[base] ^ flips
-        return _Pool(x, y, mu, amp, phase, desc)
+                pool.desc[twins] = pool.desc[base] ^ flips
+        return pool
 
     def advance_turnover(self, traversal: int) -> None:
         """Replace each landmark with probability turnover_prob; seeded by
@@ -199,18 +200,13 @@ class World:
             return
         rng = default_rng((cfg.seed, _SALT_TURNOVER, traversal))
         for pool in self.pools:
-            n = pool.x.shape[0]
-            mask = rng.random(n) < cfg.turnover_prob
+            mask = rng.random(pool.x.shape[0]) < cfg.turnover_prob
             k = int(mask.sum())
             if k == 0:
                 continue
-            pool.x[mask] = rng.uniform(0.0, cfg.image_width, k)
-            pool.y[mask] = rng.uniform(0.0, cfg.image_height, k)
-            mu, amp, phase = self._draw_visibility(rng, k)
-            pool.mu[mask] = mu
-            pool.amp[mask] = amp
-            pool.phase[mask] = phase
-            pool.desc[mask] = _random_words(rng, k, cfg.descriptor_width)
+            fresh = self._draw_landmarks(rng, k)
+            for f in fields(_Pool):
+                getattr(pool, f.name)[mask] = getattr(fresh, f.name)
 
     def observe(self, location: int, t: float, offset_m: float, rng) -> Frame:
         """Draw one frame. Draw order (fixed for reproducibility): visibility

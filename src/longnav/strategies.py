@@ -1,16 +1,15 @@
-"""Map-update strategies: scoring, active-feature selection, feature exchange.
+"""Map-update strategies as the paper's three map-management steps.
 
-Eight strategies share one update entry point. The taught map is either kept
-verbatim (static), replaced wholesale (latest), pruned by match outcome
-(aggressive, strict, summary), forked into alternatives (multiple), or managed
-by per-feature scores (score) / temporal models (fremen) that exchange a fixed
-fraction of features every traversal.
+Each kind is one row of ``_STEPS``: (i) the per-row state that selects the
+active features, (ii) the rows a registration removes and (iii) the view rows
+it inserts; multiple instead forks the map into alternatives.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +21,71 @@ from .features import (FeatureBlock, LocalMap, MapAlternative, concat,
 from .fremen import DEFAULT_PERIODS, FremenModel, predict_many
 from .registration import MatchOutcome, RegistrationParams, register
 
-STRATEGY_KINDS = ("static", "latest", "aggressive", "strict", "summary",
-                  "multiple", "score", "fremen")
+
+def _ranked(key_order, n: int, m: int) -> np.ndarray:
+    """The first m of n rows under np.lexsort keys (last key primary, row
+    index the final tiebreak), in row order."""
+    order = np.lexsort((np.arange(n),) + key_order)
+    return np.sort(order[:m])
+
+
+# (i) per-row state: the key (rows, cfg, t) active selection ranks by, how
+# one match value per row folds into it (rows, values, t) (None: it does
+# not), and whether rows carry fremen models
+_State = namedtuple("_State", "key fold temporal", defaults=(None, False))
+_NO_STATE = _State(lambda feats, cfg, t: np.zeros(len(feats)))
+_SCORE = _State(lambda feats, cfg, t: feats.score,
+                lambda feats, v, t: np.add(feats.score, v, out=feats.score))
+_FREMEN = _State(lambda feats, cfg, t: predict_many(feats.temporal, t,
+                                                    cfg.fremen_order),
+                 lambda feats, v, t: feats.temporal.add_observation(v, t), True)
+
+
+def _outcomes(*which):
+    """(ii) Removal of the rows whose match outcome is one of which."""
+    removed = np.array([o in which for o in MatchOutcome])
+    return lambda feats, outcome_of, cfg: removed[outcome_of]
+
+
+def _lowest(key):
+    """(ii) Removal of the ceil(exchange_fraction * n) rows lowest under
+    key(rows), the oldest first among equals."""
+    def remove(feats, outcome_of, cfg):
+        n = len(feats)
+        mask = np.zeros(n, dtype=bool)
+        mask[_ranked((feats.inserted_at, key(feats)), n,
+                     math.ceil(cfg.exchange_fraction * n))] = True
+        return mask
+    return remove
+
+
+def _as_removed(view, remove, cfg):
+    """(iii) As many unmatched view rows as rows were removed."""
+    return int(np.count_nonzero(remove))
+
+
+def _view_fraction(view, remove, cfg):
+    """(iii) summary_add_fraction of the view's rows, rounded up."""
+    return math.ceil(cfg.summary_add_fraction * len(view))
+
+
+_N, _C, _I = MatchOutcome  # not matched, matched correctly, incorrectly
+# One row per kind, in report order: (i) its per-row state; (ii) the rows a
+# successful registration removes, (rows, outcome per row, cfg) -> mask;
+# (iii) how many unmatched view rows it inserts, most unique first, (view,
+# mask, cfg) -> count, None inserting the whole view in view order.
+# multiple forks the map into alternatives instead (see update_map).
+_STEPS = {
+    "static": (_NO_STATE, _outcomes(), _as_removed),
+    "latest": (_NO_STATE, _outcomes(_N, _C, _I), None),
+    "aggressive": (_NO_STATE, _outcomes(_I, _N), _as_removed),
+    "strict": (_NO_STATE, _outcomes(_I), _as_removed),
+    "summary": (_NO_STATE, _outcomes(_I), _view_fraction),
+    "multiple": (_NO_STATE, None, None),
+    "score": (_SCORE, _lowest(lambda feats: feats.score), _as_removed),
+    "fremen": (_FREMEN, _lowest(lambda feats: feats.temporal.mu), _as_removed),
+}
+STRATEGY_KINDS = tuple(_STEPS)
 
 
 @dataclass
@@ -72,46 +134,28 @@ class StrategyConfig:
 
 def score_update(block: FeatureBlock, outcomes, cfg: StrategyConfig,
                  t: float) -> FeatureBlock:
-    """Fold one match outcome per row into the block's strategy state (in
-    place); under fremen the block holds the models init_strategy_state
-    gave it."""
-    if cfg.kind not in ("score", "fremen"):
+    """Fold one match outcome per row into the block's per-row state (in
+    place), the models init_strategy_state gave it under fremen."""
+    fold = _STEPS[cfg.kind][0].fold
+    if fold is None:
         return block
     outcomes = np.asarray(outcomes)
-    v = np.where(outcomes == MatchOutcome.MatchedCorrectly, cfg.s_c,
-                 np.where(outcomes == MatchOutcome.MatchedIncorrectly, -cfg.s_i,
-                          -cfg.s_n))
-    if cfg.kind == "score":
-        block.score += v
-    else:
-        block.temporal.add_observation(v, t)
+    v = np.where(outcomes == _C, cfg.s_c,
+                 np.where(outcomes == _I, -cfg.s_i, -cfg.s_n))
+    fold(block, v, t)
     return block
-
-
-def _ranked(key_order, n: int, m: int) -> np.ndarray:
-    """The first m of n rows under np.lexsort keys (last key primary, row
-    index the final tiebreak), in row order."""
-    order = np.lexsort((np.arange(n),) + key_order)
-    return np.sort(order[:m])
 
 
 def select_active_indices(feats: FeatureBlock, cfg: StrategyConfig,
                           t: float) -> np.ndarray:
-    """Indices of the rows used for localisation, in row order.
-
-    Fremen ranks by predicted score at t, score by accumulated score, every
-    other strategy keeps all rows; the top m survive the cap, ties going
-    to the newest inserted_at and then to row order.
-    """
+    """Indices of the rows used for localisation, in row order: every row
+    within the cap m, else the top m under the kind's state key at t
+    (fremen: predicted score, score: accumulated score, others: none), ties
+    going to the newest inserted_at and then to row order."""
     n = len(feats)
     if n <= cfg.m:
         return np.arange(n)
-    if cfg.kind == "fremen":
-        key = predict_many(feats.temporal, t, cfg.fremen_order)
-    elif cfg.kind == "score":
-        key = feats.score
-    else:
-        key = np.zeros(n)
+    key = _STEPS[cfg.kind][0].key(feats, cfg, t)
     return _ranked((-feats.inserted_at, -key), n, cfg.m)
 
 
@@ -122,11 +166,9 @@ def active_sets(local_map: LocalMap, cfg: StrategyConfig, t: float) -> list:
     sets = [local_map.features]
     if cfg.kind == "multiple":
         sets += [a.features for a in local_map.alternatives]
-    out = []
-    for feats in sets:
-        idx = select_active_indices(feats, cfg, t)
-        out.append((idx, feats if len(idx) == len(feats) else feats.take(idx)))
-    return out
+    picks = [select_active_indices(feats, cfg, t) for feats in sets]
+    return [(idx, feats if len(idx) == len(feats) else feats.take(idx))
+            for idx, feats in zip(picks, sets)]
 
 
 def rank_addition_candidates(unmatched_view: FeatureBlock,
@@ -155,16 +197,16 @@ def correct_positions(features: FeatureBlock, delta: float,
 
 
 def init_strategy_state(path_or_map, cfg: StrategyConfig) -> None:
-    """Decide which rows carry a temporal model: under fremen every row of
-    each taught set, a supplied model kept and the other sets given fresh
-    ones; under every other kind, and in alternatives, none. ConfigError
-    when a supplied model's periods differ from cfg.fremen_periods."""
+    """Decide which rows carry a temporal model: when the kind's state has
+    one (fremen), every row of each taught set, a supplied model kept and the
+    other sets given fresh ones; otherwise, and in alternatives, none.
+    ConfigError when a supplied model's periods differ from fremen_periods."""
     periods = tuple(float(p) for p in cfg.fremen_periods)
     for lm in getattr(path_or_map, "local_maps", [path_or_map]):
         for alt in lm.alternatives:
             alt.features.temporal = None
         feats = lm.features
-        if cfg.kind != "fremen":
+        if not _STEPS[cfg.kind][0].temporal:
             feats.temporal = None
         elif feats.temporal is None:
             feats.temporal = FremenModel(periods, len(feats))
@@ -177,23 +219,8 @@ def _new_rows(view: FeatureBlock, delta: float, traversal: int,
               cfg: StrategyConfig, image_width: int) -> FeatureBlock:
     rows = correct_positions(view, delta, image_width)
     temporal = (FremenModel(cfg.fremen_periods, len(rows))
-                if cfg.kind == "fremen" else None)
+                if _STEPS[cfg.kind][0].temporal else None)
     return rows.as_map(traversal, temporal)
-
-
-def _insert_candidates(view, reg, local_map, count, traversal, cfg,
-                       image_width, active_indices, dot):
-    # candidates are ranked against the map as it stands before any removal
-    if count <= 0 or reg.delta is None:
-        return None
-    unmatched = np.ones(len(view), dtype=bool)
-    unmatched[reg.pairs.view_idx] = False
-    if dot is not None:
-        dot = dot[:, unmatched].T
-    ranked = rank_addition_candidates(view.take(unmatched), local_map, dot,
-                                      active_indices)
-    return _new_rows(ranked.take(slice(count)), reg.delta, traversal, cfg,
-                     image_width)
 
 
 def update_map(local_map: LocalMap, view: FeatureBlock, reg,
@@ -207,28 +234,14 @@ def update_map(local_map: LocalMap, view: FeatureBlock, reg,
     alternative). dot, when given, is those rows' product with the view
     (see registration.view_product); the insertion ranking reuses it, and
     then active_indices must be given too. New rows are clipped into the
-    registration's image_width.
-    On a failed registration only score/temporal bookkeeping runs; nothing is
-    ever inserted or removed.
+    registration's image_width. Every registration updates the per-row
+    state; only a successful one removes and inserts rows (see _STEPS).
     """
-    kind = cfg.kind
-    if kind == "static":
-        return local_map
     failed = reg.delta is None
-
-    if kind == "latest":
-        if not failed:
-            local_map.features = _new_rows(view, reg.delta, traversal, cfg,
-                                           image_width)
-        return local_map
-
-    if kind == "multiple":
-        if failed:
-            return local_map
-        active_n = max(len(reg.outcomes), 1)
-        if reg.correct_count / active_n < cfg.multiple_threshold:
-            total = 1 + len(local_map.alternatives)
-            if total >= cfg.multiple_max_alternatives:
+    if cfg.kind == "multiple":
+        if not failed and (reg.correct_count / max(len(reg.outcomes), 1)
+                           < cfg.multiple_threshold):
+            if 1 + len(local_map.alternatives) >= cfg.multiple_max_alternatives:
                 warnings.warn("alternative cap reached; new alternative dropped",
                               stacklevel=2)
             else:
@@ -236,42 +249,30 @@ def update_map(local_map: LocalMap, view: FeatureBlock, reg,
                 local_map.alternatives.append(MapAlternative(alt, traversal))
         return local_map
 
+    _, remove_rule, insert_rule = _STEPS[cfg.kind]
     feats = local_map.features
-    n = len(feats)
     if active_indices is None:
         active_indices = select_active_indices(feats, cfg, t)
-
-    # one outcome per map feature; features outside the active set count as
-    # not matched for bookkeeping and outcome-based pruning
-    outcome_of = np.zeros(n, dtype=np.int8)  # MatchOutcome.NotMatched
+    outcome_of = np.zeros(len(feats), dtype=np.int8)  # MatchOutcome.NotMatched
     if not failed:
         outcome_of[active_indices] = reg.outcomes
-
-    if kind in ("score", "fremen"):
-        score_update(feats, outcome_of, cfg, t)
-
+    score_update(feats, outcome_of, cfg, t)
     if failed:
         return local_map
 
-    if kind == "aggressive":
-        remove = outcome_of != MatchOutcome.MatchedCorrectly
-        n_insert = int(np.count_nonzero(remove))
-    elif kind == "strict":
-        remove = outcome_of == MatchOutcome.MatchedIncorrectly
-        n_insert = int(np.count_nonzero(remove))
-    elif kind == "summary":
-        remove = outcome_of == MatchOutcome.MatchedIncorrectly
-        n_insert = math.ceil(cfg.summary_add_fraction * len(view))
-    else:  # score, fremen: exchange the n worst features
-        n_insert = math.ceil(cfg.exchange_fraction * n)
-        key = feats.score if kind == "score" else feats.temporal.mu
-        remove = np.zeros(n, dtype=bool)
-        remove[_ranked((feats.inserted_at, key), n, n_insert)] = True
-
-    inserted = _insert_candidates(view, reg, local_map, n_insert, traversal,
-                                  cfg, image_width, active_indices, dot)
+    remove = remove_rule(feats, outcome_of, cfg)
+    count = None if insert_rule is None else insert_rule(view, remove, cfg)
+    rows = view if count is None else None
+    if count:  # ranked against the map as it stands before removal
+        unmatched = np.ones(len(view), dtype=bool)
+        unmatched[reg.pairs.view_idx] = False
+        rows = rank_addition_candidates(
+            view.take(unmatched), local_map,
+            None if dot is None else dot[:, unmatched].T,
+            active_indices).take(slice(count))
     kept = feats.take(~remove) if remove.any() else feats
-    local_map.features = concat(kept, inserted)
+    local_map.features = concat(kept, None if rows is None else _new_rows(
+        rows, reg.delta, traversal, cfg, image_width))
     return local_map
 
 
@@ -282,12 +283,10 @@ def select_best_alternative(view, sets, product,
     the view, product (see registration.view_product); return (index,
     RegistrationResult) of the one with most correct matches. Ties keep the
     oldest alternative. Index 0 is the taught map."""
-    best_i = 0
-    best_reg = None
-    best_key = (-1, -1)
+    best_i, best_reg, best_key = 0, None, (-1, -1)
     for i, (_, active) in enumerate(sets):
         reg = register(active, view, params, product.dot(i))
         key = (0 if reg.delta is None else 1, reg.correct_count)
-        if best_reg is None or key > best_key:
+        if key > best_key:
             best_i, best_reg, best_key = i, reg, key
     return best_i, best_reg

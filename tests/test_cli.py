@@ -13,7 +13,7 @@ import longnav
 from longnav.cli import (DEFAULT_INTERVAL_S, RunConfig, load_run_config, main,
                          run_config_from_dict)
 from longnav.errors import ConfigError
-from longnav.io import read_map_snapshot, write_map_snapshot
+from longnav.io import read_logs, read_map_snapshot, write_map_snapshot
 from longnav.strategies import STRATEGY_KINDS
 
 
@@ -231,6 +231,30 @@ def test_compare_rejects_unusable_settings(tmp_path, config_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
     assert "Traceback" not in err
+
+
+def test_strategy_flag_takes_that_kinds_config_entry(tmp_path, capsys):
+    doc = {"world": {"n_locations": 2, "landmarks_per_location": 200, "seed": 3},
+           "strategies": [{"kind": "score", "m": 50}, "static"],
+           "traversals": 2, "interval_s": 3600.0}
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(doc))
+
+    def active_rows(kind):
+        out = tmp_path / kind
+        assert run_cli("simulate", "--config", config, "--out", out,
+                       "--strategy", kind) == 0
+        return {r.n_correct + r.n_incorrect + r.n_not_matched
+                for r in read_logs(out / f"logs_{kind}.jsonl")}
+
+    assert active_rows("score") == {50}  # the listed entry's cap
+    assert min(active_rows("fremen")) > 50  # not listed: the defaults, m=500
+
+    doc["strategies"].append({"kind": "score", "m": 60})
+    config.write_text(json.dumps(doc))
+    assert run_cli("simulate", "--config", config, "--out", tmp_path / "x",
+                   "--strategy", "score") == 1
+    assert "lists strategy 'score' 2 times" in capsys.readouterr().err
 
 
 def test_simulate_writes_logs_and_final_map(tmp_path, config_path):

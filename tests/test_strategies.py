@@ -1,5 +1,6 @@
 """Per-strategy update semantics with synthetic registration results."""
 
+import math
 import warnings
 
 import numpy as np
@@ -7,10 +8,13 @@ import pytest
 from hypothesis import given, settings
 
 from longnav.errors import ConfigError
+from longnav.evaluation import registration_errors
 from longnav.features import FeatureBlock, LocalMap, MapAlternative
 from longnav.fremen import DEFAULT_PERIODS, FremenModel
 from longnav.registration import (MatchOutcome, Pairs, RegistrationParams,
                                   RegistrationResult, register, view_product)
+from longnav.simulator import (World, WorldConfig, generate_frames,
+                               replay_frames, uniform_offset_schedule)
 from longnav.strategies import (StrategyConfig, active_sets,
                                 correct_positions, init_strategy_state,
                                 rank_addition_candidates, score_update,
@@ -389,6 +393,28 @@ def test_fremen_updates_every_feature_and_exchanges():
     old = lm.features.inserted_at == 0
     assert (lm.features.temporal.n_obs[old] == 1).all()
     assert (lm.features.inserted_at == 1).sum() == 2
+
+
+@pytest.mark.parametrize("m", [500, 50])
+def test_fremen_spectral_term_decides_outcomes_only_under_a_binding_cap(m):
+    # scarce bimodal world; 90/178 days between visits puts consecutive
+    # visits near opposite phases of the day
+    world = WorldConfig(seed=0, n_locations=2, landmarks_per_location=120,
+                        visibility_mean=(0.45, 0.55),
+                        visibility_amp=(0.40, 0.50),
+                        visibility_phases=(0.0, math.pi))
+    frames = generate_frames(World(world), 40, 90 * 86400.0 / 178,
+                             offset_fn=uniform_offset_schedule(0.25))
+    _, logs = replay_frames(frames, [
+        StrategyConfig(kind="fremen", m=m, fremen_order=order)
+        for order in (0, 2)])
+    binds = max(r.map_size for r in logs[0]) > m
+    order0, order2 = (registration_errors(log).values for log in logs)
+    assert len(order0) == len(order2) == 80
+    if m == 500:  # every row is active: the prediction ranks nothing
+        assert not binds and np.array_equal(order0, order2)
+    else:  # selection by predicted score moves registrations
+        assert binds and (order0 != order2).sum() > len(order0) // 2
 
 
 def test_no_insertion_or_removal_on_failure():
