@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc
 
-from .errors import ConfigError
+from .errors import ConfigError, in_range, is_int
 from .registration import RegistrationParams
 from .simulator import (World, WorldConfig, generate_frames, replay_frames,
                         run_closed_loop)
@@ -178,13 +178,13 @@ def _normalize_schedule(schedule) -> tuple:
         traversals, interval_s = schedule
     except (TypeError, ValueError):
         raise ConfigError("schedule must be (traversal count, interval seconds)")
-    traversals, interval_s = int(traversals), float(interval_s)
-    if traversals < 1:
-        raise ConfigError("schedule needs at least one traversal")
-    if not 0 < interval_s < math.inf:
+    if not is_int(traversals, 1):
+        raise ConfigError(f"schedule traversals must be a positive integer, "
+                          f"got {traversals!r}")
+    if not (in_range(interval_s, 0.0) and interval_s > 0):
         raise ConfigError(f"schedule interval must be finite and > 0 s, "
-                          f"got {interval_s}")
-    return traversals, interval_s
+                          f"got {interval_s!r}")
+    return int(traversals), float(interval_s)
 
 
 def compare_strategies(source, strategies, schedule=None, *, mode: str = "open",

@@ -63,10 +63,6 @@ def _integer(v, name: str) -> int:
     return v
 
 
-def _finite(rec: dict, key: str) -> float:
-    return _number(rec[key], key)
-
-
 def _numbers(values: list, name: str) -> np.ndarray:
     """values as a float64 array; ValueError unless all are finite JSON
     numbers."""
@@ -108,8 +104,8 @@ def read_dataset(path):
                                      words_from_hex(hexes, (width + 63) // 64),
                                      width)
                 frame = Frame(_integer(rec["location"], "location"),
-                              _finite(rec, "time_s"), block,
-                              _finite(rec, "gamma_px"))
+                              _number(rec["time_s"], "time_s"), block,
+                              _number(rec["gamma_px"], "gamma_px"))
                 yield _integer(rec["traversal"], "traversal"), frame
             except (KeyError, ValueError, TypeError) as e:
                 raise DatasetError(f"{p}:{lineno}: bad dataset record: {e}") from e
@@ -129,10 +125,9 @@ def _snapshot_records(block: FeatureBlock) -> list:
 
 
 def _temporal_from_snapshot(doc: dict) -> FremenModel:
-    _finite(doc, "mu")
-    for comp in doc["components"]:
-        for v in comp:  # period, re, im
-            _number(v, "fremen component value")
+    _number(doc["mu"], "mu")
+    _numbers([v for comp in doc["components"] for v in comp],  # period, re, im
+             "fremen component value")
     return FremenModel.from_dict(doc)
 
 
@@ -150,13 +145,12 @@ def _block_from_snapshot(recs: list, width: int) -> FeatureBlock:
         temporal = FremenModel.concat([_temporal_from_snapshot(r["temporal"])
                                        for r in recs])
     return FeatureBlock(
-        np.array([_finite(r, "x") for r in recs], dtype=np.float64),
-        np.array([_finite(r, "y") for r in recs], dtype=np.float64),
+        _numbers([r["x"] for r in recs], "x"),
+        _numbers([r["y"] for r in recs], "y"),
         words_from_hex([r["d"] for r in recs], (width + 63) // 64), width,
         inserted_at=np.array([_integer(r.get("inserted_at", 0), "inserted_at")
                               for r in recs], dtype=np.int64),
-        score=np.array([_number(r.get("score", 0.0), "score") for r in recs],
-                       dtype=np.float64),
+        score=_numbers([r.get("score", 0.0) for r in recs], "score"),
         temporal=temporal)
 
 
@@ -193,8 +187,9 @@ def read_map_snapshot(path) -> PathMap:
             alts = [MapAlternative(_block_from_snapshot(a["features"], width),
                                    _integer(a["created_at"], "created_at"))
                     for a in lm.get("alternatives", [])]
-            maps.append(LocalMap(_integer(lm["index"], "index"),
-                                 _finite(lm, "odometry_distance"), feats, alts))
+            odometry = _number(lm["odometry_distance"], "odometry_distance")
+            maps.append(LocalMap(_integer(lm["index"], "index"), odometry,
+                                 feats, alts))
         return PathMap(maps,
                        image_width=_integer(doc["image_width"], "image_width"),
                        descriptor_width=width,
@@ -212,20 +207,27 @@ def write_logs(records, path) -> int:
     return len(records)
 
 
-def _number_or_null(v, name: str):
-    return None if v is None else _number(v, name)
+def _string(v, name: str) -> str:
+    """v itself; ValueError unless it is a JSON string."""
+    if not isinstance(v, str):
+        raise ValueError(f"{name} is {v!r}, not a string")
+    return v
+
+
+# Each LocationRecord field as a log key: its name, the check its annotation
+# picks (one ending " | None" also takes null), and whether it has a default.
+_CHECKS = {"int": _integer, "float": _number, "str": _string}
+_LOG_FIELDS = [(f.name, _CHECKS[f.type.removesuffix(" | None")],
+                f.type.endswith(" | None"), f.default is not dataclasses.MISSING)
+               for f in dataclasses.fields(LocationRecord)]
 
 
 def read_logs(path) -> list:
-    """The LocationRecords of a log file written by write_logs.
-
-    Non-integer traversal, location or counts, a non-string strategy, and
-    non-numeric or non-finite delta_px, gamma_px, time_s or offset_m (delta_px
-    and offset_m may be null) are rejected with DatasetError naming path:line,
-    and so is a row of another strategy than the first row's or a repeated
-    (traversal, location), since a log holds one strategy's run; so is a
-    file without records.
-    """
+    """The LocationRecords of a log file written by write_logs, each row
+    checked as _LOG_FIELDS says. A bad row, a row of another strategy than
+    the first row's and a repeated (traversal, location), since a log holds
+    one strategy's run, are rejected with DatasetError naming path:line; so
+    is a file without records."""
     p = Path(path)
     records = []
     seen = set()
@@ -236,26 +238,11 @@ def read_logs(path) -> list:
                 continue
             try:
                 row = json.loads(line)
-                if not isinstance(row["strategy"], str):
-                    raise ValueError(f"strategy is {row['strategy']!r}, "
-                                     "not a string")
-                rec = LocationRecord(
-                    traversal=_integer(row["traversal"], "traversal"),
-                    strategy=row["strategy"],
-                    time_s=_finite(row, "time_s"),
-                    location=_integer(row["location"], "location"),
-                    delta_px=_number_or_null(row["delta_px"], "delta_px"),
-                    gamma_px=_finite(row, "gamma_px"),
-                    n_correct=_integer(row["n_correct"], "n_correct"),
-                    n_incorrect=_integer(row["n_incorrect"], "n_incorrect"),
-                    n_not_matched=_integer(row["n_not_matched"],
-                                           "n_not_matched"),
-                    map_size=_integer(row["map_size"], "map_size"),
-                    n_alternatives=_integer(row.get("n_alternatives", 1),
-                                            "n_alternatives"),
-                    best_alternative=_integer(row.get("best_alternative", 0),
-                                              "best_alternative"),
-                    offset_m=_number_or_null(row.get("offset_m"), "offset_m"))
+                rec = LocationRecord(**{
+                    name: None if null and row[name] is None
+                    else check(row[name], name)
+                    for name, check, null, optional in _LOG_FIELDS
+                    if not optional or name in row})
             except (KeyError, ValueError, TypeError) as e:
                 raise DatasetError(f"{p}:{lineno}: bad log record: {e}") from e
             if records and rec.strategy != records[0].strategy:

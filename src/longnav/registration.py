@@ -85,7 +85,10 @@ class RegistrationResult:
 
 def view_product(view_features, blocks) -> kernels.ViewProduct:
     """The view's products with the rows of each block, from one matrix
-    product over their distinct rows (see kernels.ViewProduct)."""
+    product over their distinct rows (see kernels.ViewProduct). A view
+    without features matches nothing, whatever width it was given."""
+    if not len(view_features):
+        view_features = blocks[0].take(slice(0))
     if any(b.width != view_features.width for b in blocks):
         raise ValueError("map and view descriptor widths differ")
     return kernels.ViewProduct(pack_features(view_features),

@@ -15,6 +15,7 @@ untouched, so strategies sharing one world see it evolve as they would alone.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields
 
@@ -297,20 +298,16 @@ def uniform_offset_schedule(amplitude_m: float, seed: int = 0):
 
 
 def process_frame(local_map: LocalMap, frame: Frame, cfg: StrategyConfig,
-                  traversal: int, params: RegistrationParams,
-                  offset_m: float | None = None, sets=None, product=None):
+                  traversal: int, params: RegistrationParams, sets, product,
+                  offset_m: float | None = None):
     """Register one frame against its local map, update the map, and return
     (LocationRecord, RegistrationResult).
 
     sets are the map's active rows at the frame's time (see active_sets) and
-    product their products with the frame's view (see view_product); both
-    are made here unless given. Registration and the insertion ranking
-    reduce the product."""
+    product their products with the frame's view (see view_product), which
+    registration and the insertion ranking reduce."""
     t = frame.time
     view = frame.features
-    if sets is None:
-        sets = active_sets(local_map, cfg, t)
-        product = view_product(view, [active for _, active in sets])
     if cfg.kind == "multiple":
         best_i, reg = select_best_alternative(view, sets, product, params)
         idx = dot = None
@@ -333,16 +330,9 @@ def process_frame(local_map: LocalMap, frame: Frame, cfg: StrategyConfig,
     return rec, reg
 
 
-def _strategy_paths(strategies, teach_batch, path: PathMap | None = None,
-                    feature_cap: int = 500, spacing_m: float = 1.0,
-                    image_width: int = 640) -> list:
-    """One PathMap per strategy, its strategy state attached: a copy of
-    `path` when one is supplied, else of the path taught once from the teach
-    frames. The copies share the feature rows and own their mutable state."""
-    if path is None:
-        path = teach_from_frames(sorted(teach_batch, key=lambda f: f.location),
-                                 feature_cap=feature_cap, spacing_m=spacing_m,
-                                 image_width=image_width)
+def _strategy_paths(strategies, path: PathMap) -> list:
+    """One copy of path per strategy, its strategy state attached. The
+    copies share the feature rows and own their mutable state."""
     paths = [path.copy() for _ in strategies]
     for p, cfg in zip(paths, strategies):
         init_strategy_state(p, cfg)
@@ -357,10 +347,10 @@ def traverse(world: World, paths, strategies, traversal: int, t: float,
 
     Turnover advances once. At each location every strategy in turn draws its
     own frame at its own offset from default_rng((run_seed, traversal,
-    location)) and registers it against its own path. The offset, updated in
-    place in `offsets`, then evolves as offset - gain*(delta/px_per_m) plus
-    odometry noise from the same rng; a failed registration leaves it
-    uncorrected.
+    location)) and registers it against its own path (see _replay_frame).
+    The offset, updated in place in `offsets`, then evolves as offset -
+    gain*(delta/px_per_m) plus odometry noise from the same rng; a failed
+    registration leaves it uncorrected.
     """
     wc = world.config
     world.advance_turnover(traversal)
@@ -368,11 +358,11 @@ def traverse(world: World, paths, strategies, traversal: int, t: float,
         for i, (cfg, path, log) in enumerate(zip(strategies, paths, logs)):
             rng = default_rng((run_seed, traversal, loc))
             frame = world.observe(loc, t, offsets[i], rng)
-            rec, reg = process_frame(path.local_maps[loc], frame, cfg,
-                                     traversal, params, offset_m=offsets[i])
-            log.append(rec)
-            if reg.delta is not None:
-                offsets[i] -= wc.steering_gain * (reg.delta / wc.px_per_m)
+            _replay_frame(frame, traversal, [cfg], [path], [log], params,
+                          offsets[i])
+            delta = log[-1].delta_px
+            if delta is not None:
+                offsets[i] -= wc.steering_gain * (delta / wc.px_per_m)
             if wc.odometry_noise > 0:
                 offsets[i] += float(rng.normal(0.0, wc.odometry_noise))
 
@@ -384,19 +374,15 @@ def run_closed_loop(world: World, strategies, traversals: int,
     """Closed-loop lockstep run of a sequence of StrategyConfigs through one
     world, every strategy steering its own frames.
 
-    The teach pass is drawn once at time 0 and taught per strategy; then
-    `traversals` passes follow at fixed intervals. Returns (paths, logs) with
-    one PathMap and one list of LocationRecord per strategy, like
+    The path is taught once at time 0 and copied per strategy; `traversals`
+    passes follow at fixed intervals. Returns (paths, logs) like
     replay_frames.
     """
     strategies = list(strategies)
     if not strategies:
         raise ConfigError("no strategies to run")
-    wc = world.config
-    paths = _strategy_paths(strategies, teach_frames(world),
-                            feature_cap=feature_cap, spacing_m=wc.spacing_m,
-                            image_width=wc.image_width)
-    params = params or RegistrationParams(image_width=wc.image_width)
+    paths = _strategy_paths(strategies, teach(world, feature_cap=feature_cap))
+    params = params or RegistrationParams(image_width=world.config.image_width)
     offsets = [initial_offset_m] * len(strategies)
     logs = [[] for _ in strategies]
     for tr in range(1, traversals + 1):
@@ -422,7 +408,7 @@ def generate_frames(world: World, traversals: int, interval_s: float,
 
 
 def _replay_frame(frame: Frame, traversal: int, strategies, paths, logs,
-                  params: RegistrationParams) -> None:
+                  params: RegistrationParams, offset_m: float | None = None):
     """Every strategy's process_frame on one frame, all registering through
     one product of the view with their active rows; the product is freed on
     return."""
@@ -433,8 +419,8 @@ def _replay_frame(frame: Frame, traversal: int, strategies, paths, logs,
                            [active for ss in sets for _, active in ss])
     start = 0
     for cfg, lm, ss, log in zip(strategies, maps, sets, logs):
-        rec, _ = process_frame(lm, frame, cfg, traversal, params, sets=ss,
-                               product=product.part(start, start + len(ss)))
+        rec, _ = process_frame(lm, frame, cfg, traversal, params, ss,
+                               product.part(start, start + len(ss)), offset_m)
         start += len(ss)
         log.append(rec)
 
@@ -446,13 +432,14 @@ def replay_frames(frames, strategies, path: PathMap | None = None,
     sequence of StrategyConfigs, reading the stream once.
 
     Every repeat frame is processed by each strategy in turn, against that
-    strategy's own PathMap: a deep copy of `path` when one is supplied, else
-    one taught from the traversal-0 frames. Each view is multiplied once
-    with the distinct active rows of all strategies (see _replay_frame).
-    Returns (paths, logs) with one PathMap and one list of LocationRecord per
-    strategy. Frames must arrive in non-decreasing traversal order, repeat
-    frames must name a taught location and a supplied path must have
-    params.image_width; DatasetError otherwise.
+    strategy's own copy of `path`, or else of the path taught from the
+    traversal-0 frames; each view is multiplied once with the distinct
+    active rows of all strategies (see _replay_frame). Returns (paths, logs)
+    with one PathMap and one list of LocationRecord per strategy.
+    DatasetError unless frames arrive in non-decreasing traversal order,
+    repeat frames name a taught location and, unless featureless (see
+    view_product), have the path's descriptor width, and a supplied path has
+    params.image_width.
     """
     strategies = list(strategies)
     if not strategies:
@@ -462,28 +449,32 @@ def replay_frames(frames, strategies, path: PathMap | None = None,
     if path is not None and path.image_width != image_width:
         raise DatasetError(f"the path was taught at image_width "
                            f"{path.image_width}; this run uses {image_width}")
-    teach_batch = []
-    paths = None
+    frames = iter(frames)
+    teach_batch, repeats = [], []
+    for tr, frame in frames:
+        if tr != 0:
+            repeats = [(tr, frame)]
+            break
+        if path is None:  # a supplied path makes the teach frames redundant
+            teach_batch.append(frame)
+    if path is None:
+        path = teach_from_frames(sorted(teach_batch, key=lambda f: f.location),
+                                 feature_cap=feature_cap, image_width=image_width)
+    paths = _strategy_paths(strategies, path)
+    n_maps, width = len(path.local_maps), path.descriptor_width
     logs = [[] for _ in strategies]
     last_tr = 0
-    for tr, frame in frames:
+    for tr, frame in itertools.chain(repeats, frames):
         if tr < last_tr:
             raise DatasetError(f"traversal {tr} follows traversal {last_tr}: "
                                "frames out of traversal order")
-        if tr == 0:
-            if path is None:  # a supplied path makes the teach frames redundant
-                teach_batch.append(frame)
-            continue
-        if paths is None:
-            paths = _strategy_paths(strategies, teach_batch, path, feature_cap,
-                                    image_width=image_width)
-        n_maps = len(paths[0].local_maps)
         if not 0 <= frame.location < n_maps:
             raise DatasetError(f"traversal {tr}: location {frame.location} is "
                                f"outside the taught path of {n_maps} locations")
+        if len(frame.features) and frame.features.width != width:
+            raise DatasetError(f"traversal {tr}, location {frame.location}: "
+                               f"descriptor width {frame.features.width} "
+                               f"differs from the path's {width}")
         last_tr = tr
         _replay_frame(frame, tr, strategies, paths, logs, params)
-    if paths is None:
-        paths = _strategy_paths(strategies, teach_batch, path, feature_cap,
-                                image_width=image_width)
     return paths, logs

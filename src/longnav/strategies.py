@@ -114,8 +114,11 @@ class StrategyConfig:
             raise ConfigError(f"unknown strategy kind {self.kind!r}; "
                               f"expected one of {'|'.join(STRATEGY_KINDS)}")
         periods = self.fremen_periods
+        fremen = _STEPS[self.kind][0].temporal  # its models observe [-1, 1]
         check_settings(self, [
-            *((name, in_range(getattr(self, name), 0.0), "finite and >= 0")
+            *((name, in_range(getattr(self, name), 0.0,
+                              1.0 if fremen else math.inf),
+               "in [0, 1] under fremen" if fremen else "finite and >= 0")
               for name in ("s_c", "s_i", "s_n")),
             ("exchange_fraction", in_range(self.exchange_fraction, 0.0, 1.0)
              and self.exchange_fraction > 0, "in (0, 1]"),

@@ -257,6 +257,22 @@ def test_strategy_flag_takes_that_kinds_config_entry(tmp_path, capsys):
     assert "lists strategy 'score' 2 times" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["s_c", "s_i", "s_n"])
+def test_simulate_rejects_fremen_weight_above_one(tmp_path, config_path,
+                                                  capsys, name):
+    # once passed validation and died mid-run in FremenModel.add_observation
+    doc = dict(json.loads(config_path.read_text()),
+               strategies=[{"kind": "fremen", name: 2.0}])
+    bad = tmp_path / "fremen_run.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("simulate", "--config", bad, "--strategy", "fremen",
+                   "--out", tmp_path / "sim") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{name} must be in [0, 1]" in err
+    assert "Traceback" not in err
+
+
 def test_simulate_writes_logs_and_final_map(tmp_path, config_path):
     out = tmp_path / "sim"
     assert run_cli("simulate", "--config", config_path, "--out", out,
@@ -325,6 +341,8 @@ def _report_error(capsys, config_path, tmp_path, *logs):
     ("delta_px", math.nan), ("delta_px", "3.5"), ("gamma_px", math.inf),
     ("time_s", math.nan), ("offset_m", -math.inf), ("traversal", 1.9),
     ("location", "0"), ("n_correct", True), ("strategy", 5),
+    ("n_incorrect", 2.5), ("n_not_matched", None), ("map_size", "500"),
+    ("n_alternatives", 1.0), ("best_alternative", False),
 ])
 def test_report_rejects_bad_log_values(tmp_path, config_path, capsys,
                                        key, value):
@@ -458,6 +476,46 @@ def test_replay_rejects_map_of_other_image_width(tmp_path, config_path, capsys):
                         tmp_path / "data" / "dataset.jsonl",
                         "--map", tmp_path / "data" / "map.json")
     assert "image_width 800; this run uses 640" in err
+
+
+def test_replay_rejects_dataset_of_other_descriptor_width(tmp_path,
+                                                         config_path, capsys):
+    # once ended in view_product's "descriptor widths differ" traceback
+    run_cli("generate", "--config", config_path, "--out", tmp_path / "data")
+    doc = json.loads(config_path.read_text())
+    doc["world"]["descriptor_width"] = 128
+    narrow = tmp_path / "narrow.json"
+    narrow.write_text(json.dumps(doc))
+    run_cli("generate", "--config", narrow, "--out", tmp_path / "narrow")
+    err = _replay_error(capsys, tmp_path, "--config", config_path,
+                        "--strategy", "score", "--dataset",
+                        tmp_path / "narrow" / "dataset.jsonl",
+                        "--map", tmp_path / "data" / "map.json")
+    assert ("traversal 1, location 0: descriptor width 128 differs from the "
+            "path's 256") in err
+
+
+def test_replay_registers_a_featureless_first_frame_as_failed(tmp_path,
+                                                              config_path):
+    # the reader gives a file's leading featureless frame width 0, which once
+    # ended in view_product's "descriptor widths differ" traceback
+    data = tmp_path / "data"
+    run_cli("generate", "--config", config_path, "--out", data)
+    repeats = tmp_path / "repeats.jsonl"
+
+    def edit(recs):
+        recs = [rec for rec in recs if rec["traversal"] > 0]
+        recs[0]["features"] = []
+        return recs
+    _rewrite_dataset(data / "dataset.jsonl", repeats, edit)
+    out = tmp_path / "r"
+    assert run_cli("replay", "--config", config_path, "--out", out,
+                   "--strategy", "score", "--dataset", repeats,
+                   "--map", data / "map.json") == 0
+    logs = read_logs(out / "logs_score.jsonl")
+    assert len(logs) == 4 and logs[0].delta_px is None
+    assert (logs[0].n_correct, logs[0].n_incorrect) == (0, 0)
+    assert all(rec.delta_px is not None for rec in logs[1:])
 
 
 def test_written_maps_have_models_on_every_row_or_none(tmp_path):

@@ -287,10 +287,15 @@ def test_compare_input_validation():
                            mode="sideways")
     with pytest.raises(ConfigError):
         compare_strategies(world_cfg(), [StrategyConfig()], schedule=(0, 1.0))
-    for interval_s in (0.0, -1.0, math.nan, math.inf):
+    for interval_s in (0.0, -1.0, math.nan, math.inf, "3600", True):
         with pytest.raises(ConfigError, match="interval"):
             compare_strategies(world_cfg(), [StrategyConfig()],
                                schedule=(2, interval_s))
+    # a fraction, a string or a bool once ran int(traversals) traversals
+    for traversals in (2.7, "3", True, 0):
+        with pytest.raises(ConfigError, match="traversals"):
+            compare_strategies(world_cfg(), [StrategyConfig()],
+                               schedule=(traversals, 3600))
     with pytest.raises(ConfigError):
         compare_strategies([(1, None)], [StrategyConfig()], mode="closed")
     with pytest.raises(LongNavError):

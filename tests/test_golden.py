@@ -4,7 +4,8 @@ One small world with landmark turnover, bimodal visibility and an active
 cap (m=40) below every map's size, so selection, removal, insertion,
 alternatives and failed registrations all occur. The digests cover what a
 run writes: the open and closed compare reports, and each kind's
-closed-loop log and final map snapshot. A refactor must leave every digest
+closed-loop log and final map snapshot. The open report must also come out
+of the same frames written to a dataset file and read back. A refactor must leave every digest
 unchanged; a deliberate behaviour change re-records them and says why.
 """
 
@@ -14,9 +15,9 @@ import math
 import pytest
 
 from longnav.evaluation import compare_strategies, write_report
-from longnav.io import write_logs, write_map_snapshot
-from longnav.simulator import (World, WorldConfig, run_closed_loop,
-                               uniform_offset_schedule)
+from longnav.io import write_dataset, write_logs, write_map_snapshot
+from longnav.simulator import (World, WorldConfig, generate_frames,
+                               run_closed_loop, uniform_offset_schedule)
 from longnav.strategies import STRATEGY_KINDS, StrategyConfig
 
 WORLD = WorldConfig(seed=3, n_locations=2, landmarks_per_location=120,
@@ -71,6 +72,18 @@ def test_compare_reports_are_unchanged(mode, tmp_path):
                                 offset_fn=offsets if mode == "open" else None)
     paths = write_report(report, tmp_path)
     assert tuple(digest(p) for p in paths) == REPORTS[mode]
+
+
+@pytest.mark.filterwarnings("ignore:alternative cap reached")
+def test_open_compare_read_from_a_dataset_file_is_unchanged(tmp_path):
+    # the reader must hand back the frames the writer was given, bit for bit
+    frames = generate_frames(World(WORLD), *SCHEDULE, RUN_SEED,
+                             offset_fn=uniform_offset_schedule(0.25,
+                                                               seed=RUN_SEED))
+    write_dataset(frames, tmp_path / "dataset.jsonl")
+    report = compare_strategies(tmp_path / "dataset.jsonl", configs())
+    paths = write_report(report, tmp_path / "report")
+    assert tuple(digest(p) for p in paths) == REPORTS["open"]
 
 
 @pytest.mark.filterwarnings("ignore:alternative cap reached")

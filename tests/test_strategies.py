@@ -89,6 +89,16 @@ def test_config_validation():
     assert StrategyConfig(kind="FreMEn").kind == "fremen"
 
 
+@pytest.mark.parametrize("name", ["s_c", "s_i", "s_n"])
+def test_fremen_match_weights_are_observations_in_unit_range(name):
+    # fremen folds +s_c, -s_i and -s_n into models that observe [-1, 1]
+    with pytest.raises(ConfigError,
+                       match=rf"{name} must be in \[0, 1\] under fremen"):
+        StrategyConfig(kind="fremen", **{name: 1.5})
+    assert getattr(StrategyConfig(kind="fremen", **{name: 1.0}), name) == 1.0
+    assert getattr(StrategyConfig(kind="score", **{name: 1.5}), name) == 1.5
+
+
 def test_score_update_arithmetic():
     cfg = StrategyConfig(kind="score")
     f = block([feature(0, 0, Descriptor.from_int(0, 64), score=2.0)])
