@@ -215,19 +215,33 @@ def _string(v, name: str) -> str:
 
 
 # Each LocationRecord field as a log key: its name, the check its annotation
-# picks (one ending " | None" also takes null), and whether it has a default.
+# picks (one ending " | None" also takes null), whether it has a default, and
+# the range its metadata gives (a minimum or None, and the field it must be
+# below or None).
 _CHECKS = {"int": _integer, "float": _number, "str": _string}
 _LOG_FIELDS = [(f.name, _CHECKS[f.type.removesuffix(" | None")],
-                f.type.endswith(" | None"), f.default is not dataclasses.MISSING)
+                f.type.endswith(" | None"), f.default is not dataclasses.MISSING,
+                f.metadata.get("min"), f.metadata.get("below"))
                for f in dataclasses.fields(LocationRecord)]
 
 
+def _check_ranges(rec: LocationRecord) -> None:
+    """ValueError unless each of rec's fields lies in its _LOG_FIELDS range."""
+    for name, _, _, _, low, below in _LOG_FIELDS:
+        v = getattr(rec, name)
+        if low is not None and v < low:
+            raise ValueError(f"{name} is {v}, below {low}")
+        if below is not None and v >= getattr(rec, below):
+            raise ValueError(f"{name} is {v}, not below {below} "
+                             f"{getattr(rec, below)}")
+
+
 def read_logs(path) -> list:
-    """The LocationRecords of a log file written by write_logs, each row
-    checked as _LOG_FIELDS says. A bad row, a row of another strategy than
-    the first row's and a repeated (traversal, location), since a log holds
-    one strategy's run, are rejected with DatasetError naming path:line; so
-    is a file without records."""
+    """The LocationRecords of a log file written by write_logs, each row's
+    types and ranges checked as _LOG_FIELDS says. A bad row, a row of another
+    strategy than the first row's and a repeated (traversal, location), since
+    a log holds one strategy's run, are rejected with DatasetError naming
+    path:line; so is a file without records."""
     p = Path(path)
     records = []
     seen = set()
@@ -241,8 +255,9 @@ def read_logs(path) -> list:
                 rec = LocationRecord(**{
                     name: None if null and row[name] is None
                     else check(row[name], name)
-                    for name, check, null, optional in _LOG_FIELDS
+                    for name, check, null, optional, _, _ in _LOG_FIELDS
                     if not optional or name in row})
+                _check_ranges(rec)
             except (KeyError, ValueError, TypeError) as e:
                 raise DatasetError(f"{p}:{lineno}: bad log record: {e}") from e
             if records and rec.strategy != records[0].strategy:

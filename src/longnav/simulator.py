@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from numpy.random import default_rng
@@ -106,20 +106,23 @@ class Frame:
 @dataclass
 class LocationRecord:
     """One strategy's result on one frame, and one row of a log file: the
-    row's keys are these field names, in this order."""
+    row's keys are these field names, in this order. A field's ``metadata``
+    holds the range a log row's value must lie in: at least ``min``, and
+    below the value of the field named ``below``."""
 
     traversal: int
     strategy: str
     time_s: float  # the frame's time
-    location: int
+    location: int = field(metadata={"min": 0})
     delta_px: float | None  # None: registration failed
     gamma_px: float
-    n_correct: int
-    n_incorrect: int
-    n_not_matched: int
-    map_size: int
-    n_alternatives: int = 1
-    best_alternative: int = 0
+    n_correct: int = field(metadata={"min": 0})
+    n_incorrect: int = field(metadata={"min": 0})
+    n_not_matched: int = field(metadata={"min": 0})
+    map_size: int = field(metadata={"min": 0})
+    n_alternatives: int = field(default=1, metadata={"min": 1})
+    best_alternative: int = field(default=0, metadata={
+        "min": 0, "below": "n_alternatives"})
     offset_m: float | None = None
 
 

@@ -343,6 +343,9 @@ def _report_error(capsys, config_path, tmp_path, *logs):
     ("location", "0"), ("n_correct", True), ("strategy", 5),
     ("n_incorrect", 2.5), ("n_not_matched", None), ("map_size", "500"),
     ("n_alternatives", 1.0), ("best_alternative", False),
+    # JSON integers out of their LocationRecord field's range
+    ("n_correct", -5), ("map_size", -1), ("n_alternatives", 0),
+    ("best_alternative", 7),
 ])
 def test_report_rejects_bad_log_values(tmp_path, config_path, capsys,
                                        key, value):

@@ -319,6 +319,32 @@ def test_replayed_records_log_their_own_frame_times(tmp_path):
     assert [rec.time_s for rec in read_logs(p)] == want
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("location", -1, "below 0"),
+    ("n_correct", -5, "below 0"),
+    ("n_incorrect", -1, "below 0"),
+    ("n_not_matched", -2, "below 0"),
+    ("map_size", -1, "below 0"),
+    ("n_alternatives", 0, "below 1"),
+    ("best_alternative", -1, "below 0"),
+    ("best_alternative", 7, "not below n_alternatives 3"),
+    ("best_alternative", 3, "not below n_alternatives 3"),
+])
+def test_logs_reject_values_out_of_range(tmp_path, key, value, message):
+    rec = LocationRecord(2, "multiple", 200.0, 1, -1.25, -1.0, 9, 0, 4, 510,
+                         n_alternatives=3, best_alternative=2)
+    p = tmp_path / "logs.jsonl"
+    write_logs([LocationRecord(1, "multiple", 100.0, 0, None, 0.0, 0, 0, 13,
+                               500), rec], p)
+    assert read_logs(p)[1] == rec
+    lines = p.read_text().splitlines()
+    row = json.loads(lines[1]) | {key: value}
+    p.write_text(lines[0] + "\n" + json.dumps(row) + "\n")
+    with pytest.raises(DatasetError, match=f"logs.jsonl:2: bad log record: "
+                                           f"{key} is {value}, {message}$"):
+        read_logs(p)
+
+
 def test_logs_malformed(tmp_path):
     p = tmp_path / "logs.jsonl"
     p.write_text('{"traversal":1}\n')

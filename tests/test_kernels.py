@@ -144,19 +144,65 @@ def test_mutual_nearest_pairs_is_one_to_one_and_thresholded():
         assert matched.get(i) == i
 
 
+def few_bit_rows(rng, n, width):
+    """n random rows of ``width`` bits, values repeating when width is small:
+    ``(words, bits)``, the rows packed in 4 words (the last 3 zero) and as
+    width ±1 bits."""
+    words = np.zeros((n, 4), dtype=np.uint64)
+    words[:, 0] = rng.integers(0, 2**width - 1, size=n, dtype=np.uint64,
+                               endpoint=True)
+    return words, np.ascontiguousarray(kernels.bit_rows(words)[:, :width])
+
+
+def argmin_pairs(m, d_max):
+    """Mutual nearest pairs of distance matrix m by the argmin definition,
+    ties going to the lower index on both sides."""
+    best_b = m.argmin(axis=1)
+    best_a = m.argmin(axis=0)
+    return [(i, int(j), int(m[i, j])) for i, j in enumerate(best_b)
+            if best_a[j] == i and m[i, j] <= d_max]
+
+
 def test_mutual_nearest_pairs_match_argmin_definition():
-    # 3-bit rows in 4 words: many equal distances, so the tie rule is exercised
+    # few-bit rows tie often, so the tie rule is exercised; d_max runs over
+    # 0..n_bits, past n_bits/2 where every entry is within the radius
     rng = np.random.default_rng(7)
-    for _ in range(20):
-        a = random_words(rng, int(rng.integers(1, 30)), 256) & np.uint64(7)
-        b = random_words(rng, int(rng.integers(1, 30)), 256) & np.uint64(7)
-        m = hamming_matrix(a, b)
-        best_b = m.argmin(axis=1)
-        best_a = m.argmin(axis=0)
-        want = [(i, int(j), int(m[i, j])) for i, j in enumerate(best_b)
-                if best_a[j] == i and m[i, j] <= 2]
-        ai, bi, dd = kernels.mutual_nearest_pairs(a, b, 2)
-        assert list(zip(ai.tolist(), bi.tolist(), dd.tolist())) == want
+    for width in [1, 3, 6, 64] * 15:
+        view_words, view = few_bit_rows(rng, int(rng.integers(1, 30)), width)
+        sets = [few_bit_rows(rng, int(rng.integers(1, 30)), width)
+                for _ in range(int(rng.integers(1, 4)))]
+        product = kernels.ViewProduct(view, sets)
+        for k, (words, bits) in enumerate(sets):
+            m = hamming_matrix(bits, view)
+            for d_max in range(width + 1):
+                want = argmin_pairs(m, d_max)
+                for got in (kernels.mutual_nearest_pairs(bits, view, d_max),
+                            kernels.mutual_nearest_pairs(words, view_words,
+                                                         d_max),
+                            kernels.mutual_nearest_pairs(bits, view, d_max,
+                                                         product.dot(k))):
+                    assert [p.dtype for p in got] == [np.int64] * 3
+                    assert list(zip(*(p.tolist() for p in got))) == want
+
+
+@pytest.mark.parametrize("rows, view", [
+    # map row 0 is strictly closer to view row 0
+    ([0b0001, 0b0111], [0b0001, 0b0011]),
+    # map row 0 is as close to view row 0 as to view row 1
+    ([0b0000, 0b0110], [0b0001, 0b0010]),
+])
+def test_mutual_nearest_column_tie_goes_to_lower_row(rows, view):
+    # map rows 0 and 1 are equally near view row 1, map row 1's nearest;
+    # view row 1's nearest is map row 0 by the tie rule, so map row 1 has
+    # no pair, although its distance equals view row 1's minimum
+    a = np.array(rows, dtype=np.uint64)[:, None]
+    b = np.array(view, dtype=np.uint64)[:, None]
+    m = hamming_matrix(a, b)
+    assert m[0, 1] == m[1, 1] == m[1].min()
+    assert m[0].argmin() == 0 and m[1].argmin() == 1
+    for a_, b_ in ((a, b), (b, a)):  # and the same with the roles swapped
+        got = kernels.mutual_nearest_pairs(a_, b_, 64)
+        assert [p.tolist() for p in got] == [[0], [0], [m[0, 0]]]
 
 
 def test_mutual_nearest_ties_keep_first_index():
