@@ -16,12 +16,11 @@ both sides, so they add nothing to the distance. The reductions work on
 ``dot`` directly (nearest means largest ``dot``) and only the reduced vectors
 are converted to integer distances.
 
-Mutual-nearest matching reduces only the entries within the acceptance
-radius, ``dot >= n_bits - 2 * d_max``: one comparison over the product finds
-them, and the row and column winners are picked among them alone. No rival
-that could take a kept pair's row or column lies outside the radius, since
-it is at least as close as the pair, so the result is the one full row and
-column argmaxes would give (see ``mutual_nearest_pairs``).
+Mutual-nearest matching takes the column argmax only at the columns that
+can pair: those picked as nearest by a row within the acceptance radius.
+Gathered as rows, they are reduced along the last axis, in place of
+numpy's transposed copy of the whole product; when every column is picked
+this is the work of a full column argmax (see ``mutual_nearest_pairs``).
 
 A comparison registers each camera view against many feature sets (every
 strategy's active rows, and each of ``multiple``'s alternatives), and those
@@ -144,14 +143,14 @@ def mutual_nearest_pairs(a: np.ndarray, b: np.ndarray, d_max: int,
     ``dot``, when given, is a's product with b computed elsewhere (for
     instance ``ViewProduct.dot``) and is reduced instead of multiplying.
 
-    Only the entries with ``dot >= n_bits - 2 * d_max``, the pairs within
-    ``d_max``, are reduced: each row's winner among them by largest ``dot``
-    and then lowest column, each column's by largest ``dot`` and then lowest
-    row, and the entries winning both are the pairs. This is exact. A kept
-    pair is within ``d_max``, and every rival for its row or its column is
-    at least as close, so within ``d_max`` too and among the entries
-    reduced; a row whose nearest neighbour lies outside ``d_max`` has no
-    pair either way. The threshold test is exact in float32, as ``dot`` is.
+    Each row's nearest column comes from a row argmax. Only rows whose
+    nearest lies within ``d_max`` can be paired, so only the columns they
+    pick are reduced, each once and over all of its rows: a row is paired
+    when it is its picked column's nearest row (largest ``dot``, then lowest
+    row). That is the full column argmax wherever the mutual check reads it,
+    so the pairs are exact. Its cost falls with the share of columns that
+    no row within ``d_max`` picks; with none left out, it is the work of a
+    full column argmax.
     """
     if a.shape[0] == 0 or b.shape[0] == 0:
         e = np.empty(0, dtype=np.int64)
@@ -160,25 +159,15 @@ def mutual_nearest_pairs(a: np.ndarray, b: np.ndarray, d_max: int,
         dot, n_bits = _dot(a, b)
     else:
         n_bits = _n_bits(a)
-    flat = np.flatnonzero(dot >= n_bits - 2 * d_max)  # row-major order
-    ai, bi = np.divmod(flat, dot.shape[1])
-    neg = -dot.reshape(-1)[flat]
-    keep = _winners(ai, neg) & _winners(bi, neg)
-    return ai[keep], bi[keep], _distance(-neg[keep], n_bits)
-
-
-def _winners(key: np.ndarray, neg: np.ndarray) -> np.ndarray:
-    """Mask of the entries that win their group of equal ``key``: the lowest
-    ``neg`` (largest ``dot``), and among equal ones the earliest entry, as
-    the sort is stable. In row-major entries that is the lower column within
-    a row and the lower row within a column."""
-    order = np.lexsort((neg, key))
-    key = key[order]
-    first = np.ones(len(key), dtype=bool)
-    np.not_equal(key[1:], key[:-1], out=first[1:])
-    win = np.zeros(len(key), dtype=bool)
-    win[order[first]] = True
-    return win
+    best_b = dot.argmax(axis=1)
+    dist = _distance(dot[np.arange(a.shape[0]), best_b], n_bits)
+    near = np.flatnonzero(dist <= d_max)
+    picked = np.zeros(dot.shape[1], dtype=bool)
+    picked[best_b[near]] = True
+    best_a = np.empty(dot.shape[1], dtype=np.intp)
+    best_a[picked] = dot.T[picked].argmax(axis=1)  # picked columns as rows
+    near = near[best_a[best_b[near]] == near]
+    return near, best_b[near], dist[near]
 
 
 def nearest_distances(a: np.ndarray, b: np.ndarray,

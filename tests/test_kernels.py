@@ -163,26 +163,42 @@ def argmin_pairs(m, d_max):
             if best_a[j] == i and m[i, j] <= d_max]
 
 
+def assert_pairs_match_argmin(view, sets, d_maxes):
+    """For each d_max, ``mutual_nearest_pairs`` of every set with the view
+    gives the argmin definition's pairs and int64 arrays, whether handed ±1
+    bit rows, packed words or the set's rows of a ``ViewProduct``. The view
+    and each set are ``(words, bits)`` pairs."""
+    view_words, view_bits = view
+    product = kernels.ViewProduct(view_bits, sets)
+    for k, (words, bits) in enumerate(sets):
+        m = hamming_matrix(bits, view_bits)
+        for d_max in d_maxes:
+            want = argmin_pairs(m, d_max)
+            for got in (kernels.mutual_nearest_pairs(bits, view_bits, d_max),
+                        kernels.mutual_nearest_pairs(words, view_words, d_max),
+                        kernels.mutual_nearest_pairs(bits, view_bits, d_max,
+                                                     product.dot(k))):
+                assert [p.dtype for p in got] == [np.int64] * 3
+                assert list(zip(*(p.tolist() for p in got))) == want
+
+
 def test_mutual_nearest_pairs_match_argmin_definition():
     # few-bit rows tie often, so the tie rule is exercised; d_max runs over
     # 0..n_bits, past n_bits/2 where every entry is within the radius
     rng = np.random.default_rng(7)
     for width in [1, 3, 6, 64] * 15:
-        view_words, view = few_bit_rows(rng, int(rng.integers(1, 30)), width)
+        view = few_bit_rows(rng, int(rng.integers(1, 30)), width)
         sets = [few_bit_rows(rng, int(rng.integers(1, 30)), width)
                 for _ in range(int(rng.integers(1, 4)))]
-        product = kernels.ViewProduct(view, sets)
-        for k, (words, bits) in enumerate(sets):
-            m = hamming_matrix(bits, view)
-            for d_max in range(width + 1):
-                want = argmin_pairs(m, d_max)
-                for got in (kernels.mutual_nearest_pairs(bits, view, d_max),
-                            kernels.mutual_nearest_pairs(words, view_words,
-                                                         d_max),
-                            kernels.mutual_nearest_pairs(bits, view, d_max,
-                                                         product.dot(k))):
-                    assert [p.dtype for p in got] == [np.int64] * 3
-                    assert list(zip(*(p.tolist() for p in got))) == want
+        assert_pairs_match_argmin(view, sets, range(width + 1))
+    # the low 3 bits of each of the 4 words vary, so tied distances are
+    # sums over words; they are at most 12
+    for _ in range(20):
+        view, *sets = [
+            (w, kernels.bit_rows(w)) for w in
+            (random_words(rng, int(rng.integers(1, 30)), 256) & np.uint64(7)
+             for _ in range(int(rng.integers(2, 5))))]
+        assert_pairs_match_argmin(view, sets, [*range(13), 128, 256])
 
 
 @pytest.mark.parametrize("rows, view", [
