@@ -8,7 +8,7 @@ evaluation harness with paired significance tests.
 """
 
 from .errors import ConfigError, DatasetError, LongNavError, TeachError
-from .features import FeatureBlock, LocalMap, MapAlternative, PathMap
+from .features import FeatureBlock, LocalMap, PathMap
 from .fremen import DEFAULT_PERIODS, FremenModel, predict_many
 from .registration import (MatchOutcome, Pairs, RegistrationParams,
                            RegistrationResult, classify_outcomes,
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "LongNavError", "ConfigError", "TeachError", "DatasetError",
-    "FeatureBlock", "LocalMap", "MapAlternative", "PathMap",
+    "FeatureBlock", "LocalMap", "PathMap",
     "MatchOutcome", "Pairs", "RegistrationParams", "RegistrationResult",
     "match_features", "histogram_vote", "classify_outcomes", "register",
     "FremenModel", "DEFAULT_PERIODS", "predict_many",

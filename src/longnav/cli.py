@@ -16,8 +16,8 @@ from pathlib import Path
 
 from .errors import (ConfigError, LongNavError, check_settings, in_range,
                      is_int)
-from .evaluation import (build_report, compare_strategies, registration_errors,
-                         unique_labels, write_report)
+from .evaluation import (_penalty, build_report, compare_strategies,
+                         registration_errors, unique_labels, write_report)
 from .io import (read_dataset, read_logs, read_map_snapshot, write_dataset,
                  write_logs, write_map_snapshot)
 from .registration import RegistrationParams
@@ -173,14 +173,9 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _penalty(cfg: RunConfig) -> float:
-    if cfg.failure_penalty is not None:
-        return cfg.failure_penalty
-    return cfg.world.image_width / 2.0
-
-
 def _summarize(logs, cfg: RunConfig, label: str) -> str:
-    seq = registration_errors(logs, _penalty(cfg), label)
+    seq = registration_errors(logs, _penalty(cfg.failure_penalty,
+                                             cfg.world.image_width), label)
     return (f"{label}: frames={len(seq)} mean_error_px={seq.mean():.3f} "
             f"failures={int(seq.failed.sum())}")
 
@@ -227,7 +222,7 @@ def _cmd_compare(args) -> int:
         mode=cfg.mode, run_seed=cfg.seed,
         offset_fn=_offset_fn(cfg) if cfg.mode == "open" else None,
         params=cfg.registration, feature_cap=cfg.feature_cap,
-        failure_penalty=_penalty(cfg), alpha=cfg.alpha)
+        failure_penalty=cfg.failure_penalty, alpha=cfg.alpha)
     summary_path, cdf_path = write_report(report, out)
     ranked = ", ".join(f"{lab}={report.mean_errors[lab]:.2f}px"
                        for lab in report.ranking)
@@ -241,7 +236,8 @@ def _cmd_report(args) -> int:
     out = _out_dir(args)
     all_logs = [read_logs(p) for p in args.logs]
     names = unique_labels([records[0].strategy for records in all_logs])
-    sequences = [registration_errors(records, _penalty(cfg), name)
+    penalty = _penalty(cfg.failure_penalty, cfg.world.image_width)
+    sequences = [registration_errors(records, penalty, name)
                  for records, name in zip(all_logs, names)]
     report = build_report(sequences, alpha=cfg.alpha)
     summary_path, cdf_path = write_report(report, out)

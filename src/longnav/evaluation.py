@@ -50,26 +50,24 @@ class TTestResult:
     significant: bool
 
 
-def registration_errors(records, failure_penalty: float = 320.0,
+def _penalty(failure_penalty: float | None, image_width: int) -> float:
+    """A failed registration's error: failure_penalty, or half the width."""
+    return image_width / 2.0 if failure_penalty is None else failure_penalty
+
+
+def registration_errors(records, failure_penalty: float,
                         strategy: str | None = None) -> ErrorSequence:
     """eps_i = |delta_i - gamma_i| over LocationRecords; failed registrations
     get the penalty value and a flag. The label defaults to the first
     record's strategy."""
-    values = []
-    failed = []
-    keys = []
-    for rec in records:
-        if rec.delta_px is None:
-            values.append(float(failure_penalty))
-            failed.append(True)
-        else:
-            values.append(abs(rec.delta_px - rec.gamma_px))
-            failed.append(False)
-        keys.append((rec.traversal, rec.location))
+    failed = [rec.delta_px is None for rec in records]
+    values = [float(failure_penalty) if fail else abs(rec.delta_px - rec.gamma_px)
+              for fail, rec in zip(failed, records)]
     if strategy is None and records:
         strategy = records[0].strategy
     return ErrorSequence(strategy or "", np.asarray(values, dtype=np.float64),
-                         np.asarray(failed, dtype=bool), keys)
+                         np.asarray(failed, dtype=bool),
+                         [(rec.traversal, rec.location) for rec in records])
 
 
 def error_cdf(eps: ErrorSequence, thresholds) -> list:
@@ -200,8 +198,9 @@ def compare_strategies(source, strategies, schedule=None, *, mode: str = "open",
     in-memory iterable of (traversal, frame) pairs. mode "open" reads that
     frame stream once and feeds every frame to every strategy; each label's
     stream hash is the stream's one sha256. mode "closed" runs every strategy
-    in lockstep through one world, each steering its own frames.
-    """
+    in lockstep through one world, each steering its own frames. A world
+    source's params must have its image width; failure_penalty defaults to
+    half the params' image width."""
     if not strategies:
         raise ConfigError("no strategies to compare")
     if mode not in ("open", "closed"):
@@ -210,12 +209,15 @@ def compare_strategies(source, strategies, schedule=None, *, mode: str = "open",
 
     world_cfg = source if isinstance(source, WorldConfig) else None
     image_width = world_cfg.image_width if world_cfg else 640
-    if failure_penalty is None:
-        failure_penalty = image_width / 2.0
     reg_params = params or RegistrationParams(image_width=image_width)
+    failure_penalty = _penalty(failure_penalty, reg_params.image_width)
 
     if world_cfg is not None:
         traversals, interval_s = _normalize_schedule(schedule)
+        if reg_params.image_width != world_cfg.image_width:
+            raise ConfigError(f"params.image_width {reg_params.image_width} "
+                              f"differs from world.image_width "
+                              f"{world_cfg.image_width}")
     elif mode == "closed":
         raise ConfigError("closed-loop comparison needs a world source")
 

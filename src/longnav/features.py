@@ -13,41 +13,6 @@ from .kernels import bit_rows
 DEFAULT_DESCRIPTOR_WIDTH = 256
 
 
-def hex_rows(words: np.ndarray, width: int) -> list:
-    """Lowercase hex of each packed descriptor row, width/4 digits each."""
-    n, n_words = words.shape
-    if not n:
-        return []
-    # most significant word first, each word big-endian: the integer's digits
-    digits = words[:, ::-1].astype(">u8").tobytes().hex()
-    step = 16 * n_words
-    skip = step - width // 4
-    return [digits[i + skip:i + step] for i in range(0, n * step, step)]
-
-
-def words_from_hex(strings, n_words: int) -> np.ndarray:
-    """Packed ``(n, n_words)`` rows from hex descriptors of one length;
-    ValueError when a string is not hex or does not fit."""
-    strings = list(strings)
-    if not strings:
-        return np.zeros((0, n_words), dtype=np.uint64)
-    n_hex = len(strings[0])
-    if not n_hex:
-        raise ValueError("empty hex descriptor")
-    if n_hex % 2:
-        strings = ["0" + s for s in strings]
-        n_hex += 1
-    n_bytes = n_hex // 2
-    if n_bytes > 8 * n_words:
-        raise ValueError(f"descriptor of {4 * n_hex} bits exceeds {64 * n_words}")
-    raw = bytes.fromhex("".join(strings))
-    if len(raw) != n_bytes * len(strings):
-        raise ValueError("malformed hex descriptor")
-    octets = np.zeros((len(strings), 8 * n_words), dtype=np.uint8)
-    octets[:, :n_bytes] = np.frombuffer(raw, dtype=np.uint8).reshape(-1, n_bytes)[:, ::-1]
-    return octets.view("<u8").astype(np.uint64, copy=False)
-
-
 def _rows(a, idx):
     return None if a is None else a[idx]
 
@@ -161,20 +126,12 @@ def pack_features(block: FeatureBlock) -> np.ndarray:
 
 
 @dataclass
-class MapAlternative:
-    """One alternative feature set for the multiple-map strategy."""
-
-    features: FeatureBlock
-    created_at: int
-
-
-@dataclass
 class LocalMap:
     """Features taught at one odometry distance along the path.
 
-    ``alternatives`` holds extra feature sets appended by the multiple-map
-    strategy; the taught set in ``features`` always acts as alternative 0.
-    """
+    ``alternatives`` holds the map blocks the multiple-map strategy appends,
+    each inserted at one traversal; the taught set in ``features`` always
+    acts as alternative 0."""
 
     index: int
     odometry_distance: float
@@ -199,8 +156,7 @@ class PathMap:
     def copy(self) -> "PathMap":
         """A path one strategy can update without touching this one."""
         maps = [LocalMap(lm.index, lm.odometry_distance, lm.features.copy_state(),
-                         [MapAlternative(a.features.copy_state(), a.created_at)
-                          for a in lm.alternatives])
+                         [a.copy_state() for a in lm.alternatives])
                 for lm in self.local_maps]
         return PathMap(maps, self.image_width, self.descriptor_width,
                        self.taught_at)

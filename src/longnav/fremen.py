@@ -6,8 +6,9 @@ reconstructs the signal from the DC term plus the strongest components and
 clamps it to the observation range [-1, 1].
 
 One FremenModel holds the rows of a whole map as arrays: ``mu`` and ``n_obs``
-of shape ``(n,)`` and the component averages of shape ``(n, P)``. A model made
-without a row count is a single model (shapes ``()`` and ``(P,)``); the same
+of shape ``(n,)`` and the real and imaginary component averages ``re`` and
+``im`` of shape ``(n, P)``, P being ``len(periods)``. A model made without a
+row count is a single model (shapes ``()`` and ``(P,)``); the same
 broadcasting code serves both.
 """
 
@@ -24,7 +25,7 @@ DEFAULT_ORDER = 2
 
 
 class FremenModel:
-    __slots__ = ("periods", "_omega", "n_obs", "mu", "_re", "_im")
+    __slots__ = ("periods", "_omega", "n_obs", "mu", "re", "im")
 
     def __init__(self, periods=DEFAULT_PERIODS, n: int | None = None):
         self.periods = tuple(float(p) for p in periods)
@@ -34,8 +35,8 @@ class FremenModel:
         rows = () if n is None else (n,)
         self.n_obs = np.zeros(rows, dtype=np.int64)
         self.mu = np.zeros(rows)
-        self._re = np.zeros(rows + (len(self.periods),))
-        self._im = np.zeros(rows + (len(self.periods),))
+        self.re = np.zeros(rows + (len(self.periods),))
+        self.im = np.zeros(rows + (len(self.periods),))
 
     def add_observation(self, v, t: float) -> "FremenModel":
         """Fold one observation per row, v in [-1, 1] taken at time t
@@ -50,8 +51,8 @@ class FremenModel:
         self.mu += (v - self.mu) * k
         wt = self._omega * t
         v, k = v[..., None], k[..., None]
-        self._re += (v * np.cos(wt) - self._re) * k
-        self._im += (-v * np.sin(wt) - self._im) * k
+        self.re += (v * np.cos(wt) - self.re) * k
+        self.im += (-v * np.sin(wt) - self.im) * k
         return self
 
     def predict(self, t: float, order: int = DEFAULT_ORDER) -> float:
@@ -70,11 +71,11 @@ class FremenModel:
             raise ValueError(f"k={k} exceeds {len(self.periods)} candidate periods")
         if self.n_obs == 0:
             return []
-        amp = 2.0 * np.hypot(self._re, self._im)
+        amp = 2.0 * np.hypot(self.re, self.im)
         order = sorted(range(len(self.periods)),
                        key=lambda j: (-amp[j], -self.periods[j]))
         return [(self.periods[j], float(amp[j]),
-                 float(math.atan2(self._im[j], self._re[j]))) for j in order[:k]]
+                 float(math.atan2(self.im[j], self.re[j]))) for j in order[:k]]
 
     def take(self, idx) -> "FremenModel":
         """A copy of rows idx; an integer index gives a single model."""
@@ -82,8 +83,8 @@ class FremenModel:
         m.periods, m._omega = self.periods, self._omega
         m.n_obs = np.array(self.n_obs[idx])
         m.mu = np.array(self.mu[idx])
-        m._re = np.array(self._re[idx])
-        m._im = np.array(self._im[idx])
+        m.re = np.array(self.re[idx])
+        m.im = np.array(self.im[idx])
         return m
 
     def copy(self) -> "FremenModel":
@@ -99,27 +100,8 @@ class FremenModel:
             raise ValueError("cannot stack fremen models with different periods")
         m.n_obs = np.concatenate([np.atleast_1d(p.n_obs) for p in models])
         m.mu = np.concatenate([np.atleast_1d(p.mu) for p in models])
-        m._re = np.concatenate([np.atleast_2d(p._re) for p in models])
-        m._im = np.concatenate([np.atleast_2d(p._im) for p in models])
-        return m
-
-    def to_dict(self) -> dict:
-        """A single model as JSON-ready values."""
-        return {
-            "n_obs": int(self.n_obs),
-            "mu": float(self.mu),
-            "components": [[self.periods[j], float(self._re[j]), float(self._im[j])]
-                           for j in range(len(self.periods))],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FremenModel":
-        comps = d["components"]
-        m = cls(periods=[c[0] for c in comps])
-        m.n_obs = np.array(int(d["n_obs"]))
-        m.mu = np.array(float(d["mu"]))
-        m._re = np.array([c[1] for c in comps], dtype=np.float64)
-        m._im = np.array([c[2] for c in comps], dtype=np.float64)
+        m.re = np.concatenate([np.atleast_2d(p.re) for p in models])
+        m.im = np.concatenate([np.atleast_2d(p.im) for p in models])
         return m
 
     def __repr__(self) -> str:
@@ -136,7 +118,7 @@ def predict_many(model: FremenModel, t: float,
         raise ValueError("order must be >= 0")
     val = np.array(model.mu, dtype=np.float64)
     if order > 0:
-        re, im = model._re, model._im
+        re, im = model.re, model.im
         k = min(order, re.shape[-1])
         amp2 = re * re + im * im
         top = np.argsort(-amp2, axis=-1, kind="stable")[..., :k]

@@ -1,11 +1,13 @@
 """File formats: frame datasets (JSONL), map snapshots (JSON), logs (JSONL).
 
-Dataset lines look like
-{"traversal":0,"location":3,"time_s":0.0,"gamma_px":0.0,
- "features":[{"x":12.5,"y":80.0,"d":"<hex>"}]}
-with the teach pass stored as traversal 0. Descriptors are lowercase hex,
-width/4 characters. Positions round-trip at full float precision. A log line
-is one LocationRecord, keyed by its field names.
+A dataset line is one frame, {"traversal":0,"location":3,"time_s":0.0,
+"gamma_px":0.0,"features":[{"x":12.5,"y":80.0,"d":"<hex>"}]}, the teach pass
+being traversal 0. A snapshot's feature records add "score", "inserted_at" and
+"temporal" (null, or {"n_obs":..,"mu":..,"components":[[period,re,im],..]}),
+and each alternative is {"created_at":<traversal>,"features":[..]}. A
+descriptor is lowercase hex of width/4 digits, width being a dataset's first
+descriptor's and a snapshot's "descriptor_width". Positions round-trip at full
+float precision. A log line is one LocationRecord, keyed by its field names.
 """
 
 from __future__ import annotations
@@ -18,16 +20,64 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DatasetError
-from .features import (FeatureBlock, LocalMap, MapAlternative, PathMap,
-                       hex_rows, words_from_hex)
+from .features import FeatureBlock, LocalMap, PathMap
 from .fremen import FremenModel
 from .simulator import Frame, LocationRecord
 
+_BAD = (KeyError, ValueError, TypeError, OverflowError)  # from a bad value
 
-def _feature_records(block: FeatureBlock) -> list:
-    return [{"x": x, "y": y, "d": d}
+
+def hex_rows(words: np.ndarray, width: int) -> list:
+    """Lowercase hex of each packed descriptor row, width/4 digits each."""
+    n, n_words = words.shape
+    if not n:
+        return []
+    # most significant word first, each word big-endian: the integer's digits
+    digits = words[:, ::-1].astype(">u8").tobytes().hex()
+    step = 16 * n_words
+    skip = step - width // 4
+    return [digits[i + skip:i + step] for i in range(0, n * step, step)]
+
+
+def words_from_hex(strings: list, width: int) -> np.ndarray:
+    """Packed ``(n, ceil(width / 64))`` rows from hex descriptors of width/4
+    digits each; ValueError naming a descriptor of another width, and on a
+    width that is not positive or on malformed hex."""
+    n_words = (width + 63) // 64
+    if not strings:
+        return np.zeros((0, n_words), dtype=np.uint64)
+    if width <= 0:
+        raise ValueError(f"descriptor width {width} is not positive")
+    if set(map(len, strings)) != {width / 4}:
+        bad = next(4 * len(s) for s in strings if 4 * len(s) != width)
+        raise ValueError(f"descriptor width {bad} differs from {width}")
+    if width % 8:  # whole bytes: one leading zero digit
+        strings = ["0" + s for s in strings]
+    n_bytes = (width + 7) // 8
+    raw = bytes.fromhex("".join(strings))
+    if len(raw) != n_bytes * len(strings):
+        raise ValueError("malformed hex descriptor")
+    octets = np.zeros((len(strings), 8 * n_words), dtype=np.uint8)
+    octets[:, :n_bytes] = np.frombuffer(raw, dtype=np.uint8).reshape(-1, n_bytes)[:, ::-1]
+    return octets.view("<u8").astype(np.uint64, copy=False)
+
+
+def _records(block: FeatureBlock, state: bool = False) -> list:
+    """The block's rows as feature records: x, y and d, and with state the
+    map-state columns."""
+    recs = [{"x": x, "y": y, "d": d}
             for x, y, d in zip(block.x.tolist(), block.y.tolist(),
                                hex_rows(block.words, block.width))]
+    if state:
+        m = block.temporal
+        models = [None] * len(block) if m is None else [
+            {"n_obs": k, "mu": mu, "components": list(map(list, zip(m.periods, re, im)))}
+            for k, mu, re, im in zip(m.n_obs.tolist(), m.mu.tolist(),
+                                     m.re.tolist(), m.im.tolist())]
+        for rec, score, inserted, model in zip(
+                recs, block.score.tolist(), block.inserted_at.tolist(), models):
+            rec.update(score=score, inserted_at=inserted, temporal=model)
+    return recs
 
 
 def write_dataset(pairs, path) -> int:
@@ -40,7 +90,7 @@ def write_dataset(pairs, path) -> int:
                 "location": int(frame.location),
                 "time_s": float(frame.time),
                 "gamma_px": float(frame.gamma),
-                "features": _feature_records(frame.features),
+                "features": _records(frame.features),
             }
             fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
             n += 1
@@ -75,14 +125,61 @@ def _numbers(values: list, name: str) -> np.ndarray:
     return out
 
 
-def read_dataset(path):
-    """Yield (traversal, Frame) pairs from a dataset file.
+def _model(docs: list) -> FremenModel | None:
+    """One fremen model for all rows from their "temporal" values, None when
+    every one is null; ValueError when only some are, when an n_obs is not a
+    JSON integer >= 0, and unless every row has row 0's periods."""
+    if not docs or None in docs:
+        if any(d is not None for d in docs):
+            raise ValueError("a feature set mixes rows with and without a "
+                             "temporal model")
+        return None
+    n_obs = np.array([_integer(d["n_obs"], "n_obs") for d in docs],
+                     dtype=np.int64)
+    if n_obs.min() < 0:
+        raise ValueError(f"n_obs is {n_obs.min()}, below 0")
+    comps = [d["components"] for d in docs]
+    if not {len(v) for c in comps for v in c} <= {3}:
+        raise ValueError("a fremen component is not [period, re, im]")
+    if len({tuple(v[0] for v in c) for c in comps}) > 1:
+        raise ValueError("a feature set's fremen models have different periods")
+    values = _numbers([v for c in comps for comp in c for v in comp],
+                      "fremen component value").reshape(len(docs), -1, 3)
+    model = FremenModel(values[0, :, 0].tolist(), len(docs))
+    model.n_obs[:], model.mu[:] = n_obs, _numbers([d["mu"] for d in docs], "mu")
+    model.re[:], model.im[:] = values[:, :, 1], values[:, :, 2]
+    return model
 
-    Non-finite numbers, and descriptors whose width differs from the first
-    one in the file, are rejected with DatasetError naming path:line.
-    """
+
+def _block(recs: list, width: int | None, state: bool = False) -> FeatureBlock:
+    """Feature records as one block of width-bit descriptors (None: the first
+    one's): x, y and d, and with state the map-state columns (by default
+    score 0, inserted_at 0 and no temporal model)."""
+    if type(recs) is not list:
+        raise ValueError("features is not a list")
+    try:
+        hexes = [r["d"] for r in recs]
+    except TypeError:  # only an object takes a key
+        raise ValueError("a feature record is not an object") from None
+    if width is None:
+        width = 4 * len(hexes[0]) if hexes else 0
+    columns = {
+        "inserted_at": np.array([_integer(r.get("inserted_at", 0), "inserted_at")
+                                 for r in recs], dtype=np.int64),
+        "score": _numbers([r.get("score", 0.0) for r in recs], "score"),
+        "temporal": _model([r.get("temporal") for r in recs])} if state else {}
+    return FeatureBlock(_numbers([r["x"] for r in recs], "x"),
+                        _numbers([r["y"] for r in recs], "y"),
+                        words_from_hex(hexes, width), width, **columns)
+
+
+def read_dataset(path):
+    """Yield (traversal, Frame) pairs from a dataset file; a non-finite
+    number, an integer that is not a JSON integer and a descriptor of another
+    width than the file's first are rejected with DatasetError naming
+    path:line."""
     p = Path(path)
-    n_hex = None  # hex digits per descriptor, fixed by the first one
+    width = None  # fixed by the file's first descriptor
     with p.open() as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -90,71 +187,19 @@ def read_dataset(path):
                 continue
             try:
                 rec = json.loads(line)
-                feats = rec["features"]
-                hexes = [fr["d"] for fr in feats]
-                if n_hex is None and hexes:
-                    n_hex = len(hexes[0])
-                for s in hexes:
-                    if len(s) != n_hex:
-                        raise ValueError(f"descriptor width {4 * len(s)} differs "
-                                         f"from the file's first, {4 * n_hex}")
-                width = 4 * (n_hex or 0)
-                block = FeatureBlock(_numbers([fr["x"] for fr in feats], "x"),
-                                     _numbers([fr["y"] for fr in feats], "y"),
-                                     words_from_hex(hexes, (width + 63) // 64),
-                                     width)
+                block = _block(rec["features"], width)
+                if width is None and len(block):
+                    width = block.width
                 frame = Frame(_integer(rec["location"], "location"),
                               _number(rec["time_s"], "time_s"), block,
                               _number(rec["gamma_px"], "gamma_px"))
                 yield _integer(rec["traversal"], "traversal"), frame
-            except (KeyError, ValueError, TypeError) as e:
+            except _BAD as e:
                 raise DatasetError(f"{p}:{lineno}: bad dataset record: {e}") from e
 
 
-def _snapshot_records(block: FeatureBlock) -> list:
-    n = len(block)
-    temporal = [None] * n
-    if block.temporal is not None:
-        temporal = [block.temporal.take(i).to_dict() for i in range(n)]
-    return [{"x": x, "y": y, "d": d, "score": score, "inserted_at": ins,
-             "temporal": tm}
-            for x, y, d, score, ins, tm in zip(
-                block.x.tolist(), block.y.tolist(),
-                hex_rows(block.words, block.width), block.score.tolist(),
-                block.inserted_at.tolist(), temporal)]
-
-
-def _temporal_from_snapshot(doc: dict) -> FremenModel:
-    _number(doc["mu"], "mu")
-    _numbers([v for comp in doc["components"] for v in comp],  # period, re, im
-             "fremen component value")
-    return FremenModel.from_dict(doc)
-
-
-def _block_from_snapshot(recs: list, width: int) -> FeatureBlock:
-    """A map block from snapshot rows; ValueError when a row is not an
-    object, or when some rows have a temporal model and others do not."""
-    if not all(isinstance(r, dict) for r in recs):
-        raise ValueError("a feature record is not an object")
-    has = [r.get("temporal") is not None for r in recs]
-    temporal = None
-    if any(has):
-        if not all(has):
-            raise ValueError("a feature set mixes rows with and without a "
-                             "temporal model")
-        temporal = FremenModel.concat([_temporal_from_snapshot(r["temporal"])
-                                       for r in recs])
-    return FeatureBlock(
-        _numbers([r["x"] for r in recs], "x"),
-        _numbers([r["y"] for r in recs], "y"),
-        words_from_hex([r["d"] for r in recs], (width + 63) // 64), width,
-        inserted_at=np.array([_integer(r.get("inserted_at", 0), "inserted_at")
-                              for r in recs], dtype=np.int64),
-        score=_numbers([r.get("score", 0.0) for r in recs], "score"),
-        temporal=temporal)
-
-
 def write_map_snapshot(path_map: PathMap, path) -> None:
+    """Write the path; an alternative's created_at is its rows' inserted_at."""
     doc = {
         "image_width": path_map.image_width,
         "descriptor_width": path_map.descriptor_width,
@@ -163,10 +208,10 @@ def write_map_snapshot(path_map: PathMap, path) -> None:
             {
                 "index": lm.index,
                 "odometry_distance": lm.odometry_distance,
-                "features": _snapshot_records(lm.features),
+                "features": _records(lm.features, state=True),
                 "alternatives": [
-                    {"created_at": alt.created_at,
-                     "features": _snapshot_records(alt.features)}
+                    {"created_at": int(alt.inserted_at[0]),
+                     "features": _records(alt, state=True)}
                     for alt in lm.alternatives
                 ],
             }
@@ -177,24 +222,37 @@ def write_map_snapshot(path_map: PathMap, path) -> None:
 
 
 def read_map_snapshot(path) -> PathMap:
+    """The PathMap of a snapshot file. A bad value, a local map whose taught
+    set has no rows, and an alternative without rows or with rows inserted at
+    another traversal than its created_at are rejected with DatasetError
+    naming the file."""
     p = Path(path)
     try:
         doc = json.loads(p.read_text())
         width = _integer(doc["descriptor_width"], "descriptor_width")
         maps = []
         for lm in doc["local_maps"]:
-            feats = _block_from_snapshot(lm["features"], width)
-            alts = [MapAlternative(_block_from_snapshot(a["features"], width),
-                                   _integer(a["created_at"], "created_at"))
-                    for a in lm.get("alternatives", [])]
+            index = _integer(lm["index"], "index")
+            feats = _block(lm["features"], width, state=True)
+            if not len(feats):
+                raise ValueError(f"local map {index}'s taught set has no rows")
+            alts = []
+            for a in lm.get("alternatives", []):
+                alt = _block(a["features"], width, state=True)
+                created = _integer(a["created_at"], "created_at")
+                inserted = sorted(set(alt.inserted_at.tolist()))
+                if inserted != [created]:  # no rows, or some not created then
+                    raise ValueError(f"local map {index} has an alternative "
+                                     f"created at {created} whose rows were "
+                                     f"inserted at {inserted}")
+                alts.append(alt)
             odometry = _number(lm["odometry_distance"], "odometry_distance")
-            maps.append(LocalMap(_integer(lm["index"], "index"), odometry,
-                                 feats, alts))
+            maps.append(LocalMap(index, odometry, feats, alts))
         return PathMap(maps,
                        image_width=_integer(doc["image_width"], "image_width"),
                        descriptor_width=width,
                        taught_at=_number(doc.get("taught_at", 0.0), "taught_at"))
-    except (KeyError, ValueError, TypeError) as e:
+    except _BAD as e:
         raise DatasetError(f"{p}: bad map snapshot: {e}") from e
 
 
@@ -258,7 +316,7 @@ def read_logs(path) -> list:
                     for name, check, null, optional, _, _ in _LOG_FIELDS
                     if not optional or name in row})
                 _check_ranges(rec)
-            except (KeyError, ValueError, TypeError) as e:
+            except _BAD as e:
                 raise DatasetError(f"{p}:{lineno}: bad log record: {e}") from e
             if records and rec.strategy != records[0].strategy:
                 raise DatasetError(f"{p}:{lineno}: a {rec.strategy!r} record in "

@@ -110,7 +110,7 @@ class LocationRecord:
     holds the range a log row's value must lie in: at least ``min``, and
     below the value of the field named ``below``."""
 
-    traversal: int
+    traversal: int = field(metadata={"min": 1})  # repeats count from 1
     strategy: str
     time_s: float  # the frame's time
     location: int = field(metadata={"min": 0})
@@ -379,13 +379,17 @@ def run_closed_loop(world: World, strategies, traversals: int,
 
     The path is taught once at time 0 and copied per strategy; `traversals`
     passes follow at fixed intervals. Returns (paths, logs) like
-    replay_frames.
+    replay_frames. ConfigError when params.image_width differs from the
+    world's.
     """
     strategies = list(strategies)
     if not strategies:
         raise ConfigError("no strategies to run")
-    paths = _strategy_paths(strategies, teach(world, feature_cap=feature_cap))
     params = params or RegistrationParams(image_width=world.config.image_width)
+    if params.image_width != world.config.image_width:
+        raise ConfigError(f"params.image_width {params.image_width} differs "
+                          f"from world.image_width {world.config.image_width}")
+    paths = _strategy_paths(strategies, teach(world, feature_cap=feature_cap))
     offsets = [initial_offset_m] * len(strategies)
     logs = [[] for _ in strategies]
     for tr in range(1, traversals + 1):

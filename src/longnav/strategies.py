@@ -16,8 +16,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, check_settings, in_range, is_int
-from .features import (FeatureBlock, LocalMap, MapAlternative, concat,
-                       pack_features)
+from .features import FeatureBlock, LocalMap, concat, pack_features
 from .fremen import DEFAULT_PERIODS, FremenModel, predict_many
 from .registration import MatchOutcome, RegistrationParams, register
 
@@ -168,7 +167,7 @@ def active_sets(local_map: LocalMap, cfg: StrategyConfig, t: float) -> list:
     under multiple every alternative after it."""
     sets = [local_map.features]
     if cfg.kind == "multiple":
-        sets += [a.features for a in local_map.alternatives]
+        sets += local_map.alternatives
     picks = [select_active_indices(feats, cfg, t) for feats in sets]
     return [(idx, feats if len(idx) == len(feats) else feats.take(idx))
             for idx, feats in zip(picks, sets)]
@@ -207,7 +206,7 @@ def init_strategy_state(path_or_map, cfg: StrategyConfig) -> None:
     periods = tuple(float(p) for p in cfg.fremen_periods)
     for lm in getattr(path_or_map, "local_maps", [path_or_map]):
         for alt in lm.alternatives:
-            alt.features.temporal = None
+            alt.temporal = None
         feats = lm.features
         if not _STEPS[cfg.kind][0].temporal:
             feats.temporal = None
@@ -248,8 +247,8 @@ def update_map(local_map: LocalMap, view: FeatureBlock, reg,
                 warnings.warn("alternative cap reached; new alternative dropped",
                               stacklevel=2)
             else:
-                alt = _new_rows(view, reg.delta, traversal, cfg, image_width)
-                local_map.alternatives.append(MapAlternative(alt, traversal))
+                local_map.alternatives.append(
+                    _new_rows(view, reg.delta, traversal, cfg, image_width))
         return local_map
 
     _, remove_rule, insert_rule = _STEPS[cfg.kind]

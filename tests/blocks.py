@@ -5,8 +5,8 @@ import numpy as np
 from hypothesis import strategies as st
 
 from longnav.errors import ConfigError
-from longnav.features import (DEFAULT_DESCRIPTOR_WIDTH, FeatureBlock,
-                              hex_rows, words_from_hex)
+from longnav.features import DEFAULT_DESCRIPTOR_WIDTH, FeatureBlock
+from longnav.io import hex_rows, words_from_hex
 from longnav.kernels import _distance, _dot
 
 
@@ -47,15 +47,11 @@ class Descriptor:
     def from_hex(cls, s: str, width: int | None = None) -> "Descriptor":
         if width is None:
             width = 4 * len(s)
-        n_words = (width + 63) // 64
         try:
-            words = words_from_hex([s], n_words)[0]
+            words = words_from_hex([s], width)[0]
         except ValueError as e:
             raise ConfigError(f"bad hex descriptor {s!r}: {e}") from e
-        d = cls(words, width)
-        if not np.array_equal(d.words, words):
-            raise ConfigError(f"value does not fit in {width} bits")
-        return d
+        return cls(words, width)
 
     def to_int(self) -> int:
         return int.from_bytes(self.words.astype("<u8").tobytes(), "little")

@@ -469,6 +469,40 @@ def test_replay_rejects_map_mixing_temporal_rows(tmp_path, config_path,
     assert "mixes rows with and without a temporal model" in err
 
 
+def _taught_row(doc):
+    return doc["local_maps"][0]["features"][0]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: _taught_row(doc)["temporal"].update(n_obs=-1),
+     "n_obs is -1, below 0"),
+    (lambda doc: _taught_row(doc)["temporal"].update(n_obs="7"),
+     "n_obs is '7', not an integer"),
+    (lambda doc: _taught_row(doc).update(d=_taught_row(doc)["d"][32:]),
+     "descriptor width 128 differs from 256"),
+    (lambda doc: doc["local_maps"][0].update(
+        alternatives=[{"created_at": 2, "features": []}]),
+     "alternative created at 2 whose rows were inserted at []"),
+    (lambda doc: doc["local_maps"][0].update(alternatives=[
+        {"created_at": 2, "features": [dict(_taught_row(doc), inserted_at=1,
+                                            temporal=None)]}]),
+     "alternative created at 2 whose rows were inserted at [1]"),
+    (lambda doc: doc["local_maps"][1].update(features=[]),
+     "taught set has no rows"),
+], ids=["n_obs-negative", "n_obs-string", "descriptor-narrow",
+        "alternative-empty", "alternative-created-elsewhere", "taught-empty"])
+def test_replay_rejects_map_of_bad_state(tmp_path, config_path, fremen_run,
+                                         capsys, edit, message):
+    dataset, final = fremen_run
+    doc = json.loads(final.read_text())
+    edit(doc)
+    final.write_text(json.dumps(doc))
+    err = _replay_error(capsys, tmp_path, "--config", config_path,
+                        "--strategy", "fremen", "--dataset", dataset,
+                        "--map", final)
+    assert "bad map snapshot" in err and message in err
+
+
 def test_replay_rejects_map_of_other_image_width(tmp_path, config_path, capsys):
     doc = json.loads(config_path.read_text())
     doc["world"]["image_width"] = 800

@@ -12,8 +12,10 @@ from longnav.evaluation import (ComparisonReport, ErrorSequence, build_report,
                                 compare_strategies, error_cdf, paired_t_test,
                                 registration_errors, unique_labels,
                                 write_report)
+from longnav.registration import RegistrationParams
 from longnav.simulator import (LocationRecord, WorldConfig, World,
-                               generate_frames, uniform_offset_schedule)
+                               generate_frames, run_closed_loop,
+                               uniform_offset_schedule)
 from longnav.strategies import STRATEGY_KINDS, StrategyConfig
 
 
@@ -35,7 +37,7 @@ def seq(values, name="x", keys=None, failed=None):
 
 def test_registration_errors_arithmetic():
     es = registration_errors([rec(0, 5.0, 0.0), rec(1, -3.0, 0.0),
-                              rec(0, 2.0, 2.0, traversal=2)])
+                              rec(0, 2.0, 2.0, traversal=2)], 320.0)
     assert es.strategy == "s"
     np.testing.assert_allclose(es.values, [5.0, 3.0, 0.0])
     assert not es.failed.any()
@@ -199,6 +201,24 @@ def test_compare_open_loop_hashes_and_ranking():
     assert rep.mean_errors[rep.ranking[0]] <= rep.mean_errors[rep.ranking[1]]
     hashes = set(rep.stream_hashes.values())
     assert len(hashes) == 1 and None not in hashes
+
+
+@pytest.mark.parametrize("run", [
+    lambda world, params: compare_strategies(world, [StrategyConfig()],
+                                             (1, 3600.0), params=params),
+    lambda world, params: compare_strategies(world, [StrategyConfig()],
+                                             (1, 3600.0), mode="closed",
+                                             params=params),
+    lambda world, params: run_closed_loop(World(world), [StrategyConfig()], 1,
+                                          3600.0, params=params),
+], ids=["compare-open", "compare-closed", "run_closed_loop"])
+def test_world_runs_reject_params_of_another_image_width(run):
+    # an 800-px world once ran at the default params' 640 px
+    world = WorldConfig(n_locations=1, landmarks_per_location=20,
+                        image_width=800)
+    with pytest.raises(ConfigError, match="params.image_width 640 differs "
+                                          "from world.image_width 800"):
+        run(world, RegistrationParams())
 
 
 def test_compare_list_source_matches_world_source():

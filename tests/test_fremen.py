@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from longnav.features import FeatureBlock, LocalMap, PathMap
 from longnav.fremen import DEFAULT_PERIODS, FremenModel, predict_many
+from longnav.io import read_map_snapshot, write_map_snapshot
 
 DAY = 86400.0
 
@@ -72,14 +74,14 @@ def test_accumulators_match_direct_complex_mean():
     for j, p in enumerate(m.periods):
         w = 2 * np.pi / p
         g = np.mean(vals * np.exp(-1j * w * times))
-        assert m._re[j] == pytest.approx(g.real, abs=1e-12)
-        assert m._im[j] == pytest.approx(g.imag, abs=1e-12)
+        assert m.re[j] == pytest.approx(g.real, abs=1e-12)
+        assert m.im[j] == pytest.approx(g.imag, abs=1e-12)
     # the day component carries half the cosine amplitude, the rest noise floor
     day = np.argmin(np.abs(np.asarray(m.periods) - DAY))
-    assert np.hypot(m._re[day], m._im[day]) == pytest.approx(0.25, abs=0.02)
+    assert np.hypot(m.re[day], m.im[day]) == pytest.approx(0.25, abs=0.02)
     for j in range(len(m.periods)):
         if j != day:
-            assert np.hypot(m._re[j], m._im[j]) <= 0.1
+            assert np.hypot(m.re[j], m.im[j]) <= 0.1
 
 
 def test_dominant_components_planted_pair():
@@ -128,8 +130,8 @@ def test_observation_order_invariance():
     perm = rng.permutation(120)
     m2 = feed(vals[perm], times[perm])
     assert m1.mean_score() == pytest.approx(m2.mean_score(), abs=1e-9)
-    np.testing.assert_allclose(m1._re, m2._re, atol=1e-9)
-    np.testing.assert_allclose(m1._im, m2._im, atol=1e-9)
+    np.testing.assert_allclose(m1.re, m2.re, atol=1e-9)
+    np.testing.assert_allclose(m1.im, m2.im, atol=1e-9)
 
 
 def test_predict_bounded():
@@ -157,7 +159,7 @@ def scalar_prediction(m, t, order):
     summed in plain Python from mu, re, im and the periods."""
     if int(m.n_obs) == 0:
         return 0.0
-    re, im = m._re.tolist(), m._im.tolist()
+    re, im = m.re.tolist(), m.im.tolist()
     amp2 = [r * r + i * i for r, i in zip(re, im)]
     top = sorted(range(len(re)), key=lambda j: -amp2[j])[:order]
     val = float(m.mu)
@@ -187,14 +189,19 @@ def test_concat_rejects_mixed_periods():
         FremenModel.concat([FremenModel(), FremenModel((DAY, DAY / 2))])
 
 
-def test_serialization_round_trip():
+def test_serialization_round_trip(tmp_path):
+    # a model's stored form is its map snapshot row
     rng = np.random.default_rng(6)
     m = feed(rng.uniform(-1, 1, size=37), rng.uniform(0, 40 * DAY, size=37))
-    m2 = FremenModel.from_dict(m.to_dict())
+    row = FeatureBlock(np.zeros(1), np.zeros(1), np.zeros((1, 4), np.uint64))
+    path = PathMap([LocalMap(0, 0.0, row.as_map(0, FremenModel.concat([m])))])
+    write_map_snapshot(path, tmp_path / "map.json")
+    m2 = read_map_snapshot(tmp_path / "map.json").local_maps[0] \
+        .features.temporal.take(0)
     assert m2.n_obs == m.n_obs
     assert m2.mu == m.mu
     assert m2.periods == m.periods
-    np.testing.assert_array_equal(m2._re, m._re)
-    np.testing.assert_array_equal(m2._im, m._im)
+    np.testing.assert_array_equal(m2.re, m.re)
+    np.testing.assert_array_equal(m2.im, m.im)
     for t in rng.uniform(0, 60 * DAY, size=20):
         assert m2.predict(float(t)) == m.predict(float(t))

@@ -15,7 +15,8 @@ import math
 import pytest
 
 from longnav.evaluation import compare_strategies, write_report
-from longnav.io import write_dataset, write_logs, write_map_snapshot
+from longnav.io import (read_map_snapshot, write_dataset, write_logs,
+                        write_map_snapshot)
 from longnav.simulator import (World, WorldConfig, generate_frames,
                                run_closed_loop, uniform_offset_schedule)
 from longnav.strategies import STRATEGY_KINDS, StrategyConfig
@@ -86,10 +87,15 @@ def test_open_compare_read_from_a_dataset_file_is_unchanged(tmp_path):
     assert tuple(digest(p) for p in paths) == REPORTS["open"]
 
 
+@pytest.fixture(scope="module")
+def closed_loop():
+    """(paths, logs) of every kind's closed-loop run, one list entry per kind."""
+    return run_closed_loop(World(WORLD), configs(), *SCHEDULE, run_seed=RUN_SEED)
+
+
 @pytest.mark.filterwarnings("ignore:alternative cap reached")
-def test_closed_loop_logs_and_maps_are_unchanged(tmp_path):
-    paths, logs = run_closed_loop(World(WORLD), configs(), *SCHEDULE,
-                                  run_seed=RUN_SEED)
+def test_closed_loop_logs_and_maps_are_unchanged(closed_loop, tmp_path):
+    paths, logs = closed_loop
     got = {}
     for kind, path, log in zip(STRATEGY_KINDS, paths, logs):
         write_logs(log, tmp_path / f"logs_{kind}.jsonl")
@@ -97,3 +103,18 @@ def test_closed_loop_logs_and_maps_are_unchanged(tmp_path):
         got[kind] = (digest(tmp_path / f"logs_{kind}.jsonl"),
                      digest(tmp_path / f"map_{kind}.json"))
     assert got == RUNS
+
+
+@pytest.mark.filterwarnings("ignore:alternative cap reached")
+def test_closed_loop_maps_read_back_and_rewrite_identically(closed_loop,
+                                                           tmp_path):
+    paths, _ = closed_loop
+    for kind, path in zip(STRATEGY_KINDS, paths):
+        first, again = tmp_path / f"{kind}.json", tmp_path / f"{kind}.again.json"
+        write_map_snapshot(path, first)
+        write_map_snapshot(read_map_snapshot(first), again)
+        assert again.read_bytes() == first.read_bytes(), kind
+    fremen = paths[STRATEGY_KINDS.index("fremen")].local_maps
+    assert all(lm.features.temporal.n_obs.max() > 0 for lm in fremen)
+    multiple = paths[STRATEGY_KINDS.index("multiple")].local_maps
+    assert any(lm.alternatives for lm in multiple)

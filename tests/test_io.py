@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from longnav.errors import DatasetError
-from longnav.features import LocalMap, MapAlternative, PathMap
+from longnav.features import LocalMap, PathMap
 from longnav.fremen import FremenModel
 from longnav.io import (read_dataset, read_logs, read_map_snapshot,
                         write_dataset, write_logs, write_map_snapshot)
@@ -132,10 +132,11 @@ def _block(rows):
 
 
 def _models(block):
-    """Each row's temporal model as a dict, None where the block has none."""
-    if block.temporal is None:
-        return [None] * len(block)
-    return [block.temporal.take(i).to_dict() for i in range(len(block))]
+    """The block's temporal model as its periods and per-row columns, None
+    when it has none."""
+    m = block.temporal
+    return None if m is None else (m.periods, m.n_obs.tolist(), m.mu.tolist(),
+                                   m.re.tolist(), m.im.tolist())
 
 
 def snapshot_path_map():
@@ -150,7 +151,7 @@ def snapshot_path_map():
             m.add_observation(1.0 if k % 2 else -1.0, k * 3600.0)
         rows.append((float(rng.uniform(0, 640)), float(rng.uniform(0, 480)),
                      d, float(i) - 2.5, i, m if i < 3 else None))
-    alt = MapAlternative(_block([(1.0, 2.0, rows[0][2], 0.0, 3, None)]), 3)
+    alt = _block([(1.0, 2.0, rows[0][2], 0.0, 3, None)])
     maps = [LocalMap(0, 0.0, _block(rows[:3]), [alt]),
             LocalMap(1, 1.5, _block(rows[3:]))]
     return PathMap(maps, image_width=800, descriptor_width=256, taught_at=42.0)
@@ -176,8 +177,9 @@ def test_map_snapshot_round_trip(tmp_path):
     assert back.local_maps[0].features.temporal.n_obs.tolist() == [0, 1, 2]
     alt0 = pm.local_maps[0].alternatives[0]
     alt1 = back.local_maps[0].alternatives[0]
-    assert alt1.created_at == alt0.created_at
-    assert np.array_equal(alt1.features.words, alt0.features.words)
+    assert alt1.inserted_at.tolist() == alt0.inserted_at.tolist() == [3]
+    assert doc["local_maps"][0]["alternatives"][0]["created_at"] == 3
+    assert np.array_equal(alt1.words, alt0.words)
 
     p2 = tmp_path / "map2.json"
     write_map_snapshot(back, p2)
@@ -242,8 +244,15 @@ def test_map_snapshot_malformed(tmp_path):
     (lambda doc: doc.update(image_width=640.9), "image_width"),
     (lambda doc: doc["local_maps"][1]["features"][0].update(inserted_at=0.5),
      "inserted_at"),
+    (lambda doc: doc["local_maps"][0]["features"][1]["temporal"].update(
+        n_obs=-1), "n_obs"),
+    (lambda doc: doc["local_maps"][0]["features"][1]["temporal"].update(
+        n_obs="7"), "n_obs"),
+    (lambda doc: doc["local_maps"][0]["features"][1]["temporal"].update(
+        n_obs=2.0), "n_obs"),
 ], ids=["x", "y", "score", "odometry", "taught_at", "mu", "component", "x-str",
-        "image_width", "inserted_at"])
+        "image_width", "inserted_at", "n_obs-negative", "n_obs-string",
+        "n_obs-float"])
 def test_map_snapshot_rejects_non_finite_values(tmp_path, edit, name):
     p = tmp_path / "map.json"
     write_map_snapshot(snapshot_path_map(), p)
@@ -251,6 +260,37 @@ def test_map_snapshot_rejects_non_finite_values(tmp_path, edit, name):
     edit(doc)
     p.write_text(json.dumps(doc))
     with pytest.raises(DatasetError, match=f"bad map snapshot: {name} is"):
+        read_map_snapshot(p)
+
+
+def _taught_row(doc, local_map=0, row=1):
+    return doc["local_maps"][local_map]["features"][row]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: _taught_row(doc)["temporal"]["components"][0].pop(),
+     r"a fremen component is not \[period, re, im\]"),
+    (lambda doc: _taught_row(doc, 1, 0).update(d=_taught_row(doc, 1, 0)["d"][32:]),
+     "descriptor width 128 differs from 256"),
+    (lambda doc: _taught_row(doc, 1, 0).update(d=_taught_row(doc, 1, 0)["d"] + "00"),
+     "descriptor width 264 differs from 256"),
+    (lambda doc: doc["local_maps"][1].update(features=[]),
+     "local map 1's taught set has no rows"),
+    (lambda doc: doc["local_maps"][0]["alternatives"][0].update(features=[]),
+     r"local map 0 has an alternative created at 3 whose rows were inserted "
+     r"at \[\]"),
+    (lambda doc: doc["local_maps"][0]["alternatives"][0].update(created_at=2),
+     r"local map 0 has an alternative created at 2 whose rows were inserted "
+     r"at \[3\]"),
+], ids=["component-pair", "descriptor-narrow", "descriptor-wide", "taught-empty",
+        "alternative-empty", "alternative-created-elsewhere"])
+def test_map_snapshot_rejects_bad_state(tmp_path, edit, message):
+    p = tmp_path / "map.json"
+    write_map_snapshot(snapshot_path_map(), p)
+    doc = json.loads(p.read_text())
+    edit(doc)
+    p.write_text(json.dumps(doc))
+    with pytest.raises(DatasetError, match=f"map.json: bad map snapshot: {message}$"):
         read_map_snapshot(p)
 
 
@@ -320,6 +360,7 @@ def test_replayed_records_log_their_own_frame_times(tmp_path):
 
 
 @pytest.mark.parametrize("key, value, message", [
+    ("traversal", -3, "below 1"),
     ("location", -1, "below 0"),
     ("n_correct", -5, "below 0"),
     ("n_incorrect", -1, "below 0"),

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 
 from longnav.errors import ConfigError
 from longnav.evaluation import registration_errors
-from longnav.features import FeatureBlock, LocalMap, MapAlternative
+from longnav.features import FeatureBlock, LocalMap
 from longnav.fremen import DEFAULT_PERIODS, FremenModel
 from longnav.registration import (MatchOutcome, Pairs, RegistrationParams,
                                   RegistrationResult, register, view_product)
@@ -347,7 +347,7 @@ def _snapshot_map(rng, periods=DEFAULT_PERIODS):
         np.linspace(-1, 1, 40), 60.0)
     alt = make_map(rng, 5).features
     alt.temporal = FremenModel(n=5)
-    lm.alternatives.append(MapAlternative(alt, 1))
+    lm.alternatives.append(alt)
     return lm
 
 
@@ -361,7 +361,7 @@ def test_init_strategy_state_keeps_supplied_models_for_fremen():
         init_strategy_state(m, cfg)
     assert lm.features.temporal.mu.tolist() == models.mu.tolist()
     assert lm.features.temporal.n_obs.tolist() == [1] * 40
-    assert lm.alternatives[0].features.temporal is None
+    assert lm.alternatives[0].temporal is None
     assert fresh.features.temporal.n_obs.tolist() == [0] * 3
     assert fresh.features.temporal.periods == cfg.fremen_periods
     # the exchange concatenates kept rows and new ones, both with models
@@ -374,7 +374,7 @@ def test_init_strategy_state_drops_models_for_score():
     lm = _snapshot_map(rng)
     init_strategy_state(lm, StrategyConfig(kind="score"))
     assert lm.features.temporal is None
-    assert lm.alternatives[0].features.temporal is None
+    assert lm.alternatives[0].temporal is None
     update_map(lm, rand_view(rng, 10), synthetic_reg([C] * 40, []),
                StrategyConfig(kind="score"), 0.0, 5)
     assert (lm.features.inserted_at == 5).sum() == 2  # ceil(0.05 * 40)
@@ -419,7 +419,7 @@ def test_fremen_spectral_term_decides_outcomes_only_under_a_binding_cap(m):
         StrategyConfig(kind="fremen", m=m, fremen_order=order)
         for order in (0, 2)])
     binds = max(r.map_size for r in logs[0]) > m
-    order0, order2 = (registration_errors(log).values for log in logs)
+    order0, order2 = (registration_errors(log, 320.0).values for log in logs)
     assert len(order0) == len(order2) == 80
     if m == 500:  # every row is active: the prediction ranks nothing
         assert not binds and np.array_equal(order0, order2)
@@ -474,8 +474,8 @@ def test_multiple_appends_alternative_below_threshold():
     update_map(lm, view, bad, cfg, 0.0, 2)
     assert len(lm.alternatives) == 1
     alt = lm.alternatives[0]
-    assert alt.created_at == 2 and len(alt.features) == 6
-    assert alt.features.x[0] == pytest.approx(view.x[0] - 5.0)
+    assert alt.inserted_at.tolist() == [2] * 6
+    assert alt.x[0] == pytest.approx(view.x[0] - 5.0)
 
     update_map(lm, view, failed_reg(10), cfg, 0.0, 3)
     assert len(lm.alternatives) == 1
@@ -507,7 +507,7 @@ def test_select_best_alternative():
     taught = [rand_feature(rng) for _ in range(10)]
     other = [rand_feature(rng, inserted_at=1) for _ in range(10)]
     lm = LocalMap(0, 0.0, block(taught),
-                  alternatives=[MapAlternative(block(other), 1)])
+                  alternatives=[block(other)])
     cfg = StrategyConfig(kind="multiple")
 
     view = block([feature(f["x"] + 2.0, f["y"], f["d"]) for f in other])
@@ -521,7 +521,7 @@ def test_select_best_alternative():
 
     # identical alternatives tie; the taught set (oldest) wins
     lm2 = LocalMap(0, 0.0, block(taught),
-                   alternatives=[MapAlternative(block(taught), 1)])
+                   alternatives=[block(taught)])
     idx, _ = select_best(lm2, view, cfg, 0.0)
     assert idx == 0
 
@@ -544,7 +544,7 @@ def test_select_best_alternative_caps_each_alternative():
     # old and new rows interleaved, so the newest m are not the first m
     rows = [rand_feature(rng, inserted_at=1 + i % 2) for i in range(12)]
     lm = LocalMap(0, 0.0, block(taught),
-                  alternatives=[MapAlternative(block(rows), 1)])
+                  alternatives=[block(rows)])
     cfg = StrategyConfig(kind="multiple", m=6)
     view = block([feature(f["x"] + 2.0, f["y"], f["d"]) for f in rows])
     idx, reg = select_best(lm, view, cfg, 0.0)
