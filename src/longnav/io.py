@@ -125,10 +125,20 @@ def _numbers(values: list, name: str) -> np.ndarray:
     return out
 
 
+def _unit_range(values: np.ndarray, name: str) -> np.ndarray:
+    """values; ValueError unless every one lies in [-1, 1]."""
+    out = np.abs(values) > 1.0
+    if out.any():
+        raise ValueError(f"{name} is {float(values[out][0])}, outside [-1, 1]")
+    return values
+
+
 def _model(docs: list) -> FremenModel | None:
     """One fremen model for all rows from their "temporal" values, None when
     every one is null; ValueError when only some are, when an n_obs is not a
-    JSON integer >= 0, and unless every row has row 0's periods."""
+    JSON integer >= 0, when a mean mu or a component's re or im lies outside
+    the observation range [-1, 1] (running means of observations in it
+    never do), and unless every row has row 0's periods."""
     if not docs or None in docs:
         if any(d is not None for d in docs):
             raise ValueError("a feature set mixes rows with and without a "
@@ -146,8 +156,10 @@ def _model(docs: list) -> FremenModel | None:
     values = _numbers([v for c in comps for comp in c for v in comp],
                       "fremen component value").reshape(len(docs), -1, 3)
     model = FremenModel(values[0, :, 0].tolist(), len(docs))
-    model.n_obs[:], model.mu[:] = n_obs, _numbers([d["mu"] for d in docs], "mu")
-    model.re[:], model.im[:] = values[:, :, 1], values[:, :, 2]
+    model.n_obs[:] = n_obs
+    model.mu[:] = _unit_range(_numbers([d["mu"] for d in docs], "mu"), "mu")
+    model.re[:] = _unit_range(values[:, :, 1], "fremen component re")
+    model.im[:] = _unit_range(values[:, :, 2], "fremen component im")
     return model
 
 

@@ -11,6 +11,11 @@ Determinism: the world is a pure function of its seed; per-frame noise comes
 from default_rng((run_seed, traversal, location)); turnover advances from
 default_rng((world_seed, salt, traversal)) and observing leaves the pools
 untouched, so strategies sharing one world see it evolve as they would alone.
+In closed loop the strategies observe a location at their own offsets in one
+call, which draws once per distinct set of in-image landmarks and leaves
+every strategy's generator in the state it reaches alone (see
+World.observe_offsets), so each frame, and the odometry noise drawn after
+it, is the one that strategy would draw by itself.
 """
 
 from __future__ import annotations
@@ -213,36 +218,69 @@ class World:
                 getattr(pool, f.name)[mask] = getattr(fresh, f.name)
 
     def observe(self, location: int, t: float, offset_m: float, rng) -> Frame:
-        """Draw one frame. Draw order (fixed for reproducibility): visibility
-        mask, position jitter, descriptor bit flips for in-image landmarks,
-        then clutter positions and descriptors."""
+        """Draw one frame at lateral offset offset_m (see observe_offsets)."""
+        return self.observe_offsets(location, t, [offset_m], [rng])[0]
+
+    def observe_offsets(self, location: int, t: float, offsets, rngs) -> list:
+        """One frame per lateral offset, drawn as observe would draw it with
+        that offset's generator. The generators must start in one state (for
+        instance, be made from one seed); each ends in the state observe
+        leaves it in.
+
+        Draw order (fixed for reproducibility): visibility mask, position
+        jitter, descriptor bit flips for in-image landmarks, then clutter
+        positions and descriptors. The mask and jitter do not depend on the
+        offset and are drawn once. Offsets that keep the same landmarks in
+        the image draw their flips and clutter once: their frames differ
+        only in x and share one descriptor array and its bit rows."""
         cfg = self.config
         if not 0 <= location < cfg.n_locations:
             raise ValueError(f"location {location} outside [0, {cfg.n_locations})")
         pool = self.pools[location]
-        gamma = cfg.px_per_m * offset_m
-        p = pool.visibility_at(t, cfg.day_period)
-        idx = np.flatnonzero(rng.random(pool.x.shape[0]) < p)
-        xs = pool.x[idx] + gamma
-        if cfg.position_jitter > 0 and idx.size:
-            xs = xs + rng.normal(0.0, cfg.position_jitter, idx.size)
-        keep = (xs >= 0.0) & (xs < cfg.image_width)
-        xs = xs[keep]
-        ys = pool.y[idx[keep]]
-        words = pool.desc[idx[keep]]
-        if cfg.bit_flip_prob > 0 and xs.size:
-            words = words ^ _bernoulli_words(rng, xs.size, cfg.descriptor_width,
-                                             cfg.bit_flip_prob)
         width = cfg.descriptor_width
-        if cfg.clutter_count > 0:
-            cx = rng.uniform(0.0, cfg.image_width, cfg.clutter_count)
-            cy = rng.uniform(0.0, cfg.image_height, cfg.clutter_count)
-            cw = _random_words(rng, cfg.clutter_count, width)
-            xs = np.concatenate((xs, cx))
-            ys = np.concatenate((ys, cy))
-            words = np.concatenate((words, cw))
-        features = FeatureBlock(xs, ys, words, width)
-        return Frame(location, t, features, gamma)
+        p = pool.visibility_at(t, cfg.day_period)
+        idx = np.flatnonzero(rngs[0].random(pool.x.shape[0]) < p)
+        jitter = None
+        if cfg.position_jitter > 0 and idx.size:
+            jitter = rngs[0].normal(0.0, cfg.position_jitter, idx.size)
+        drawn = rngs[0].bit_generator.state
+        base = pool.x[idx]
+        xs, groups = [], {}  # in-image mask as bytes -> (mask, offset indices)
+        for i, offset in enumerate(offsets):
+            x = base + cfg.px_per_m * offset
+            if jitter is not None:
+                x = x + jitter
+            keep = (x >= 0.0) & (x < cfg.image_width)
+            xs.append(x[keep])
+            groups.setdefault(keep.tobytes(), (keep, []))[1].append(i)
+        frames = [None] * len(offsets)
+        for keep, (first, *rest) in groups.values():
+            rng = rngs[first]
+            rng.bit_generator.state = drawn
+            ys = pool.y[idx[keep]]
+            words = pool.desc[idx[keep]]
+            if cfg.bit_flip_prob > 0 and words.shape[0]:
+                words = words ^ _bernoulli_words(rng, words.shape[0], width,
+                                                 cfg.bit_flip_prob)
+            clutter = ()
+            if cfg.clutter_count > 0:
+                cx = rng.uniform(0.0, cfg.image_width, cfg.clutter_count)
+                cy = rng.uniform(0.0, cfg.image_height, cfg.clutter_count)
+                cw = _random_words(rng, cfg.clutter_count, width)
+                clutter = (cx,)
+                ys = np.concatenate((ys, cy))
+                words = np.concatenate((words, cw))
+            block = FeatureBlock(np.concatenate((xs[first], *clutter)), ys,
+                                 words, width)
+            frames[first] = Frame(location, t, block, cfg.px_per_m * offsets[first])
+            if rest:
+                pack_features(block)  # unpacked once, shared through with_x
+                state = rng.bit_generator.state
+            for i in rest:
+                rngs[i].bit_generator.state = state
+                frames[i] = Frame(location, t, block.with_x(
+                    np.concatenate((xs[i], *clutter))), cfg.px_per_m * offsets[i])
+        return frames
 
 
 def generate_world(config: WorldConfig) -> World:
@@ -348,21 +386,23 @@ def traverse(world: World, paths, strategies, traversal: int, t: float,
     """One closed-loop pass over all locations at time t, appending each
     strategy's LocationRecords to its list in `logs`.
 
-    Turnover advances once. At each location every strategy in turn draws its
-    own frame at its own offset from default_rng((run_seed, traversal,
-    location)) and registers it against its own path (see _replay_frame).
-    The offset, updated in place in `offsets`, then evolves as offset -
-    gain*(delta/px_per_m) plus odometry noise from the same rng; a failed
-    registration leaves it uncorrected.
+    Turnover advances once. At each location every strategy gets the frame
+    it would draw alone at its own offset from default_rng((run_seed,
+    traversal, location)); strategies whose offsets keep the same landmarks
+    in the image share one draw (see World.observe_offsets) and register
+    through one product (see _replay_frame). Each offset, updated in place
+    in `offsets`, then evolves as offset - gain*(delta/px_per_m) plus
+    odometry noise from that strategy's rng; a failed registration leaves it
+    uncorrected.
     """
     wc = world.config
     world.advance_turnover(traversal)
     for loc in range(wc.n_locations):
-        for i, (cfg, path, log) in enumerate(zip(strategies, paths, logs)):
-            rng = default_rng((run_seed, traversal, loc))
-            frame = world.observe(loc, t, offsets[i], rng)
-            _replay_frame(frame, traversal, [cfg], [path], [log], params,
-                          offsets[i])
+        rngs = [default_rng((run_seed, traversal, loc)) for _ in strategies]
+        frames = world.observe_offsets(loc, t, offsets, rngs)
+        _replay_frame(frames, traversal, strategies, paths, logs, params,
+                      offsets)
+        for i, (rng, log) in enumerate(zip(rngs, logs)):
             delta = log[-1].delta_px
             if delta is not None:
                 offsets[i] -= wc.steering_gain * (delta / wc.px_per_m)
@@ -414,22 +454,32 @@ def generate_frames(world: World, traversals: int, interval_s: float,
             yield tr, world.observe(loc, t, offset, rng)
 
 
-def _replay_frame(frame: Frame, traversal: int, strategies, paths, logs,
-                  params: RegistrationParams, offset_m: float | None = None):
-    """Every strategy's process_frame on one frame, all registering through
-    one product of the view with their active rows; the product is freed on
-    return."""
-    maps = [p.local_maps[frame.location] for p in paths]
-    sets = [active_sets(lm, cfg, frame.time)
-            for lm, cfg in zip(maps, strategies)]
-    product = view_product(frame.features,
-                           [active for ss in sets for _, active in ss])
-    start = 0
-    for cfg, lm, ss, log in zip(strategies, maps, sets, logs):
-        rec, _ = process_frame(lm, frame, cfg, traversal, params, ss,
-                               product.part(start, start + len(ss)), offset_m)
-        start += len(ss)
-        log.append(rec)
+def _replay_frame(frames, traversal: int, strategies, paths, logs,
+                  params: RegistrationParams, offsets=None):
+    """Every strategy's process_frame on its own frame of one location (one
+    frame per strategy, each logged with its offset from `offsets`). Frames
+    that share their descriptors, as one frame does or the frames of one
+    draw (see World.observe_offsets), register through one product of the
+    view with the active rows of all their strategies; each product is
+    freed once its strategies are done."""
+    groups = {}  # descriptor array id -> indices of the frames holding it
+    for i, frame in enumerate(frames):
+        groups.setdefault(id(frame.features.words), []).append(i)
+    for members in groups.values():
+        maps = [paths[i].local_maps[frames[i].location] for i in members]
+        sets = [active_sets(lm, strategies[i], frames[i].time)
+                for i, lm in zip(members, maps)]
+        product = view_product(frames[members[0]].features,
+                               [active for ss in sets for _, active in ss])
+        start = 0
+        for i, lm, ss in zip(members, maps, sets):
+            rec, _ = process_frame(lm, frames[i], strategies[i], traversal,
+                                   params, ss,
+                                   product.part(start, start + len(ss)),
+                                   None if offsets is None else offsets[i])
+            start += len(ss)
+            logs[i].append(rec)
+        del product
 
 
 def replay_frames(frames, strategies, path: PathMap | None = None,
@@ -483,5 +533,6 @@ def replay_frames(frames, strategies, path: PathMap | None = None,
                                f"descriptor width {frame.features.width} "
                                f"differs from the path's {width}")
         last_tr = tr
-        _replay_frame(frame, tr, strategies, paths, logs, params)
+        _replay_frame([frame] * len(strategies), tr, strategies, paths, logs,
+                      params)
     return paths, logs

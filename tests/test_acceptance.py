@@ -68,26 +68,30 @@ def test_c1_strategy_ordering(capsys):
 def test_c2_latest_map_drift(capsys):
     # Rebuilding the map from each registered view random-walks its position;
     # odometry wander keeps the walk off the histogram-bin lattice so the
-    # late/early error ratio reflects pure accumulation.
-    def drift_ratio(kind, seed):
+    # late/early error ratio reflects pure accumulation. The three strategies
+    # run in lockstep, each logging what it logs alone.
+    kinds = ("latest", "static", "score")
+
+    def drift_ratios(seed):
         cfg = WorldConfig(seed=seed, n_locations=8, landmarks_per_location=250,
                           position_jitter=2.0, visibility_mean=(0.85, 0.95),
                           visibility_amp=(0.0, 0.05), clutter_count=20,
                           alias_prob=0.02, bit_flip_prob=0.01,
                           turnover_prob=0.0, odometry_noise=0.02)
-        _, (logs,) = run_closed_loop(World(cfg), [StrategyConfig(kind=kind)],
-                                     TRAVERSALS, SPAN_S / TRAVERSALS,
-                                     run_seed=seed)
+        _, logs = run_closed_loop(World(cfg),
+                                  [StrategyConfig(kind=k) for k in kinds],
+                                  TRAVERSALS, SPAN_S / TRAVERSALS,
+                                  run_seed=seed)
 
-        def window(lo, hi):
+        def window(log, lo, hi):
             vals = [abs(r.delta_px - r.gamma_px) if r.delta_px is not None
-                    else PENALTY for r in logs if lo <= r.traversal <= hi]
+                    else PENALTY for r in log if lo <= r.traversal <= hi]
             return float(np.mean(vals))
 
-        return window(150, 178) / window(1, 29)
+        return [window(log, 150, 178) / window(log, 1, 29) for log in logs]
 
-    ratios = {k: [drift_ratio(k, s) for s in range(5)]
-              for k in ("latest", "static", "score")}
+    per_seed = [drift_ratios(s) for s in range(5)]
+    ratios = {k: [r[i] for r in per_seed] for i, k in enumerate(kinds)}
     ok = (min(ratios["latest"]) >= 2.0
           and max(ratios["static"]) < 1.5
           and max(ratios["score"]) < 1.5)

@@ -489,8 +489,12 @@ def _taught_row(doc):
      "alternative created at 2 whose rows were inserted at [1]"),
     (lambda doc: doc["local_maps"][1].update(features=[]),
      "taught set has no rows"),
+    (lambda doc: [rec["temporal"].update(mu=7.5) for lm in doc["local_maps"]
+                  for rec in lm["features"]],
+     "mu is 7.5, outside [-1, 1]"),
 ], ids=["n_obs-negative", "n_obs-string", "descriptor-narrow",
-        "alternative-empty", "alternative-created-elsewhere", "taught-empty"])
+        "alternative-empty", "alternative-created-elsewhere", "taught-empty",
+        "mu-range"])
 def test_replay_rejects_map_of_bad_state(tmp_path, config_path, fremen_run,
                                          capsys, edit, message):
     dataset, final = fremen_run

@@ -282,8 +282,16 @@ def _taught_row(doc, local_map=0, row=1):
     (lambda doc: doc["local_maps"][0]["alternatives"][0].update(created_at=2),
      r"local map 0 has an alternative created at 2 whose rows were inserted "
      r"at \[3\]"),
+    (lambda doc: _taught_row(doc)["temporal"].update(mu=7.5),
+     r"mu is 7.5, outside \[-1, 1\]"),
+    (lambda doc: _taught_row(doc)["temporal"]["components"][2].__setitem__(
+        1, -1.25), r"fremen component re is -1.25, outside \[-1, 1\]"),
+    (lambda doc: _taught_row(doc, row=2)["temporal"]["components"][0]
+     .__setitem__(2, 1.0000001),
+     r"fremen component im is 1.0000001, outside \[-1, 1\]"),
 ], ids=["component-pair", "descriptor-narrow", "descriptor-wide", "taught-empty",
-        "alternative-empty", "alternative-created-elsewhere"])
+        "alternative-empty", "alternative-created-elsewhere", "mu-range",
+        "re-range", "im-range"])
 def test_map_snapshot_rejects_bad_state(tmp_path, edit, message):
     p = tmp_path / "map.json"
     write_map_snapshot(snapshot_path_map(), p)

@@ -317,3 +317,56 @@ def test_replay_keeps_no_view_product_alive(monkeypatch):
     gc.collect()
     assert len(products) == 3 * 2  # one per repeat frame
     assert all(ref() is None for ref in products)
+
+
+def test_observe_offsets_matches_observe_per_offset():
+    # 0.3 m shifts the view by 60 px, so the offsets keep different landmarks
+    # in the image; 1e-9 m moves x without moving any landmark across an edge
+    w = World(small_cfg(landmarks_per_location=300, seed=16))
+    offsets = [0.0, 0.3, 1e-9, -0.4, 0.3, 0.0]
+    rngs = [default_rng((5, 1, 1)) for _ in offsets]
+    frames = w.observe_offsets(1, 7200.0, offsets, rngs)
+    for offset, frame, rng in zip(offsets, frames, rngs):
+        alone_rng = default_rng((5, 1, 1))
+        alone = w.observe(1, 7200.0, offset, alone_rng)
+        assert (frame.location, frame.time) == (alone.location, alone.time)
+        assert frame.gamma == alone.gamma
+        for col in ("x", "y", "words"):
+            np.testing.assert_array_equal(getattr(frame.features, col),
+                                          getattr(alone.features, col))
+        assert rng.random() == alone_rng.random()
+    shared = [id(f.features.words) for f in frames]
+    assert shared[0] == shared[2] == shared[5] and shared[1] == shared[4]
+    assert len(set(shared)) == 3
+    assert not np.array_equal(frames[0].features.x, frames[2].features.x)
+
+
+def test_closed_loop_lockstep_matches_each_strategy_alone(tmp_path,
+                                                          monkeypatch):
+    # latest rebuilds its map from every view, so its offsets part from
+    # static's: some locations draw one frame set for both, others several
+    cfg = small_cfg(n_locations=3, landmarks_per_location=700, seed=17)
+    cfgs = [StrategyConfig(kind=k) for k in ("latest", "static", "score")]
+    draws = []
+    observe_offsets = World.observe_offsets
+
+    def recording(self, location, t, offsets, rngs):
+        frames = observe_offsets(self, location, t, offsets, rngs)
+        if len(offsets) > 1:  # not the teach pass's or a lone strategy's
+            draws.append(len({id(f.features.words) for f in frames}))
+        return frames
+
+    def run(strategies):
+        return run_closed_loop(World(cfg), strategies, 8, 3600.0, run_seed=3,
+                               initial_offset_m=0.1)
+
+    monkeypatch.setattr(World, "observe_offsets", recording)
+    paths, logs = run(cfgs)
+    assert len(draws) == 3 * 8 and 1 in draws and max(draws) > 1
+    for cfg_i, path, log in zip(cfgs, paths, logs):
+        (alone_path,), (alone_log,) = run([cfg_i])
+        assert log == alone_log, cfg_i.kind
+        write_map_snapshot(path, tmp_path / "together.json")
+        write_map_snapshot(alone_path, tmp_path / "alone.json")
+        assert ((tmp_path / "together.json").read_bytes()
+                == (tmp_path / "alone.json").read_bytes()), cfg_i.kind
