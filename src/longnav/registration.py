@@ -83,30 +83,33 @@ class RegistrationResult:
     correct_count: int
 
 
-def view_product(view_features, blocks) -> kernels.ViewProduct:
-    """The view's products with the rows of each block, from one matrix
-    product over their distinct rows (see kernels.ViewProduct). A view
-    without features matches nothing, whatever width it was given."""
+def view_product(view_features, blocks) -> list:
+    """Each block's share (a kernels.SetProduct) of the view's product with
+    the rows of all blocks: one matrix product over their distinct rows,
+    reduced once for all of them (see kernels.ViewProduct). A view without
+    features matches nothing, whatever width it was given."""
     if not len(view_features):
         view_features = blocks[0].take(slice(0))
     if any(b.width != view_features.width for b in blocks):
         raise ValueError("map and view descriptor widths differ")
     return kernels.ViewProduct(pack_features(view_features),
-                               [(b.words, pack_features(b)) for b in blocks])
+                               [(b.words, pack_features(b)) for b in blocks]
+                               ).shares()
 
 
 def match_features(map_features, view_features, d_max: int = 64,
-                   dot=None) -> Pairs:
+                   share=None) -> Pairs:
     """Mutual nearest neighbours under Hamming distance, one-to-one, coupled
-    with the horizontal position difference of each accepted pair. dot,
-    when given, is the map rows' product with the view (see view_product)."""
+    with the horizontal position difference of each accepted pair. share,
+    when given, is the map rows' share of a product with the view (see
+    view_product)."""
     if not len(map_features) or not len(view_features):
         return _NO_PAIRS
     if map_features.width != view_features.width:
         raise ValueError("map and view descriptor widths differ")
     a = pack_features(map_features)
     b = pack_features(view_features)
-    ai, bi, dist = kernels.mutual_nearest_pairs(a, b, d_max, dot)
+    ai, bi, dist = kernels.mutual_nearest_pairs(a, b, d_max, share)
     return Pairs(ai, bi, view_features.x[bi] - map_features.x[ai], dist)
 
 
@@ -155,12 +158,12 @@ def classify_outcomes(map_size: int, pairs: Pairs, delta: float | None,
 
 def register(map_features, view_features,
              params: RegistrationParams | None = None,
-             dot=None) -> RegistrationResult:
+             share=None) -> RegistrationResult:
     """Full registration pass; failure is reported as delta None, never
-    raised. dot, when given, is the map rows' product with the view (see
-    view_product)."""
+    raised. share, when given, is the map rows' share of a product with the
+    view (see view_product)."""
     p = params or RegistrationParams()
-    pairs = match_features(map_features, view_features, p.d_max, dot)
+    pairs = match_features(map_features, view_features, p.d_max, share)
     delta = histogram_vote(pairs.diff, p.bin_width, p.image_width, p.min_votes)
     outcomes = classify_outcomes(len(map_features), pairs, delta,
                                  p.effective_tolerance())

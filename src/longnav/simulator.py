@@ -339,26 +339,27 @@ def uniform_offset_schedule(amplitude_m: float, seed: int = 0):
 
 
 def process_frame(local_map: LocalMap, frame: Frame, cfg: StrategyConfig,
-                  traversal: int, params: RegistrationParams, sets, product,
+                  traversal: int, params: RegistrationParams, sets, shares,
                   offset_m: float | None = None):
     """Register one frame against its local map, update the map, and return
     (LocationRecord, RegistrationResult).
 
     sets are the map's active rows at the frame's time (see active_sets) and
-    product their products with the frame's view (see view_product), which
-    registration and the insertion ranking reduce."""
+    shares their parts of one product with the frame's view (see
+    view_product), whose reductions registration and the insertion ranking
+    read."""
     t = frame.time
     view = frame.features
     if cfg.kind == "multiple":
-        best_i, reg = select_best_alternative(view, sets, product, params)
-        idx = dot = None
+        best_i, reg = select_best_alternative(view, sets, shares, params)
+        idx = share = None
     else:
         best_i = 0
         (idx, active), = sets
-        dot = product.dot(0)
-        reg = register(active, view, params, dot)
+        share, = shares
+        reg = register(active, view, params, share)
     update_map(local_map, view, reg, cfg, t, traversal, active_indices=idx,
-               image_width=params.image_width, dot=dot)
+               image_width=params.image_width, share=share)
     n_inc = int(np.count_nonzero(reg.outcomes == MatchOutcome.MatchedIncorrectly))
     rec = LocationRecord(
         traversal=traversal, strategy=cfg.kind, time_s=t,
@@ -469,17 +470,26 @@ def _replay_frame(frames, traversal: int, strategies, paths, logs,
         maps = [paths[i].local_maps[frames[i].location] for i in members]
         sets = [active_sets(lm, strategies[i], frames[i].time)
                 for i, lm in zip(members, maps)]
-        product = view_product(frames[members[0]].features,
-                               [active for ss in sets for _, active in ss])
+        shares = view_product(frames[members[0]].features,
+                              [active for ss in sets for _, active in ss])
         start = 0
         for i, lm, ss in zip(members, maps, sets):
             rec, _ = process_frame(lm, frames[i], strategies[i], traversal,
-                                   params, ss,
-                                   product.part(start, start + len(ss)),
+                                   params, ss, shares[start:start + len(ss)],
                                    None if offsets is None else offsets[i])
             start += len(ss)
             logs[i].append(rec)
-        del product
+        del shares
+
+
+def _check_in_image(traversal: int, frame: Frame, image_width: int) -> None:
+    """DatasetError unless every feature of the frame has x in [0,
+    image_width): a frame of a wider image, replayed at this width."""
+    x = frame.features.x
+    if len(x) and not (x.min() >= 0.0 and x.max() < image_width):
+        raise DatasetError(f"traversal {traversal}, location {frame.location}:"
+                           f" feature x outside [0, {image_width}), the "
+                           "image width of this run")
 
 
 def replay_frames(frames, strategies, path: PathMap | None = None,
@@ -494,9 +504,9 @@ def replay_frames(frames, strategies, path: PathMap | None = None,
     active rows of all strategies (see _replay_frame). Returns (paths, logs)
     with one PathMap and one list of LocationRecord per strategy.
     DatasetError unless frames arrive in non-decreasing traversal order,
-    repeat frames name a taught location and, unless featureless (see
-    view_product), have the path's descriptor width, and a supplied path has
-    params.image_width.
+    every frame's features lie inside [0, params.image_width), repeat frames
+    name a taught location and, unless featureless (see view_product), have
+    the path's descriptor width, and a supplied path has params.image_width.
     """
     strategies = list(strategies)
     if not strategies:
@@ -512,6 +522,7 @@ def replay_frames(frames, strategies, path: PathMap | None = None,
         if tr != 0:
             repeats = [(tr, frame)]
             break
+        _check_in_image(tr, frame, image_width)
         if path is None:  # a supplied path makes the teach frames redundant
             teach_batch.append(frame)
     if path is None:
@@ -528,6 +539,7 @@ def replay_frames(frames, strategies, path: PathMap | None = None,
         if not 0 <= frame.location < n_maps:
             raise DatasetError(f"traversal {tr}: location {frame.location} is "
                                f"outside the taught path of {n_maps} locations")
+        _check_in_image(tr, frame, image_width)
         if len(frame.features) and frame.features.width != width:
             raise DatasetError(f"traversal {tr}, location {frame.location}: "
                                f"descriptor width {frame.features.width} "

@@ -174,19 +174,20 @@ def active_sets(local_map: LocalMap, cfg: StrategyConfig, t: float) -> list:
 
 
 def rank_addition_candidates(unmatched_view: FeatureBlock,
-                             local_map: LocalMap, dot=None,
+                             local_map: LocalMap, top=None,
                              rows=None) -> FeatureBlock:
     """Unmatched view features ordered most-unique-first, uniqueness being the
     Hamming distance to the nearest map feature; ties keep view order.
 
-    dot, when given, holds the unmatched features' products with the map
-    rows `rows` (all rows when None), e.g. from the registration's product;
-    only the other map rows are multiplied (see kernels.nearest_distances)."""
+    top, when given, holds each unmatched feature's largest product with the
+    map rows `rows` (all rows when None), e.g. the registration's
+    SetProduct.top; only the other map rows are multiplied (see
+    kernels.nearest_distances)."""
     if not len(unmatched_view) or not len(local_map.features):
         return unmatched_view
     dist = kernels.nearest_distances(pack_features(unmatched_view),
                                      pack_features(local_map.features),
-                                     dot, rows)
+                                     top, rows)
     return unmatched_view.take(np.lexsort((np.arange(dist.shape[0]), -dist)))
 
 
@@ -228,16 +229,17 @@ def _new_rows(view: FeatureBlock, delta: float, traversal: int,
 def update_map(local_map: LocalMap, view: FeatureBlock, reg,
                cfg: StrategyConfig, t: float, traversal: int,
                active_indices=None, image_width: int = 640,
-               dot=None) -> LocalMap:
+               share=None) -> LocalMap:
     """Apply one traversal's registration result to the local map (in place).
 
     reg must have been computed against the features select_active_indices
     picks from this map at time t (for multiple: against the best
-    alternative). dot, when given, is those rows' product with the view
-    (see registration.view_product); the insertion ranking reuses it, and
-    then active_indices must be given too. New rows are clipped into the
-    registration's image_width. Every registration updates the per-row
-    state; only a successful one removes and inserts rows (see _STEPS).
+    alternative). share, when given, is those rows' share of a product with
+    the view (see registration.view_product); the insertion ranking reuses
+    its column max, and then active_indices must be given too. New rows are
+    clipped into the registration's image_width. Every registration updates
+    the per-row state; only a successful one removes and inserts rows (see
+    _STEPS).
     """
     failed = reg.delta is None
     if cfg.kind == "multiple":
@@ -270,7 +272,7 @@ def update_map(local_map: LocalMap, view: FeatureBlock, reg,
         unmatched[reg.pairs.view_idx] = False
         rows = rank_addition_candidates(
             view.take(unmatched), local_map,
-            None if dot is None else dot[:, unmatched].T,
+            None if share is None else share.top(unmatched),
             active_indices).take(slice(count))
     kept = feats.take(~remove) if remove.any() else feats
     local_map.features = concat(kept, None if rows is None else _new_rows(
@@ -278,16 +280,16 @@ def update_map(local_map: LocalMap, view: FeatureBlock, reg,
     return local_map
 
 
-def select_best_alternative(view, sets, product,
+def select_best_alternative(view, sets, shares,
                             params: RegistrationParams | None = None):
     """Register the view against every alternative's active rows, sets as
-    active_sets picks them (taught set first), reducing their products with
-    the view, product (see registration.view_product); return (index,
-    RegistrationResult) of the one with most correct matches. Ties keep the
-    oldest alternative. Index 0 is the taught map."""
+    active_sets picks them (taught set first), reading their shares of one
+    product with the view, shares (see registration.view_product); return
+    (index, RegistrationResult) of the one with most correct matches. Ties
+    keep the oldest alternative. Index 0 is the taught map."""
     best_i, best_reg, best_key = 0, None, (-1, -1)
     for i, (_, active) in enumerate(sets):
-        reg = register(active, view, params, product.dot(i))
+        reg = register(active, view, params, shares[i])
         key = (0 if reg.delta is None else 1, reg.correct_count)
         if key > best_key:
             best_i, best_reg, best_key = i, reg, key

@@ -536,6 +536,21 @@ def test_replay_rejects_dataset_of_other_descriptor_width(tmp_path,
             "path's 256") in err
 
 
+def test_replay_rejects_dataset_of_a_wider_image(tmp_path, config_path,
+                                                 capsys):
+    # an 800-px world's dataset replayed at 640 px once exited 0; its
+    # features beyond x = 640 now stop the replay at the first such frame
+    doc = json.loads(config_path.read_text())
+    doc["world"]["image_width"] = 800
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps(doc))
+    run_cli("generate", "--config", wide, "--out", tmp_path / "wide")
+    err = _replay_error(capsys, tmp_path, "--config", config_path,
+                        "--strategy", "score", "--dataset",
+                        tmp_path / "wide" / "dataset.jsonl")
+    assert "traversal 0, location 0: feature x outside [0, 640)" in err
+
+
 def test_replay_registers_a_featureless_first_frame_as_failed(tmp_path,
                                                               config_path):
     # the reader gives a file's leading featureless frame width 0, which once

@@ -166,18 +166,18 @@ def argmin_pairs(m, d_max):
 def assert_pairs_match_argmin(view, sets, d_maxes):
     """For each d_max, ``mutual_nearest_pairs`` of every set with the view
     gives the argmin definition's pairs and int64 arrays, whether handed ±1
-    bit rows, packed words or the set's rows of a ``ViewProduct``. The view
-    and each set are ``(words, bits)`` pairs."""
+    bit rows, packed words or the set's share of a ``ViewProduct`` over all
+    the sets. The view and each set are ``(words, bits)`` pairs."""
     view_words, view_bits = view
-    product = kernels.ViewProduct(view_bits, sets)
-    for k, (words, bits) in enumerate(sets):
+    shares = kernels.ViewProduct(view_bits, sets).shares()
+    for (words, bits), share in zip(sets, shares):
         m = hamming_matrix(bits, view_bits)
         for d_max in d_maxes:
             want = argmin_pairs(m, d_max)
             for got in (kernels.mutual_nearest_pairs(bits, view_bits, d_max),
                         kernels.mutual_nearest_pairs(words, view_words, d_max),
                         kernels.mutual_nearest_pairs(bits, view_bits, d_max,
-                                                     product.dot(k))):
+                                                     share)):
                 assert [p.dtype for p in got] == [np.int64] * 3
                 assert list(zip(*(p.tolist() for p in got))) == want
 
@@ -275,22 +275,106 @@ def test_distinct_rows_tells_apart_rows_sharing_a_sort_key():
     assert inverse[0] == inverse[2] != inverse[1] == inverse[3]
 
 
+def assert_product_reduces_each_set_as_its_own(view_words, set_words):
+    """A ``ViewProduct`` over all the sets gives each set the column max,
+    the reach count (exact up to 2), the insertion ranking's maxima and the
+    pairs, at every radius, that the set's own product gives."""
+    view = kernels.bit_rows(view_words)
+    product = kernels.ViewProduct(
+        view, [(w, kernels.bit_rows(w)) for w in set_words])
+    shares = product.shares()
+    cols = np.arange(len(view_words))
+    for k, (w, share) in enumerate(zip(set_words, shares)):
+        own = kernels._dot(w, view_words)[0]
+        top = own.max(axis=0, initial=-np.inf)
+        assert np.array_equal(product.tops[k], top)
+        assert np.array_equal(np.minimum(product.reach[k], 2),
+                              np.minimum((own == top).sum(axis=0), 2))
+        assert np.array_equal(share.top(cols[::-1]), top[::-1])
+        for d_max in (0, 16, 64, 128):
+            shared = kernels.mutual_nearest_pairs(w, view_words, d_max, share)
+            alone = kernels.mutual_nearest_pairs(w, view_words, d_max)
+            for got, want in zip(shared, alone):
+                assert np.array_equal(got, want) and got.dtype == want.dtype
+
+
 @given(shared_sets())
 @settings(max_examples=80, deadline=None)
 def test_view_product_equals_each_sets_own_product(data):
     pool, sets, view, active = data
-    vw = pool[view]
-    set_words = [pool[s][np.array(a, dtype=bool)] for s, a in zip(sets, active)]
-    product = kernels.ViewProduct(kernels.bit_rows(vw),
-                                  [(w, kernels.bit_rows(w)) for w in set_words])
-    for k, w in enumerate(set_words):
-        own = kernels._dot(w, vw)[0]
-        assert np.array_equal(product.dot(k), own)
-        shared = kernels.mutual_nearest_pairs(w, vw, 64, product.dot(k))
-        for got, want in zip(shared, kernels.mutual_nearest_pairs(w, vw, 64)):
-            assert np.array_equal(got, want) and got.dtype == want.dtype
-    part = product.part(len(sets) - 1, len(sets))
-    assert np.array_equal(part.dot(0), product.dot(len(sets) - 1))
+    assert_product_reduces_each_set_as_its_own(
+        pool[view],
+        [pool[s][np.array(a, dtype=bool)] for s, a in zip(sets, active)])
+
+
+def rows_of(*values):
+    """Single-word rows (64-bit descriptors) with the given values."""
+    return np.array(values, dtype=np.uint64)[:, None]
+
+
+def test_a_row_held_twice_by_a_set_counts_twice():
+    # set 0 holds row 0b0011 twice (its rows 1 and 3), set 1 once: at view
+    # column 0 two of set 0's rows reach the max, so only the lower pairs
+    view = rows_of(0b0011, 0b1111_0000)
+    sets = [rows_of(0b1000_0000_0000, 0b0011, 0b0111_0000, 0b0011),
+            rows_of(0b0011, 0b1111_0001)]
+    product = kernels.ViewProduct(view, [(w, w) for w in sets])
+    assert product.reach[:, 0].tolist() == [2, 1]
+    pairs = [kernels.mutual_nearest_pairs(w, view, 64, share)
+             for w, share in zip(sets, product.shares())]
+    assert [[p.tolist() for p in got] for got in pairs] == [
+        [[1, 2], [0, 1], [0, 1]], [[0, 1], [0, 1], [0, 1]]]
+    assert_product_reduces_each_set_as_its_own(view, sets)
+
+
+def test_two_classes_tied_at_a_columns_max():
+    # set 0's rows 0 and 1 lie in different classes (set 1 also holds row
+    # 0b0101) and are equally near view column 0: set 0's max there is
+    # reached by one row of each class, and the lower row pairs
+    view = rows_of(0b0111)
+    sets = [rows_of(0b0101, 0b0011), rows_of(0b1000, 0b0101)]
+    product = kernels.ViewProduct(view, [(w, w) for w in sets])
+    assert product.reach[:, 0].tolist() == [2, 1]
+    got = kernels.mutual_nearest_pairs(sets[0], view, 64,
+                                     product.shares()[0])
+    assert [p.tolist() for p in got] == [[0], [0], [1]]
+    assert_product_reduces_each_set_as_its_own(view, sets)
+
+
+def test_a_product_over_more_than_64_sets():
+    # membership keys hold a base-4 digit per set, 32 sets to a word
+    rng = np.random.default_rng(9)
+    pool = random_words(rng, 12, 256)
+    view = pool[rng.integers(0, 12, 20)] ^ np.uint64(1)
+    sets = [pool[rng.choice(12, int(rng.integers(0, 9)))] for _ in range(70)]
+    assert_product_reduces_each_set_as_its_own(view, sets)
+
+
+def test_a_view_without_features_pairs_nothing():
+    # no row of an empty product has a nearest column, so none is near at
+    # any radius, and no argmax runs
+    rng = np.random.default_rng(10)
+    sets = [random_words(rng, n, 256) for n in (5, 0, 3)]
+    view = random_words(rng, 0, 256)
+    product = kernels.ViewProduct(view, [(w, w) for w in sets])
+    assert product.tops.shape == product.reach.shape == (3, 0)
+    assert [len(p) for p in product.pairs(10**6)[1:]] == [0, 0, 0]
+    for w, share in zip(sets, product.shares()):
+        got = kernels.mutual_nearest_pairs(w, view, 256, share)
+        assert [p.tolist() for p in got] == [[], [], []]
+    assert_product_reduces_each_set_as_its_own(view, sets)
+    assert_product_reduces_each_set_as_its_own(random_words(rng, 4, 256), sets)
+
+
+def test_a_one_set_product_keeps_its_repeated_rows():
+    # one set is multiplied as it is, its repeated rows counted one by one
+    view = rows_of(0b0110, 0b1001)
+    rows = rows_of(0b0110, 0b1000, 0b0110)
+    product = kernels.ViewProduct(view, [(rows, rows)])
+    assert product.reach[0].tolist() == [2, 1]
+    got = kernels.mutual_nearest_pairs(rows, view, 64, *product.shares())
+    assert [p.tolist() for p in got] == [[0, 1], [0, 1], [0, 1]]
+    assert_product_reduces_each_set_as_its_own(view, [rows])
 
 
 @pytest.mark.parametrize("n_rows", [0, 7, 17])
@@ -300,6 +384,6 @@ def test_nearest_distances_multiplies_only_rows_not_handed_in(n_rows):
     b = random_words(rng, 17, 256)
     b[:5] = a[:5]
     rows = np.sort(rng.choice(17, n_rows, replace=False))
-    dot = kernels._dot(a, b[rows])[0]
-    assert np.array_equal(kernels.nearest_distances(a, b, dot, rows),
+    top = kernels._dot(a, b[rows])[0].max(axis=1, initial=-np.inf)
+    assert np.array_equal(kernels.nearest_distances(a, b, top, rows),
                           kernels.nearest_distances(a, b))

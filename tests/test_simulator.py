@@ -10,7 +10,7 @@ from numpy.random import default_rng
 
 from longnav import kernels
 from longnav.errors import ConfigError, DatasetError, TeachError
-from longnav.io import write_map_snapshot
+from longnav.io import read_map_snapshot, write_map_snapshot
 from longnav.simulator import (Frame, World, WorldConfig, generate_frames,
                                generate_world, replay_frames, run_closed_loop,
                                teach, teach_from_frames, teach_frames,
@@ -272,10 +272,11 @@ def test_generate_world_helper():
     assert isinstance(w, World) and len(w.pools) == 2
 
 
-def scarce_bimodal_stream(traversals=24):
-    """The C1 world's scarce day-or-night landmarks, two locations, as one
-    in-memory frame list."""
-    cfg = small_cfg(seed=0, landmarks_per_location=120,
+def scarce_bimodal_stream(traversals=24, n_locations=2):
+    """The C1 world's scarce day-or-night landmarks as one in-memory frame
+    list."""
+    cfg = small_cfg(seed=0, n_locations=n_locations,
+                    landmarks_per_location=120,
                     visibility_mean=(0.45, 0.55), visibility_amp=(0.40, 0.50),
                     visibility_phases=(0.0, math.pi))
     return list(generate_frames(World(cfg), traversals, 90 * 86400.0 / 178,
@@ -303,20 +304,49 @@ def test_lockstep_replay_matches_each_strategy_alone(tmp_path):
 
 
 def test_replay_keeps_no_view_product_alive(monkeypatch):
+    # reference counting alone frees each product once its frame is done,
+    # before the next is built: no reference cycle holds one for the
+    # garbage collector, which stays off here
     products = []
     build = kernels.ViewProduct.__init__
 
     def recording(self, view, sets):
+        assert all(ref() is None for ref in products)
         build(self, view, sets)
         products.append(weakref.ref(self._dot))
 
     monkeypatch.setattr(kernels.ViewProduct, "__init__", recording)
     frames = scarce_bimodal_stream(traversals=3)
-    paths, logs = replay_frames(frames, [StrategyConfig(kind=k)
-                                         for k in STRATEGY_KINDS])
-    gc.collect()
+    gc.disable()
+    try:
+        replay_frames(frames, [StrategyConfig(kind=k) for k in STRATEGY_KINDS])
+    finally:
+        gc.enable()
     assert len(products) == 3 * 2  # one per repeat frame
     assert all(ref() is None for ref in products)
+
+
+def test_replay_split_and_resumed_from_written_maps_logs_as_one_replay(
+        tmp_path):
+    # traversals 1-20, each kind's map written and read back, then 21-40
+    # from that map, log what one 40-traversal replay logs: the snapshot
+    # carries every piece of state a strategy keeps. m=60 binds the cap
+    frames = scarce_bimodal_stream(traversals=40, n_locations=3)
+    cfgs = [StrategyConfig(kind=k, m=60) for k in STRATEGY_KINDS]
+    paths, logs = replay_frames(frames, cfgs)
+    halves, first_logs = replay_frames([f for f in frames if f[0] <= 20], cfgs)
+    later = [f for f in frames if f[0] > 20]
+    for cfg, half, first_log, log in zip(cfgs, halves, first_logs, logs):
+        write_map_snapshot(half, tmp_path / f"{cfg.kind}.json")
+        resumed = read_map_snapshot(tmp_path / f"{cfg.kind}.json")
+        _, (later_log,) = replay_frames(later, [cfg], path=resumed)
+        assert first_log + later_log == log, cfg.kind
+    kinds = [cfg.kind for cfg in cfgs]
+    summary = halves[kinds.index("summary")]
+    assert max(len(lm.features) for lm in summary.local_maps) > 60
+    multiple = first_logs[kinds.index("multiple")]
+    assert max(r.n_alternatives for r in multiple) > 1
+    assert len(logs[0]) == 3 * 40
 
 
 def test_observe_offsets_matches_observe_per_offset():

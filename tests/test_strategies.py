@@ -204,11 +204,10 @@ def test_shared_product_gives_each_set_its_own_pairs_and_ranking(data):
     view = rows_block(view_rows, 3.0)
     maps = [rows_block(s, 0.0).as_map(0) for s in sets]
     actives = [np.flatnonzero(a) for a in active]
-    product = view_product(view, [m.take(idx) for m, idx in zip(maps, actives)])
+    shares = view_product(view, [m.take(idx) for m, idx in zip(maps, actives)])
     params = RegistrationParams(d_max=128, min_votes=1)
-    for k, (feats, idx) in enumerate(zip(maps, actives)):
-        dot = product.dot(k)
-        shared = register(feats.take(idx), view, params, dot)
+    for feats, idx, share in zip(maps, actives, shares):
+        shared = register(feats.take(idx), view, params, share)
         own = register(feats.take(idx), view, params)
         for field in ("map_idx", "view_idx", "diff", "dist"):
             assert np.array_equal(getattr(shared.pairs, field),
@@ -217,7 +216,7 @@ def test_shared_product_gives_each_set_its_own_pairs_and_ranking(data):
         unmatched[own.pairs.view_idx] = False
         lm = LocalMap(0, 0.0, feats)
         ranked = rank_addition_candidates(view.take(unmatched), lm,
-                                          dot[:, unmatched].T, idx)
+                                          share.top(unmatched), idx)
         want = rank_addition_candidates(view.take(unmatched), lm)
         assert ranked.x.tolist() == want.x.tolist()
         assert keys(ranked) == keys(want)
@@ -498,8 +497,8 @@ def test_multiple_cap_warns_and_drops():
 def select_best(lm, view, cfg, t):
     """select_best_alternative on the map's active rows at time t."""
     sets = active_sets(lm, cfg, t)
-    product = view_product(view, [active for _, active in sets])
-    return select_best_alternative(view, sets, product)
+    shares = view_product(view, [active for _, active in sets])
+    return select_best_alternative(view, sets, shares)
 
 
 def test_select_best_alternative():
