@@ -150,8 +150,8 @@ class ViewProduct:
         sizes = [len(bits) for _, bits in sets]
         k = len(sets)
         owner = np.repeat(np.arange(k), sizes)
-        if k == 1:
-            bits, rows = sets[0][1], slice(None)
+        if k == 1:  # one class, the set's rows as they are, and the empty
+            bits, rows = sets[0][1], np.arange(sizes[0])
             starts = np.zeros(min(sizes[0], 1), dtype=np.intp)
             held = np.ones((len(starts) + 1, 1), dtype=np.uint8)
         else:
@@ -193,20 +193,17 @@ class ViewProduct:
             if end - start > 1:
                 np.equal(block, top, out=at_max[start:end])
                 np.add.reduce(at_max[start:end], axis=0, out=reach)
-        if k == 1:  # its one class, held once (or, without rows, the empty)
-            self.tops, self.reach = class_max[:1], class_reach[:1]
-        else:  # every set's classes, the empty one last: no list is empty
-            member, classes = np.nonzero(held.T)
-            set_start = np.searchsorted(member, np.arange(k))
-            at = class_max[classes]
-            self.tops = np.maximum.reduceat(at, set_start, axis=0)
-            self.reach = np.add.reduceat(
-                (at == self.tops[member])
-                * (held.T[member, classes, None] * class_reach[classes]),
-                set_start, axis=0)
-        # the sets' rows one after another: product row (a single set's are
-        # the product's, in order), nearest column, its dot and distance,
-        # and set
+        # every set's classes, the empty one last: no list is empty
+        member, classes = np.nonzero(held.T)
+        set_start = np.searchsorted(member, np.arange(k))
+        at = class_max[classes]
+        self.tops = np.maximum.reduceat(at, set_start, axis=0)
+        self.reach = np.add.reduceat(
+            (at == self.tops[member])
+            * (held.T[member, classes, None] * class_reach[classes]),
+            set_start, axis=0)
+        # the sets' rows one after another: product row, nearest column, its
+        # dot and distance, and set
         self._row, self._best = rows, best[rows]
         self._best_dot, self._dist = best_dot[rows], dist[rows]
         self._cut = np.cumsum([0, *sizes])
@@ -236,10 +233,9 @@ class ViewProduct:
         at_top = self._best_dot[near] == top
         near, owner, cols, top = (a[at_top] for a in (near, owner, cols, top))
         keep = self.reach[owner, cols] == 1
-        for k in [] if keep.all() else np.unique(owner[~keep]).tolist():
+        for k in np.unique(owner[~keep]).tolist():
             i = np.flatnonzero(~keep & (owner == k))
-            set_rows = np.arange(len(self._dot))[self._row][
-                self._cut[k]:self._cut[k + 1]]
+            set_rows = self._row[self._cut[k]:self._cut[k + 1]]
             lowest = (self._dot[set_rows[:, None], cols[i]] == top[i]).argmax(
                 axis=0)
             keep[i] = lowest == near[i] - self._cut[k]
