@@ -9,13 +9,13 @@ evaluation harness with paired significance tests.
 
 from .errors import ConfigError, DatasetError, LongNavError, TeachError
 from .features import FeatureBlock, LocalMap, PathMap
-from .fremen import DEFAULT_PERIODS, FremenModel, predict_many
+from .fremen import FremenModel, predict_many
 from .registration import (MatchOutcome, Pairs, RegistrationParams,
                            RegistrationResult, classify_outcomes,
                            histogram_vote, match_features, register)
-from .strategies import (STRATEGY_KINDS, StrategyConfig, correct_positions,
-                         rank_addition_candidates, score_update,
-                         select_best_alternative, update_map)
+from .strategies import (DEFAULT_PERIODS, STRATEGY_KINDS, StrategyConfig,
+                         correct_positions, rank_addition_candidates,
+                         score_update, select_best_alternative, update_map)
 from .simulator import (Frame, LocationRecord, World, WorldConfig,
                         generate_frames, generate_world, replay_frames,
                         run_closed_loop, teach, teach_from_frames, traverse,

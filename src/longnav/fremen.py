@@ -7,9 +7,9 @@ clamps it to the observation range [-1, 1].
 
 One FremenModel holds the rows of a whole map as arrays: ``mu`` and ``n_obs``
 of shape ``(n,)`` and the real and imaginary component averages ``re`` and
-``im`` of shape ``(n, P)``, P being ``len(periods)``. A model made without a
-row count is a single model (shapes ``()`` and ``(P,)``); the same
-broadcasting code serves both.
+``im`` of shape ``(n, P)``, P being ``len(periods)``. A single model is a
+block of one row. The candidate periods and the prediction order have their
+defaults in ``strategies.StrategyConfig``.
 """
 
 from __future__ import annotations
@@ -18,25 +18,19 @@ import math
 
 import numpy as np
 
-# Diurnal harmonics (24h/j for j = 1..12) plus one week.
-DEFAULT_PERIODS = tuple(86400.0 / j for j in range(1, 13)) + (604800.0,)
-
-DEFAULT_ORDER = 2
-
 
 class FremenModel:
     __slots__ = ("periods", "_omega", "n_obs", "mu", "re", "im")
 
-    def __init__(self, periods=DEFAULT_PERIODS, n: int | None = None):
+    def __init__(self, periods, n: int):
         self.periods = tuple(float(p) for p in periods)
         if any(not p > 0 for p in self.periods):
             raise ValueError("candidate periods must be positive")
         self._omega = 2.0 * np.pi / np.asarray(self.periods, dtype=np.float64)
-        rows = () if n is None else (n,)
-        self.n_obs = np.zeros(rows, dtype=np.int64)
-        self.mu = np.zeros(rows)
-        self.re = np.zeros(rows + (len(self.periods),))
-        self.im = np.zeros(rows + (len(self.periods),))
+        self.n_obs = np.zeros(n, dtype=np.int64)
+        self.mu = np.zeros(n)
+        self.re = np.zeros((n, len(self.periods)))
+        self.im = np.zeros((n, len(self.periods)))
 
     def add_observation(self, v, t: float) -> "FremenModel":
         """Fold one observation per row, v in [-1, 1] taken at time t
@@ -47,38 +41,29 @@ class FremenModel:
         if not math.isfinite(t):
             raise ValueError("observation time must be finite")
         self.n_obs += 1
-        k = np.asarray(1.0 / self.n_obs)
+        k = 1.0 / self.n_obs
         self.mu += (v - self.mu) * k
         wt = self._omega * t
-        v, k = v[..., None], k[..., None]
+        v, k = v[..., None], k[:, None]
         self.re += (v * np.cos(wt) - self.re) * k
         self.im += (-v * np.sin(wt) - self.im) * k
         return self
 
-    def predict(self, t: float, order: int = DEFAULT_ORDER) -> float:
-        """Reconstructed score at time t from the DC term plus the `order`
-        strongest spectral components, clamped to [-1, 1]."""
-        return float(predict_many(self, t, order))
-
-    def mean_score(self) -> float:
-        """Mean observed value over the model's whole history (0 when empty)."""
-        return float(self.mu)
-
-    def dominant_components(self, k: int = DEFAULT_ORDER):
-        """Top-k components as (period_s, amplitude, phase), strongest first;
-        equal amplitudes order longer periods first."""
+    def dominant_components(self, k: int) -> list:
+        """Each row's top-k components as (period_s, amplitude, phase),
+        strongest first, equal amplitudes ordering longer periods first; []
+        for a row without observations."""
         if k > len(self.periods):
             raise ValueError(f"k={k} exceeds {len(self.periods)} candidate periods")
-        if self.n_obs == 0:
-            return []
         amp = 2.0 * np.hypot(self.re, self.im)
-        order = sorted(range(len(self.periods)),
-                       key=lambda j: (-amp[j], -self.periods[j]))
-        return [(self.periods[j], float(amp[j]),
-                 float(math.atan2(self.im[j], self.re[j]))) for j in order[:k]]
+        longer = np.broadcast_to(-np.asarray(self.periods), amp.shape)
+        top = np.lexsort((longer, -amp))[:, :k].tolist()
+        return [[(self.periods[j], float(amp[i, j]),
+                  math.atan2(self.im[i, j], self.re[i, j])) for j in top[i]]
+                if self.n_obs[i] else [] for i in range(len(top))]
 
     def take(self, idx) -> "FremenModel":
-        """A copy of rows idx; an integer index gives a single model."""
+        """A copy of rows idx (index array, boolean mask or slice)."""
         m = FremenModel.__new__(FremenModel)
         m.periods, m._omega = self.periods, self._omega
         m.n_obs = np.array(self.n_obs[idx])
@@ -92,28 +77,26 @@ class FremenModel:
 
     @classmethod
     def concat(cls, models) -> "FremenModel":
-        """Stack single models and row blocks, in order, into one block;
-        ValueError unless all share one period set."""
+        """Stack row blocks, in order, into one block; ValueError unless all
+        share one period set."""
         m = cls.__new__(cls)
         m.periods, m._omega = models[0].periods, models[0]._omega
         if any(p.periods != m.periods for p in models):
             raise ValueError("cannot stack fremen models with different periods")
-        m.n_obs = np.concatenate([np.atleast_1d(p.n_obs) for p in models])
-        m.mu = np.concatenate([np.atleast_1d(p.mu) for p in models])
-        m.re = np.concatenate([np.atleast_2d(p.re) for p in models])
-        m.im = np.concatenate([np.atleast_2d(p.im) for p in models])
+        m.n_obs = np.concatenate([p.n_obs for p in models])
+        m.mu = np.concatenate([p.mu for p in models])
+        m.re = np.concatenate([p.re for p in models])
+        m.im = np.concatenate([p.im for p in models])
         return m
 
     def __repr__(self) -> str:
-        if self.mu.ndim:
-            return f"FremenModel(rows={self.mu.shape[0]})"
-        return f"FremenModel(n_obs={int(self.n_obs)}, mu={float(self.mu):.4f})"
+        return f"FremenModel(rows={self.mu.shape[0]})"
 
 
-def predict_many(model: FremenModel, t: float,
-                 order: int = DEFAULT_ORDER) -> np.ndarray:
-    """Predicted score of every row of the model at time t (a 0-d array for
-    a single model); rows without observations predict 0."""
+def predict_many(model: FremenModel, t: float, order: int) -> np.ndarray:
+    """Predicted score of every row of the model at time t: the DC term plus
+    the `order` strongest components, clamped to [-1, 1]; rows without
+    observations predict 0."""
     if order < 0:
         raise ValueError("order must be >= 0")
     val = np.array(model.mu, dtype=np.float64)

@@ -296,9 +296,10 @@ def teach_frames(world: World, t: float = 0.0) -> list:
 
 def teach_from_frames(frames, feature_cap: int = 500, spacing_m: float = 1.0,
                       image_width: int = 640) -> PathMap:
-    """Build the taught path from one frame per location (location order),
-    taught at the first frame's time with its descriptor width; TeachError
-    when there are no frames or one has no features.
+    """Build the taught path from one frame per location, taught at the
+    first frame's time with its descriptor width; TeachError when there are
+    no frames, when their locations are not 0..n-1 in order, or when one has
+    no features.
 
     When a frame holds more than feature_cap features, the most unique ones
     (largest Hamming distance to their nearest in-frame neighbour) are kept.
@@ -307,14 +308,21 @@ def teach_from_frames(frames, feature_cap: int = 500, spacing_m: float = 1.0,
         raise TeachError("no teaching frames (traversal 0) to teach a path from")
     local_maps = []
     for i, frame in enumerate(frames):
+        loc = frame.location  # frames 0..i-1 hold locations 0..i-1
+        if loc != i:
+            problem = (f"location {loc} repeats" if 0 <= loc < i else
+                       f"location {i} is missing" if loc > i else
+                       f"location {loc} is negative")
+            raise TeachError("teaching frames (traversal 0) must hold "
+                             f"locations 0, 1, ... once each, in order: {problem}")
         feats = frame.features
         n = len(feats)
         if not n:
-            raise TeachError(f"teaching frame for location {frame.location} "
+            raise TeachError(f"teaching frame for location {loc} "
                              "yielded no features")
         if n > feature_cap:
             uniq = self_nearest_distances(pack_features(feats))
-            order = np.lexsort((np.arange(n), -uniq))
+            order = np.argsort(-uniq, kind="stable")
             feats = feats.take(np.sort(order[:feature_cap]))
         local_maps.append(LocalMap(i, i * spacing_m, feats.as_map(0)))
     return PathMap(local_maps, image_width=image_width,

@@ -17,15 +17,14 @@ import numpy as np
 from . import kernels
 from .errors import ConfigError, check_settings, in_range, is_int
 from .features import FeatureBlock, LocalMap, concat, pack_features
-from .fremen import DEFAULT_PERIODS, FremenModel, predict_many
+from .fremen import FremenModel, predict_many
 from .registration import MatchOutcome, RegistrationParams, register
 
 
-def _ranked(key_order, n: int, m: int) -> np.ndarray:
-    """The first m of n rows under np.lexsort keys (last key primary, row
-    index the final tiebreak), in row order."""
-    order = np.lexsort((np.arange(n),) + key_order)
-    return np.sort(order[:m])
+def _ranked(key_order, m: int) -> np.ndarray:
+    """The first m rows under np.lexsort keys (last key primary; the sort is
+    stable, so row order breaks the remaining ties), in row order."""
+    return np.sort(np.lexsort(key_order)[:m])
 
 
 # (i) per-row state: the key (rows, cfg, t) active selection ranks by, how
@@ -52,7 +51,7 @@ def _lowest(key):
     def remove(feats, outcome_of, cfg):
         n = len(feats)
         mask = np.zeros(n, dtype=bool)
-        mask[_ranked((feats.inserted_at, key(feats)), n,
+        mask[_ranked((feats.inserted_at, key(feats)),
                      math.ceil(cfg.exchange_fraction * n))] = True
         return mask
     return remove
@@ -85,6 +84,10 @@ _STEPS = {
     "fremen": (_FREMEN, _lowest(lambda feats: feats.temporal.mu), _as_removed),
 }
 STRATEGY_KINDS = tuple(_STEPS)
+
+# fremen's candidate periods: diurnal harmonics (24 h / j for j = 1..12) plus
+# one week
+DEFAULT_PERIODS = tuple(86400.0 / j for j in range(1, 13)) + (604800.0,)
 
 
 @dataclass
@@ -158,16 +161,14 @@ def select_active_indices(feats: FeatureBlock, cfg: StrategyConfig,
     if n <= cfg.m:
         return np.arange(n)
     key = _STEPS[cfg.kind][0].key(feats, cfg, t)
-    return _ranked((-feats.inserted_at, -key), n, cfg.m)
+    return _ranked((-feats.inserted_at, -key), cfg.m)
 
 
 def active_sets(local_map: LocalMap, cfg: StrategyConfig, t: float) -> list:
     """(indices, rows) that select_active_indices picks at t from each
-    feature set the strategy registers a view against: the taught set, and
-    under multiple every alternative after it."""
-    sets = [local_map.features]
-    if cfg.kind == "multiple":
-        sets += local_map.alternatives
+    feature set of the map: the taught set, then every alternative (which
+    only multiple keeps, see init_strategy_state)."""
+    sets = [local_map.features, *local_map.alternatives]
     picks = [select_active_indices(feats, cfg, t) for feats in sets]
     return [(idx, feats if len(idx) == len(feats) else feats.take(idx))
             for idx, feats in zip(picks, sets)]
@@ -188,7 +189,7 @@ def rank_addition_candidates(unmatched_view: FeatureBlock,
     dist = kernels.nearest_distances(pack_features(unmatched_view),
                                      pack_features(local_map.features),
                                      top, rows)
-    return unmatched_view.take(np.lexsort((np.arange(dist.shape[0]), -dist)))
+    return unmatched_view.take(np.argsort(-dist, kind="stable"))
 
 
 def correct_positions(features: FeatureBlock, delta: float,
@@ -200,12 +201,17 @@ def correct_positions(features: FeatureBlock, delta: float,
 
 
 def init_strategy_state(path_or_map, cfg: StrategyConfig) -> None:
-    """Decide which rows carry a temporal model: when the kind's state has
-    one (fremen), every row of each taught set, a supplied model kept and the
-    other sets given fresh ones; otherwise, and in alternatives, none.
+    """Give each local map the state its kind uses, once before a run.
+
+    Alternatives: multiple keeps a supplied map's, without temporal models;
+    every other kind drops them. Temporal models: when the kind's state has
+    them (fremen), every row of each taught set carries one, a supplied model
+    kept and the other sets given fresh ones; otherwise no row does.
     ConfigError when a supplied model's periods differ from fremen_periods."""
     periods = tuple(float(p) for p in cfg.fremen_periods)
     for lm in getattr(path_or_map, "local_maps", [path_or_map]):
+        if cfg.kind != "multiple":
+            lm.alternatives = []
         for alt in lm.alternatives:
             alt.temporal = None
         feats = lm.features

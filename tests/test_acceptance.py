@@ -11,26 +11,30 @@ import time
 import warnings
 
 import numpy as np
+import pytest
 import scipy.stats
 from numpy.random import default_rng
 
 from longnav.evaluation import (ErrorSequence, compare_strategies, error_cdf,
                                 paired_t_test)
 from longnav.features import LocalMap
-from longnav.fremen import FremenModel
+from longnav.fremen import FremenModel, predict_many
 from longnav.registration import (MatchOutcome, Pairs, RegistrationResult,
                                   register)
 from longnav.simulator import (World, WorldConfig, run_closed_loop, teach,
                                uniform_offset_schedule)
-from longnav.strategies import (STRATEGY_KINDS, StrategyConfig,
-                                init_strategy_state, select_active_indices,
-                                update_map)
+from longnav.strategies import (DEFAULT_PERIODS, STRATEGY_KINDS,
+                                StrategyConfig, init_strategy_state,
+                                select_active_indices, update_map)
 
 from blocks import Descriptor, block_from_descriptors
 
 SPAN_S = 90 * 86400.0
 TRAVERSALS = 178
 PENALTY = 320.0
+
+# the slow end-to-end checks; `pytest -m "not acceptance"` runs the rest
+pytestmark = pytest.mark.acceptance
 
 
 def _report(capsys, name, ok, detail=""):
@@ -198,11 +202,11 @@ def test_c6_spectral_recovery(capsys):
     times = np.arange(0.0, 14 * day, 3600.0)
     vals = (mu + a1 * np.cos(2 * np.pi * times / day)
             + a2 * np.cos(2 * np.pi * times / half))
-    model = FremenModel()
+    model = FremenModel(DEFAULT_PERIODS, 1)
     for t, v in zip(times, vals):
         model.add_observation(float(v), float(t))
 
-    comps = model.dominant_components(2)
+    comps, = model.dominant_components(2)
     periods = [c[0] for c in comps]
     amps = [c[1] for c in comps]
     period_ok = periods == [day, half]
@@ -220,7 +224,7 @@ def test_c6_spectral_recovery(capsys):
     coef, *_ = np.linalg.lstsq(basis(times), vals, rcond=None)
     held_out = default_rng(99).uniform(0.0, 14 * day, 100)
     ref = np.clip(basis(held_out) @ coef, -1.0, 1.0)
-    pred = np.array([model.predict(float(t), 2) for t in held_out])
+    pred = np.array([predict_many(model, float(t), 2)[0] for t in held_out])
     rms = float(np.sqrt(np.mean((pred - ref) ** 2)))
 
     ok = period_ok and amp_ok and rms <= 0.05

@@ -131,11 +131,33 @@ def _set_last_location(location):
     return edit
 
 
+def _edit_last_frame(edit):
+    def edit_dataset(recs):
+        edit(recs[-1])
+        return recs
+    return edit_dataset
+
+
+def _pad_first_descriptor(rec):
+    # the right length, but bytes.fromhex skips the trailing spaces
+    row = rec["features"][0]
+    row["d"] = row["d"][:-2] + "  "
+
+
 @pytest.mark.parametrize("edit, message", [
     (_set_last_location(7), "location 7 is outside the taught path"),
     (_set_last_location(-1), "location -1 is outside the taught path"),
     (lambda recs: recs[:2] + recs[-2:] + recs[2:-2], "out of traversal order"),
-], ids=["location-7", "location-minus-1", "traversal-backwards"])
+    # the teach pass once taught local maps in list order, so a repeated or
+    # missing location registered later locations against the wrong maps
+    (lambda recs: recs[:1] + recs, "location 0 repeats"),
+    (lambda recs: recs[1:], "location 0 is missing"),
+    (_edit_last_frame(lambda rec: rec.update(features={})),
+     "features is not a list"),
+    (_edit_last_frame(_pad_first_descriptor), "malformed hex descriptor"),
+], ids=["location-7", "location-minus-1", "traversal-backwards",
+        "teach-repeats-location", "teach-misses-location",
+        "features-not-list", "descriptor-trailing-spaces"])
 def test_replay_rejects_bad_frames(tmp_path, config_path, capsys, edit, message):
     data = tmp_path / "data"
     run_cli("generate", "--config", config_path, "--out", data)
@@ -600,6 +622,31 @@ def test_written_maps_have_models_on_every_row_or_none(tmp_path):
         write_map_snapshot(read_map_snapshot(p), again)
         assert again.read_bytes() == p.read_bytes(), kind
     assert n_alternatives > 0
+
+
+def test_replay_from_a_multiple_map_registers_only_its_taught_sets(tmp_path):
+    # a score replay once kept the multiple run's alternatives and logged
+    # them in n_alternatives, though it never registers against them
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "world": {"n_locations": 3, "landmarks_per_location": 60, "seed": 4,
+                  "turnover_prob": 0.05},
+        "traversals": 4, "interval_s": 21600.0,
+        "strategies": [{"kind": "multiple", "m": 30, "multiple_threshold": 0.9},
+                       {"kind": "score", "m": 30}]}))
+    assert run_cli("simulate", "--config", cfg, "--strategy", "multiple",
+                   "--out", tmp_path / "sim") == 0
+    final = tmp_path / "sim" / "map_final.json"
+    assert all(read_map_snapshot(final).local_maps[i].alternatives
+               for i in range(3))
+    assert run_cli("generate", "--config", cfg, "--out", tmp_path / "data") == 0
+    out = tmp_path / "r"
+    assert run_cli("replay", "--config", cfg, "--strategy", "score", "--out",
+                   out, "--dataset", tmp_path / "data" / "dataset.jsonl",
+                   "--map", final) == 0
+    logs = read_logs(out / "logs_score.jsonl")
+    assert len(logs) == 3 * 4
+    assert {(r.n_alternatives, r.best_alternative) for r in logs} == {(1, 0)}
 
 
 def test_error_exit_codes(tmp_path, config_path, capsys):

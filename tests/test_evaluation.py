@@ -307,6 +307,10 @@ def test_compare_input_validation():
                            mode="sideways")
     with pytest.raises(ConfigError):
         compare_strategies(world_cfg(), [StrategyConfig()], schedule=(0, 1.0))
+    for schedule in ((2,), (2, 1.0, 3), 5):
+        with pytest.raises(ConfigError, match="schedule must be"):
+            compare_strategies(world_cfg(), [StrategyConfig()],
+                               schedule=schedule)
     for interval_s in (0.0, -1.0, math.nan, math.inf, "3600", True):
         with pytest.raises(ConfigError, match="interval"):
             compare_strategies(world_cfg(), [StrategyConfig()],

@@ -9,6 +9,7 @@ from longnav.errors import ConfigError
 from longnav.features import LocalMap, PathMap, concat, pack_features
 from longnav.fremen import FremenModel
 from longnav.kernels import bit_rows
+from longnav.strategies import DEFAULT_PERIODS
 
 from blocks import Descriptor, block_from_descriptors, hamming_distance
 
@@ -137,19 +138,27 @@ def _rows(n, start, **state):
 
 
 def test_concat_rejects_models_on_one_side():
-    m = FremenModel(n=2).add_observation(np.array([0.5, -0.5]), 60.0)
+    m = FremenModel(DEFAULT_PERIODS, 2).add_observation(np.array([0.5, -0.5]),
+                                                        60.0)
     with_models, without = _rows(2, 0, temporal=m), _rows(3, 10)
     for a, b in ((with_models, without), (without, with_models)):
         with pytest.raises(ValueError, match="rows without"):
             concat(a, b)
-    both = concat(with_models, _rows(1, 20, temporal=FremenModel(n=1)))
+    both = concat(with_models,
+                  _rows(1, 20, temporal=FremenModel(DEFAULT_PERIODS, 1)))
     assert both.temporal.mu.tolist() == [0.5, -0.5, 0.0]
     assert both.temporal.n_obs.tolist() == [1, 1, 0]
     assert concat(without, _rows(1, 20)).temporal is None
 
 
+def test_concat_rejects_other_descriptor_width():
+    wide = block_from_descriptors([0.0], [0.0], [Descriptor.from_int(5, 128)])
+    with pytest.raises(ValueError, match="width mismatch: 64 vs 128"):
+        concat(_rows(2, 0), wide)
+
+
 def test_concat_rejects_models_with_different_periods():
-    a = _rows(1, 0, temporal=FremenModel(n=1))
-    b = _rows(1, 5, temporal=FremenModel((3600.0,), n=1))
+    a = _rows(1, 0, temporal=FremenModel(DEFAULT_PERIODS, 1))
+    b = _rows(1, 5, temporal=FremenModel((3600.0,), 1))
     with pytest.raises(ValueError, match="different periods"):
         concat(a, b)

@@ -6,44 +6,66 @@ import numpy as np
 import pytest
 
 from longnav.features import FeatureBlock, LocalMap, PathMap
-from longnav.fremen import DEFAULT_PERIODS, FremenModel, predict_many
+from longnav.fremen import FremenModel, predict_many
 from longnav.io import read_map_snapshot, write_map_snapshot
+from longnav.strategies import DEFAULT_PERIODS
 
 DAY = 86400.0
 
 
+def one_row(periods=DEFAULT_PERIODS):
+    """A single model: a block of one row."""
+    return FremenModel(periods, 1)
+
+
+def predict(m, t, order=2):
+    """A one-row model's prediction at t."""
+    return float(predict_many(m, t, order)[0])
+
+
 def test_single_observation():
-    m = FremenModel()
+    m = one_row()
     m.add_observation(1.0, 0.0)
-    assert m.n_obs == 1
-    assert m.mean_score() == pytest.approx(1.0)
+    assert m.n_obs.tolist() == [1]
+    assert m.mu[0] == pytest.approx(1.0)
     # at t=0 every component sees cos=1, sin=0
-    assert m.predict(0.0, order=2) == pytest.approx(1.0)
-    assert m.predict(0.0, order=0) == pytest.approx(1.0)
+    assert predict(m, 0.0, order=2) == pytest.approx(1.0)
+    assert predict(m, 0.0, order=0) == pytest.approx(1.0)
 
 
 def test_mean_is_running_average():
-    m = FremenModel()
+    m = one_row()
     m.add_observation(1.0, 0.0)
     m.add_observation(-1.0, 3600.0)
-    assert m.mean_score() == pytest.approx(0.0, abs=1e-15)
+    assert m.mu[0] == pytest.approx(0.0, abs=1e-15)
 
     rng = np.random.default_rng(0)
     vals = rng.uniform(-1, 1, size=200)
-    m2 = FremenModel()
+    m2 = one_row()
     for i, v in enumerate(vals):
         m2.add_observation(float(v), i * 3600.0)
-    assert m2.mean_score() == pytest.approx(vals.mean(), abs=1e-12)
+    assert m2.mu[0] == pytest.approx(vals.mean(), abs=1e-12)
 
 
 def test_empty_model_predicts_zero():
-    m = FremenModel()
-    assert m.predict(12345.0) == 0.0
-    assert m.dominant_components() == []
+    m = one_row()
+    assert predict(m, 12345.0) == 0.0
+    assert m.dominant_components(2) == [[]]
+
+
+def test_invalid_periods_orders_and_component_counts():
+    with pytest.raises(ValueError, match="periods must be positive"):
+        FremenModel((DAY, 0.0), 1)
+    with pytest.raises(ValueError, match="periods must be positive"):
+        FremenModel((-DAY,), 1)
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        predict_many(one_row(), 0.0, -1)
+    with pytest.raises(ValueError, match="k=14 exceeds 13 candidate periods"):
+        one_row().dominant_components(14)
 
 
 def test_observation_validation():
-    m = FremenModel()
+    m = one_row()
     with pytest.raises(ValueError):
         m.add_observation(1.5, 0.0)
     with pytest.raises(ValueError):
@@ -60,7 +82,7 @@ def planted_cosine(periods, amps, phases, times, mean=0.0):
 
 
 def feed(values, times, periods=DEFAULT_PERIODS):
-    m = FremenModel(periods)
+    m = one_row(periods)
     for v, t in zip(values, times):
         m.add_observation(float(v), float(t))
     return m
@@ -74,21 +96,24 @@ def test_accumulators_match_direct_complex_mean():
     for j, p in enumerate(m.periods):
         w = 2 * np.pi / p
         g = np.mean(vals * np.exp(-1j * w * times))
-        assert m.re[j] == pytest.approx(g.real, abs=1e-12)
-        assert m.im[j] == pytest.approx(g.imag, abs=1e-12)
+        assert m.re[0, j] == pytest.approx(g.real, abs=1e-12)
+        assert m.im[0, j] == pytest.approx(g.imag, abs=1e-12)
     # the day component carries half the cosine amplitude, the rest noise floor
     day = np.argmin(np.abs(np.asarray(m.periods) - DAY))
-    assert np.hypot(m.re[day], m.im[day]) == pytest.approx(0.25, abs=0.02)
+    assert np.hypot(m.re[0, day], m.im[0, day]) == pytest.approx(0.25, abs=0.02)
     for j in range(len(m.periods)):
         if j != day:
-            assert np.hypot(m.re[j], m.im[j]) <= 0.1
+            assert np.hypot(m.re[0, j], m.im[0, j]) <= 0.1
 
 
 def test_dominant_components_planted_pair():
     times = np.arange(0, 14 * DAY, 3600.0)
     vals = planted_cosine([DAY, DAY / 2], [0.4, 0.2], [0.3, -0.7], times)
     m = feed(vals, times)
-    comps = m.dominant_components(2)
+    comps, = m.dominant_components(2)
+    # one list per row: a block answers for each of its rows
+    assert FremenModel.concat([one_row(), m]).dominant_components(2) \
+        == [[], comps]
     assert comps[0][0] == pytest.approx(DAY)
     assert comps[1][0] == pytest.approx(DAY / 2)
     assert comps[0][1] == pytest.approx(0.4, rel=0.10)
@@ -108,7 +133,7 @@ def test_predict_against_least_squares_oracle():
     rng = np.random.default_rng(1)
     held = rng.uniform(0, 20 * DAY, size=100)
     ref = coef[0] + coef[1] * np.cos(w * held) + coef[2] * np.sin(w * held)
-    got = np.array([m.predict(float(t), order=1) for t in held])
+    got = np.array([predict(m, float(t), order=1) for t in held])
     rms = np.sqrt(np.mean((got - np.clip(ref, -1, 1)) ** 2))
     assert rms <= 0.05
 
@@ -118,7 +143,7 @@ def test_order_zero_is_mean():
     times = np.sort(rng.uniform(0, 30 * DAY, size=50))
     vals = rng.uniform(-1, 1, size=50)
     m = feed(vals, times)
-    assert m.predict(5 * DAY, order=0) == pytest.approx(
+    assert predict(m, 5 * DAY, order=0) == pytest.approx(
         np.clip(vals.mean(), -1, 1), abs=1e-12)
 
 
@@ -129,7 +154,7 @@ def test_observation_order_invariance():
     m1 = feed(vals, times)
     perm = rng.permutation(120)
     m2 = feed(vals[perm], times[perm])
-    assert m1.mean_score() == pytest.approx(m2.mean_score(), abs=1e-9)
+    assert m1.mu[0] == pytest.approx(m2.mu[0], abs=1e-9)
     np.testing.assert_allclose(m1.re, m2.re, atol=1e-9)
     np.testing.assert_allclose(m1.im, m2.im, atol=1e-9)
 
@@ -139,7 +164,7 @@ def test_predict_bounded():
     times = rng.uniform(0, 60 * DAY, size=40)
     m = feed(np.where(rng.random(40) < 0.5, -1.0, 1.0), times)
     for t in rng.uniform(-10 * DAY, 90 * DAY, size=200):
-        assert -1.0 <= m.predict(float(t), order=5) <= 1.0
+        assert -1.0 <= predict(m, float(t), order=5) <= 1.0
 
 
 def test_training_mse_non_increasing_in_order():
@@ -148,21 +173,21 @@ def test_training_mse_non_increasing_in_order():
     m = feed(vals, times)
     errs = []
     for k in range(4):
-        pred = np.array([m.predict(float(t), order=k) for t in times])
+        pred = np.array([predict(m, float(t), order=k) for t in times])
         errs.append(np.mean((pred - vals) ** 2))
     for a, b in zip(errs, errs[1:]):
         assert b <= a + 1e-9
 
 
 def scalar_prediction(m, t, order):
-    """One model's clamped DC term plus its `order` strongest components,
-    summed in plain Python from mu, re, im and the periods."""
-    if int(m.n_obs) == 0:
+    """A one-row model's clamped DC term plus its `order` strongest
+    components, summed in plain Python from mu, re, im and the periods."""
+    if int(m.n_obs[0]) == 0:
         return 0.0
-    re, im = m.re.tolist(), m.im.tolist()
+    re, im = m.re[0].tolist(), m.im[0].tolist()
     amp2 = [r * r + i * i for r, i in zip(re, im)]
     top = sorted(range(len(re)), key=lambda j: -amp2[j])[:order]
-    val = float(m.mu)
+    val = float(m.mu[0])
     for j in top:
         wt = 2.0 * math.pi / m.periods[j] * t
         val += 2.0 * (re[j] * math.cos(wt) - im[j] * math.sin(wt))
@@ -180,13 +205,11 @@ def test_predict_many_matches_scalar_path():
         batch = predict_many(FremenModel.concat(models), t, order=2)
         single = np.array([scalar_prediction(m, t, 2) for m in models])
         np.testing.assert_allclose(batch, single, atol=1e-12)
-        np.testing.assert_allclose([m.predict(t, order=2) for m in models],
-                                   single, atol=1e-12)
 
 
 def test_concat_rejects_mixed_periods():
     with pytest.raises(ValueError, match="different periods"):
-        FremenModel.concat([FremenModel(), FremenModel((DAY, DAY / 2))])
+        FremenModel.concat([one_row(), one_row((DAY, DAY / 2))])
 
 
 def test_serialization_round_trip(tmp_path):
@@ -194,14 +217,14 @@ def test_serialization_round_trip(tmp_path):
     rng = np.random.default_rng(6)
     m = feed(rng.uniform(-1, 1, size=37), rng.uniform(0, 40 * DAY, size=37))
     row = FeatureBlock(np.zeros(1), np.zeros(1), np.zeros((1, 4), np.uint64))
-    path = PathMap([LocalMap(0, 0.0, row.as_map(0, FremenModel.concat([m])))])
+    path = PathMap([LocalMap(0, 0.0, row.as_map(0, m))])
     write_map_snapshot(path, tmp_path / "map.json")
     m2 = read_map_snapshot(tmp_path / "map.json").local_maps[0] \
-        .features.temporal.take(0)
-    assert m2.n_obs == m.n_obs
-    assert m2.mu == m.mu
+        .features.temporal
+    assert m2.n_obs.tolist() == m.n_obs.tolist()
+    assert m2.mu.tolist() == m.mu.tolist()
     assert m2.periods == m.periods
     np.testing.assert_array_equal(m2.re, m.re)
     np.testing.assert_array_equal(m2.im, m.im)
     for t in rng.uniform(0, 60 * DAY, size=20):
-        assert m2.predict(float(t)) == m.predict(float(t))
+        assert predict(m2, float(t)) == predict(m, float(t))

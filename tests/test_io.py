@@ -15,7 +15,7 @@ from longnav.io import (read_dataset, read_logs, read_map_snapshot,
 from longnav.simulator import (LocationRecord, World, WorldConfig,
                                generate_frames, replay_frames,
                                run_closed_loop, teach, uniform_offset_schedule)
-from longnav.strategies import StrategyConfig
+from longnav.strategies import DEFAULT_PERIODS, StrategyConfig
 
 from blocks import Descriptor, block_from_descriptors
 
@@ -146,7 +146,7 @@ def snapshot_path_map():
     rows = []
     for i in range(5):
         d = Descriptor.from_int(int.from_bytes(rng.bytes(32), "little"), 256)
-        m = FremenModel()
+        m = FremenModel(DEFAULT_PERIODS, 1)
         for k in range(i):
             m.add_observation(1.0 if k % 2 else -1.0, k * 3600.0)
         rows.append((float(rng.uniform(0, 640)), float(rng.uniform(0, 480)),

@@ -6,7 +6,7 @@ import pytest
 from longnav.errors import ConfigError
 from longnav.registration import (MatchOutcome, Pairs, RegistrationParams,
                                   classify_outcomes, histogram_vote,
-                                  match_features, register)
+                                  match_features, register, view_product)
 
 from blocks import Descriptor, block_from_descriptors, hamming_distance
 
@@ -74,6 +74,8 @@ def test_match_empty_and_width_mismatch():
     assert len(match_features(f, block([]))) == 0
     with pytest.raises(ValueError):
         match_features(f, block([rand_feature(rng, width=128)]))
+    with pytest.raises(ValueError, match="descriptor widths differ"):
+        view_product(f, [f, block([rand_feature(rng, width=128)])])
 
 
 def _pairs(diffs):
@@ -94,6 +96,8 @@ def test_histogram_vote_hand_example():
 
 def test_histogram_vote_empty_and_min_votes():
     assert histogram_vote(np.empty(0), 10.0) is None
+    with pytest.raises(ValueError, match="bin_width must be positive"):
+        histogram_vote(np.empty(0), 0.0)
     assert histogram_vote(_pairs([1.0, 2.0]).diff, 10.0, min_votes=3) is None
     assert histogram_vote(_pairs([1.0, 2.0]).diff, 10.0,
                           min_votes=2) == pytest.approx(1.5)

@@ -10,7 +10,9 @@ from numpy.random import default_rng
 
 from longnav import kernels
 from longnav.errors import ConfigError, DatasetError, TeachError
-from longnav.io import read_map_snapshot, write_map_snapshot
+from longnav.io import (read_dataset, read_map_snapshot, write_dataset,
+                        write_map_snapshot)
+from longnav.registration import RegistrationParams
 from longnav.simulator import (Frame, World, WorldConfig, generate_frames,
                                generate_world, replay_frames, run_closed_loop,
                                teach, teach_from_frames, teach_frames,
@@ -142,6 +144,47 @@ def test_teach_cap_drops_least_unique_first():
     kept = [Descriptor(w, 256) for w in path.local_maps[0].features.words]
     assert sum(d == descs[0] for d in kept) == 1
     assert len(kept) == 10
+
+
+def test_teach_rejects_frames_out_of_location_order():
+    frames = teach_frames(World(small_cfg(seed=2, n_locations=3)))
+    f = frames[0]
+    negative = Frame(-1, f.time, f.features, f.gamma)
+    for bad, problem in ((frames[:2] + frames[1:], "location 1 repeats"),
+                         (frames[1:], "location 0 is missing"),
+                         ([negative] + frames, "location -1 is negative")):
+        with pytest.raises(TeachError, match=problem):
+            teach_from_frames(bad)
+
+
+def test_runs_reject_no_strategies():
+    with pytest.raises(ConfigError, match="no strategies"):
+        run_closed_loop(World(small_cfg()), [], 1, 1000.0)
+    with pytest.raises(ConfigError, match="no strategies"):
+        replay_frames(generate_frames(World(small_cfg()), 1, 1000.0), [])
+
+
+def test_100_bit_world_round_trips_and_replays(tmp_path):
+    # 100 bits fill one word and 36 bits of the next: no draw, flip or
+    # clutter descriptor may set the 28 bits above them
+    w = World(small_cfg(seed=6, descriptor_width=100))
+    assert not any((p.desc[:, 1] >> np.uint64(36)).any() for p in w.pools)
+    frames = list(generate_frames(w, 3, 3600.0))
+    for _, f in frames:
+        assert f.features.width == 100 and f.features.words.shape[1] == 2
+        assert not (f.features.words[:, 1] >> np.uint64(36)).any()
+    path = tmp_path / "d.jsonl"
+    write_dataset(frames, path)
+    back = list(read_dataset(path))
+    for (tr0, f0), (tr1, f1) in zip(frames, back, strict=True):
+        assert tr0 == tr1 and f1.features.width == 100
+        assert np.array_equal(f0.features.words, f1.features.words)
+    _, logs = replay_frames(back, [StrategyConfig(kind=k)
+                                   for k in STRATEGY_KINDS],
+                            params=RegistrationParams(d_max=25))
+    for log in logs:
+        assert len(log) == 2 * 3
+        assert all(rec.delta_px is not None for rec in log)
 
 
 def test_teach_empty_frame_raises():

@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from longnav.errors import ConfigError
 from longnav.evaluation import registration_errors
 from longnav.features import FeatureBlock, LocalMap
-from longnav.fremen import DEFAULT_PERIODS, FremenModel
+from longnav.fremen import FremenModel
 from longnav.registration import (MatchOutcome, Pairs, RegistrationParams,
                                   RegistrationResult, register, view_product)
 from longnav.simulator import (World, WorldConfig, generate_frames,
                                replay_frames, uniform_offset_schedule)
-from longnav.strategies import (StrategyConfig, active_sets,
+from longnav.strategies import (DEFAULT_PERIODS, StrategyConfig, active_sets,
                                 correct_positions, init_strategy_state,
                                 rank_addition_candidates, score_update,
                                 select_active_indices,
@@ -163,7 +163,7 @@ def test_select_active_fremen_uses_prediction():
     rng = np.random.default_rng(3)
     lm = make_map(rng, 4)
     day, night = 43200.0, 0.0
-    lm.features.temporal = model = FremenModel(n=4)
+    lm.features.temporal = model = FremenModel(DEFAULT_PERIODS, 4)
     seen_by_day = np.arange(4) % 2 == 0
     for d in range(10):
         model.add_observation(np.where(seen_by_day, 1.0, -1.0), d * 86400 + day)
@@ -235,7 +235,8 @@ def test_correct_positions():
     d = Descriptor.from_int(7, 64)
     feats = block([feature(100.0, 5.0, d, score=2.0, inserted_at=3),
                    feature(5.0, 0.0, d), feature(630.0, 0.0, d)],
-                  temporal=FremenModel(n=3).add_observation(np.ones(3), 0.0))
+                  temporal=FremenModel(DEFAULT_PERIODS, 3).add_observation(
+                      np.ones(3), 0.0))
     out = correct_positions(feats, 50.0, image_width=640)
     assert out.x[0] == pytest.approx(50.0)
     assert out.x[1] == 0.0  # clipped at the left edge
@@ -345,7 +346,7 @@ def _snapshot_map(rng, periods=DEFAULT_PERIODS):
     lm.features.temporal = FremenModel(periods, 40).add_observation(
         np.linspace(-1, 1, 40), 60.0)
     alt = make_map(rng, 5).features
-    alt.temporal = FremenModel(n=5)
+    alt.temporal = FremenModel(DEFAULT_PERIODS, 5)
     lm.alternatives.append(alt)
     return lm
 
@@ -360,7 +361,7 @@ def test_init_strategy_state_keeps_supplied_models_for_fremen():
         init_strategy_state(m, cfg)
     assert lm.features.temporal.mu.tolist() == models.mu.tolist()
     assert lm.features.temporal.n_obs.tolist() == [1] * 40
-    assert lm.alternatives[0].temporal is None
+    assert lm.alternatives == []
     assert fresh.features.temporal.n_obs.tolist() == [0] * 3
     assert fresh.features.temporal.periods == cfg.fremen_periods
     # the exchange concatenates kept rows and new ones, both with models
@@ -373,11 +374,27 @@ def test_init_strategy_state_drops_models_for_score():
     lm = _snapshot_map(rng)
     init_strategy_state(lm, StrategyConfig(kind="score"))
     assert lm.features.temporal is None
-    assert lm.alternatives[0].temporal is None
+    assert lm.alternatives == []
     update_map(lm, rand_view(rng, 10), synthetic_reg([C] * 40, []),
                StrategyConfig(kind="score"), 0.0, 5)
     assert (lm.features.inserted_at == 5).sum() == 2  # ceil(0.05 * 40)
     assert lm.features.temporal is None
+
+
+def test_init_strategy_state_keeps_alternatives_only_for_multiple():
+    # a map with alternatives, as a multiple run writes it: only multiple
+    # registers against them, so only multiple keeps them
+    for kind in ("multiple", "score", "static"):
+        lm = _snapshot_map(np.random.default_rng(16))
+        cfg = StrategyConfig(kind=kind)
+        init_strategy_state(lm, cfg)
+        held = len(active_sets(lm, cfg, 0.0))
+        if kind == "multiple":
+            assert held == len(lm.alternatives) + 1 == 2
+            assert lm.alternatives[0].temporal is None
+        else:
+            assert held == 1 and lm.alternatives == []
+        assert lm.features.temporal is None
 
 
 def test_init_strategy_state_rejects_other_fremen_periods():
