@@ -32,12 +32,14 @@ product once, for every set at once:
 - A row pairs with its nearest column when it alone reaches its set's max
   there, so every set's pairs come from one pass over the sets' rows.
 
-``mutual_nearest_pairs`` and the insertion ranking (``nearest_distances``)
-read a set's values through its ``SetProduct``; no set copies or gathers
-its rows or columns of the product. ``mutual_nearest_pairs`` called without
-one builds a one-set ``ViewProduct``, so every product is reduced the same
-way. Being exact, the shared product gives every set the same distances,
-and so the same pairs and rankings, as a product of its own.
+``mutual_nearest_pairs`` reads every set's pairs through the product, or
+one set's through its ``SetProduct``, and the insertion ranking
+(``nearest_distances``) reads a set's column max through its share; no set
+copies or gathers its rows or columns of the product.
+``mutual_nearest_pairs`` called without either builds a one-set
+``ViewProduct``, so every product is reduced the same way. Being exact, the
+shared product gives every set the same distances, and so the same pairs and
+rankings, as a product of its own.
 """
 
 from __future__ import annotations
@@ -140,22 +142,26 @@ class ViewProduct:
       more than once counts at least twice.
 
     ``pairs`` finds every set's mutual nearest pairs from them at once, and
-    ``shares()`` gives each set's part (a ``SetProduct``).
+    ``shares()`` gives each set's part (a ``SetProduct``). The product keeps
+    its operands, ``words`` (the sets' packed rows one after another) and
+    ``view``, and ``memo``, a dict in which callers keep what they derive
+    from it once for all its sets (see ``registration.register``).
     """
 
     __slots__ = ("_dot", "tops", "reach", "_row", "_best", "_best_dot",
-                 "_dist", "_owner", "_cut", "_pairs")
+                 "_dist", "_owner", "_cut", "_pairs", "words", "view", "memo")
 
     def __init__(self, view: np.ndarray, sets):
         sizes = [len(bits) for _, bits in sets]
         k = len(sets)
         owner = np.repeat(np.arange(k), sizes)
         if k == 1:  # one class, the set's rows as they are, and the empty
-            bits, rows = sets[0][1], np.arange(sizes[0])
+            (words, bits), rows = sets[0], np.arange(sizes[0])
             starts = np.zeros(min(sizes[0], 1), dtype=np.intp)
             held = np.ones((len(starts) + 1, 1), dtype=np.uint8)
         else:
-            first, inverse = distinct_rows(np.concatenate([w for w, _ in sets]))
+            words = np.concatenate([w for w, _ in sets])
+            first, inverse = distinct_rows(words)
             n = len(first)
             n_words = -(-k // 32)  # a base-4 digit per set, 32 to a word
             held = np.zeros((n, 32 * n_words), dtype=np.uint8)
@@ -209,6 +215,7 @@ class ViewProduct:
         self._cut = np.cumsum([0, *sizes])
         self._owner = owner
         self._pairs = {}
+        self.words, self.view, self.memo = words, view, {}
 
     def shares(self) -> list:
         """Every set's share, in set order."""
@@ -273,15 +280,17 @@ def mutual_nearest_pairs(a: np.ndarray, b: np.ndarray, d_max: int,
 
     Returns ``(a_idx, b_idx, dist)`` int64 arrays sorted by ``a_idx``. Ties in
     the nearest neighbour are broken toward the lower index on both sides.
-    ``share``, when given, is a's share of a ``ViewProduct`` with the view b,
-    whose pairs are read instead of multiplying; without one, a and b make a
-    one-set product. The pairs of every set of a product are found at once
-    (see ``ViewProduct.pairs``).
+    ``share``, when given, is a's share of a ``ViewProduct`` with the view b
+    (a ``SetProduct``), whose pairs are read instead of multiplying. It may
+    also be the ``ViewProduct`` itself, a then being its ``words`` and b its
+    ``view``: every set's pairs come at once, as ``(cut, a_idx, b_idx,
+    dist)`` (see ``ViewProduct.pairs``). Without a share, a and b make a
+    one-set product.
     """
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        e = np.empty(0, dtype=np.int64)
-        return e, e.copy(), e.copy()
     if share is None:
+        if a.shape[0] == 0 or b.shape[0] == 0:
+            e = np.empty(0, dtype=np.int64)
+            return e, e.copy(), e.copy()
         share, = ViewProduct(b, [(a, a)]).shares()
     return share.pairs(d_max)
 

@@ -31,8 +31,7 @@ from .errors import (ConfigError, DatasetError, TeachError, check_settings,
                      in_range, is_int)
 from .features import FeatureBlock, LocalMap, PathMap, pack_features
 from .kernels import self_nearest_distances
-from .registration import (MatchOutcome, RegistrationParams, register,
-                           view_product)
+from .registration import RegistrationParams, register, view_product
 from .strategies import (StrategyConfig, active_sets, init_strategy_state,
                          select_best_alternative, update_map)
 
@@ -354,8 +353,8 @@ def process_frame(local_map: LocalMap, frame: Frame, cfg: StrategyConfig,
 
     sets are the map's active rows at the frame's time (see active_sets) and
     shares their parts of one product with the frame's view (see
-    view_product), whose reductions registration and the insertion ranking
-    read."""
+    view_product), whose registration pass and reductions registration and
+    the insertion ranking read."""
     t = frame.time
     view = frame.features
     if cfg.kind == "multiple":
@@ -368,7 +367,7 @@ def process_frame(local_map: LocalMap, frame: Frame, cfg: StrategyConfig,
         reg = register(active, view, params, share)
     update_map(local_map, view, reg, cfg, t, traversal, active_indices=idx,
                image_width=params.image_width, share=share)
-    n_inc = int(np.count_nonzero(reg.outcomes == MatchOutcome.MatchedIncorrectly))
+    n_inc = reg.incorrect_count
     rec = LocationRecord(
         traversal=traversal, strategy=cfg.kind, time_s=t,
         location=frame.location, delta_px=reg.delta, gamma_px=frame.gamma,
@@ -469,8 +468,9 @@ def _replay_frame(frames, traversal: int, strategies, paths, logs,
     frame per strategy, each logged with its offset from `offsets`). Frames
     that share their descriptors, as one frame does or the frames of one
     draw (see World.observe_offsets), register through one product of the
-    view with the active rows of all their strategies; each product is
-    freed once its strategies are done."""
+    view with the active rows of all their strategies, each set against its
+    own frame's x, in one registration pass (see registration.register);
+    each product is freed once its strategies are done."""
     groups = {}  # descriptor array id -> indices of the frames holding it
     for i, frame in enumerate(frames):
         groups.setdefault(id(frame.features.words), []).append(i)
@@ -478,8 +478,9 @@ def _replay_frame(frames, traversal: int, strategies, paths, logs,
         maps = [paths[i].local_maps[frames[i].location] for i in members]
         sets = [active_sets(lm, strategies[i], frames[i].time)
                 for i, lm in zip(members, maps)]
-        shares = view_product(frames[members[0]].features,
-                              [active for ss in sets for _, active in ss])
+        shares = view_product(
+            [frames[i].features for i, ss in zip(members, sets) for _ in ss],
+            [active for ss in sets for _, active in ss])
         start = 0
         for i, lm, ss in zip(members, maps, sets):
             rec, _ = process_frame(lm, frames[i], strategies[i], traversal,

@@ -67,7 +67,9 @@ def _view_fraction(view, remove, cfg):
     return math.ceil(cfg.summary_add_fraction * len(view))
 
 
-_N, _C, _I = MatchOutcome  # not matched, matched correctly, incorrectly
+# not matched, matched correctly, incorrectly, as plain ints (see
+# registration)
+_N, _C, _I = map(int, MatchOutcome)
 # One row per kind, in report order: (i) its per-row state; (ii) the rows a
 # successful registration removes, (rows, outcome per row, cfg) -> mask;
 # (iii) how many unmatched view rows it inserts, most unique first, (view,

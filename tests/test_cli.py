@@ -669,15 +669,30 @@ def test_error_exit_codes(tmp_path, config_path, capsys):
         run_cli("replay", "--strategy", "bogus", "--dataset", "x", "--out", "y")
 
 
-def test_console_entry_point():
-    # the child imports the same package as the tests, installed or not
+def run_child(*args):
+    """A fresh interpreter importing the same package as the tests,
+    installed or not."""
     src = str(Path(longnav.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-m", "longnav.cli", "--help"],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env)
+
+
+def test_console_entry_point():
+    proc = run_child("-m", "longnav.cli", "--help")
     assert proc.returncode == 0
     assert "generate" in proc.stdout and "compare" in proc.stdout
+
+
+def test_import_leaves_scipy_to_the_t_test():
+    # scipy.special takes about a quarter second to import; generate, replay
+    # and simulate never run the t-test that needs it
+    proc = run_child("-c", "import sys, longnav, longnav.cli; "
+                     "print(sorted(m for m in sys.modules if m == 'scipy' "
+                     "or m.startswith('scipy.')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_every_export_resolves():

@@ -111,6 +111,24 @@ def test_histogram_vote_tie_prefers_small_shift():
     assert delta == pytest.approx(-3.5)
 
 
+def test_histogram_vote_symmetric_tie_prefers_lower_center():
+    # bins centered at -5 and +5 tie in votes and in distance from zero:
+    # the lower center wins
+    assert histogram_vote(_pairs([-2.0, -4.0, 6.0, 8.0]).diff, 10.0) == -3.0
+    assert histogram_vote(_pairs([8.0, -4.0, 6.0, -2.0]).diff, 10.0) == -3.0
+
+
+def test_histogram_vote_over_sets_votes_each_set_alone():
+    rng = np.random.default_rng(11)
+    sets = [rng.uniform(-640, 640, size=n) for n in (0, 1, 7, 30, 2)]
+    sets[3][:10] = 33.0 + rng.uniform(0, 5, 10)
+    cut = np.cumsum([0, *map(len, sets)]).tolist()
+    for min_votes in (1, 2, 3):
+        got = histogram_vote(np.concatenate(sets), 10.0, 640, min_votes, cut)
+        want = [histogram_vote(d, 10.0, 640, min_votes) for d in sets]
+        assert [None if np.isnan(d) else d for d in got.tolist()] == want
+
+
 def test_histogram_vote_matches_hand_binning_oracle():
     rng = np.random.default_rng(4)
     for _ in range(50):
@@ -238,3 +256,49 @@ def test_registration_params_accepts_edges():
                            tolerance=0.0)
     assert p.effective_tolerance() == 0.0
     assert RegistrationParams().effective_tolerance() == 10.0
+
+
+def test_one_pass_over_a_product_registers_each_set_as_alone():
+    # every set's result read from the product's one registration pass
+    # equals the result of registering that set with a product of its own
+    rng = np.random.default_rng(12)
+    taught = [rand_feature(rng, x=rng.uniform(100, 500)) for _ in range(40)]
+    view_rows = shifted_view(taught, 12.0, rng) + [rand_feature(rng)
+                                                   for _ in range(10)]
+    view = block(view_rows)
+    # a frame sharing the view's descriptors at other x, as the frames of
+    # one closed-loop draw do
+    moved = view.with_x(view.x - 25.0)
+    sets = [
+        block(taught),
+        block(taught[:25] + [rand_feature(rng) for _ in range(5)]),
+        block([rand_feature(rng) for _ in range(6)]),  # no pairs
+        block(taught[:2]),  # pairs below min_votes
+        block(taught[:12] + taught[3:4]),  # a repeated row
+        block([]),
+        block(taught[10:]),  # registered against the moved frame
+        block(taught[10:]),
+    ]
+    views = [view] * 6 + [moved, view]
+    params = RegistrationParams(min_votes=3)
+    shares = view_product(views, sets)
+    results = [register(m, v, params, share)
+               for m, v, share in zip(sets, views, shares)]
+    for m, v, got in zip(sets, views, results):
+        want = register(m, v, params)
+        assert got.delta == want.delta
+        for field in ("map_idx", "view_idx", "diff", "dist"):
+            assert np.array_equal(getattr(got.pairs, field),
+                                  getattr(want.pairs, field))
+        assert np.array_equal(got.outcomes, want.outcomes)
+        assert got.outcomes.dtype == np.int8
+        assert (got.correct_count, got.incorrect_count) == (
+            want.correct_count, want.incorrect_count) == tuple(
+            int(np.count_nonzero(got.outcomes == o))
+            for o in (MatchOutcome.MatchedCorrectly,
+                      MatchOutcome.MatchedIncorrectly))
+    deltas = [r.delta for r in results]
+    assert deltas[0] is not None and deltas[2] is None and deltas[3] is None
+    assert len(results[3].pairs) == 2 and len(results[2].pairs) == 0
+    assert results[6].delta == pytest.approx(results[7].delta - 25.0)
+    assert register(sets[0], view, params, shares[0]) is results[0]
