@@ -17,6 +17,16 @@ def _rows(a, idx):
     return None if a is None else a[idx]
 
 
+_next_id = 0  # rows of any two blocks may meet in one product
+
+
+def fresh_ids(n: int) -> np.ndarray:
+    """n int64 row ids that no row has had before in this process."""
+    global _next_id
+    start, _next_id = _next_id, _next_id + n
+    return np.arange(start, _next_id, dtype=np.int64)
+
+
 class FeatureBlock:
     """Image features as a struct of arrays, one row per feature.
 
@@ -32,14 +42,18 @@ class FeatureBlock:
     update builds a new block with ``take`` and ``concat``. The ±1 bit rows
     of the descriptors (see ``pack_features``) are computed once and travel
     with the rows, so rows kept or moved between blocks are never unpacked
-    again.
+    again. So does each row's ``ids`` entry (int64): a new block gets fresh
+    ids (see ``fresh_ids``), and rows that share an id share their
+    descriptor, so a product with a view multiplies them once (see
+    ``kernels.ViewProduct``). Ids live in memory only; no file holds them.
     """
 
     __slots__ = ("x", "y", "words", "width", "inserted_at", "score",
-                 "temporal", "_bits")
+                 "temporal", "ids", "_bits")
 
     def __init__(self, x, y, words, width: int = DEFAULT_DESCRIPTOR_WIDTH, *,
-                 inserted_at=None, score=None, temporal=None, bits=None):
+                 inserted_at=None, score=None, temporal=None, ids=None,
+                 bits=None):
         self.x = x
         self.y = y
         self.words = words
@@ -47,6 +61,7 @@ class FeatureBlock:
         self.inserted_at = inserted_at
         self.score = score
         self.temporal = temporal
+        self.ids = fresh_ids(x.shape[0]) if ids is None else ids
         self._bits = bits
 
     def __len__(self) -> int:
@@ -63,12 +78,13 @@ class FeatureBlock:
                             score=_rows(self.score, idx),
                             temporal=None if self.temporal is None
                             else self.temporal.take(idx),
-                            bits=_rows(self._bits, idx))
+                            ids=self.ids[idx], bits=_rows(self._bits, idx))
 
     def with_x(self, x) -> "FeatureBlock":
         """The same rows at new x positions, without strategy state; y,
         descriptors and bit rows are shared."""
-        return FeatureBlock(x, self.y, self.words, self.width, bits=self._bits)
+        return FeatureBlock(x, self.y, self.words, self.width, ids=self.ids,
+                            bits=self._bits)
 
     def as_map(self, inserted_at: int, temporal=None) -> "FeatureBlock":
         """The same rows as a fresh map block: inserted at one traversal,
@@ -76,7 +92,8 @@ class FeatureBlock:
         n = len(self)
         return FeatureBlock(self.x, self.y, self.words, self.width,
                             inserted_at=np.full(n, inserted_at, dtype=np.int64),
-                            score=np.zeros(n), temporal=temporal, bits=self._bits)
+                            score=np.zeros(n), temporal=temporal, ids=self.ids,
+                            bits=self._bits)
 
     def copy_state(self) -> "FeatureBlock":
         """A block sharing this one's rows and bit rows but owning copies of
@@ -87,7 +104,7 @@ class FeatureBlock:
                             else self.score.copy(),
                             temporal=None if self.temporal is None
                             else self.temporal.copy(),
-                            bits=pack_features(self))
+                            ids=self.ids, bits=pack_features(self))
 
 
 def concat(a: FeatureBlock, b: FeatureBlock | None) -> FeatureBlock:
@@ -113,7 +130,7 @@ def concat(a: FeatureBlock, b: FeatureBlock | None) -> FeatureBlock:
     return FeatureBlock(cat(a.x, b.x), cat(a.y, b.y), cat(a.words, b.words),
                         a.width, inserted_at=cat(a.inserted_at, b.inserted_at),
                         score=cat(a.score, b.score), temporal=temporal,
-                        bits=cat(a._bits, b._bits))
+                        ids=cat(a.ids, b.ids), bits=cat(a._bits, b._bits))
 
 
 def pack_features(block: FeatureBlock) -> np.ndarray:

@@ -18,19 +18,20 @@ are converted to integer distances.
 
 A comparison registers each camera view against many feature sets (every
 strategy's active rows, and each of ``multiple``'s alternatives), and those
-sets share most of their rows. ``ViewProduct`` multiplies the view once with
-the distinct rows of all of them (see ``distinct_rows``) and reduces that
-product once, for every set at once:
+sets share most of their rows: a row keeps its id (``FeatureBlock.ids``)
+wherever it is copied. ``ViewProduct`` multiplies the view once with the
+distinct rows of all the sets, found by id, and reduces that product once,
+for every set at once:
 
 - A row's nearest column does not depend on the set that holds it, so one
   row argmax over the distinct rows serves every set.
 - The distinct rows are grouped by the sets that hold them, so that the
   rows of one membership class lie in one block. Each block gives its
-  column max and the number of its rows that reach it. A set's column max
-  is the max over its own classes, and the rows reaching it are counted
-  from theirs.
-- A row pairs with its nearest column when it alone reaches its set's max
-  there, so every set's pairs come from one pass over the sets' rows.
+  column max, and a set's column max is the max over its own classes.
+- A row pairs with its nearest column when it alone among its set's rows
+  reaches the set's max there. A row that reaches it lies within the
+  acceptance radius of that column too, so only the product's entries
+  within the radius are counted, and every set's pairs come from one pass.
 
 ``mutual_nearest_pairs`` reads every set's pairs through the product, or
 one set's through its ``SetProduct``, and the insertion ranking
@@ -44,15 +45,13 @@ rankings, as a product of its own.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 BACKEND = "numpy"
 
-# odd multipliers mixing every word of a row into one sort key; rows that
-# differ in exactly one word never share a key
-_ROW_MIX = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F,
-                     0x165667B19E3779F9, 0xD6E8FEB86659FD93], dtype=np.uint64)
-_BASE_4 = 4 ** np.arange(32, dtype=np.uint64)
+_BIT = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 
 
 def bit_rows(a: np.ndarray) -> np.ndarray:
@@ -82,102 +81,114 @@ def _distance(dot: np.ndarray, n_bits: int) -> np.ndarray:
     return ((n_bits - dot) * 0.5).astype(np.int64)
 
 
-def _grouped_rows(words: np.ndarray):
-    """``(order, new)`` for the rows of packed ``words``: ``order`` lists the
-    rows so that equal rows come together, and ``new[i]`` is True where the
-    row at ``order[i]`` differs from the one before it.
-
-    Rows are sorted by one mixed 64-bit key each, which is the row itself
-    for one word; longer rows are then checked word by word. This costs a
-    seventh of ``np.unique(words, axis=0)`` and a third of ``np.unique`` on
-    whole rows (``BENCH_shared_product.json``, ``distinct_rows``)."""
-    n, n_words = words.shape
-    key = words @ np.resize(_ROW_MIX, n_words)  # wraps modulo 2**64
-    order = np.argsort(key)
-    key = key[order]
-    new = np.ones(n, dtype=bool)
-    np.not_equal(key[1:], key[:-1], out=new[1:])
-    if n_words == 1:  # odd multipliers: equal keys mean equal rows
-        return order, new
-    rows = words[order]
-    if not (new[1:] | (rows[1:] == rows[:-1]).all(axis=1)).all():
-        # two different rows share a key: sort the rows themselves
-        _, inverse = np.unique(words, axis=0, return_inverse=True)
-        order = np.argsort(inverse.reshape(n), kind="stable")
-        inverse = inverse.reshape(n)[order]
-        np.not_equal(inverse[1:], inverse[:-1], out=new[1:])
+def _grouped(keys: np.ndarray, kind=None):
+    """``(order, new)`` for the rows of ``keys`` (one integer key per row, or
+    a row of uint64 words): ``order`` lists the rows so that equal keys come
+    together, and ``new[i]`` is True where the key at ``order[i]`` differs
+    from the one before it."""
+    if keys.ndim > 1:  # longer keys are numbered first
+        keys = (keys[:, 0] if keys.shape[1] == 1 else np.unique(
+            keys, axis=0, return_inverse=True)[1].reshape(len(keys)))
+    order = np.argsort(keys, kind=kind)
+    keys = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
     return order, new
 
 
-def distinct_rows(words: np.ndarray):
-    """``(first, inverse)`` for the rows of packed ``words``: ``inverse[i]``
-    numbers row i's distinct value and ``first[u]`` is a row holding value
-    u. Two rows share a number exactly when they are equal in every word."""
-    order, new = _grouped_rows(words)
-    inverse = np.empty(words.shape[0], dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return order[new], inverse
+def _membership(owner: np.ndarray, starts: np.ndarray, k: int) -> np.ndarray:
+    """The sets holding each run of rows (runs starting at ``starts``, row i
+    held by set ``owner[i]`` of k), as ``(runs, ceil(k / 64))`` uint64 words
+    with bit ``s % 64`` of word ``s // 64`` set for each set s."""
+    n_words = -(-k // 64)
+    bit = _BIT[owner % 64 if n_words > 1 else owner]
+    if n_words > 1:
+        words = np.zeros((len(owner), n_words), dtype=np.uint64)
+        words[np.arange(len(owner)), owner // 64] = bit
+        bit = words
+    if not len(starts):
+        return np.zeros((0, n_words), dtype=np.uint64)
+    return np.bitwise_or.reduceat(bit, starts, axis=0).reshape(-1, n_words)
 
 
 class ViewProduct:
     """One view's product with the rows of several row sets, reduced once for
     all of them.
 
-    ``sets`` holds one ``(words, bits)`` pair per set: its packed rows and
-    their bit rows (see ``bit_rows``; packed words serve too). A single set
-    is multiplied as it is. Several are multiplied once per distinct row (see
-    ``distinct_rows``), grouped by membership: how often each set holds the
-    row, counted up to 2. The rows of one membership class form one block of
-    the product.
+    ``sets`` holds one ``(ids, bits)`` pair per set: an int64 id per row and
+    the rows' bit rows (see ``bit_rows``; packed words serve too). Rows that
+    share an id must share their bits: a block's rows carry such ids (see
+    ``features.FeatureBlock``). A single set is multiplied as it is, and its
+    ids are not read. Several are multiplied once per distinct id, found
+    with one integer sort, and grouped by membership: the sets that hold
+    the row. The rows of one membership class form one block of the product.
 
     The reductions are taken once:
 
-    - the row side, per distinct row: its nearest column (largest ``dot``,
+    - the row side, per product row: its nearest column (largest ``dot``,
       then lowest column), that ``dot`` and its distance;
-    - the column side, per class: the column max over the class's rows and
-      how many of them reach it. From these, per set: ``tops``, the column
-      max over the set's rows (the max over its classes), and ``reach``, how
-      many of its rows reach it (the counts of its classes at that max),
-      exact up to 2, which is all that pairing reads: a row the set holds
-      more than once counts at least twice.
+    - the column side, per class: the column max over the class's rows.
+      From these, per set, ``tops``: the column max over the set's rows (the
+      max over its classes).
+
+    Which of a set's rows reach its column max is not kept: ``pairs`` counts
+    them only where a row could pair, from the entries within its radius.
 
     ``pairs`` finds every set's mutual nearest pairs from them at once, and
     ``shares()`` gives each set's part (a ``SetProduct``). The product keeps
-    its operands, ``words`` (the sets' packed rows one after another) and
-    ``view``, and ``memo``, a dict in which callers keep what they derive
-    from it once for all its sets (see ``registration.register``).
+    its operands, ``ids`` (the sets' ids one after another) and ``view``,
+    and ``memo``, a dict in which callers keep what they derive from it once
+    for all its sets (see ``registration.register``).
     """
 
-    __slots__ = ("_dot", "tops", "reach", "_row", "_best", "_best_dot",
-                 "_dist", "_owner", "_cut", "_pairs", "words", "view", "memo")
+    __slots__ = ("_dot", "tops", "_class_max", "_bounds", "_class", "_held",
+                 "_twice", "_row", "_best", "_best_dot", "_dist", "_owner",
+                 "_cut", "_n_bits", "_pairs", "ids", "view", "memo")
 
     def __init__(self, view: np.ndarray, sets):
         sizes = [len(bits) for _, bits in sets]
         k = len(sets)
-        owner = np.repeat(np.arange(k), sizes)
-        if k == 1:  # one class, the set's rows as they are, and the empty
-            (words, bits), rows = sets[0], np.arange(sizes[0])
-            starts = np.zeros(min(sizes[0], 1), dtype=np.intp)
-            held = np.ones((len(starts) + 1, 1), dtype=np.uint8)
+        self._cut = np.array([0, *itertools.accumulate(sizes)])
+        self._twice = None  # set rows whose set holds their id twice
+        if k == 1:  # one class, the set's rows as they are
+            (ids, bits), = sets
+            n = sizes[0]
+            starts = [0] if n else []
+            self._owner = np.zeros(n, dtype=np.intp)
+            self._class = self._held = self._row = None
         else:
-            words = np.concatenate([w for w, _ in sets])
-            first, inverse = distinct_rows(words)
-            n = len(first)
-            n_words = -(-k // 32)  # a base-4 digit per set, 32 to a word
-            held = np.zeros((n, 32 * n_words), dtype=np.uint8)
-            held[:, :k] = np.minimum(np.bincount(
-                inverse * k + owner, minlength=n * k), 2).reshape(n, k)
-            order, new = _grouped_rows(held.reshape(n, n_words, 32) @ _BASE_4)
-            starts = np.flatnonzero(new)
-            held = np.concatenate((held[order[starts], :k],  # one per class
-                                   np.ones((1, k), dtype=np.uint8)))
-            rows = np.empty(n, dtype=np.intp)
-            rows[order] = np.arange(n)
-            rows = rows[inverse]
-            bits = np.concatenate([b for _, b in sets])[first[order]]
+            ids = np.concatenate([i for i, _ in sets])
+            self._owner = owner = np.repeat(np.arange(k), sizes)
+            # the rows of one id together, a set's in set order
+            by_id, new = _grouped(ids, "stable")
+            runs = new.nonzero()[0]
+            id_of = np.cumsum(new) - 1  # each sorted row's distinct id
+            owner = owner[by_id]
+            twice = ~new[1:] & (owner[1:] == owner[:-1])
+            if twice.any():
+                both = np.zeros(len(ids), dtype=bool)
+                both[1:] |= twice
+                both[:-1] |= twice
+                self._twice = np.empty_like(both)
+                self._twice[by_id] = both
+            member = _membership(owner, runs, k)
+            by_class, new = _grouped(member)
+            n = len(runs)
+            starts = new.nonzero()[0].tolist()
+            self._class = np.cumsum(new) - 1  # of each product row
+            # which sets hold each class, and a last, empty class that every
+            # set holds
+            held = np.unpackbits(member[by_class[new]].view(np.uint8), axis=1,
+                                 count=k, bitorder="little").view(bool)
+            self._held = np.concatenate((held, np.ones((1, k), dtype=bool)))
+            at = np.empty(n, dtype=np.intp)  # each distinct id's product row
+            at[by_class] = np.arange(n)
+            self._row = np.empty(len(ids), dtype=np.intp)
+            self._row[by_id] = at[id_of]
+            bits = np.concatenate([b for _, b in sets])[by_id[runs[by_class]]]
         dot, n_bits = _dot(bits, view)
-        self._dot = dot
-        n, n_cols = dot.shape
+        self._dot, self._n_bits = dot, n_bits
+        n_cols = dot.shape[1]
         if n_cols:
             best = dot.argmax(axis=1)
             best_dot = dot[np.arange(n), best]
@@ -186,36 +197,30 @@ class ViewProduct:
             best = np.zeros(n, dtype=np.intp)
             best_dot = np.zeros(n, dtype=np.float32)
             dist = np.full(n, np.iinfo(np.int64).max)
-        # one row per class, and a last, empty class: max -inf, reach 0
-        class_max = np.full((len(held), n_cols), -np.inf, dtype=np.float32)
-        class_reach = np.ones((len(held), n_cols), dtype=np.int32)
-        class_reach[-1] = 0
-        at_max = np.empty(dot.shape, dtype=bool)
-        bounds = [*starts.tolist(), n]
-        for top, reach, start, end in zip(class_max, class_reach, bounds,
-                                          bounds[1:]):
-            block = dot[start:end]
-            np.maximum.reduce(block, axis=0, out=top)
-            if end - start > 1:
-                np.equal(block, top, out=at_max[start:end])
-                np.add.reduce(at_max[start:end], axis=0, out=reach)
-        # every set's classes, the empty one last: no list is empty
-        member, classes = np.nonzero(held.T)
-        set_start = np.searchsorted(member, np.arange(k))
-        at = class_max[classes]
-        self.tops = np.maximum.reduceat(at, set_start, axis=0)
-        self.reach = np.add.reduceat(
-            (at == self.tops[member])
-            * (held.T[member, classes, None] * class_reach[classes]),
-            set_start, axis=0)
-        # the sets' rows one after another: product row, nearest column, its
-        # dot and distance, and set
-        self._row, self._best = rows, best[rows]
-        self._best_dot, self._dist = best_dot[rows], dist[rows]
-        self._cut = np.cumsum([0, *sizes])
-        self._owner = owner
+        # one row per class, and a last, empty class: max -inf
+        class_max = np.full((len(starts) + 1, n_cols), -np.inf,
+                            dtype=np.float32)
+        self._bounds = bounds = [*starts, n]
+        for top, start, end in zip(class_max, bounds, bounds[1:]):
+            np.maximum.reduce(dot[start:end], axis=0, out=top)
+        self._class_max = class_max
+        if k == 1:
+            self.tops = class_max[:1]  # the set's class, or the empty one
+        else:  # every set's classes, the empty one last: no list is empty
+            member, classes = np.nonzero(self._held.T)
+            self.tops = np.maximum.reduceat(
+                class_max[classes], np.searchsorted(member, np.arange(k)),
+                axis=0)
+        # the sets' rows one after another: nearest column, its dot and
+        # distance (and product row, see _row)
+        if self._row is None:
+            self._best, self._best_dot, self._dist = best, best_dot, dist
+        else:
+            rows = self._row
+            self._best, self._best_dot = best[rows], best_dot[rows]
+            self._dist = dist[rows]
         self._pairs = {}
-        self.words, self.view, self.memo = words, view, {}
+        self.ids, self.view, self.memo = ids, view, {}
 
     def shares(self) -> list:
         """Every set's share, in set order."""
@@ -227,30 +232,67 @@ class ViewProduct:
 
         A row within ``d_max`` of its nearest column pairs with it when its
         ``dot`` there is its set's column max and no other row of the set
-        reaches it: the classes of the set at that max count one row between
-        them. Where more rows reach it, the lowest of them is found in the
-        product itself; such ties are rare but for repeated rows.
+        reaches that max. A row that does lies within ``d_max`` of the
+        column too, so the rows reaching each candidate's max are counted
+        from the product's entries within ``d_max`` alone (see
+        ``_reached_once``). Where more than one row reaches it, the lowest of
+        them is found in the product itself; such ties are rare but for
+        repeated rows.
         """
         if d_max in self._pairs:
             return self._pairs[d_max]
-        near = np.flatnonzero(self._dist <= d_max)
+        near = (self._dist <= d_max).nonzero()[0]
         owner = self._owner[near]
         cols = self._best[near]
         top = self.tops[owner, cols]
         at_top = self._best_dot[near] == top
         near, owner, cols, top = (a[at_top] for a in (near, owner, cols, top))
-        keep = self.reach[owner, cols] == 1
-        for k in np.unique(owner[~keep]).tolist():
-            i = np.flatnonzero(~keep & (owner == k))
-            set_rows = self._row[self._cut[k]:self._cut[k + 1]]
-            lowest = (self._dot[set_rows[:, None], cols[i]] == top[i]).argmax(
-                axis=0)
-            keep[i] = lowest == near[i] - self._cut[k]
-        near, owner = near[keep], owner[keep]
+        if len(near):
+            keep = self._reached_once(near, owner, cols, d_max)
+            if not keep.all():
+                for k in np.unique(owner[~keep]).tolist():
+                    i = (~keep & (owner == k)).nonzero()[0]
+                    a, b = self._cut[k], self._cut[k + 1]
+                    set_rows = (np.arange(a, b) if self._row is None
+                                else self._row[a:b])
+                    lowest = (self._dot[set_rows[:, None], cols[i]]
+                              == top[i]).argmax(axis=0)
+                    keep[i] = lowest == near[i] - self._cut[k]
+                near, owner = near[keep], owner[keep]
         found = (np.searchsorted(owner, np.arange(len(self._cut))).tolist(),
                  near - self._cut[owner], self._best[near], self._dist[near])
         self._pairs[d_max] = found
         return found
+
+    def _reached_once(self, near, owner, cols, d_max: int) -> np.ndarray:
+        """Whether each candidate (set row near of set owner, at its nearest
+        column cols, where its dot is the set's column max) is the only row
+        of its set that reaches that max."""
+        dot, (k, n_cols) = self._dot, self.tops.shape
+        radius = self._n_bits - 2 * d_max  # as a dot
+        within = dot >= radius
+        class_max, bounds = self._class_max, self._bounds
+        if np.count_nonzero(within) > class_max.size:
+            # a wide radius: a row reaching a set's column max reaches its
+            # own class's max there, so count only the class maxima within it
+            for top, start, end in zip(np.maximum(class_max, radius), bounds,
+                                       bounds[1:]):
+                np.greater_equal(dot[start:end], top, out=within[start:end])
+        at = within.ravel().nonzero()[0]
+        row, col = np.divmod(at, n_cols)
+        value = dot.ravel()[at]
+        if k > 1:  # an entry counts for each set that holds its row and
+            # whose column max it is
+            entry, held_by = (self._held[self._class[row]]
+                              & (self.tops.T[col] == value[:, None])).nonzero()
+            col = held_by * n_cols + col[entry]
+            cols = owner * n_cols + cols
+        else:
+            col = col[self.tops[0, col] == value]
+        once = np.bincount(col, minlength=k * n_cols)[cols] == 1
+        if self._twice is not None:
+            once &= ~self._twice[near]
+        return once
 
 
 class SetProduct:
@@ -282,7 +324,7 @@ def mutual_nearest_pairs(a: np.ndarray, b: np.ndarray, d_max: int,
     the nearest neighbour are broken toward the lower index on both sides.
     ``share``, when given, is a's share of a ``ViewProduct`` with the view b
     (a ``SetProduct``), whose pairs are read instead of multiplying. It may
-    also be the ``ViewProduct`` itself, a then being its ``words`` and b its
+    also be the ``ViewProduct`` itself, a then being its ``ids`` and b its
     ``view``: every set's pairs come at once, as ``(cut, a_idx, b_idx,
     dist)`` (see ``ViewProduct.pairs``). Without a share, a and b make a
     one-set product.
@@ -291,7 +333,7 @@ def mutual_nearest_pairs(a: np.ndarray, b: np.ndarray, d_max: int,
         if a.shape[0] == 0 or b.shape[0] == 0:
             e = np.empty(0, dtype=np.int64)
             return e, e.copy(), e.copy()
-        share, = ViewProduct(b, [(a, a)]).shares()
+        share, = ViewProduct(b, [(None, a)]).shares()
     return share.pairs(d_max)
 
 

@@ -107,21 +107,32 @@ class RegistrationResult:
 
 def view_product(view_features, blocks) -> list:
     """Each block's share (a kernels.SetProduct) of the view's product with
-    the rows of all blocks: one matrix product over their distinct rows,
-    reduced once for all of them (see kernels.ViewProduct), and registered
-    once for all of them (see register). view_features is the view, or a
-    list with each block's view: frames that share their descriptors but
-    differ in x (see World.observe_offsets). A view without features matches
-    nothing, whatever width it was given."""
+    the rows of all blocks: one matrix product over their distinct rows (by
+    row id), reduced once for all of them (see kernels.ViewProduct), and
+    registered once for all of them (see register). view_features is the
+    view, or a list with each block's view: frames that share their
+    descriptors but differ in x (see World.observe_offsets). Blocks with
+    equal ids and x, registered against the same view, are one set of the
+    product: they get one share, and so one RegistrationResult. A view
+    without features matches nothing, whatever width it was given."""
     views = (view_features if isinstance(view_features, list)
              else [view_features] * len(blocks))
     view = views[0] if len(views[0]) else blocks[0].take(slice(0))
     if any(b.width != view.width for b in blocks):
         raise ValueError("map and view descriptor widths differ")
+    slots, sets, first = [], {}, []  # (view, ids, x) -> set of the product
+    for i, (b, v) in enumerate(zip(blocks, views)):
+        j = sets.setdefault((id(v), b.ids.tobytes(), b.x.tobytes()), len(sets))
+        if j == len(first):
+            first.append(i)
+        slots.append(j)
+    if len(first) < len(blocks):
+        blocks, views = [blocks[i] for i in first], [views[i] for i in first]
     product = kernels.ViewProduct(pack_features(view),
-                                  [(b.words, pack_features(b)) for b in blocks])
+                                  [(b.ids, pack_features(b)) for b in blocks])
     product.memo["sets"] = blocks, views
-    return product.shares()
+    shares = product.shares()
+    return [shares[j] for j in slots]
 
 
 def _owner(cut) -> np.ndarray:
@@ -152,7 +163,7 @@ def match_features(map_features, view_features, d_max: int = 64,
         map_features, view_features = [map_features], [view_features]
         product = view_product(view_features, map_features)[0].product
     cut, ai, bi, dist = kernels.mutual_nearest_pairs(
-        product.words, product.view, d_max, product)
+        product.ids, product.view, d_max, product)
     owner = _owner(cut)
     diff = _x_at(view_features, owner, bi) - _x_at(map_features, owner, ai)
     return Pairs(ai, bi, diff, dist, None if one else cut)
@@ -236,7 +247,8 @@ def classify_outcomes(map_size, pairs: Pairs, delta,
 def _register_sets(blocks: list, views: list, product,
                    p: RegistrationParams) -> list:
     """Every set's RegistrationResult, blocks[k] registered against views[k]
-    through their product, in one pass."""
+    through their product, in one pass. The results' arrays are read-only:
+    a result may serve several identical sets (see view_product)."""
     pairs = match_features(blocks, views, p.d_max, product)
     delta = histogram_vote(pairs.diff, p.bin_width, p.image_width,
                            p.min_votes, pairs.cut)
@@ -247,6 +259,8 @@ def _register_sets(blocks: list, views: list, product,
                           minlength=len(sizes)).tolist()
     cut, mi, vi, diff, dist = (pairs.cut, pairs.map_idx, pairs.view_idx,
                                pairs.diff, pairs.dist)
+    for a in (outcomes, mi, vi, diff, dist):
+        a.flags.writeable = False
     results = []
     for s, d in enumerate(delta.tolist()):
         a, b = cut[s], cut[s + 1]

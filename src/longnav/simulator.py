@@ -103,7 +103,7 @@ class Frame:
 
     location: int
     time: float
-    features: FeatureBlock  # x, y and words only
+    features: FeatureBlock  # x, y, words and row ids only
     gamma: float  # ground-truth shift in pixels
 
 

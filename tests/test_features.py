@@ -162,3 +162,21 @@ def test_concat_rejects_models_with_different_periods():
     b = _rows(1, 5, temporal=FremenModel((3600.0,), 1))
     with pytest.raises(ValueError, match="different periods"):
         concat(a, b)
+
+
+def test_row_ids_travel_with_their_rows():
+    # a new block gets ids no other row has; every block operation carries
+    # each row's id along with its descriptor
+    a, b = _rows(4, 0), _rows(3, 10)
+    assert a.ids.dtype == np.int64
+    assert len({*a.ids.tolist(), *b.ids.tolist()}) == 7
+    for idx in ([2, 0, 2], np.array([True, False, True, True]), slice(1, 3)):
+        assert np.array_equal(a.take(idx).ids, a.ids[idx])
+    assert concat(a, b).ids.tolist() == [*a.ids.tolist(), *b.ids.tolist()]
+    assert concat(a, None).ids is a.ids
+    for same in (a.with_x(a.x + 1.0), a.as_map(3), a.copy_state()):
+        assert np.array_equal(same.ids, a.ids)
+    path = PathMap([LocalMap(0, 0.0, a, [b.as_map(2)])])
+    copy = path.copy().local_maps[0]
+    assert np.array_equal(copy.features.ids, a.ids)
+    assert np.array_equal(copy.alternatives[0].ids, b.ids)

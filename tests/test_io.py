@@ -50,6 +50,27 @@ def test_dataset_rewrite_is_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_reads_give_fresh_row_ids_that_no_file_holds(tmp_path):
+    # each read makes new blocks, with ids no earlier row has; writing the
+    # rows again gives the same bytes whatever their ids
+    frames = list(generate_frames(small_world(), 1, 100.0))
+    p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    write_dataset(frames, p1)
+    first, second = list(read_dataset(p1)), list(read_dataset(p1))
+    seen = [f.features.ids for _, f in frames + first + second]
+    assert len(np.unique(np.concatenate(seen))) == sum(map(len, seen))
+    write_dataset(second, p2)
+    assert p1.read_bytes() == p2.read_bytes()
+    s1, s2 = tmp_path / "a.json", tmp_path / "b.json"
+    write_map_snapshot(teach(small_world()), s1)
+    back = read_map_snapshot(s1)
+    assert not np.intersect1d(back.local_maps[0].features.ids,
+                              read_map_snapshot(s1).local_maps[0].features.ids
+                              ).size
+    write_map_snapshot(back, s2)
+    assert s1.read_bytes() == s2.read_bytes()
+
+
 def test_dataset_frame_without_features_round_trips(tmp_path):
     frames = list(generate_frames(small_world(), 1, 100.0))
     tr, f = frames[0]

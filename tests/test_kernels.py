@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from longnav import kernels
 
-from blocks import (ROW, Descriptor, hamming_matrix, popcount_words,
-                    shared_sets)
+from blocks import Descriptor, hamming_matrix, popcount_words, shared_sets
 
 
 def bit_loop_distance(a_words, b_words, width):
@@ -163,13 +162,29 @@ def argmin_pairs(m, d_max):
             if best_a[j] == i and m[i, j] <= d_max]
 
 
+def value_ids(sets):
+    """Row ids for each of the sets (packed rows): equal rows share an id,
+    across sets too, as rows copied from one block into others do."""
+    rows = np.concatenate(sets)
+    ids = np.unique(rows, axis=0, return_inverse=True)[1].reshape(len(rows))
+    return np.split(ids, np.cumsum([len(w) for w in sets])[:-1])
+
+
+def fresh_ids(sets):
+    """Row ids for each of the sets: every row its own, equal or not."""
+    return np.split(np.arange(sum(map(len, sets))),
+                    np.cumsum([len(w) for w in sets])[:-1])
+
+
 def assert_pairs_match_argmin(view, sets, d_maxes):
     """For each d_max, ``mutual_nearest_pairs`` of every set with the view
     gives the argmin definition's pairs and int64 arrays, whether handed ±1
     bit rows, packed words or the set's share of a ``ViewProduct`` over all
     the sets. The view and each set are ``(words, bits)`` pairs."""
     view_words, view_bits = view
-    shares = kernels.ViewProduct(view_bits, sets).shares()
+    ids = value_ids([w for w, _ in sets])
+    shares = kernels.ViewProduct(
+        view_bits, [(i, bits) for i, (_, bits) in zip(ids, sets)]).shares()
     for (words, bits), share in zip(sets, shares):
         m = hamming_matrix(bits, view_bits)
         for d_max in d_maxes:
@@ -252,50 +267,26 @@ def test_self_nearest_excludes_self():
     assert d2[3] == 0 and d2[7] == 0
 
 
-@given(st.lists(ROW, max_size=30))
-@settings(max_examples=60, deadline=None)
-def test_distinct_rows_numbers_equal_rows_alike(rows):
-    words = np.array(rows, dtype=np.uint64).reshape(len(rows), 2)
-    first, inverse = kernels.distinct_rows(words)
-    assert np.array_equal(words[first[inverse]], words)
-    same_row = (words[:, None] == words[None]).all(axis=2)
-    assert np.array_equal(inverse[:, None] == inverse[None], same_row)
-    assert len(first) == len(set(rows))
-
-
-def test_distinct_rows_tells_apart_rows_sharing_a_sort_key():
-    # w0*M0 + w1*M1 (mod 2**64) is unchanged by w0 += M1, w1 -= M0
-    m0, m1 = (int(v) for v in kernels._ROW_MIX[:2])
-    a = (12345, 678)
-    b = ((a[0] + m1) % 2**64, (a[1] - m0) % 2**64)
-    assert (a[0] * m0 + a[1] * m1) % 2**64 == (b[0] * m0 + b[1] * m1) % 2**64
-    first, inverse = kernels.distinct_rows(np.array([a, b, a, b],
-                                                    dtype=np.uint64))
-    assert len(first) == 2
-    assert inverse[0] == inverse[2] != inverse[1] == inverse[3]
-
-
 def assert_product_reduces_each_set_as_its_own(view_words, set_words):
     """A ``ViewProduct`` over all the sets gives each set the column max,
-    the reach count (exact up to 2), the insertion ranking's maxima and the
-    pairs, at every radius, that the set's own product gives."""
+    the insertion ranking's maxima and the pairs, at every radius, that the
+    set's own product gives, whether equal rows share an id or not."""
     view = kernels.bit_rows(view_words)
-    product = kernels.ViewProduct(
-        view, [(w, kernels.bit_rows(w)) for w in set_words])
-    shares = product.shares()
     cols = np.arange(len(view_words))
-    for k, (w, share) in enumerate(zip(set_words, shares)):
-        own = kernels._dot(w, view_words)[0]
-        top = own.max(axis=0, initial=-np.inf)
-        assert np.array_equal(product.tops[k], top)
-        assert np.array_equal(np.minimum(product.reach[k], 2),
-                              np.minimum((own == top).sum(axis=0), 2))
-        assert np.array_equal(share.top(cols[::-1]), top[::-1])
-        for d_max in (0, 16, 64, 128):
-            shared = kernels.mutual_nearest_pairs(w, view_words, d_max, share)
-            alone = kernels.mutual_nearest_pairs(w, view_words, d_max)
-            for got, want in zip(shared, alone):
-                assert np.array_equal(got, want) and got.dtype == want.dtype
+    for ids in (value_ids(set_words), fresh_ids(set_words)):
+        product = kernels.ViewProduct(
+            view, [(i, kernels.bit_rows(w)) for i, w in zip(ids, set_words)])
+        for k, (w, share) in enumerate(zip(set_words, product.shares())):
+            own = kernels._dot(w, view_words)[0]
+            top = own.max(axis=0, initial=-np.inf)
+            assert np.array_equal(product.tops[k], top)
+            assert np.array_equal(share.top(cols[::-1]), top[::-1])
+            for d_max in (0, 16, 32, 64, 128):
+                shared = kernels.mutual_nearest_pairs(w, view_words, d_max,
+                                                      share)
+                alone = kernels.mutual_nearest_pairs(w, view_words, d_max)
+                for got, want in zip(shared, alone):
+                    assert np.array_equal(got, want) and got.dtype == want.dtype
 
 
 @given(shared_sets())
@@ -312,18 +303,25 @@ def rows_of(*values):
     return np.array(values, dtype=np.uint64)[:, None]
 
 
+def product_of(view, sets, ids=value_ids):
+    """The ``ViewProduct`` of view with sets (packed rows), rows given ids
+    by ``ids``."""
+    return kernels.ViewProduct(view, list(zip(ids(sets), sets)))
+
+
 def test_a_row_held_twice_by_a_set_counts_twice():
     # set 0 holds row 0b0011 twice (its rows 1 and 3), set 1 once: at view
     # column 0 two of set 0's rows reach the max, so only the lower pairs
     view = rows_of(0b0011, 0b1111_0000)
     sets = [rows_of(0b1000_0000_0000, 0b0011, 0b0111_0000, 0b0011),
             rows_of(0b0011, 0b1111_0001)]
-    product = kernels.ViewProduct(view, [(w, w) for w in sets])
-    assert product.reach[:, 0].tolist() == [2, 1]
-    pairs = [kernels.mutual_nearest_pairs(w, view, 64, share)
-             for w, share in zip(sets, product.shares())]
-    assert [[p.tolist() for p in got] for got in pairs] == [
-        [[1, 2], [0, 1], [0, 1]], [[0, 1], [0, 1], [0, 1]]]
+    for ids in (value_ids, fresh_ids):
+        product = product_of(view, sets, ids)
+        assert product.tops[:, 0].tolist() == [64, 64]
+        pairs = [kernels.mutual_nearest_pairs(w, view, 64, share)
+                 for w, share in zip(sets, product.shares())]
+        assert [[p.tolist() for p in got] for got in pairs] == [
+            [[1, 2], [0, 1], [0, 1]], [[0, 1], [0, 1], [0, 1]]]
     assert_product_reduces_each_set_as_its_own(view, sets)
 
 
@@ -333,16 +331,17 @@ def test_two_classes_tied_at_a_columns_max():
     # reached by one row of each class, and the lower row pairs
     view = rows_of(0b0111)
     sets = [rows_of(0b0101, 0b0011), rows_of(0b1000, 0b0101)]
-    product = kernels.ViewProduct(view, [(w, w) for w in sets])
-    assert product.reach[:, 0].tolist() == [2, 1]
-    got = kernels.mutual_nearest_pairs(sets[0], view, 64,
-                                     product.shares()[0])
-    assert [p.tolist() for p in got] == [[0], [0], [1]]
+    product = product_of(view, sets)
+    assert product.tops[:, 0].tolist() == [62, 62]
+    got = [kernels.mutual_nearest_pairs(w, view, 64, share)
+           for w, share in zip(sets, product.shares())]
+    assert [[p.tolist() for p in pairs] for pairs in got] == [
+        [[0], [0], [1]], [[1], [0], [1]]]
     assert_product_reduces_each_set_as_its_own(view, sets)
 
 
 def test_a_product_over_more_than_64_sets():
-    # membership keys hold a base-4 digit per set, 32 sets to a word
+    # membership keys hold a bit per set, 64 sets to a word
     rng = np.random.default_rng(9)
     pool = random_words(rng, 12, 256)
     view = pool[rng.integers(0, 12, 20)] ^ np.uint64(1)
@@ -356,8 +355,8 @@ def test_a_view_without_features_pairs_nothing():
     rng = np.random.default_rng(10)
     sets = [random_words(rng, n, 256) for n in (5, 0, 3)]
     view = random_words(rng, 0, 256)
-    product = kernels.ViewProduct(view, [(w, w) for w in sets])
-    assert product.tops.shape == product.reach.shape == (3, 0)
+    product = product_of(view, sets)
+    assert product.tops.shape == (3, 0)
     assert [len(p) for p in product.pairs(10**6)[1:]] == [0, 0, 0]
     for w, share in zip(sets, product.shares()):
         got = kernels.mutual_nearest_pairs(w, view, 256, share)
@@ -370,8 +369,8 @@ def test_a_one_set_product_keeps_its_repeated_rows():
     # one set is multiplied as it is, its repeated rows counted one by one
     view = rows_of(0b0110, 0b1001)
     rows = rows_of(0b0110, 0b1000, 0b0110)
-    product = kernels.ViewProduct(view, [(rows, rows)])
-    assert product.reach[0].tolist() == [2, 1]
+    product = product_of(view, [rows])
+    assert product.tops[0].tolist() == [64, 62]
     got = kernels.mutual_nearest_pairs(rows, view, 64, *product.shares())
     assert [p.tolist() for p in got] == [[0, 1], [0, 1], [0, 1]]
     assert_product_reduces_each_set_as_its_own(view, [rows])
@@ -387,3 +386,53 @@ def test_nearest_distances_multiplies_only_rows_not_handed_in(n_rows):
     top = kernels._dot(a, b[rows])[0].max(axis=1, initial=-np.inf)
     assert np.array_equal(kernels.nearest_distances(a, b, top, rows),
                           kernels.nearest_distances(a, b))
+
+
+def test_equal_rows_under_different_ids_pair_only_the_lowest_row():
+    # set 0's rows 1 and 2 are equal but carry their own ids, so they are
+    # two product rows; both reach view column 0's max, and only the lower
+    # pairs. Set 1 holds row 2's id
+    view = rows_of(0b0011, 0b1100)
+    sets = [rows_of(0b0111, 0b0011, 0b0011), rows_of(0b0011)]
+    product = kernels.ViewProduct(
+        view, [(np.array([5, 7, 9]), sets[0]), (np.array([9]), sets[1])])
+    got = [[p.tolist() for p in kernels.mutual_nearest_pairs(w, view, 64, s)]
+           for w, s in zip(sets, product.shares())]
+    assert got == [[[1], [0], [0]], [[0], [0], [0]]]
+    assert_product_reduces_each_set_as_its_own(view, sets)
+
+
+def test_a_tie_across_classes_at_a_wide_radius():
+    # at d_max 64 every entry of these 64-bit rows lies within the radius,
+    # so only class maxima are counted. Set 0's rows 0 and 1 tie at view
+    # column 0 from different classes (set 1 also holds row 1): only row 0
+    # pairs there
+    view = rows_of(0b1111, 0b1111_0000_0000)
+    sets = [rows_of(0b0111, 0b1110, 0b1111_0000_0001, 0b1111_0000_0011),
+            rows_of(0b1110)]
+    product = product_of(view, sets)
+    got = [[p.tolist() for p in kernels.mutual_nearest_pairs(w, view, 64, s)]
+           for w, s in zip(sets, product.shares())]
+    assert got == [[[0, 2], [0, 1], [1, 1]], [[0], [0], [1]]]
+    assert_product_reduces_each_set_as_its_own(view, sets)
+
+
+def test_wide_radius_products_match_each_sets_own():
+    # 128-bit rows, as the CLI writes them: at d_max 64 about half of all
+    # entries lie within the radius, and at 128 every one does
+    rng = np.random.default_rng(11)
+    pool = random_words(rng, 40, 128)
+    sparse_bits = (random_words(rng, 25, 128) & random_words(rng, 25, 128)
+                   & random_words(rng, 25, 128))
+    view = np.vstack([pool[rng.choice(40, 25)] ^ sparse_bits,
+                      random_words(rng, 10, 128)])
+    sets = [pool[rng.choice(40, n)] for n in (30, 12, 30, 0, 25, 1)]
+    assert_product_reduces_each_set_as_its_own(view, sets)
+    for d_max in (32, 64, 128):  # rows far apart still pair at 128
+        assert len(product_of(view, sets).pairs(d_max)[1]) > 0
+    # 8 varying bits per row: every entry lies within the radius and
+    # distances tie often, within a class and across classes
+    pool &= np.uint64(0xF)
+    view = pool[rng.choice(40, 30)]
+    assert_product_reduces_each_set_as_its_own(
+        view, [pool[rng.choice(40, n)] for n in (30, 12, 30, 0, 25, 1)])

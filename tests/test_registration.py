@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from longnav.errors import ConfigError
+from longnav.features import concat
 from longnav.registration import (MatchOutcome, Pairs, RegistrationParams,
                                   classify_outcomes, histogram_vote,
                                   match_features, register, view_product)
@@ -302,3 +303,54 @@ def test_one_pass_over_a_product_registers_each_set_as_alone():
     assert len(results[3].pairs) == 2 and len(results[2].pairs) == 0
     assert results[6].delta == pytest.approx(results[7].delta - 25.0)
     assert register(sets[0], view, params, shares[0]) is results[0]
+
+
+def test_identical_sets_share_one_read_only_result():
+    # sets holding the same rows (ids) at the same x, registered against one
+    # view, are one set of the product: one share and one result, whose
+    # arrays cannot be written through
+    rng = np.random.default_rng(13)
+    taught_rows = [rand_feature(rng, x=rng.uniform(100, 500)) for _ in range(30)]
+    taught = block(taught_rows)
+    view = block(shifted_view(taught_rows, 12.0, rng))
+    sets = [taught, taught.copy_state(), taught.take(np.arange(30)),
+            taught.with_x(taught.x + 1.0), taught]
+    views = [view] * 4 + [view.with_x(view.x)]  # another frame, same rows
+    params = RegistrationParams()
+    shares = view_product(views, sets)
+    assert shares[0] is shares[1] is shares[2]
+    assert len({id(s) for s in shares}) == 3
+    results = [register(m, v, params, s) for m, v, s in zip(sets, views, shares)]
+    assert results[0] is results[1] is results[2]
+    assert results[3] is not results[0] and results[4] is not results[0]
+    for m, v, got in zip(sets, views, results):
+        want = register(m, v, params)
+        assert got.delta == want.delta is not None
+        assert np.array_equal(got.outcomes, want.outcomes)
+    shared = results[0]
+    for a in (shared.outcomes, shared.pairs.map_idx, shared.pairs.view_idx,
+              shared.pairs.diff, shared.pairs.dist):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+
+
+def test_equal_rows_under_other_ids_pair_only_the_lower_row():
+    # rows with one descriptor under their own ids (as two reads of one
+    # dataset give them) are two product rows; a set holding both pairs only
+    # the lower one, as a product of its own does
+    rng = np.random.default_rng(14)
+    rows = [rand_feature(rng, x=rng.uniform(100, 500)) for _ in range(20)]
+    base, twin = block(rows), block(rows)
+    assert not np.intersect1d(base.ids, twin.ids).size
+    both = concat(base, twin)
+    view = block(shifted_view(rows, 12.0, rng))
+    params = RegistrationParams()
+    sets = [both, twin, base]
+    shares = view_product(view, sets)
+    assert len({id(s) for s in shares}) == 3
+    for m, share in zip(sets, shares):
+        got, want = register(m, view, params, share), register(m, view, params)
+        assert np.array_equal(got.pairs.map_idx, want.pairs.map_idx)
+        assert np.array_equal(got.outcomes, want.outcomes)
+    pairs = register(both, view, params, shares[0]).pairs
+    assert len(pairs) and (pairs.map_idx < 20).all()

@@ -392,6 +392,36 @@ def test_replay_split_and_resumed_from_written_maps_logs_as_one_replay(
     assert len(logs[0]) == 3 * 40
 
 
+def test_strategies_inserting_one_views_rows_share_their_ids():
+    # latest inserts the whole view and aggressive some of its rows: both
+    # maps hold those rows under the view's ids, so a product with the next
+    # view multiplies each of them once
+    frames = scarce_bimodal_stream(traversals=1)
+    (_, view), = [f for f in frames if f[0] == 1 and f[1].location == 0]
+    paths, _ = replay_frames(frames, [StrategyConfig(kind="latest"),
+                                      StrategyConfig(kind="aggressive")])
+    latest, aggressive = (p.local_maps[0].features for p in paths)
+    assert np.array_equal(latest.ids, view.features.ids)
+    inserted = aggressive.inserted_at == 1
+    row_of = {i: r for r, i in enumerate(view.features.ids.tolist())}
+    rows = [row_of[i] for i in aggressive.ids[inserted].tolist()]
+    assert rows and np.array_equal(aggressive.words[inserted],
+                                   view.features.words[rows])
+
+
+def test_observe_gives_fresh_ids_and_one_draws_frames_share_them():
+    # 0.3 m keeps other landmarks in the image: a draw of its own
+    w = World(small_cfg(landmarks_per_location=300, seed=16))
+    offsets = [0.0, 0.0, 0.3]
+    rngs = [np.random.default_rng(3) for _ in offsets]
+    same, also, moved = (f.features for f in
+                         w.observe_offsets(1, 7200.0, offsets, rngs))
+    assert np.array_equal(same.ids, also.ids) and len(moved)
+    assert not np.intersect1d(same.ids, moved.ids).size
+    again = w.observe(1, 7200.0, 0.0, np.random.default_rng(3)).features
+    assert not np.intersect1d(same.ids, again.ids).size
+
+
 def test_observe_offsets_matches_observe_per_offset():
     # 0.3 m shifts the view by 60 px, so the offsets keep different landmarks
     # in the image; 1e-9 m moves x without moving any landmark across an edge
