@@ -20,7 +20,7 @@ def _rows(a, idx):
 _next_id = 0  # rows of any two blocks may meet in one product
 
 
-def fresh_ids(n: int) -> np.ndarray:
+def _fresh_ids(n: int) -> np.ndarray:
     """n int64 row ids that no row has had before in this process."""
     global _next_id
     start, _next_id = _next_id, _next_id + n
@@ -43,7 +43,7 @@ class FeatureBlock:
     of the descriptors (see ``pack_features``) are computed once and travel
     with the rows, so rows kept or moved between blocks are never unpacked
     again. So does each row's ``ids`` entry (int64): a new block gets fresh
-    ids (see ``fresh_ids``), and rows that share an id share their
+    ids (see ``_fresh_ids``), and rows that share an id share their
     descriptor, so a product with a view multiplies them once (see
     ``kernels.ViewProduct``). Ids live in memory only; no file holds them.
     """
@@ -61,7 +61,7 @@ class FeatureBlock:
         self.inserted_at = inserted_at
         self.score = score
         self.temporal = temporal
-        self.ids = fresh_ids(x.shape[0]) if ids is None else ids
+        self.ids = _fresh_ids(x.shape[0]) if ids is None else ids
         self._bits = bits
 
     def __len__(self) -> int:
@@ -82,7 +82,7 @@ class FeatureBlock:
 
     def with_x(self, x) -> "FeatureBlock":
         """The same rows at new x positions, without strategy state; y,
-        descriptors and bit rows are shared."""
+        descriptors, ids and bit rows are shared."""
         return FeatureBlock(x, self.y, self.words, self.width, ids=self.ids,
                             bits=self._bits)
 
