@@ -74,27 +74,37 @@ class RunConfig:
                               f"world.image_width {self.world.image_width}")
 
 
+def _object(v, name: str) -> dict:
+    """A copy of v; ConfigError unless it is a JSON object."""
+    if not isinstance(v, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {type(v).__name__}")
+    return dict(v)
+
+
 def run_config_from_dict(doc: dict) -> RunConfig:
-    doc = dict(doc)
+    doc = _object(doc, "the config")
     for drop in ("out",):  # output location comes from the command line
         doc.pop(drop, None)
     try:
-        world_doc = dict(doc.pop("world", {}))
+        world_doc = _object(doc.pop("world", {}), "world")
         for key in ("visibility_mean", "visibility_amp", "visibility_phases"):
             if isinstance(world_doc.get(key), list):
                 world_doc[key] = tuple(world_doc[key])
         world = WorldConfig(**world_doc)
 
+        entries = doc.pop("strategies", [])
+        if not isinstance(entries, list):
+            raise ConfigError(f"strategies must be a list, got "
+                              f"{type(entries).__name__}")
         strategies = []
-        for entry in doc.pop("strategies", []):
-            if isinstance(entry, str):
-                entry = {"kind": entry}
-            entry = dict(entry)
+        for entry in entries:
+            entry = ({"kind": entry} if isinstance(entry, str)
+                     else _object(entry, "a strategies entry"))
             if isinstance(entry.get("fremen_periods"), list):
                 entry["fremen_periods"] = tuple(entry["fremen_periods"])
             strategies.append(StrategyConfig(**entry))
 
-        reg_doc = dict(doc.pop("registration", {}))
+        reg_doc = _object(doc.pop("registration", {}), "registration")
         reg_doc.setdefault("image_width", world.image_width)
         registration = RegistrationParams(**reg_doc)
 

@@ -86,6 +86,12 @@ class FeatureBlock:
         return FeatureBlock(x, self.y, self.words, self.width, ids=self.ids,
                             bits=self._bits)
 
+    def in_image(self, image_width: int) -> bool:
+        """Every row's x lies in [0, image_width), the range registration's
+        histogram spans."""
+        x = self.x
+        return not len(x) or bool(x.min() >= 0.0 and x.max() < image_width)
+
     def as_map(self, inserted_at: int, temporal=None) -> "FeatureBlock":
         """The same rows as a fresh map block: inserted at one traversal,
         score 0, the given temporal model for every row."""

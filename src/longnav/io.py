@@ -233,19 +233,29 @@ def write_map_snapshot(path_map: PathMap, path) -> None:
     Path(path).write_text(json.dumps(doc, separators=(",", ":")) + "\n")
 
 
+def _in_image(block: FeatureBlock, image_width: int, what: str) -> FeatureBlock:
+    """block; ValueError naming what unless every row has x in [0,
+    image_width)."""
+    if not block.in_image(image_width):
+        raise ValueError(f"{what} has a feature x outside [0, {image_width})")
+    return block
+
+
 def read_map_snapshot(path) -> PathMap:
     """The PathMap of a snapshot file. A bad value, a local map whose taught
-    set has no rows, and an alternative without rows or with rows inserted at
-    another traversal than its created_at are rejected with DatasetError
-    naming the file."""
+    set has no rows, an alternative without rows or with rows inserted at
+    another traversal than its created_at, and a set with a feature x outside
+    [0, image_width) are rejected with DatasetError naming the file."""
     p = Path(path)
     try:
         doc = json.loads(p.read_text())
         width = _integer(doc["descriptor_width"], "descriptor_width")
+        image_width = _integer(doc["image_width"], "image_width")
         maps = []
         for lm in doc["local_maps"]:
             index = _integer(lm["index"], "index")
-            feats = _block(lm["features"], width, state=True)
+            feats = _in_image(_block(lm["features"], width, state=True),
+                              image_width, f"local map {index}'s taught set")
             if not len(feats):
                 raise ValueError(f"local map {index}'s taught set has no rows")
             alts = []
@@ -257,12 +267,12 @@ def read_map_snapshot(path) -> PathMap:
                     raise ValueError(f"local map {index} has an alternative "
                                      f"created at {created} whose rows were "
                                      f"inserted at {inserted}")
-                alts.append(alt)
+                alts.append(_in_image(alt, image_width,
+                                      f"local map {index}'s alternative "
+                                      f"created at {created}"))
             odometry = _number(lm["odometry_distance"], "odometry_distance")
             maps.append(LocalMap(index, odometry, feats, alts))
-        return PathMap(maps,
-                       image_width=_integer(doc["image_width"], "image_width"),
-                       descriptor_width=width,
+        return PathMap(maps, image_width=image_width, descriptor_width=width,
                        taught_at=_number(doc.get("taught_at", 0.0), "taught_at"))
     except _BAD as e:
         raise DatasetError(f"{p}: bad map snapshot: {e}") from e

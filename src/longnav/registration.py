@@ -60,35 +60,29 @@ class Pairs:
         return self.map_idx.shape[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class RegistrationParams:
-    """Tunables for one registration pass.
+    """Settings of one registration pass, one value for every stage.
 
     d_max is the Hamming acceptance radius (default width/4 for 256-bit
-    descriptors). tolerance defaults to bin_width when left as None. min_votes
-    is the smallest winning-bin count accepted as consensus.
+    descriptors). bin_width is the vote's bin, and a pair counts as matched
+    correctly within one bin_width of delta. min_votes is the smallest
+    winning-bin count accepted as consensus.
     """
 
     d_max: int = 64
     bin_width: float = 10.0
     image_width: int = 640
     min_votes: int = 3
-    tolerance: float | None = None
 
     def __post_init__(self):
-        t = self.tolerance
         check_settings(self, [
             ("d_max", is_int(self.d_max, 0), "a non-negative integer"),
             ("bin_width", in_range(self.bin_width, 0.0) and self.bin_width > 0,
              "finite and > 0"),
             *((name, is_int(getattr(self, name), 1), "a positive integer")
               for name in ("image_width", "min_votes")),
-            ("tolerance", t is None or in_range(t, 0.0),
-             "null or finite and >= 0"),
         ])
-
-    def effective_tolerance(self) -> float:
-        return self.bin_width if self.tolerance is None else self.tolerance
 
 
 @dataclass
@@ -180,21 +174,19 @@ def _bins(bin_width: float, image_width: int):
     return n_bins, np.lexsort((centers, np.abs(centers)))
 
 
-def histogram_vote(diff, bin_width: float = 10.0, image_width: int = 640,
-                   min_votes: int = 1, cut=None):
+def histogram_vote(diff, params: RegistrationParams, cut=None):
     """Estimate the shift delta from the matched pairs' differences.
 
     Differences are binned over [-W, W]; the winning bin is the most populated
     one (ties prefer the center closer to zero, then the lower center) and
     delta is the mean of the differences inside it. None when there are no
-    pairs or the winning bin holds fewer than min_votes entries.
+    pairs or the winning bin holds fewer than params.min_votes entries.
 
     cut, when given, splits diff into sets, set k's differences being
     diff[cut[k]:cut[k + 1]] (see Pairs.cut): every set is voted on at once,
     and a float64 array of their deltas is returned, NaN where a vote fails.
     """
-    if bin_width <= 0:
-        raise ValueError("bin_width must be positive")
+    bin_width, image_width = params.bin_width, params.image_width
     diffs = np.asarray(diff, dtype=np.float64)
     one = cut is None
     if one:
@@ -215,7 +207,7 @@ def histogram_vote(diff, bin_width: float = 10.0, image_width: int = 640,
     inside = diffs[idx == win[owner]]
     end, votes = np.add.accumulate(top).tolist(), top.tolist()
     delta = np.full(k, np.nan)
-    for s in np.flatnonzero(top >= max(min_votes, 1)).tolist():
+    for s in np.flatnonzero(top >= params.min_votes).tolist():
         delta[s] = np.add.reduce(inside[end[s] - votes[s]:end[s]]) / votes[s]
     if one:
         return None if math.isnan(delta[0]) else float(delta[0])
@@ -223,9 +215,10 @@ def histogram_vote(diff, bin_width: float = 10.0, image_width: int = 640,
 
 
 def classify_outcomes(map_size, pairs: Pairs, delta,
-                      tolerance: float = 10.0) -> np.ndarray:
+                      params: RegistrationParams) -> np.ndarray:
     """One int8 outcome per map feature; failed registration means all
-    NotMatched.
+    NotMatched. A pair is matched correctly within params.bin_width of
+    delta.
 
     For several sets' pairs (see Pairs.cut), map_size and delta hold one
     value per set, delta NaN where registration failed (as histogram_vote
@@ -238,9 +231,10 @@ def classify_outcomes(map_size, pairs: Pairs, delta,
     outcomes = np.zeros(start[-1], dtype=np.int8)  # NotMatched
     owner = _owner(cut)
     off = np.abs(pairs.diff - np.asarray(delta, dtype=np.float64)[owner])
-    # NaN, a failed set's, is neither within tolerance nor beyond it
+    # NaN, a failed set's, is neither within one bin nor beyond it
+    w = params.bin_width
     outcomes[start[owner] + pairs.map_idx] = np.where(
-        off <= tolerance, _C, np.where(off > tolerance, _I, _N))
+        off <= w, _C, np.where(off > w, _I, _N))
     return outcomes
 
 
@@ -250,10 +244,9 @@ def _register_sets(blocks: list, views: list, product,
     through their product, in one pass. The results' arrays are read-only:
     a result may serve several identical sets (see view_product)."""
     pairs = match_features(blocks, views, p.d_max, product)
-    delta = histogram_vote(pairs.diff, p.bin_width, p.image_width,
-                           p.min_votes, pairs.cut)
+    delta = histogram_vote(pairs.diff, p, pairs.cut)
     sizes = [len(b) for b in blocks]
-    outcomes = classify_outcomes(sizes, pairs, delta, p.effective_tolerance())
+    outcomes = classify_outcomes(sizes, pairs, delta, p)
     start = [0, *itertools.accumulate(sizes)]
     correct = np.bincount(_owner(start)[outcomes == _C],
                           minlength=len(sizes)).tolist()
@@ -276,15 +269,13 @@ def register(map_features, view_features,
              share=None) -> RegistrationResult:
     """Full registration pass; failure is reported as delta None, never
     raised. share, when given, is the map rows' share of a product with the
-    view (see view_product): the first register call on a product registers
-    every set of it at once, for these params, and each call returns its own
-    set's result."""
+    view (see view_product): the first register call on a product with
+    params equal to these registers every set of it at once, and each call
+    returns its own set's result."""
     p = params or RegistrationParams()
     if share is None:
         share, = view_product(view_features, [map_features])
     memo = share.product.memo
-    key = (p.d_max, p.bin_width, p.image_width, p.min_votes,
-           p.effective_tolerance())
-    if key not in memo:
-        memo[key] = _register_sets(*memo["sets"], share.product, p)
-    return memo[key][share.k]
+    if p not in memo:
+        memo[p] = _register_sets(*memo["sets"], share.product, p)
+    return memo[p][share.k]

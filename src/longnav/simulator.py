@@ -494,8 +494,7 @@ def _replay_frame(frames, traversal: int, strategies, paths, logs,
 def _check_in_image(traversal: int, frame: Frame, image_width: int) -> None:
     """DatasetError unless every feature of the frame has x in [0,
     image_width): a frame of a wider image, replayed at this width."""
-    x = frame.features.x
-    if len(x) and not (x.min() >= 0.0 and x.max() < image_width):
+    if not frame.features.in_image(image_width):
         raise DatasetError(f"traversal {traversal}, location {frame.location}:"
                            f" feature x outside [0, {image_width}), the "
                            "image width of this run")

@@ -255,6 +255,30 @@ def test_compare_rejects_unusable_settings(tmp_path, config_path, capsys,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "the config must be a JSON object, got list"),
+    ('"hello"', "the config must be a JSON object, got str"),
+    ('{"strategies": "static"}', "strategies must be a list, got str"),
+    ('{"strategies": [3]}', "a strategies entry must be a JSON object"),
+    ('{"world": [], "traversals": 1}', "world must be a JSON object, got list"),
+    ('{"registration": "bin_width"}', "registration must be a JSON object"),
+], ids=["list", "string", "strategies-string", "strategies-entry-int",
+        "world-list", "registration-string"])
+def test_compare_rejects_config_of_wrong_shape(tmp_path, capsys, text,
+                                               message):
+    # a top level that is not an object once ended in a traceback, and a
+    # strategies string was read one character at a time
+    bad = tmp_path / "shape.json"
+    bad.write_text(text)
+    capsys.readouterr()
+    assert run_cli("compare", "--config", bad, "--out", tmp_path / "o") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    with pytest.raises(ConfigError, match=message):
+        load_run_config(bad)
+
+
 def test_strategy_flag_takes_that_kinds_config_entry(tmp_path, capsys):
     doc = {"world": {"n_locations": 2, "landmarks_per_location": 200, "seed": 3},
            "strategies": [{"kind": "score", "m": 50}, "static"],
@@ -433,6 +457,25 @@ def test_replay_rejects_non_finite_map(tmp_path, config_path, capsys):
                    "--map", bad) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "x is nan" in err
+
+
+def test_replay_rejects_map_feature_outside_the_image(tmp_path, config_path,
+                                                     capsys):
+    # such a map once replayed to exit 0: every difference fell in the
+    # histogram's clipped edge bin, and delta read about -5000 px
+    data = tmp_path / "data"
+    run_cli("generate", "--config", config_path, "--out", data)
+    doc = json.loads((data / "map.json").read_text())
+    for lm in doc["local_maps"]:
+        for rec in lm["features"]:
+            rec["x"] += 5000.0
+    bad = tmp_path / "bad_map.json"
+    bad.write_text(json.dumps(doc))
+    err = _replay_error(capsys, tmp_path, "--config", config_path,
+                        "--strategy", "latest", "--dataset",
+                        data / "dataset.jsonl", "--map", bad)
+    assert ("bad_map.json: bad map snapshot: local map 0's taught set has a "
+            "feature x outside [0, 640)") in err
 
 
 def test_replay_rejects_map_feature_record_not_object(tmp_path, config_path,

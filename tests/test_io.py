@@ -310,9 +310,15 @@ def _taught_row(doc, local_map=0, row=1):
     (lambda doc: _taught_row(doc, row=2)["temporal"]["components"][0]
      .__setitem__(2, 1.0000001),
      r"fremen component im is 1.0000001, outside \[-1, 1\]"),
+    (lambda doc: _taught_row(doc, 1, 0).update(x=800.0),
+     r"local map 1's taught set has a feature x outside \[0, 800\)"),
+    (lambda doc: doc["local_maps"][0]["alternatives"][0]["features"][0]
+     .update(x=-0.5),
+     r"local map 0's alternative created at 3 has a feature x outside "
+     r"\[0, 800\)"),
 ], ids=["component-pair", "descriptor-narrow", "descriptor-wide", "taught-empty",
         "alternative-empty", "alternative-created-elsewhere", "mu-range",
-        "re-range", "im-range"])
+        "re-range", "im-range", "x-at-width", "alternative-x-negative"])
 def test_map_snapshot_rejects_bad_state(tmp_path, edit, message):
     p = tmp_path / "map.json"
     write_map_snapshot(snapshot_path_map(), p)

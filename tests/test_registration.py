@@ -1,5 +1,7 @@
 """Matching, histogram voting, and outcome classification with brute-force oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -85,38 +87,42 @@ def _pairs(diffs):
                  np.zeros(len(diffs), dtype=np.int64))
 
 
+# one vote is consensus here, unlike a run's default of 3
+ONE_VOTE = RegistrationParams(min_votes=1)
+
+
 def test_histogram_vote_degenerate():
-    assert histogram_vote(_pairs([7.0] * 5).diff, 10.0) == pytest.approx(7.0)
+    assert histogram_vote(_pairs([7.0] * 5).diff,
+                          ONE_VOTE) == pytest.approx(7.0)
 
 
 def test_histogram_vote_hand_example():
-    delta = histogram_vote(_pairs([12, 13, 11, 55, 12, -40]).diff, 10.0)
+    delta = histogram_vote(_pairs([12, 13, 11, 55, 12, -40]).diff, ONE_VOTE)
     # winning bin [10, 20): mean of 12, 13, 11, 12
     assert delta == pytest.approx((12 + 13 + 11 + 12) / 4)
 
 
 def test_histogram_vote_empty_and_min_votes():
-    assert histogram_vote(np.empty(0), 10.0) is None
-    with pytest.raises(ValueError, match="bin_width must be positive"):
-        histogram_vote(np.empty(0), 0.0)
-    assert histogram_vote(_pairs([1.0, 2.0]).diff, 10.0, min_votes=3) is None
-    assert histogram_vote(_pairs([1.0, 2.0]).diff, 10.0,
-                          min_votes=2) == pytest.approx(1.5)
+    assert histogram_vote(np.empty(0), ONE_VOTE) is None
+    assert histogram_vote(_pairs([1.0, 2.0]).diff,
+                          RegistrationParams(min_votes=3)) is None
+    assert histogram_vote(_pairs([1.0, 2.0]).diff, RegistrationParams(
+        min_votes=2)) == pytest.approx(1.5)
 
 
 def test_histogram_vote_tie_prefers_small_shift():
     # two bins with two votes each; the one nearer zero must win
-    delta = histogram_vote(_pairs([52.0, 55.0, 2.0, 5.0]).diff, 10.0)
+    delta = histogram_vote(_pairs([52.0, 55.0, 2.0, 5.0]).diff, ONE_VOTE)
     assert delta == pytest.approx(3.5)
-    delta = histogram_vote(_pairs([-52.0, -55.0, -2.0, -5.0]).diff, 10.0)
+    delta = histogram_vote(_pairs([-52.0, -55.0, -2.0, -5.0]).diff, ONE_VOTE)
     assert delta == pytest.approx(-3.5)
 
 
 def test_histogram_vote_symmetric_tie_prefers_lower_center():
     # bins centered at -5 and +5 tie in votes and in distance from zero:
     # the lower center wins
-    assert histogram_vote(_pairs([-2.0, -4.0, 6.0, 8.0]).diff, 10.0) == -3.0
-    assert histogram_vote(_pairs([8.0, -4.0, 6.0, -2.0]).diff, 10.0) == -3.0
+    assert histogram_vote(_pairs([-2.0, -4.0, 6.0, 8.0]).diff, ONE_VOTE) == -3.0
+    assert histogram_vote(_pairs([8.0, -4.0, 6.0, -2.0]).diff, ONE_VOTE) == -3.0
 
 
 def test_histogram_vote_over_sets_votes_each_set_alone():
@@ -125,8 +131,9 @@ def test_histogram_vote_over_sets_votes_each_set_alone():
     sets[3][:10] = 33.0 + rng.uniform(0, 5, 10)
     cut = np.cumsum([0, *map(len, sets)]).tolist()
     for min_votes in (1, 2, 3):
-        got = histogram_vote(np.concatenate(sets), 10.0, 640, min_votes, cut)
-        want = [histogram_vote(d, 10.0, 640, min_votes) for d in sets]
+        p = RegistrationParams(min_votes=min_votes)
+        got = histogram_vote(np.concatenate(sets), p, cut)
+        want = [histogram_vote(d, p) for d in sets]
         assert [None if np.isnan(d) else d for d in got.tolist()] == want
 
 
@@ -135,7 +142,8 @@ def test_histogram_vote_matches_hand_binning_oracle():
     for _ in range(50):
         diffs = rng.uniform(-640, 640, size=rng.integers(1, 40)).tolist()
         bw = float(rng.choice([5.0, 10.0, 20.0]))
-        delta = histogram_vote(_pairs(diffs).diff, bw)
+        delta = histogram_vote(_pairs(diffs).diff,
+                               RegistrationParams(bin_width=bw, min_votes=1))
         # oracle: enumerate bins by hand
         bins = {}
         for d in diffs:
@@ -150,16 +158,17 @@ def test_histogram_vote_matches_hand_binning_oracle():
 
 def test_classify_outcomes_examples():
     pairs = _pairs([10.0, 10.0, 10.0])
-    out = classify_outcomes(3, pairs, 10.0, tolerance=10.0).tolist()
+    out = classify_outcomes(3, pairs, 10.0, RegistrationParams()).tolist()
     assert out == [MatchOutcome.MatchedCorrectly] * 3
 
-    out = classify_outcomes(1, _pairs([35.0]), 10.0, tolerance=10.0).tolist()
+    out = classify_outcomes(1, _pairs([35.0]), 10.0,
+                            RegistrationParams()).tolist()
     assert out == [MatchOutcome.MatchedIncorrectly]
 
     idx = np.array([0, 1, 2, 4])
     pairs = Pairs(idx, idx, np.array([10.0, 12.0, 9.0, 60.0]),
                   np.zeros(4, dtype=np.int64))
-    out = classify_outcomes(6, pairs, 10.0, tolerance=10.0).tolist()
+    out = classify_outcomes(6, pairs, 10.0, RegistrationParams()).tolist()
     # oracle: per-feature loop
     expect = []
     by_map = dict(zip(pairs.map_idx.tolist(), pairs.diff.tolist()))
@@ -177,7 +186,7 @@ def test_classify_outcomes_examples():
 
 
 def test_classify_failed_registration_all_not_matched():
-    out = classify_outcomes(4, _pairs([1.0]), None)
+    out = classify_outcomes(4, _pairs([1.0]), None, RegistrationParams())
     assert out.tolist() == [MatchOutcome.NotMatched] * 4
 
 
@@ -189,7 +198,7 @@ def test_outcome_partition_sums_to_map_size():
         pairs = Pairs(idx, idx,
                       np.array([float(rng.uniform(-100, 100)) for _ in idx]),
                       np.zeros(idx.size, dtype=np.int64))
-        out = classify_outcomes(n_map, pairs, 5.0, tolerance=10.0)
+        out = classify_outcomes(n_map, pairs, 5.0, RegistrationParams())
         assert len(out) == n_map
 
 
@@ -244,8 +253,6 @@ def test_register_failure_as_value():
     {"bin_width": float("nan")},
     {"image_width": 0}, {"image_width": 640.5}, {"image_width": True},
     {"min_votes": 0}, {"min_votes": 2.5}, {"min_votes": True},
-    {"tolerance": -1.0}, {"tolerance": float("nan")},
-    {"tolerance": float("inf")},
 ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
 def test_registration_params_rejects_bad_values(kwargs):
     with pytest.raises(ConfigError, match=next(iter(kwargs))):
@@ -253,10 +260,48 @@ def test_registration_params_rejects_bad_values(kwargs):
 
 
 def test_registration_params_accepts_edges():
-    p = RegistrationParams(d_max=0, bin_width=0.5, image_width=1, min_votes=1,
-                           tolerance=0.0)
-    assert p.effective_tolerance() == 0.0
-    assert RegistrationParams().effective_tolerance() == 10.0
+    p = RegistrationParams(d_max=0, bin_width=0.5, image_width=1, min_votes=1)
+    assert (p.d_max, p.bin_width, p.image_width, p.min_votes) == (0, 0.5, 1, 1)
+
+
+def test_registration_params_are_one_frozen_value():
+    p = RegistrationParams()
+    assert [f.name for f in dataclasses.fields(p)] == [
+        "d_max", "bin_width", "image_width", "min_votes"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.min_votes = 1
+    assert p == RegistrationParams() and hash(p) == hash(RegistrationParams())
+    assert p != RegistrationParams(min_votes=2)
+
+
+def test_product_registers_once_per_settings_value():
+    # one product's shares registered under two settings values give each
+    # value the results of separate one-set registrations, and equal values
+    # built apart read one cached result
+    rng = np.random.default_rng(15)
+    taught = [rand_feature(rng, x=rng.uniform(100, 500)) for _ in range(60)]
+    view = block([(x + 12.0, y, flip_bits(d, int(rng.integers(0, 40)), rng))
+                  for x, y, d in taught])
+    sets = [block(taught), block(taught[:30]), block(taught[5:50])]
+    shares = view_product(view, sets)
+    loose = RegistrationParams(d_max=64, min_votes=3)
+    tight = RegistrationParams(d_max=16, min_votes=40)
+    got = {p: [register(m, view, p, s) for m, s in zip(sets, shares)]
+           for p in (loose, tight)}
+    for p, results in got.items():
+        for m, res in zip(sets, results):
+            want = register(m, view, p)
+            assert res.delta == want.delta
+            assert np.array_equal(res.pairs.map_idx, want.pairs.map_idx)
+            assert np.array_equal(res.outcomes, want.outcomes)
+    assert all(r.delta is not None for r in got[loose])
+    assert all(r.delta is None for r in got[tight])
+    assert len(got[tight][0].pairs) < len(got[loose][0].pairs)
+    for k, (m, s) in enumerate(zip(sets, shares)):
+        assert register(m, view, RegistrationParams(d_max=64, min_votes=3),
+                        s) is got[loose][k]
+        assert register(m, view, RegistrationParams(d_max=16, min_votes=40),
+                        s) is got[tight][k]
 
 
 def test_one_pass_over_a_product_registers_each_set_as_alone():
