@@ -13,6 +13,7 @@ import hashlib
 import math
 import os
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,18 +74,15 @@ def error_cdf(eps: ErrorSequence, thresholds) -> list:
     """(threshold, fraction of errors <= threshold) for each threshold."""
     if len(eps) == 0:
         raise ValueError("cannot compute a CDF over an empty error sequence")
-    vals = np.sort(eps.values)
-    n = vals.shape[0]
-    out = []
-    for thr in thresholds:
-        c = int(np.searchsorted(vals, float(thr), side="right"))
-        out.append((float(thr), c / n))
-    return out
+    thresholds = np.asarray(thresholds, dtype=np.float64)
+    counts = np.searchsorted(np.sort(eps.values), thresholds, side="right")
+    return list(zip(thresholds.tolist(), (counts / len(eps)).tolist()))
 
 
 def paired_t_test(a: ErrorSequence, b: ErrorSequence,
                   alpha: float = 0.05) -> TTestResult:
-    """Two-sided paired Student t-test on aligned error sequences.
+    """Two-sided paired Student t-test on aligned error sequences; the
+    p-value is I_x(df/2, 1/2) at x = df / (df + t^2).
 
     Degenerate zero-variance differences follow the stated convention:
     t = +-inf with p = 0 when the mean difference is nonzero, t = 0 with
@@ -106,11 +104,66 @@ def paired_t_test(a: ErrorSequence, b: ErrorSequence,
             return TTestResult(0.0, df, 1.0, False)
         t = math.inf if mean > 0 else -math.inf
         return TTestResult(t, df, 0.0, 0.0 < alpha)
-    from scipy.special import betainc  # costs a quarter second to import
-
     t = mean / (sd / math.sqrt(n))
-    p = float(betainc(df / 2.0, 0.5, df / (df + t * t)))
+    p = _betainc(df / 2.0, 0.5, df / (df + t * t))
     return TTestResult(t, df, p, p < alpha)
+
+
+def _stirling_rest(x: float) -> float:
+    """lgamma(x) minus Stirling's (x - 1/2) log x - x + log(2 pi)/2, for
+    x >= 10, where the first omitted term is below 2e-14."""
+    r = 1.0 / (x * x)
+    return (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680
+                                                         - r / 1188)))) / x
+
+
+def _log_beta(a: float, b: float) -> float:
+    """log B(a, b). Once the larger argument q reaches 10, lgamma(q) and
+    lgamma(p + q) are taken as Stirling's series, whose large leading terms
+    cancel exactly; subtracting lgamma values of a few thousand would lose
+    the last 11 digits of the p-value."""
+    p, q = min(a, b), max(a, b)
+    if q < 10.0:
+        return math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q)
+    return (math.lgamma(p) + _stirling_rest(q) - _stirling_rest(p + q)
+            + p - p * math.log(p + q) + (q - 0.5) * math.log1p(-p / (p + q)))
+
+
+def _betainc(a: float, b: float, x: float) -> float:
+    """Regularized incomplete beta function I_x(a, b) for a, b > 0.
+
+    Its continued fraction (Numerical Recipes, 3rd ed., section 6.4) is
+    summed by the modified Lentz method below the switch point
+    x = (a + 1) / (a + b + 2), where it converges in a few dozen terms; above
+    it, I_x(a, b) = 1 - I_{1-x}(b, a)."""
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    flip = x > (a + 1.0) / (a + b + 2.0)
+    if flip:
+        a, b, x = b, a, 1.0 - x
+    tiny = 1e-300  # keeps a Lentz denominator off zero
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    f = d
+    for m in range(1, 1000):
+        k = a + 2 * m
+        for num in (m * (b - m) * x / ((k - 1.0) * k),
+                    -(a + m) * (a + b + m) * x / (k * (k + 1.0))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            f *= c * d
+        if abs(c * d - 1.0) <= sys.float_info.epsilon:
+            break
+    else:
+        raise ArithmeticError(f"I_x(a, b) did not converge at a={a}, b={b}, "
+                              f"x={x}")
+    v = f / a * math.exp(a * math.log(x) + b * math.log1p(-x)
+                         - _log_beta(a, b))
+    return 1.0 - v if flip else v
 
 
 def _hashed(pairs, h):
@@ -157,18 +210,19 @@ class ComparisonReport:
 
 
 def _align(sequences) -> tuple:
-    """Restrict all sequences to the frame keys present in every one of them."""
-    key_sets = [set(s.keys) for s in sequences]
-    common = set.intersection(*key_sets) if key_sets else set()
-    total = sum(len(s) for s in sequences)
-    if all(len(s) == len(common) for s in sequences):
-        return list(sequences), 0
+    """Restrict all sequences to the frame keys present in every one of them,
+    in the first sequence's order; a sequence already in that order is kept
+    as it is."""
+    common = set.intersection(*(set(s.keys) for s in sequences))
+    order = [k for k in sequences[0].keys if k in common]
     aligned = []
     for s in sequences:
-        sel = [i for i, k in enumerate(s.keys) if k in common]
-        aligned.append(ErrorSequence(s.strategy, s.values[sel], s.failed[sel],
-                                     [s.keys[i] for i in sel]))
-    dropped = total - sum(len(s) for s in aligned)
+        if s.keys != order:
+            at = {k: i for i, k in enumerate(s.keys)}
+            sel = [at[k] for k in order]
+            s = ErrorSequence(s.strategy, s.values[sel], s.failed[sel], order)
+        aligned.append(s)
+    dropped = sum(len(s) for s in sequences) - len(order) * len(sequences)
     return aligned, dropped
 
 
@@ -272,13 +326,14 @@ def build_report(sequences, *, thresholds=DEFAULT_THRESHOLDS,
     failure_counts = {lab: int(s.failed.sum()) for lab, s in seq_by_label.items()}
     cdf = {lab: [p for _, p in error_cdf(s, thresholds)]
            for lab, s in seq_by_label.items()}
-    ttests = {}
-    for la in labels:
-        row = {}
-        for lb in labels:
-            if la != lb:
-                row[lb] = paired_t_test(seq_by_label[la], seq_by_label[lb], alpha)
-        ttests[la] = row
+    ttests = {lab: {} for lab in labels}
+    for i, la in enumerate(labels):
+        for lb in labels[i + 1:]:
+            r = paired_t_test(seq_by_label[la], seq_by_label[lb], alpha)
+            ttests[la][lb] = r
+            # 0.0 - t keeps a zero t at 0.0, as testing (lb, la) would give
+            ttests[lb][la] = TTestResult(0.0 - r.t, r.df, r.p_value,
+                                         r.significant)
     ranking = sorted(labels, key=lambda lab: mean_errors[lab])
     return ComparisonReport(mode, labels, seq_by_label, mean_errors,
                             failure_counts, tuple(float(t) for t in thresholds),

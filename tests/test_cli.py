@@ -436,6 +436,27 @@ def test_report_rejects_repeated_frame(tmp_path, config_path, capsys):
             f"location {row['location']} is logged twice") in err
 
 
+def test_report_aligns_logs_listing_frames_in_another_order(
+        tmp_path, config_path, capsys):
+    # a second log with two rows swapped once ended in "sequences are not
+    # aligned by frame key"; it is read in the first log's order
+    score = _replay_logs(tmp_path, config_path, "score")
+    static = _replay_logs(tmp_path, config_path, "static")
+    assert run_cli("report", "--config", config_path, "--out", tmp_path / "a",
+                   "--logs", score, static) == 0
+    rows = static.read_text().splitlines()
+    rows[0], rows[1] = rows[1], rows[0]
+    swapped = tmp_path / "swapped.jsonl"
+    swapped.write_text("\n".join(rows) + "\n")
+    capsys.readouterr()
+    assert run_cli("report", "--config", config_path, "--out", tmp_path / "b",
+                   "--logs", score, swapped) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    for name in ("summary.json", "cdf.csv"):
+        assert ((tmp_path / "b" / name).read_bytes()
+                == (tmp_path / "a" / name).read_bytes())
+
+
 def test_report_needs_two_common_frames(tmp_path, config_path, capsys):
     score = _replay_logs(tmp_path, config_path, "score")
     static = _replay_logs(tmp_path, config_path, "static")
@@ -728,14 +749,23 @@ def test_console_entry_point():
     assert "generate" in proc.stdout and "compare" in proc.stdout
 
 
-def test_import_leaves_scipy_to_the_t_test():
-    # scipy.special takes about a quarter second to import; generate, replay
-    # and simulate never run the t-test that needs it
-    proc = run_child("-c", "import sys, longnav, longnav.cli; "
-                     "print(sorted(m for m in sys.modules if m == 'scipy' "
-                     "or m.startswith('scipy.')))")
+def test_compare_and_report_never_load_scipy(tmp_path, config_path):
+    # the t-test's p-value is computed with math alone; scipy is only the
+    # tests' oracle
+    logs = [_replay_logs(tmp_path, config_path, kind) for kind in ("score",
+                                                                  "static")]
+    script = ("import json, sys; from longnav.cli import main\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    assert main(argv) == 0, argv\n"
+              "print(sorted(m for m in sys.modules if m == 'scipy' "
+              "or m.startswith('scipy.')))")
+    runs = [["compare", "--config", config_path, "--out", tmp_path / "cmp"],
+            ["report", "--config", config_path, "--out", tmp_path / "rep",
+             "--logs", *logs]]
+    proc = run_child("-c", script, json.dumps(runs, default=str))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "rep" / "summary.json").is_file()
 
 
 def test_every_export_resolves():

@@ -2,16 +2,18 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 
 from longnav.errors import ConfigError, LongNavError
-from longnav.evaluation import (ComparisonReport, ErrorSequence, build_report,
-                                compare_strategies, error_cdf, paired_t_test,
-                                registration_errors, unique_labels,
-                                write_report)
+from longnav.evaluation import (ComparisonReport, ErrorSequence, _betainc,
+                                build_report, compare_strategies, error_cdf,
+                                paired_t_test, registration_errors,
+                                unique_labels, write_report)
 from longnav.registration import RegistrationParams
 from longnav.simulator import (LocationRecord, WorldConfig, World,
                                generate_frames, run_closed_loop,
@@ -121,6 +123,58 @@ def test_t_test_agrees_with_reference_on_random_pairs():
         assert r.t == pytest.approx(float(ref.statistic), abs=1e-6)
         assert r.p_value == pytest.approx(float(ref.pvalue), abs=1e-6)
         assert r.df == n - 1
+
+
+# t from 0 past every underflow, densest where p is a normal float; above
+# 1.3e154, t * t overflows and x = 0
+T_GRID = [0.0, *np.geomspace(1e-4, 1e4, 100, endpoint=False).tolist(),
+          *np.geomspace(1e4, 1e160, 30).tolist()]
+
+
+def test_p_value_matches_scipy_betainc_on_a_grid():
+    # p = I_x(df/2, 1/2) at x = df / (df + t^2), as scipy.stats.ttest_rel
+    # computes it; 1e-11 relative holds while p is a normal float
+    worst = 0.0
+    for df in [*range(1, 201), *range(203, 2050, 8)]:
+        for t in T_GRID:
+            x = df / (df + t * t)
+            ref = float(scipy.special.betainc(df / 2.0, 0.5, x))
+            got = _betainc(df / 2.0, 0.5, x)
+            if ref < sys.float_info.min:
+                assert got < 1e-300, (df, t, got, ref)
+            else:
+                worst = max(worst, abs(got - ref) / ref)
+    assert worst <= 1e-11, worst
+
+
+def test_t_test_p_value_matches_ttest_rel():
+    rng = np.random.default_rng(12)
+    for n in (2, 3, 5, 40, 300, 2000):
+        for shift in (0.0, 0.05, 0.3, 2.0):
+            a = rng.normal(10, 4, size=n)
+            b = a + shift + rng.normal(0, 1, size=n)
+            r = paired_t_test(seq(a), seq(b))
+            ref = scipy.stats.ttest_rel(a, b)
+            assert r.p_value == pytest.approx(float(ref.pvalue), rel=1e-11)
+
+
+def test_betainc_edges():
+    assert _betainc(1.5, 0.5, 0.0) == 0.0
+    assert _betainc(1.5, 0.5, 1.0) == 1.0
+    # symmetric: I_{1/2}(a, a) = 1/2, on both sides of the switch point
+    for a in (0.5, 3.0, 400.0):
+        assert _betainc(a, a, 0.5) == pytest.approx(0.5, rel=1e-14)
+    # I_x(1, 1) = x and I_x(1/2, 1/2) = 2 atan(sqrt(x / (1 - x))) / pi
+    for x in (1e-300, 1e-9, 0.3, 0.9, 1 - 1e-12):
+        assert _betainc(1.0, 1.0, x) == pytest.approx(x, rel=1e-14)
+        assert _betainc(0.5, 0.5, x) == pytest.approx(
+            2 * math.atan(math.sqrt(x / (1 - x))) / math.pi, rel=1e-14)
+
+
+def test_t_test_zero_t_gives_p_one():
+    # the differences cancel exactly: t = 0, x = 1
+    r = paired_t_test(seq([1, 2, 3, 4]), seq([2, 1, 4, 3]))
+    assert r.t == 0.0 and r.p_value == 1.0 and not r.significant
 
 
 def test_t_test_antisymmetry():
@@ -342,6 +396,31 @@ def test_build_report_aligns_and_counts_drops():
     c = seq([4, 5], name="c", keys=[(1, 0), (1, 7)])
     with pytest.raises(ConfigError, match="share 1 frame"):
         build_report([a, c])
+
+
+def test_build_report_tests_each_pair_once_and_mirrors_it(monkeypatch):
+    calls = []
+    test = paired_t_test
+
+    def counting(a, b, alpha):
+        calls.append((a.strategy, b.strategy))
+        return test(a, b, alpha)
+
+    monkeypatch.setattr("longnav.evaluation.paired_t_test", counting)
+    base = np.array([3.0, 1.0, 4.0, 1.0, 5.0, 9.0])  # "b" - "a" sums to 0
+    seqs = [seq(base, "a"), seq(base[::-1], "b"), seq(base + 1, "c"),
+            seq(np.random.default_rng(4).normal(5, 1, size=6), "d")]
+    rep = build_report(seqs)
+    assert sorted(calls) == [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"),
+                             ("b", "d"), ("c", "d")]
+    for la in rep.labels:
+        assert list(rep.ttests[la]) == [lb for lb in rep.labels if lb != la]
+        for lb, r in rep.ttests[la].items():
+            want = test(rep.sequences[la], rep.sequences[lb])
+            # a zero t keeps its sign bit clear in both directions
+            assert (math.copysign(1.0, r.t), r) == (math.copysign(1.0, want.t),
+                                                    want)
+    assert rep.ttests["a"]["b"].t == 0.0
 
 
 def test_write_report_files(tmp_path):

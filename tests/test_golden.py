@@ -29,9 +29,9 @@ SCHEDULE = (12, 90 * 86400.0 / 178)
 RUN_SEED = 1
 
 REPORTS = {  # (summary.json, cdf.csv)
-    "open": ("45fa5759b418bf6016e55aad176fb1f027c7821be235a00b10c02725c0793320",
+    "open": ("924ea4397a45847a2e0acd9883aa8e44ed01b192a5520b07714a7e5fe6539acb",
              "3b9fb7fd57f0890028f6dd3fcdaeaa546461e601fb9fe99757b7560d7dea85a0"),
-    "closed": ("b06db4bf5ea3a5d94bd8166b31ea2324ce9f07716ac7ee631e3adf4b97d59788",
+    "closed": ("dc4fdf7525dee3ea93cd8ae721cf65a865717b249a75ebc543aa0c81b8bbbc8d",
                "20e76bced6be704ac4b72e232a53c54c40df751effd28910ee15c913a37249b6"),
 }
 RUNS = {  # kind: (closed-loop log, final map snapshot)
