@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .fremen import FremenModel
 from .kernels import bit_rows
 
 DEFAULT_DESCRIPTOR_WIDTH = 256
@@ -39,7 +38,7 @@ class FeatureBlock:
     camera frames.
 
     Rows never change in place except for ``score`` and ``temporal``; a map
-    update builds a new block with ``take`` and ``concat``. The ±1 bit rows
+    update builds its next block with ``exchange``. The ±1 bit rows
     of the descriptors (see ``pack_features``) are computed once and travel
     with the rows, so rows kept or moved between blocks are never unpacked
     again. So does each row's ``ids`` entry (int64): a new block gets fresh
@@ -113,30 +112,62 @@ class FeatureBlock:
                             ids=self.ids, bits=pack_features(self))
 
 
-def concat(a: FeatureBlock, b: FeatureBlock | None) -> FeatureBlock:
-    """Rows of a followed by rows of b; a itself when b is None or empty.
+def _stack(a, keep, b, picks, n_new: int):
+    """Rows keep of a (an index array) followed by n_new rows of b, those
+    picks (every row when picks is None; a scalar b fills them), in one new
+    array that copies each row once. None when a side that gives rows is
+    None (only bit rows may be)."""
+    k = len(keep)
+    if a is None or b is None:
+        if (a is None and k) or (b is None and n_new) or a is b:
+            return None
+        a, b, picks = (b, b, picks) if a is None else (a, a, keep[:0])
+    out = np.empty((k + n_new,) + a.shape[1:], a.dtype)
+    # indices come in range; "clip" spares take its checked copy of out
+    a.take(keep, 0, out[:k], "clip")
+    if n_new:
+        if picks is None:
+            out[k:] = b
+        else:
+            b.take(picks, 0, out[k:], "clip")
+    return out
 
-    ValueError unless both sides carry temporal models or neither does, and
-    when the two sides' models use different period sets."""
-    if b is None or not len(b):
-        return a
-    if not len(a):
-        return b
-    if a.width != b.width:
-        raise ValueError(f"descriptor width mismatch: {a.width} vs {b.width}")
-    if (a.temporal is None) != (b.temporal is None):
-        raise ValueError("cannot concatenate rows with temporal models and "
-                         "rows without")
 
-    def cat(u, v):
-        return None if u is None or v is None else np.concatenate((u, v))
+def exchange(feats: FeatureBlock, keep, view: FeatureBlock, picks, x,
+             inserted_at: int) -> FeatureBlock:
+    """The map block that one update leaves: rows keep of the map block
+    feats (an index array, in that order) followed by rows picks of the view
+    (an index array; None for every row, in view order) as fresh map rows at
+    positions x. Fresh rows are inserted at inserted_at with score 0 and,
+    when feats carries temporal models, models without observations over the
+    same periods.
 
-    temporal = (None if a.temporal is None
-                else FremenModel.concat([a.temporal, b.temporal]))
-    return FeatureBlock(cat(a.x, b.x), cat(a.y, b.y), cat(a.words, b.words),
-                        a.width, inserted_at=cat(a.inserted_at, b.inserted_at),
-                        score=cat(a.score, b.score), temporal=temporal,
-                        ids=cat(a.ids, b.ids), bits=cat(a._bits, b._bits))
+    Each array is gathered once. A block of the whole view alone shares the
+    view's y, descriptors, ids and bit rows. ValueError when both sides give
+    rows and their descriptor widths differ."""
+    n_new = len(x)
+    if len(keep) and n_new and feats.width != view.width:
+        raise ValueError(f"descriptor width mismatch: {feats.width} vs "
+                         f"{view.width}")
+    temporal = (None if feats.temporal is None
+                else feats.temporal.exchange(keep, n_new))
+    if picks is None and not len(keep):
+        return FeatureBlock(x, view.y, view.words, view.width,
+                            inserted_at=np.full(n_new, inserted_at,
+                                                dtype=np.int64),
+                            score=np.zeros(n_new), temporal=temporal,
+                            ids=view.ids, bits=view._bits)
+    return FeatureBlock(_stack(feats.x, keep, x, None, n_new),
+                        _stack(feats.y, keep, view.y, picks, n_new),
+                        _stack(feats.words, keep, view.words, picks, n_new),
+                        feats.width if len(keep) else view.width,
+                        inserted_at=_stack(feats.inserted_at, keep,
+                                           inserted_at, None, n_new),
+                        score=_stack(feats.score, keep, 0.0, None, n_new),
+                        temporal=temporal,
+                        ids=_stack(feats.ids, keep, view.ids, picks, n_new),
+                        bits=_stack(feats._bits, keep, view._bits, picks,
+                                    n_new))
 
 
 def pack_features(block: FeatureBlock) -> np.ndarray:

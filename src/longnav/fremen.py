@@ -64,29 +64,30 @@ class FremenModel:
 
     def take(self, idx) -> "FremenModel":
         """A copy of rows idx (index array, boolean mask or slice)."""
+        # an index array or a mask already copies; a slice or ... gives views
+        shared = isinstance(idx, slice) or idx is ...
         m = FremenModel.__new__(FremenModel)
         m.periods, m._omega = self.periods, self._omega
-        m.n_obs = np.array(self.n_obs[idx])
-        m.mu = np.array(self.mu[idx])
-        m.re = np.array(self.re[idx])
-        m.im = np.array(self.im[idx])
+        m.n_obs, m.mu, m.re, m.im = (a[idx].copy() if shared else a[idx]
+                                     for a in (self.n_obs, self.mu, self.re,
+                                               self.im))
         return m
 
     def copy(self) -> "FremenModel":
         return self.take(...)
 
-    @classmethod
-    def concat(cls, models) -> "FremenModel":
-        """Stack row blocks, in order, into one block; ValueError unless all
-        share one period set."""
-        m = cls.__new__(cls)
-        m.periods, m._omega = models[0].periods, models[0]._omega
-        if any(p.periods != m.periods for p in models):
-            raise ValueError("cannot stack fremen models with different periods")
-        m.n_obs = np.concatenate([p.n_obs for p in models])
-        m.mu = np.concatenate([p.mu for p in models])
-        m.re = np.concatenate([p.re for p in models])
-        m.im = np.concatenate([p.im for p in models])
+    def exchange(self, keep, fresh: int) -> "FremenModel":
+        """Rows keep (an index array) followed by fresh rows without
+        observations, each array gathered once."""
+        k = len(keep)
+        m = FremenModel.__new__(FremenModel)
+        m.periods, m._omega = self.periods, self._omega
+        rows = []
+        for a in (self.n_obs, self.mu, self.re, self.im):
+            out = np.zeros((k + fresh,) + a.shape[1:], a.dtype)
+            a.take(keep, 0, out[:k], "clip")  # keep is in range
+            rows.append(out)
+        m.n_obs, m.mu, m.re, m.im = rows
         return m
 
     def __repr__(self) -> str:

@@ -16,15 +16,9 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, check_settings, in_range, is_int
-from .features import FeatureBlock, LocalMap, concat, pack_features
+from .features import FeatureBlock, LocalMap, exchange, pack_features
 from .fremen import FremenModel, predict_many
 from .registration import MatchOutcome, RegistrationParams, register
-
-
-def _ranked(key_order, m: int) -> np.ndarray:
-    """The first m rows under np.lexsort keys (last key primary; the sort is
-    stable, so row order breaks the remaining ties), in row order."""
-    return np.sort(np.lexsort(key_order)[:m])
 
 
 # (i) per-row state: the key (rows, cfg, t) active selection ranks by, how
@@ -51,8 +45,8 @@ def _lowest(key):
     def remove(feats, outcome_of, cfg):
         n = len(feats)
         mask = np.zeros(n, dtype=bool)
-        mask[_ranked((feats.inserted_at, key(feats)),
-                     math.ceil(cfg.exchange_fraction * n))] = True
+        mask[np.lexsort((feats.inserted_at, key(feats)))[
+            :math.ceil(cfg.exchange_fraction * n)]] = True
         return mask
     return remove
 
@@ -86,6 +80,7 @@ _STEPS = {
     "fremen": (_FREMEN, _lowest(lambda feats: feats.temporal.mu), _as_removed),
 }
 STRATEGY_KINDS = tuple(_STEPS)
+_NO_ROWS = np.empty(0, dtype=np.intp)
 
 # fremen's candidate periods: diurnal harmonics (24 h / j for j = 1..12) plus
 # one week
@@ -146,10 +141,8 @@ def score_update(block: FeatureBlock, outcomes, cfg: StrategyConfig,
     fold = _STEPS[cfg.kind][0].fold
     if fold is None:
         return block
-    outcomes = np.asarray(outcomes)
-    v = np.where(outcomes == _C, cfg.s_c,
-                 np.where(outcomes == _I, -cfg.s_i, -cfg.s_n))
-    fold(block, v, t)
+    # indexed by outcome: not matched, matched correctly, incorrectly
+    fold(block, np.array((-cfg.s_n, cfg.s_c, -cfg.s_i))[outcomes], t)
     return block
 
 
@@ -163,7 +156,8 @@ def select_active_indices(feats: FeatureBlock, cfg: StrategyConfig,
     if n <= cfg.m:
         return np.arange(n)
     key = _STEPS[cfg.kind][0].key(feats, cfg, t)
-    return _ranked((-feats.inserted_at, -key), cfg.m)
+    # np.lexsort is stable, so row order breaks the remaining ties
+    return np.sort(np.lexsort((-feats.inserted_at, -key))[:cfg.m])
 
 
 def active_sets(local_map: LocalMap, cfg: StrategyConfig, t: float) -> list:
@@ -176,30 +170,29 @@ def active_sets(local_map: LocalMap, cfg: StrategyConfig, t: float) -> list:
             for idx, feats in zip(picks, sets)]
 
 
-def rank_addition_candidates(unmatched_view: FeatureBlock,
+def rank_addition_candidates(view: FeatureBlock, unmatched,
                              local_map: LocalMap, top=None,
-                             rows=None) -> FeatureBlock:
-    """Unmatched view features ordered most-unique-first, uniqueness being the
-    Hamming distance to the nearest map feature; ties keep view order.
+                             rows=None) -> np.ndarray:
+    """Indices of the view rows unmatched (a boolean mask) ordered
+    most-unique-first, uniqueness being the Hamming distance to the nearest
+    map feature; ties keep view order.
 
-    top, when given, holds each unmatched feature's largest product with the
-    map rows `rows` (all rows when None), e.g. the registration's
-    SetProduct.top; only the other map rows are multiplied (see
-    kernels.nearest_distances)."""
-    if not len(unmatched_view) or not len(local_map.features):
-        return unmatched_view
-    dist = kernels.nearest_distances(pack_features(unmatched_view),
+    top, when given, holds each unmatched row's largest product with the map
+    rows `rows` (all rows when None), e.g. the registration's SetProduct.top;
+    only the other map rows are multiplied (see kernels.nearest_distances)."""
+    idx = unmatched.nonzero()[0]
+    if not len(idx) or not len(local_map.features):
+        return idx
+    dist = kernels.nearest_distances(pack_features(view)[idx],
                                      pack_features(local_map.features),
                                      top, rows)
-    return unmatched_view.take(np.argsort(-dist, kind="stable"))
+    return idx[np.argsort(-dist, kind="stable")]
 
 
-def correct_positions(features: FeatureBlock, delta: float,
-                      image_width: int = 640) -> FeatureBlock:
-    """The rows shifted by -delta, x clipped into [0, W), without strategy
-    state (see ``FeatureBlock.with_x``)."""
-    hi = np.nextafter(float(image_width), 0.0)
-    return features.with_x(np.clip(features.x - delta, 0.0, hi))
+def correct_positions(x, delta: float, image_width: int = 640) -> np.ndarray:
+    """View positions x in the map's frame: shifted by -delta and clipped
+    into [0, W), as a new array."""
+    return (x - delta).clip(0.0, math.nextafter(image_width, 0.0))
 
 
 def init_strategy_state(path_or_map, cfg: StrategyConfig) -> None:
@@ -226,14 +219,6 @@ def init_strategy_state(path_or_map, cfg: StrategyConfig) -> None:
                               f" differ from fremen_periods {periods}")
 
 
-def _new_rows(view: FeatureBlock, delta: float, traversal: int,
-              cfg: StrategyConfig, image_width: int) -> FeatureBlock:
-    rows = correct_positions(view, delta, image_width)
-    temporal = (FremenModel(cfg.fremen_periods, len(rows))
-                if _STEPS[cfg.kind][0].temporal else None)
-    return rows.as_map(traversal, temporal)
-
-
 def update_map(local_map: LocalMap, view: FeatureBlock, reg,
                cfg: StrategyConfig, t: float, traversal: int,
                active_indices=None, image_width: int = 640,
@@ -247,7 +232,10 @@ def update_map(local_map: LocalMap, view: FeatureBlock, reg,
     its column max, and then active_indices must be given too. New rows are
     clipped into the registration's image_width. Every registration updates
     the per-row state; only a successful one removes and inserts rows (see
-    _STEPS).
+    _STEPS). The rows removed are a mask and those inserted view row
+    indices, and the map's next block is gathered once from both (see
+    features.exchange); an update that removes and inserts nothing keeps
+    the block itself.
     """
     failed = reg.delta is None
     if cfg.kind == "multiple":
@@ -257,34 +245,43 @@ def update_map(local_map: LocalMap, view: FeatureBlock, reg,
                 warnings.warn("alternative cap reached; new alternative dropped",
                               stacklevel=2)
             else:
-                local_map.alternatives.append(
-                    _new_rows(view, reg.delta, traversal, cfg, image_width))
+                local_map.alternatives.append(exchange(
+                    local_map.features, _NO_ROWS, view, None,
+                    correct_positions(view.x, reg.delta, image_width),
+                    traversal))
         return local_map
 
     _, remove_rule, insert_rule = _STEPS[cfg.kind]
     feats = local_map.features
+    n = len(feats)
     if active_indices is None:
         active_indices = select_active_indices(feats, cfg, t)
-    outcome_of = np.zeros(len(feats), dtype=np.int8)  # MatchOutcome.NotMatched
-    if not failed:
-        outcome_of[active_indices] = reg.outcomes
+    if failed or len(active_indices) < n:
+        outcome_of = np.zeros(n, dtype=np.int8)  # MatchOutcome.NotMatched
+        if not failed:
+            outcome_of[active_indices] = reg.outcomes
+    else:  # every row active, in row order: read the result's own array
+        outcome_of = reg.outcomes
     score_update(feats, outcome_of, cfg, t)
     if failed:
         return local_map
 
     remove = remove_rule(feats, outcome_of, cfg)
     count = None if insert_rule is None else insert_rule(view, remove, cfg)
-    rows = view if count is None else None
+    picks = None if count is None else _NO_ROWS  # None: the whole view
     if count:  # ranked against the map as it stands before removal
         unmatched = np.ones(len(view), dtype=bool)
         unmatched[reg.pairs.view_idx] = False
-        rows = rank_addition_candidates(
-            view.take(unmatched), local_map,
+        picks = rank_addition_candidates(
+            view, unmatched, local_map,
             None if share is None else share.top(unmatched),
-            active_indices).take(slice(count))
-    kept = feats.take(~remove) if remove.any() else feats
-    local_map.features = concat(kept, None if rows is None else _new_rows(
-        rows, reg.delta, traversal, cfg, image_width))
+            active_indices)[:count]
+    if not remove.any() and not len(view if picks is None else picks):
+        return local_map  # the block stays
+    local_map.features = exchange(
+        feats, (~remove).nonzero()[0], view, picks,
+        correct_positions(view.x if picks is None else view.x[picks],
+                          reg.delta, image_width), traversal)
     return local_map
 
 

@@ -1,11 +1,13 @@
 """Test helpers and oracles: Descriptor objects, per-pair Hamming distances,
-feature blocks built from descriptors, and row sets that share rows."""
+feature blocks built from descriptors, fremen models stacked from rows, and
+row sets that share rows."""
 
 import numpy as np
 from hypothesis import strategies as st
 
 from longnav.errors import ConfigError
 from longnav.features import DEFAULT_DESCRIPTOR_WIDTH, FeatureBlock
+from longnav.fremen import FremenModel
 from longnav.io import hex_rows, words_from_hex
 from longnav.kernels import _distance, _dot
 
@@ -99,6 +101,15 @@ def block_from_descriptors(x, y, descriptors, **state) -> FeatureBlock:
                         np.asarray(y, dtype=np.float64),
                         words.reshape(len(descriptors), (width + 63) // 64),
                         width, **state)
+
+
+def stack_models(models) -> FremenModel:
+    """One model holding the rows of models, in order; all share the first
+    one's periods."""
+    m = FremenModel(models[0].periods, 0)
+    for name in ("n_obs", "mu", "re", "im"):
+        setattr(m, name, np.concatenate([getattr(p, name) for p in models]))
+    return m
 
 
 # rows of two words from a small alphabet, so that rows repeat, distances

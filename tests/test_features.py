@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from longnav.errors import ConfigError
-from longnav.features import LocalMap, PathMap, concat, pack_features
+from longnav.features import LocalMap, PathMap, exchange, pack_features
 from longnav.fremen import FremenModel
 from longnav.kernels import bit_rows
 from longnav.strategies import DEFAULT_PERIODS
@@ -137,31 +137,39 @@ def _rows(n, start, **state):
                                   score=np.zeros(n), **state)
 
 
-def test_concat_rejects_models_on_one_side():
+def test_exchange_gives_new_rows_fresh_state_over_the_maps_periods():
+    # kept rows keep their models; new rows get unobserved ones over the
+    # map's own periods, and no models when the map has none
     m = FremenModel(DEFAULT_PERIODS, 2).add_observation(np.array([0.5, -0.5]),
                                                         60.0)
-    with_models, without = _rows(2, 0, temporal=m), _rows(3, 10)
-    for a, b in ((with_models, without), (without, with_models)):
-        with pytest.raises(ValueError, match="rows without"):
-            concat(a, b)
-    both = concat(with_models,
-                  _rows(1, 20, temporal=FremenModel(DEFAULT_PERIODS, 1)))
-    assert both.temporal.mu.tolist() == [0.5, -0.5, 0.0]
+    with_models, view = _rows(2, 0, temporal=m), _rows(3, 10)
+    with_models.inserted_at[:] = 4
+    with_models.score[:] = [1.5, -2.0]
+    both = exchange(with_models, np.array([1, 0]), view, np.array([2]),
+                    np.array([7.0]), 9)
+    assert both.temporal.periods == DEFAULT_PERIODS
+    assert both.temporal.mu.tolist() == [-0.5, 0.5, 0.0]
     assert both.temporal.n_obs.tolist() == [1, 1, 0]
-    assert concat(without, _rows(1, 20)).temporal is None
+    assert both.inserted_at.tolist() == [4, 4, 9]
+    assert both.score.tolist() == [-2.0, 1.5, 0.0]
+    assert both.x.tolist() == [1.0, 0.0, 7.0]
+    assert both.words.tolist() == [*with_models.words[[1, 0]].tolist(),
+                                   view.words[2].tolist()]
+    without = exchange(_rows(2, 20), np.array([0]), view, np.array([0]),
+                       np.array([3.0]), 1)
+    assert without.temporal is None and len(without) == 2
 
 
-def test_concat_rejects_other_descriptor_width():
+def test_exchange_rejects_other_descriptor_width():
     wide = block_from_descriptors([0.0], [0.0], [Descriptor.from_int(5, 128)])
     with pytest.raises(ValueError, match="width mismatch: 64 vs 128"):
-        concat(_rows(2, 0), wide)
-
-
-def test_concat_rejects_models_with_different_periods():
-    a = _rows(1, 0, temporal=FremenModel(DEFAULT_PERIODS, 1))
-    b = _rows(1, 5, temporal=FremenModel((3600.0,), 1))
-    with pytest.raises(ValueError, match="different periods"):
-        concat(a, b)
+        exchange(_rows(2, 0), np.array([0]), wide, np.array([0]),
+                 np.array([0.0]), 1)
+    # a side that gives no rows has no width to disagree with
+    assert exchange(_rows(2, 0), np.array([0, 1]), wide, np.array([], int),
+                    np.array([]), 1).width == 64
+    assert exchange(_rows(2, 0), np.array([], int), wide, None,
+                    wide.x, 1).width == 128
 
 
 def test_row_ids_travel_with_their_rows():
@@ -172,8 +180,11 @@ def test_row_ids_travel_with_their_rows():
     assert len({*a.ids.tolist(), *b.ids.tolist()}) == 7
     for idx in ([2, 0, 2], np.array([True, False, True, True]), slice(1, 3)):
         assert np.array_equal(a.take(idx).ids, a.ids[idx])
-    assert concat(a, b).ids.tolist() == [*a.ids.tolist(), *b.ids.tolist()]
-    assert concat(a, None).ids is a.ids
+    assert exchange(a, np.arange(4), b, None, b.x, 1).ids.tolist() == [
+        *a.ids.tolist(), *b.ids.tolist()]
+    assert exchange(a, np.array([3, 1]), b, np.array([2]), b.x[:1],
+                    1).ids.tolist() == [a.ids[3], a.ids[1], b.ids[2]]
+    assert exchange(a, np.arange(0), b, None, b.x, 1).ids is b.ids
     for same in (a.with_x(a.x + 1.0), a.as_map(3), a.copy_state()):
         assert np.array_equal(same.ids, a.ids)
     path = PathMap([LocalMap(0, 0.0, a, [b.as_map(2)])])

@@ -10,6 +10,8 @@ from longnav.fremen import FremenModel, predict_many
 from longnav.io import read_map_snapshot, write_map_snapshot
 from longnav.strategies import DEFAULT_PERIODS
 
+from blocks import stack_models
+
 DAY = 86400.0
 
 
@@ -112,7 +114,7 @@ def test_dominant_components_planted_pair():
     m = feed(vals, times)
     comps, = m.dominant_components(2)
     # one list per row: a block answers for each of its rows
-    assert FremenModel.concat([one_row(), m]).dominant_components(2) \
+    assert stack_models([one_row(), m]).dominant_components(2) \
         == [[], comps]
     assert comps[0][0] == pytest.approx(DAY)
     assert comps[1][0] == pytest.approx(DAY / 2)
@@ -202,14 +204,42 @@ def test_predict_many_matches_scalar_path():
         models.append(feed(rng.uniform(-1, 1, size=n),
                            rng.uniform(0, 30 * DAY, size=n)))
     for t in (0.0, 3.7 * DAY, 55 * DAY):
-        batch = predict_many(FremenModel.concat(models), t, order=2)
+        batch = predict_many(stack_models(models), t, order=2)
         single = np.array([scalar_prediction(m, t, 2) for m in models])
         np.testing.assert_allclose(batch, single, atol=1e-12)
 
 
-def test_concat_rejects_mixed_periods():
-    with pytest.raises(ValueError, match="different periods"):
-        FremenModel.concat([one_row(), one_row((DAY, DAY / 2))])
+def test_take_copies_rows_once():
+    # a slice or ... indexes views, so take copies them; a mask or an index
+    # array already gives copies
+    rng = np.random.default_rng(7)
+    m = FremenModel(DEFAULT_PERIODS, 6)
+    for _ in range(3):
+        m.add_observation(rng.uniform(-1, 1, size=6), rng.uniform(0, DAY))
+    names = ("n_obs", "mu", "re", "im")
+    mask = np.array([True, False, True, True, False, True])
+    for idx, rows in ((slice(1, 4), slice(1, 4)), (..., ...),
+                      (mask, mask), ([4, 0, 4], [4, 0, 4])):
+        got = m.take(idx)
+        for name in names:
+            assert np.array_equal(getattr(got, name), getattr(m, name)[rows])
+            assert not np.shares_memory(getattr(got, name), getattr(m, name))
+    copy = m.copy()
+    assert not any(np.shares_memory(getattr(copy, n), getattr(m, n))
+                   for n in names)
+    copy.add_observation(np.zeros(6), 0.0)  # the source stays as it was
+    assert m.n_obs.tolist() == [3] * 6
+
+
+def test_exchange_keeps_rows_and_adds_unobserved_ones():
+    m = feed([0.5, -0.25], [60.0, 3600.0])
+    both = stack_models([m, one_row()])
+    out = both.exchange(np.array([1, 0]), 2)
+    assert out.periods == both.periods and out._omega is both._omega
+    assert out.n_obs.tolist() == [0, 2, 0, 0]
+    assert out.mu.tolist() == [0.0, m.mu[0], 0.0, 0.0]
+    assert np.array_equal(out.re[1], m.re[0]) and not out.re[[0, 2, 3]].any()
+    assert np.array_equal(out.im[1], m.im[0]) and not out.im[[0, 2, 3]].any()
 
 
 def test_serialization_round_trip(tmp_path):

@@ -17,7 +17,7 @@ from longnav.simulator import (LocationRecord, World, WorldConfig,
                                run_closed_loop, teach, uniform_offset_schedule)
 from longnav.strategies import DEFAULT_PERIODS, StrategyConfig
 
-from blocks import Descriptor, block_from_descriptors
+from blocks import Descriptor, block_from_descriptors, stack_models
 
 
 def small_world():
@@ -146,7 +146,7 @@ def _block(rows):
     """A map block from (x, y, descriptor, score, inserted_at, temporal)
     rows; temporal is a model on every row or None on every row."""
     x, y, d, score, inserted_at, models = zip(*rows)
-    temporal = None if models[0] is None else FremenModel.concat(models)
+    temporal = None if models[0] is None else stack_models(models)
     return block_from_descriptors(
         x, y, list(d), score=np.array(score),
         inserted_at=np.array(inserted_at, dtype=np.int64), temporal=temporal)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from longnav.errors import ConfigError
-from longnav.features import concat
+from longnav.features import FeatureBlock
 from longnav.registration import (MatchOutcome, Pairs, RegistrationParams,
                                   classify_outcomes, histogram_vote,
                                   match_features, register, view_product)
@@ -387,7 +387,9 @@ def test_equal_rows_under_other_ids_pair_only_the_lower_row():
     rows = [rand_feature(rng, x=rng.uniform(100, 500)) for _ in range(20)]
     base, twin = block(rows), block(rows)
     assert not np.intersect1d(base.ids, twin.ids).size
-    both = concat(base, twin)
+    both = FeatureBlock(*(np.concatenate((getattr(base, a), getattr(twin, a)))
+                          for a in ("x", "y", "words")), base.width,
+                        ids=np.concatenate((base.ids, twin.ids)))
     view = block(shifted_view(rows, 12.0, rng))
     params = RegistrationParams()
     sets = [both, twin, base]

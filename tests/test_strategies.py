@@ -179,13 +179,19 @@ def test_rank_addition_candidates_oracle():
     rows = [rand_feature(rng) for _ in range(8)]
     rows.append(feature(1.0, 1.0, descriptors(lm.features)[0]))  # dup of a map feature
     cands = block(rows)
-    ranked = rank_addition_candidates(cands, lm)
+    picks = rank_addition_candidates(cands, np.ones(len(rows), dtype=bool), lm)
+    ranked = cands.take(picks)
     assert ranked.x[-1] == 1.0 and keys(ranked)[-1] == keys(cands)[-1]
     dist = [min(hamming_distance(r["d"], f) for f in descriptors(lm.features))
             for r in rows]
     order = sorted(range(len(rows)), key=lambda i: (-dist[i], i))
+    assert picks.tolist() == order
     assert keys(ranked) == [keys(cands)[i] for i in order]
     assert ranked.x.tolist() == [rows[i]["x"] for i in order]
+    # only the unmatched rows are ranked, by the same order
+    unmatched = np.arange(len(rows)) % 3 != 0
+    assert rank_addition_candidates(cands, unmatched, lm).tolist() == [
+        i for i in order if unmatched[i]]
 
 
 @given(shared_sets())
@@ -215,39 +221,40 @@ def test_shared_product_gives_each_set_its_own_pairs_and_ranking(data):
         unmatched = np.ones(len(view), dtype=bool)
         unmatched[own.pairs.view_idx] = False
         lm = LocalMap(0, 0.0, feats)
-        ranked = rank_addition_candidates(view.take(unmatched), lm,
+        ranked = rank_addition_candidates(view, unmatched, lm,
                                           share.top(unmatched), idx)
-        want = rank_addition_candidates(view.take(unmatched), lm)
-        assert ranked.x.tolist() == want.x.tolist()
-        assert keys(ranked) == keys(want)
+        want = rank_addition_candidates(view, unmatched, lm)
+        assert ranked.tolist() == want.tolist()
+        assert keys(view.take(ranked)) == keys(view.take(want))
 
 
 def test_rank_addition_candidates_empty_cases():
     rng = np.random.default_rng(5)
     lm = make_map(rng, 3)
-    assert len(rank_addition_candidates(block([]), lm)) == 0
-    empty = LocalMap(0, 0.0, block([]))
+    assert len(rank_addition_candidates(block([]), np.zeros(0, dtype=bool),
+                                        lm)) == 0
     cands = rand_view(rng, 3)
-    assert rank_addition_candidates(cands, empty) is cands
+    none = rank_addition_candidates(cands, np.zeros(3, dtype=bool), lm)
+    assert none.dtype == np.intp and len(none) == 0
+    # against an empty map every candidate ties: view order is kept
+    empty = LocalMap(0, 0.0, block([]))
+    assert rank_addition_candidates(cands, np.ones(3, dtype=bool),
+                                    empty).tolist() == [0, 1, 2]
+    assert rank_addition_candidates(cands, np.array([True, False, True]),
+                                    empty).tolist() == [0, 2]
 
 
 def test_correct_positions():
-    d = Descriptor.from_int(7, 64)
-    feats = block([feature(100.0, 5.0, d, score=2.0, inserted_at=3),
-                   feature(5.0, 0.0, d), feature(630.0, 0.0, d)],
-                  temporal=FremenModel(DEFAULT_PERIODS, 3).add_observation(
-                      np.ones(3), 0.0))
-    out = correct_positions(feats, 50.0, image_width=640)
-    assert out.x[0] == pytest.approx(50.0)
-    assert out.x[1] == 0.0  # clipped at the left edge
-    assert out.y.tolist() == [5.0, 0.0, 0.0] and out is not feats
-    # the result is rows for a fresh map: it carries no strategy state
-    assert (out.inserted_at, out.score, out.temporal) == (None, None, None)
-    assert feats.score.tolist() == [2.0, 0.0, 0.0]
+    x = np.array([100.0, 5.0, 630.0])
+    out = correct_positions(x, 50.0, image_width=640)
+    assert out[0] == pytest.approx(50.0)
+    assert out[1] == 0.0  # clipped at the left edge
+    assert out is not x and out.dtype == np.float64
 
-    out = correct_positions(feats, -50.0, image_width=640)
-    assert out.x[2] < 640.0 and out.x[2] == pytest.approx(640.0)
-    assert feats.x[2] == 630.0  # originals untouched
+    out = correct_positions(x, -50.0, image_width=640)
+    assert out[2] < 640.0 and out[2] == pytest.approx(640.0)
+    assert out[2] == np.nextafter(640.0, 0.0)  # the top edge, inside [0, W)
+    assert x.tolist() == [100.0, 5.0, 630.0]  # originals untouched
 
 
 def test_static_never_changes():
