@@ -1,13 +1,20 @@
 """File formats: frame datasets (JSONL), map snapshots (JSON), logs (JSONL).
 
 A dataset line is one frame, {"traversal":0,"location":3,"time_s":0.0,
-"gamma_px":0.0,"features":[{"x":12.5,"y":80.0,"d":"<hex>"}]}, the teach pass
-being traversal 0. A snapshot's feature records add "score", "inserted_at" and
-"temporal" (null, or {"n_obs":..,"mu":..,"components":[[period,re,im],..]}),
-and each alternative is {"created_at":<traversal>,"features":[..]}. A
-descriptor is lowercase hex of width/4 digits, width being a dataset's first
-descriptor's and a snapshot's "descriptor_width". Positions round-trip at full
-float precision. A log line is one LocationRecord, keyed by its field names.
+"gamma_px":0.0,"x":[12.5,..],"y":[80.0,..],"d":"<hex>"}, the teach pass being
+traversal 0. Its features are columns: x and y hold one position per
+feature, and d every feature's descriptor, one after another, as lowercase
+hex of width/4 digits each. A frame's width is thus 4·len(d)/len(x), and
+every frame with features must have the width of the file's first. A file
+of per-feature records (a "features" list, the layout before columns) is
+rejected. A snapshot keeps one record per feature, {"x":..,"y":..,"d":..,
+"score":..,"inserted_at":..,"temporal":..}, "temporal" being null or
+{"n_obs":..,"mu":..,"components":[[period,re,im],..]}, each descriptor
+"descriptor_width"/4 digits long; each alternative is
+{"created_at":<traversal>,"features":[..]}. Its records are transposed to
+and from the same columns, so one decoder and one encoder serve both
+formats. Positions round-trip at full float precision. A log line is one
+LocationRecord, keyed by its field names.
 """
 
 from __future__ import annotations
@@ -27,57 +34,61 @@ from .simulator import Frame, LocationRecord
 _BAD = (KeyError, ValueError, TypeError, OverflowError)  # from a bad value
 
 
-def hex_rows(words: np.ndarray, width: int) -> list:
-    """Lowercase hex of each packed descriptor row, width/4 digits each."""
+def hex_digits(words: np.ndarray, width: int) -> str:
+    """Lowercase hex of the packed descriptor rows, one after another,
+    width/4 digits each."""
     n, n_words = words.shape
-    if not n:
-        return []
-    # most significant word first, each word big-endian: the integer's digits
-    digits = words[:, ::-1].astype(">u8").tobytes().hex()
     step = 16 * n_words
-    skip = step - width // 4
-    return [digits[i + skip:i + step] for i in range(0, n * step, step)]
+    # most significant word first, each word big-endian: the integer's digits
+    digits = words[:, ::-1].astype(">u8").tobytes().hex().encode()
+    rows = np.frombuffer(digits, dtype=np.uint8).reshape(n, step)
+    return rows[:, step - width // 4:].tobytes().decode()
 
 
-def words_from_hex(strings: list, width: int) -> np.ndarray:
-    """Packed ``(n, ceil(width / 64))`` rows from hex descriptors of width/4
-    digits each; ValueError naming a descriptor of another width, and on a
-    width that is not positive or on malformed hex."""
-    n_words = (width + 63) // 64
-    if not strings:
-        return np.zeros((0, n_words), dtype=np.uint64)
-    if width <= 0:
-        raise ValueError(f"descriptor width {width} is not positive")
-    if set(map(len, strings)) != {width / 4}:
-        bad = next(4 * len(s) for s in strings if 4 * len(s) != width)
-        raise ValueError(f"descriptor width {bad} differs from {width}")
-    if width % 8:  # whole bytes: one leading zero digit
-        strings = ["0" + s for s in strings]
-    n_bytes = (width + 7) // 8
-    raw = bytes.fromhex("".join(strings))
-    if len(raw) != n_bytes * len(strings):
+def words_from_hex(digits: str, n: int, width: int) -> np.ndarray:
+    """Packed ``(n, ceil(width / 64))`` rows from n descriptors of width/4
+    hex digits each, one after another; ValueError on malformed hex."""
+    step = 16 * ((width + 63) // 64)
+    raw = digits.encode()
+    if len(raw) != n * (width // 4):
         raise ValueError("malformed hex descriptor")
-    octets = np.zeros((len(strings), 8 * n_words), dtype=np.uint8)
-    octets[:, :n_bytes] = np.frombuffer(raw, dtype=np.uint8).reshape(-1, n_bytes)[:, ::-1]
-    return octets.view("<u8").astype(np.uint64, copy=False)
+    # each row zero-padded to whole words: the integer's big-endian digits
+    rows = np.full((n, step), ord("0"), dtype=np.uint8)
+    rows[:, step - width // 4:] = np.frombuffer(raw, dtype=np.uint8).reshape(
+        n, width // 4)
+    try:
+        octets = bytes.fromhex(rows.tobytes().decode())
+    except ValueError:  # a byte that is no hex digit
+        raise ValueError("malformed hex descriptor") from None
+    if len(octets) != n * step // 2:  # fromhex skips whitespace
+        raise ValueError("malformed hex descriptor")
+    # least significant word first
+    words = np.frombuffer(octets, dtype=">u8").reshape(n, step // 16)
+    return words[:, ::-1].astype(np.uint64, order="C")
 
 
-def _records(block: FeatureBlock, state: bool = False) -> list:
-    """The block's rows as feature records: x, y and d, and with state the
-    map-state columns."""
-    recs = [{"x": x, "y": y, "d": d}
-            for x, y, d in zip(block.x.tolist(), block.y.tolist(),
-                               hex_rows(block.words, block.width))]
-    if state:
-        m = block.temporal
-        models = [None] * len(block) if m is None else [
-            {"n_obs": k, "mu": mu, "components": list(map(list, zip(m.periods, re, im)))}
-            for k, mu, re, im in zip(m.n_obs.tolist(), m.mu.tolist(),
-                                     m.re.tolist(), m.im.tolist())]
-        for rec, score, inserted, model in zip(
-                recs, block.score.tolist(), block.inserted_at.tolist(), models):
-            rec.update(score=score, inserted_at=inserted, temporal=model)
-    return recs
+def _columns(block: FeatureBlock) -> dict:
+    """The block's features as columns: x and y, and d, every descriptor's
+    hex one after another."""
+    return {"x": block.x.tolist(), "y": block.y.tolist(),
+            "d": hex_digits(block.words, block.width)}
+
+
+def _records(block: FeatureBlock) -> list:
+    """The map block's rows as snapshot feature records: its columns
+    transposed, with the map-state columns."""
+    cols = _columns(block)
+    k, d = block.width // 4, cols["d"]
+    m = block.temporal
+    models = [None] * len(block) if m is None else [
+        {"n_obs": n, "mu": mu, "components": list(map(list, zip(m.periods, re, im)))}
+        for n, mu, re, im in zip(m.n_obs.tolist(), m.mu.tolist(),
+                                 m.re.tolist(), m.im.tolist())]
+    return [{"x": x, "y": y, "d": d[i * k:(i + 1) * k], "score": score,
+             "inserted_at": inserted, "temporal": model}
+            for i, (x, y, score, inserted, model) in enumerate(zip(
+                cols["x"], cols["y"], block.score.tolist(),
+                block.inserted_at.tolist(), models))]
 
 
 def write_dataset(pairs, path) -> int:
@@ -90,7 +101,7 @@ def write_dataset(pairs, path) -> int:
                 "location": int(frame.location),
                 "time_s": float(frame.time),
                 "gamma_px": float(frame.gamma),
-                "features": _records(frame.features),
+                **_columns(frame.features),
             }
             fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
             n += 1
@@ -114,8 +125,10 @@ def _integer(v, name: str) -> int:
 
 
 def _numbers(values: list, name: str) -> np.ndarray:
-    """values as a float64 array; ValueError unless all are finite JSON
-    numbers."""
+    """values as a float64 array; ValueError unless they are a list of finite
+    JSON numbers."""
+    if type(values) is not list:
+        raise ValueError(f"{name} is not a list")
     if not set(map(type, values)) <= {int, float}:
         for v in values:
             _number(v, name)
@@ -163,35 +176,62 @@ def _model(docs: list) -> FremenModel | None:
     return model
 
 
-def _block(recs: list, width: int | None, state: bool = False) -> FeatureBlock:
-    """Feature records as one block of width-bit descriptors (None: the first
-    one's): x, y and d, and with state the map-state columns (by default
-    score 0, inserted_at 0 and no temporal model)."""
+def _block(cols: dict, width: int | None, **state) -> FeatureBlock:
+    """One block of width-bit descriptors (None: the block's own,
+    4·len(d)/len(x), or 0 without rows) from the columns x, y and d; state
+    gives the map-state columns. ValueError on a bad value, on columns of
+    different lengths and on a descriptor width other than width."""
+    x, y, d = _numbers(cols["x"], "x"), _numbers(cols["y"], "y"), cols["d"]
+    n = len(x)
+    if len(y) != n:
+        raise ValueError(f"x has {n} values and y {len(y)}")
+    if type(d) is not str:
+        raise ValueError(f"d is {d!r}, not a string")
+    if n:
+        if len(d) % n:
+            raise ValueError(f"d's {len(d)} hex digits are no whole number "
+                             f"per row for {n} rows")
+        own = 4 * (len(d) // n)
+        if width is None:
+            width = own
+        if own != width:
+            raise ValueError(f"descriptor width {own} differs from {width}")
+        if width <= 0:
+            raise ValueError(f"descriptor width {width} is not positive")
+    elif d:
+        raise ValueError(f"d holds {len(d)} hex digits for no rows")
+    width = width or 0
+    return FeatureBlock(x, y, words_from_hex(d, n, width), width, **state)
+
+
+def _snapshot_block(recs: list, width: int) -> FeatureBlock:
+    """A snapshot set's feature records, transposed into columns, as one map
+    block of width-bit descriptors."""
     if type(recs) is not list:
         raise ValueError("features is not a list")
-    try:
-        hexes = [r["d"] for r in recs]
-    except TypeError:  # only an object takes a key
-        raise ValueError("a feature record is not an object") from None
-    if width is None:
-        width = 4 * len(hexes[0]) if hexes else 0
-    columns = {
+    if not all(type(r) is dict for r in recs):
+        raise ValueError("a feature record is not an object")
+    hexes = [r["d"] for r in recs]
+    if set(map(len, hexes)) - {width / 4}:
+        bad = next(4 * len(h) for h in hexes if 4 * len(h) != width)
+        raise ValueError(f"descriptor width {bad} differs from {width}")
+    state = {
         "inserted_at": np.array([_integer(r.get("inserted_at", 0), "inserted_at")
                                  for r in recs], dtype=np.int64),
         "score": _numbers([r.get("score", 0.0) for r in recs], "score"),
-        "temporal": _model([r.get("temporal") for r in recs])} if state else {}
-    return FeatureBlock(_numbers([r["x"] for r in recs], "x"),
-                        _numbers([r["y"] for r in recs], "y"),
-                        words_from_hex(hexes, width), width, **columns)
+        "temporal": _model([r.get("temporal") for r in recs])}
+    return _block({"x": [r["x"] for r in recs], "y": [r["y"] for r in recs],
+                   "d": "".join(hexes)}, width, **state)
 
 
 def read_dataset(path):
     """Yield (traversal, Frame) pairs from a dataset file; a non-finite
-    number, an integer that is not a JSON integer and a descriptor of another
-    width than the file's first are rejected with DatasetError naming
-    path:line."""
+    number, an integer that is not a JSON integer, columns of different
+    lengths, malformed hex, a frame with features whose descriptor width
+    differs from the file's first such frame's, and a line in the
+    per-feature layout are rejected with DatasetError naming path:line."""
     p = Path(path)
-    width = None  # fixed by the file's first descriptor
+    width = None  # fixed by the file's first frame with features
     with p.open() as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -199,7 +239,11 @@ def read_dataset(path):
                 continue
             try:
                 rec = json.loads(line)
-                block = _block(rec["features"], width)
+                if "features" in rec:
+                    raise ValueError('a "features" list: the old per-feature '
+                                     "dataset layout; a frame now holds x, y "
+                                     "and d columns")
+                block = _block(rec, width)
                 if width is None and len(block):
                     width = block.width
                 frame = Frame(_integer(rec["location"], "location"),
@@ -220,10 +264,10 @@ def write_map_snapshot(path_map: PathMap, path) -> None:
             {
                 "index": lm.index,
                 "odometry_distance": lm.odometry_distance,
-                "features": _records(lm.features, state=True),
+                "features": _records(lm.features),
                 "alternatives": [
                     {"created_at": int(alt.inserted_at[0]),
-                     "features": _records(alt, state=True)}
+                     "features": _records(alt)}
                     for alt in lm.alternatives
                 ],
             }
@@ -254,13 +298,13 @@ def read_map_snapshot(path) -> PathMap:
         maps = []
         for lm in doc["local_maps"]:
             index = _integer(lm["index"], "index")
-            feats = _in_image(_block(lm["features"], width, state=True),
+            feats = _in_image(_snapshot_block(lm["features"], width),
                               image_width, f"local map {index}'s taught set")
             if not len(feats):
                 raise ValueError(f"local map {index}'s taught set has no rows")
             alts = []
             for a in lm.get("alternatives", []):
-                alt = _block(a["features"], width, state=True)
+                alt = _snapshot_block(a["features"], width)
                 created = _integer(a["created_at"], "created_at")
                 inserted = sorted(set(alt.inserted_at.tolist()))
                 if inserted != [created]:  # no rows, or some not created then

@@ -343,7 +343,8 @@ def nearest_distances(a: np.ndarray, b: np.ndarray,
 
     ``top``, when given, holds each row of a's largest ``dot`` with b's rows
     ``rows`` (all of b when rows is None), for instance ``SetProduct.top``;
-    only b's other rows are multiplied here.
+    only b's other rows are multiplied here. When none are, only a's width
+    is read, so a may hold other rows of that width.
     """
     if top is None:
         dot, n_bits = _dot(a, b)

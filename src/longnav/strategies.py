@@ -181,11 +181,13 @@ def rank_addition_candidates(view: FeatureBlock, unmatched,
     rows `rows` (all rows when None), e.g. the registration's SetProduct.top;
     only the other map rows are multiplied (see kernels.nearest_distances)."""
     idx = unmatched.nonzero()[0]
-    if not len(idx) or not len(local_map.features):
+    feats = local_map.features
+    if not len(idx) or not len(feats):
         return idx
-    dist = kernels.nearest_distances(pack_features(view)[idx],
-                                     pack_features(local_map.features),
-                                     top, rows)
+    bits = pack_features(view)
+    if top is None or (rows is not None and len(rows) < len(feats)):
+        bits = bits[idx]  # multiplied with map rows
+    dist = kernels.nearest_distances(bits, pack_features(feats), top, rows)
     return idx[np.argsort(-dist, kind="stable")]
 
 

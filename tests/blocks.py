@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from longnav.errors import ConfigError
 from longnav.features import DEFAULT_DESCRIPTOR_WIDTH, FeatureBlock
 from longnav.fremen import FremenModel
-from longnav.io import hex_rows, words_from_hex
+from longnav.io import hex_digits, words_from_hex
 from longnav.kernels import _distance, _dot
 
 
@@ -49,8 +49,10 @@ class Descriptor:
     def from_hex(cls, s: str, width: int | None = None) -> "Descriptor":
         if width is None:
             width = 4 * len(s)
+        if 4 * len(s) != width:
+            raise ConfigError(f"hex descriptor {s!r} is not {width} bits wide")
         try:
-            words = words_from_hex([s], width)[0]
+            words = words_from_hex(s, 1, width)[0]
         except ValueError as e:
             raise ConfigError(f"bad hex descriptor {s!r}: {e}") from e
         return cls(words, width)
@@ -59,7 +61,7 @@ class Descriptor:
         return int.from_bytes(self.words.astype("<u8").tobytes(), "little")
 
     def to_hex(self) -> str:
-        return hex_rows(self.words[None], self.width)[0]
+        return hex_digits(self.words[None], self.width)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Descriptor):

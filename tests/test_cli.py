@@ -139,9 +139,9 @@ def _edit_last_frame(edit):
 
 
 def _pad_first_descriptor(rec):
-    # the right length, but bytes.fromhex skips the trailing spaces
-    row = rec["features"][0]
-    row["d"] = row["d"][:-2] + "  "
+    # the right length, but no hex digits at the first descriptor's end
+    k = len(rec["d"]) // len(rec["x"])
+    rec["d"] = rec["d"][:k - 2] + "  " + rec["d"][k:]
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -152,8 +152,7 @@ def _pad_first_descriptor(rec):
     # missing location registered later locations against the wrong maps
     (lambda recs: recs[:1] + recs, "location 0 repeats"),
     (lambda recs: recs[1:], "location 0 is missing"),
-    (_edit_last_frame(lambda rec: rec.update(features={})),
-     "features is not a list"),
+    (_edit_last_frame(lambda rec: rec.update(x={})), "x is not a list"),
     (_edit_last_frame(_pad_first_descriptor), "malformed hex descriptor"),
 ], ids=["location-7", "location-minus-1", "traversal-backwards",
         "teach-repeats-location", "teach-misses-location",
@@ -647,7 +646,7 @@ def test_replay_registers_a_featureless_first_frame_as_failed(tmp_path,
 
     def edit(recs):
         recs = [rec for rec in recs if rec["traversal"] > 0]
-        recs[0]["features"] = []
+        recs[0].update(x=[], y=[], d="")
         return recs
     _rewrite_dataset(data / "dataset.jsonl", repeats, edit)
     out = tmp_path / "r"
@@ -658,6 +657,25 @@ def test_replay_registers_a_featureless_first_frame_as_failed(tmp_path,
     assert len(logs) == 4 and logs[0].delta_px is None
     assert (logs[0].n_correct, logs[0].n_incorrect) == (0, 0)
     assert all(rec.delta_px is not None for rec in logs[1:])
+
+
+def test_replay_rejects_a_dataset_without_repeat_frames(tmp_path, config_path,
+                                                       capsys):
+    # a teach-only dataset once replayed to exit 0 with an empty log and
+    # mean_error_px=nan
+    data = tmp_path / "data"
+    run_cli("generate", "--config", config_path, "--out", data)
+    teach_only = tmp_path / "teach.jsonl"
+    _rewrite_dataset(data / "dataset.jsonl", teach_only,
+                     lambda recs: [rec for rec in recs if rec["traversal"] == 0])
+    capsys.readouterr()
+    out = tmp_path / "r"
+    assert run_cli("replay", "--config", config_path, "--out", out,
+                   "--strategy", "score", "--dataset", teach_only) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "no repeat frames" in err
+    assert "Traceback" not in err
+    assert not (out / "logs_score.jsonl").exists()
 
 
 def test_written_maps_have_models_on_every_row_or_none(tmp_path):

@@ -1,18 +1,24 @@
 """Round-trip fidelity for datasets, map snapshots, and traversal logs."""
 
+import hashlib
 import json
 import math
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from longnav.errors import DatasetError
+from longnav.evaluation import _hashed
 from longnav.features import LocalMap, PathMap
 from longnav.fremen import FremenModel
 from longnav.io import (read_dataset, read_logs, read_map_snapshot,
                         write_dataset, write_logs, write_map_snapshot)
-from longnav.simulator import (LocationRecord, World, WorldConfig,
+from longnav.simulator import (Frame, LocationRecord, World, WorldConfig,
                                generate_frames, replay_frames,
                                run_closed_loop, teach, uniform_offset_schedule)
 from longnav.strategies import DEFAULT_PERIODS, StrategyConfig
@@ -124,8 +130,10 @@ def test_dataset_rejects_non_finite_numbers(tmp_path, field, value):
     write_dataset(generate_frames(small_world(), 1, 100.0), p)
 
     def edit(rec):
-        target = rec["features"][1] if field in ("x", "y") else rec
-        target[field] = value
+        if field in ("x", "y"):
+            rec[field][1] = value
+        else:
+            rec[field] = value
     _edit_line(p, 3, edit)
     with pytest.raises(DatasetError, match=f"d.jsonl:3: .*{field} is"):
         list(read_dataset(p))
@@ -135,11 +143,98 @@ def test_dataset_rejects_mixed_descriptor_widths(tmp_path):
     p = tmp_path / "d.jsonl"
     write_dataset(generate_frames(small_world(), 1, 100.0), p)
 
-    def edit(rec):  # one 256-bit descriptor cut to 128 bits
-        rec["features"][2]["d"] = rec["features"][2]["d"][32:]
+    def edit(rec):  # every 256-bit descriptor of the frame cut to 128 bits
+        d = rec["d"]
+        rec["d"] = "".join(d[i + 32:i + 64] for i in range(0, len(d), 64))
     _edit_line(p, 4, edit)
     with pytest.raises(DatasetError, match="d.jsonl:4: .*width 128 differs"):
         list(read_dataset(p))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda rec: rec["y"].pop(), r"x has \d+ values and y \d+"),
+    (lambda rec: rec["x"].append(1.0), r"x has \d+ values and y \d+"),
+    (lambda rec: rec.update(d=rec["d"][:-1]),
+     r"d's \d+ hex digits are no whole number per row for \d+ rows"),
+    (lambda rec: rec.update(x=[], y=[]), r"d holds \d+ hex digits for no rows"),
+    (lambda rec: rec.update(d=""), "descriptor width 0 differs from 256"),
+    (lambda rec: rec.update(d="g" + rec["d"][1:]), "malformed hex descriptor"),
+    (lambda rec: rec.update(d="\u00e9" + rec["d"][1:]),
+     "malformed hex descriptor"),
+    (lambda rec: rec.update(d=rec["d"][:-2] + "  "), "malformed hex descriptor"),
+    (lambda rec: rec.update(d=list(rec["d"])), "d is .*, not a string"),
+    (lambda rec: rec.update(x={}), "x is not a list"),
+], ids=["y-short", "x-long", "digits-per-row", "digits-without-rows",
+        "no-digits", "not-hex", "not-ascii", "trailing-spaces", "d-not-string",
+        "x-not-list"])
+def test_dataset_rejects_bad_columns(tmp_path, edit, message):
+    p = tmp_path / "d.jsonl"
+    write_dataset(generate_frames(small_world(), 1, 100.0), p)
+    _edit_line(p, 3, edit)
+    with pytest.raises(DatasetError, match=f"d.jsonl:3: bad dataset record: "
+                                           f"{message}"):
+        list(read_dataset(p))
+
+
+def test_dataset_rejects_the_per_feature_layout(tmp_path):
+    p = tmp_path / "d.jsonl"
+    write_dataset(generate_frames(small_world(), 1, 100.0), p)
+    lines = p.read_text().splitlines()
+    rec = json.loads(lines[1])
+    k = len(rec["d"]) // len(rec["x"])
+    old = {key: rec[key] for key in ("traversal", "location", "time_s",
+                                     "gamma_px")}
+    old["features"] = [{"x": x, "y": y, "d": rec["d"][i * k:(i + 1) * k]}
+                       for i, (x, y) in enumerate(zip(rec["x"], rec["y"]))]
+    p.write_text(lines[0] + "\n" + json.dumps(old) + "\n")
+    with pytest.raises(DatasetError, match="d.jsonl:2: .*the old per-feature "
+                                           "dataset layout"):
+        list(read_dataset(p))
+
+
+@st.composite
+def _column_frames(draw):
+    """(width, frames): frames of 0..6 rows whose descriptors share a width
+    that is a multiple of 4, x and y any finite floats."""
+    width = 4 * draw(st.integers(1, 80))
+    value = st.integers(0, (1 << width) - 1)
+    coord = st.floats(allow_nan=False, allow_infinity=False)
+    frames = []
+    for tr in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(0, 6))
+        descs = [Descriptor.from_int(draw(value), width) for _ in range(n)]
+        x = draw(st.lists(coord, min_size=n, max_size=n))
+        y = draw(st.lists(coord, min_size=n, max_size=n))
+        frames.append((tr, Frame(tr, draw(coord),
+                                 block_from_descriptors(x, y, descs),
+                                 draw(coord))))
+    return width, frames
+
+
+@given(_column_frames())
+@settings(max_examples=80, deadline=None)
+def test_dataset_columns_round_trip_bit_exact(case):
+    width, frames = case
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "d.jsonl"
+        write_dataset(frames, p)
+        back = list(read_dataset(p))
+    assert len(back) == len(frames)
+    for (tr0, f0), (tr1, f1) in zip(frames, back):
+        a, b = f0.features, f1.features
+        assert tr0 == tr1 and (f0.location, f0.time, f0.gamma) \
+            == (f1.location, f1.time, f1.gamma)
+        assert a.x.tobytes() == b.x.tobytes() and a.y.tobytes() == b.y.tobytes()
+        assert a.words.tobytes() == b.words.tobytes()
+        if len(a):
+            assert b.width == width and b.words.shape == a.words.shape
+    hashes = []
+    for stream in (frames, back):
+        h = hashlib.sha256()
+        for _ in _hashed(stream, h):
+            pass
+        hashes.append(h.hexdigest())
+    assert hashes[0] == hashes[1]
 
 
 def _block(rows):
