@@ -186,7 +186,7 @@ def _block(cols: dict, width: int | None, **state) -> FeatureBlock:
     if len(y) != n:
         raise ValueError(f"x has {n} values and y {len(y)}")
     if type(d) is not str:
-        raise ValueError(f"d is {d!r}, not a string")
+        raise ValueError("d is not a string")
     if n:
         if len(d) % n:
             raise ValueError(f"d's {len(d)} hex digits are no whole number "
