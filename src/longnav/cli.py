@@ -14,8 +14,8 @@ import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .errors import (ConfigError, DatasetError, LongNavError, check_settings,
-                     in_range, is_int)
+from .errors import (ConfigError, LongNavError, check_settings, in_range,
+                     is_int, no_repeat_frames)
 from .evaluation import (_penalty, build_report, compare_strategies,
                          registration_errors, unique_labels, write_report)
 from .io import (read_dataset, read_logs, read_map_snapshot, write_dataset,
@@ -200,8 +200,7 @@ def _cmd_replay(args) -> int:
                                feature_cap=cfg.feature_cap,
                                params=cfg.registration)
     if not logs:
-        raise DatasetError(f"{args.dataset}: no repeat frames (traversal 1 or "
-                           "later) to replay")
+        raise no_repeat_frames(args.dataset)
     log_path = out / f"logs_{strategy.kind}.jsonl"
     write_logs(logs, log_path)
     print(_summarize(logs, cfg, strategy.kind))

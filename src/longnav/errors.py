@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the setting checks that
-raise them."""
+"""Exception types shared across the package, the setting checks that raise
+them, and the dataset error that both replay paths raise."""
 
 import math
 import numbers
@@ -19,6 +19,12 @@ class TeachError(LongNavError):
 
 class DatasetError(LongNavError):
     """Dataset or snapshot file is malformed."""
+
+
+def no_repeat_frames(path) -> DatasetError:
+    """The error for a dataset file without frames to replay."""
+    return DatasetError(f"{path}: no repeat frames (traversal 1 or later) "
+                        "to replay")
 
 
 def check_settings(obj, rules) -> None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, in_range, is_int
+from .errors import ConfigError, in_range, is_int, no_repeat_frames
 from .registration import RegistrationParams
 from .simulator import (World, WorldConfig, generate_frames, replay_frames,
                         run_closed_loop)
@@ -255,7 +255,8 @@ def compare_strategies(source, strategies, schedule=None, *, mode: str = "open",
     stream hash is the stream's one sha256. mode "closed" runs every strategy
     in lockstep through one world, each steering its own frames. A world
     source's params must have its image width; failure_penalty defaults to
-    half the params' image width."""
+    half the params' image width. A dataset path without repeat frames
+    raises DatasetError naming the file."""
     if not strategies:
         raise ConfigError("no strategies to compare")
     if mode not in ("open", "closed"):
@@ -295,6 +296,8 @@ def compare_strategies(source, strategies, schedule=None, *, mode: str = "open",
         h = hashlib.sha256()
         _, results = replay_frames(_hashed(pairs, h), strategies,
                                    feature_cap=feature_cap, params=reg_params)
+        if not results[0] and isinstance(source, (str, os.PathLike)):
+            raise no_repeat_frames(source)
         stream_hashes = dict.fromkeys(labels, h.hexdigest())
 
     sequences = [registration_errors(records, failure_penalty, lab)

@@ -1,19 +1,21 @@
 """File formats: frame datasets (JSONL), map snapshots (JSON), logs (JSONL).
 
-A dataset line is one frame, {"traversal":0,"location":3,"time_s":0.0,
-"gamma_px":0.0,"x":[12.5,..],"y":[80.0,..],"d":"<hex>"}, the teach pass being
-traversal 0. Its features are columns: x and y hold one position per
-feature, and d every feature's descriptor, one after another, as lowercase
-hex of width/4 digits each. A frame's width is thus 4·len(d)/len(x), and
-every frame with features must have the width of the file's first. A file
-of per-feature records (a "features" list, the layout before columns) is
-rejected. A snapshot keeps one record per feature, {"x":..,"y":..,"d":..,
-"score":..,"inserted_at":..,"temporal":..}, "temporal" being null or
-{"n_obs":..,"mu":..,"components":[[period,re,im],..]}, each descriptor
-"descriptor_width"/4 digits long; each alternative is
-{"created_at":<traversal>,"features":[..]}. Its records are transposed to
-and from the same columns, so one decoder and one encoder serve both
-formats. Positions round-trip at full float precision. A log line is one
+Datasets and snapshots hold features as columns. A dataset line is one
+frame, {"traversal":0,"location":3,"time_s":0.0,"gamma_px":0.0,
+"x":[12.5,..],"y":[80.0,..],"d":"<hex>"}, the teach pass being traversal 0:
+x and y hold one position per feature, and d every feature's descriptor,
+one after another, as lowercase hex of width/4 digits each. A frame's width
+is thus 4·len(d)/len(x), and every frame with features must have the width
+of the file's first. A snapshot is {"image_width":..,"descriptor_width":..,
+"taught_at":..,"local_maps":[{"odometry_distance":..,"features":<set>,
+"alternatives":[<set>,..]},..]}, a local map's index being its position.
+Each set has the frame's columns, each descriptor "descriptor_width"/4
+digits long, and the map-state columns "score", "inserted_at" and
+"temporal": null or {"periods":[..],"n_obs":[..],"mu":[..],"re":[..],
+"im":[..]}, re and im holding one value per period, row after row. So
+one encoder and one decoder serve both formats. Files of per-feature
+records (a "features" list, the layout before columns) are rejected.
+Positions round-trip at full float precision. A log line is one
 LocationRecord, keyed by its field names.
 """
 
@@ -67,28 +69,21 @@ def words_from_hex(digits: str, n: int, width: int) -> np.ndarray:
     return words[:, ::-1].astype(np.uint64, order="C")
 
 
-def _columns(block: FeatureBlock) -> dict:
+def _columns(block: FeatureBlock, state: bool = False) -> dict:
     """The block's features as columns: x and y, and d, every descriptor's
-    hex one after another."""
-    return {"x": block.x.tolist(), "y": block.y.tolist(),
+    hex one after another; with state, a map block's score, inserted_at and
+    temporal model (its periods and arrays, re and im row after row)."""
+    cols = {"x": block.x.tolist(), "y": block.y.tolist(),
             "d": hex_digits(block.words, block.width)}
-
-
-def _records(block: FeatureBlock) -> list:
-    """The map block's rows as snapshot feature records: its columns
-    transposed, with the map-state columns."""
-    cols = _columns(block)
-    k, d = block.width // 4, cols["d"]
-    m = block.temporal
-    models = [None] * len(block) if m is None else [
-        {"n_obs": n, "mu": mu, "components": list(map(list, zip(m.periods, re, im)))}
-        for n, mu, re, im in zip(m.n_obs.tolist(), m.mu.tolist(),
-                                 m.re.tolist(), m.im.tolist())]
-    return [{"x": x, "y": y, "d": d[i * k:(i + 1) * k], "score": score,
-             "inserted_at": inserted, "temporal": model}
-            for i, (x, y, score, inserted, model) in enumerate(zip(
-                cols["x"], cols["y"], block.score.tolist(),
-                block.inserted_at.tolist(), models))]
+    if state:
+        m = block.temporal
+        cols.update(score=block.score.tolist(),
+                    inserted_at=block.inserted_at.tolist(),
+                    temporal=None if m is None else {
+                        "periods": list(m.periods), "n_obs": m.n_obs.tolist(),
+                        "mu": m.mu.tolist(), "re": m.re.ravel().tolist(),
+                        "im": m.im.ravel().tolist()})
+    return cols
 
 
 def write_dataset(pairs, path) -> int:
@@ -138,6 +133,24 @@ def _numbers(values: list, name: str) -> np.ndarray:
     return out
 
 
+def _integers(values: list, name: str) -> np.ndarray:
+    """values as an int64 array; ValueError unless they are a list of JSON
+    integers."""
+    if type(values) is not list:
+        raise ValueError(f"{name} is not a list")
+    if not set(map(type, values)) <= {int}:
+        for v in values:
+            _integer(v, name)
+    return np.array(values, dtype=np.int64)
+
+
+def _rows(values: np.ndarray, n: int, name: str) -> np.ndarray:
+    """values; ValueError unless they hold n rows, one per x."""
+    if len(values) != n:
+        raise ValueError(f"x has {n} values and {name} {len(values)}")
+    return values
+
+
 def _unit_range(values: np.ndarray, name: str) -> np.ndarray:
     """values; ValueError unless every one lies in [-1, 1]."""
     out = np.abs(values) > 1.0
@@ -146,45 +159,37 @@ def _unit_range(values: np.ndarray, name: str) -> np.ndarray:
     return values
 
 
-def _model(docs: list) -> FremenModel | None:
-    """One fremen model for all rows from their "temporal" values, None when
-    every one is null; ValueError when only some are, when an n_obs is not a
-    JSON integer >= 0, when a mean mu or a component's re or im lies outside
-    the observation range [-1, 1] (running means of observations in it
-    never do), and unless every row has row 0's periods."""
-    if not docs or None in docs:
-        if any(d is not None for d in docs):
-            raise ValueError("a feature set mixes rows with and without a "
-                             "temporal model")
+def _model(doc: dict | None, n: int) -> FremenModel | None:
+    """The fremen model of n rows in a set's "temporal" value, None for
+    null; ValueError unless its periods are positive, each column holds n
+    rows (re and im one value per period each), each n_obs is a JSON
+    integer >= 0 and each mu, re and im lies in the observation range
+    [-1, 1], which running means of observations in it never leave."""
+    if doc is None:
         return None
-    n_obs = np.array([_integer(d["n_obs"], "n_obs") for d in docs],
-                     dtype=np.int64)
-    if n_obs.min() < 0:
-        raise ValueError(f"n_obs is {n_obs.min()}, below 0")
-    comps = [d["components"] for d in docs]
-    if not {len(v) for c in comps for v in c} <= {3}:
-        raise ValueError("a fremen component is not [period, re, im]")
-    if len({tuple(v[0] for v in c) for c in comps}) > 1:
-        raise ValueError("a feature set's fremen models have different periods")
-    values = _numbers([v for c in comps for comp in c for v in comp],
-                      "fremen component value").reshape(len(docs), -1, 3)
-    model = FremenModel(values[0, :, 0].tolist(), len(docs))
-    model.n_obs[:] = n_obs
-    model.mu[:] = _unit_range(_numbers([d["mu"] for d in docs], "mu"), "mu")
-    model.re[:] = _unit_range(values[:, :, 1], "fremen component re")
-    model.im[:] = _unit_range(values[:, :, 2], "fremen component im")
+    model = FremenModel(_numbers(doc["periods"], "period").tolist(), n)
+    model.n_obs[:] = _rows(_integers(doc["n_obs"], "n_obs"), n, "n_obs")
+    if n and model.n_obs.min() < 0:
+        raise ValueError(f"n_obs is {model.n_obs.min()}, below 0")
+    model.mu[:] = _unit_range(_rows(_numbers(doc["mu"], "mu"), n, "mu"), "mu")
+    for name, out in (("re", model.re), ("im", model.im)):
+        values = _numbers(doc[name], name)
+        if len(values) != out.size:
+            raise ValueError(f"{name} has {len(values)} values for {n} rows "
+                             f"of {out.shape[1]} periods")
+        out[:] = _unit_range(values, name).reshape(out.shape)
     return model
 
 
-def _block(cols: dict, width: int | None, **state) -> FeatureBlock:
+def _block(cols: dict, width: int | None, state: bool = False) -> FeatureBlock:
     """One block of width-bit descriptors (None: the block's own,
-    4·len(d)/len(x), or 0 without rows) from the columns x, y and d; state
-    gives the map-state columns. ValueError on a bad value, on columns of
-    different lengths and on a descriptor width other than width."""
+    4·len(d)/len(x), or 0 without rows) from the columns x, y and d; with
+    state, a map block with the map-state columns too. ValueError on a bad
+    value, on columns of different lengths and on a descriptor width other
+    than width."""
     x, y, d = _numbers(cols["x"], "x"), _numbers(cols["y"], "y"), cols["d"]
     n = len(x)
-    if len(y) != n:
-        raise ValueError(f"x has {n} values and y {len(y)}")
+    _rows(y, n, "y")
     if type(d) is not str:
         raise ValueError("d is not a string")
     if n:
@@ -201,27 +206,15 @@ def _block(cols: dict, width: int | None, **state) -> FeatureBlock:
     elif d:
         raise ValueError(f"d holds {len(d)} hex digits for no rows")
     width = width or 0
-    return FeatureBlock(x, y, words_from_hex(d, n, width), width, **state)
-
-
-def _snapshot_block(recs: list, width: int) -> FeatureBlock:
-    """A snapshot set's feature records, transposed into columns, as one map
-    block of width-bit descriptors."""
-    if type(recs) is not list:
-        raise ValueError("features is not a list")
-    if not all(type(r) is dict for r in recs):
-        raise ValueError("a feature record is not an object")
-    hexes = [r["d"] for r in recs]
-    if set(map(len, hexes)) - {width / 4}:
-        bad = next(4 * len(h) for h in hexes if 4 * len(h) != width)
-        raise ValueError(f"descriptor width {bad} differs from {width}")
-    state = {
-        "inserted_at": np.array([_integer(r.get("inserted_at", 0), "inserted_at")
-                                 for r in recs], dtype=np.int64),
-        "score": _numbers([r.get("score", 0.0) for r in recs], "score"),
-        "temporal": _model([r.get("temporal") for r in recs])}
-    return _block({"x": [r["x"] for r in recs], "y": [r["y"] for r in recs],
-                   "d": "".join(hexes)}, width, **state)
+    words = words_from_hex(d, n, width)
+    if not state:
+        return FeatureBlock(x, y, words, width)
+    return FeatureBlock(
+        x, y, words, width,
+        score=_rows(_numbers(cols["score"], "score"), n, "score"),
+        inserted_at=_rows(_integers(cols["inserted_at"], "inserted_at"), n,
+                          "inserted_at"),
+        temporal=_model(cols["temporal"], n))
 
 
 def read_dataset(path):
@@ -255,67 +248,67 @@ def read_dataset(path):
 
 
 def write_map_snapshot(path_map: PathMap, path) -> None:
-    """Write the path; an alternative's created_at is its rows' inserted_at."""
+    """Write the path, every feature set as columns with its map state."""
     doc = {
         "image_width": path_map.image_width,
         "descriptor_width": path_map.descriptor_width,
         "taught_at": path_map.taught_at,
         "local_maps": [
-            {
-                "index": lm.index,
-                "odometry_distance": lm.odometry_distance,
-                "features": _records(lm.features),
-                "alternatives": [
-                    {"created_at": int(alt.inserted_at[0]),
-                     "features": _records(alt)}
-                    for alt in lm.alternatives
-                ],
-            }
+            {"odometry_distance": lm.odometry_distance,
+             "features": _columns(lm.features, state=True),
+             "alternatives": [_columns(a, state=True)
+                              for a in lm.alternatives]}
             for lm in path_map.local_maps
         ],
     }
     Path(path).write_text(json.dumps(doc, separators=(",", ":")) + "\n")
 
 
-def _in_image(block: FeatureBlock, image_width: int, what: str) -> FeatureBlock:
-    """block; ValueError naming what unless every row has x in [0,
+def _set(cols: dict, width: int, image_width: int, what: str) -> FeatureBlock:
+    """The map block of a snapshot set; ValueError naming what unless the set
+    is an object of columns with rows, every one with x in [0,
     image_width)."""
+    if type(cols) is list:
+        raise ValueError(f"{what} is a list of feature records: the old "
+                         "per-feature snapshot layout; a set now holds "
+                         "columns")
+    if type(cols) is not dict:
+        raise ValueError(f"{what} is not an object")
+    block = _block(cols, width, state=True)
+    if not len(block):
+        raise ValueError(f"{what} has no rows")
     if not block.in_image(image_width):
         raise ValueError(f"{what} has a feature x outside [0, {image_width})")
     return block
 
 
 def read_map_snapshot(path) -> PathMap:
-    """The PathMap of a snapshot file. A bad value, a local map whose taught
-    set has no rows, an alternative without rows or with rows inserted at
-    another traversal than its created_at, and a set with a feature x outside
-    [0, image_width) are rejected with DatasetError naming the file."""
+    """The PathMap of a snapshot file. A bad value, columns of different
+    lengths, a set, taught or alternative, without rows or with a feature x
+    outside [0, image_width), an alternative with rows inserted at more than
+    one traversal and a file in the per-feature layout are rejected with
+    DatasetError naming the file. Alternative j counts from 1, the taught
+    set being alternative 0."""
     p = Path(path)
     try:
         doc = json.loads(p.read_text())
         width = _integer(doc["descriptor_width"], "descriptor_width")
         image_width = _integer(doc["image_width"], "image_width")
         maps = []
-        for lm in doc["local_maps"]:
-            index = _integer(lm["index"], "index")
-            feats = _in_image(_snapshot_block(lm["features"], width),
-                              image_width, f"local map {index}'s taught set")
-            if not len(feats):
-                raise ValueError(f"local map {index}'s taught set has no rows")
+        for i, lm in enumerate(doc["local_maps"]):
+            feats = _set(lm["features"], width, image_width,
+                         f"local map {i}'s taught set")
             alts = []
-            for a in lm.get("alternatives", []):
-                alt = _snapshot_block(a["features"], width)
-                created = _integer(a["created_at"], "created_at")
-                inserted = sorted(set(alt.inserted_at.tolist()))
-                if inserted != [created]:  # no rows, or some not created then
-                    raise ValueError(f"local map {index} has an alternative "
-                                     f"created at {created} whose rows were "
-                                     f"inserted at {inserted}")
-                alts.append(_in_image(alt, image_width,
-                                      f"local map {index}'s alternative "
-                                      f"created at {created}"))
+            for j, cols in enumerate(lm["alternatives"], 1):
+                what = f"local map {i}'s alternative {j}"
+                alts.append(_set(cols, width, image_width, what))
+                inserted = np.unique(alts[-1].inserted_at)
+                if len(inserted) > 1:
+                    raise ValueError(f"{what} has rows inserted at "
+                                     f"{inserted.tolist()}, not at one "
+                                     "traversal")
             odometry = _number(lm["odometry_distance"], "odometry_distance")
-            maps.append(LocalMap(index, odometry, feats, alts))
+            maps.append(LocalMap(i, odometry, feats, alts))
         return PathMap(maps, image_width=image_width, descriptor_width=width,
                        taught_at=_number(doc.get("taught_at", 0.0), "taught_at"))
     except _BAD as e:

@@ -468,7 +468,7 @@ def test_replay_rejects_non_finite_map(tmp_path, config_path, capsys):
     data = tmp_path / "data"
     run_cli("generate", "--config", config_path, "--out", data)
     doc = json.loads((data / "map.json").read_text())
-    doc["local_maps"][0]["features"][0]["x"] = math.nan
+    doc["local_maps"][0]["features"]["x"][0] = math.nan
     bad = tmp_path / "bad_map.json"
     bad.write_text(json.dumps(doc))
     capsys.readouterr()
@@ -487,8 +487,7 @@ def test_replay_rejects_map_feature_outside_the_image(tmp_path, config_path,
     run_cli("generate", "--config", config_path, "--out", data)
     doc = json.loads((data / "map.json").read_text())
     for lm in doc["local_maps"]:
-        for rec in lm["features"]:
-            rec["x"] += 5000.0
+        lm["features"]["x"] = [x + 5000.0 for x in lm["features"]["x"]]
     bad = tmp_path / "bad_map.json"
     bad.write_text(json.dumps(doc))
     err = _replay_error(capsys, tmp_path, "--config", config_path,
@@ -503,13 +502,13 @@ def test_replay_rejects_map_feature_record_not_object(tmp_path, config_path,
     data = tmp_path / "data"
     run_cli("generate", "--config", config_path, "--out", data)
     doc = json.loads((data / "map.json").read_text())
-    doc["local_maps"][0]["features"][0] = 5
+    doc["local_maps"][0]["features"] = 5
     bad = tmp_path / "bad_map.json"
     bad.write_text(json.dumps(doc))
     err = _replay_error(capsys, tmp_path, "--config", config_path,
                         "--strategy", "score", "--dataset",
                         data / "dataset.jsonl", "--map", bad)
-    assert "a feature record is not an object" in err
+    assert "local map 0's taught set is not an object" in err
 
 
 @pytest.fixture
@@ -542,40 +541,40 @@ def test_replay_rejects_map_with_other_fremen_periods(tmp_path, config_path,
     assert "(86400.0, 43200.0)" in err and "43200.0, 28800.0" in err
 
 
-def test_replay_rejects_map_mixing_temporal_rows(tmp_path, config_path,
-                                                 fremen_run, capsys):
-    dataset, final = fremen_run
-    doc = json.loads(final.read_text())
-    doc["local_maps"][1]["features"][0]["temporal"] = None
-    final.write_text(json.dumps(doc))
-    err = _replay_error(capsys, tmp_path, "--config", config_path,
-                        "--strategy", "fremen", "--dataset", dataset,
-                        "--map", final)
-    assert "mixes rows with and without a temporal model" in err
+def _taught(doc, local_map=0):
+    return doc["local_maps"][local_map]["features"]
 
 
-def _taught_row(doc):
-    return doc["local_maps"][0]["features"][0]
+def _alternative(cols, inserted_at):
+    """An alternative of the set's first rows, one inserted at each of the
+    given traversals."""
+    n = len(inserted_at)
+    return {"x": cols["x"][:n], "y": cols["y"][:n],
+            "d": cols["d"][:n * len(cols["d"]) // len(cols["x"])],
+            "score": [0.0] * n, "inserted_at": inserted_at, "temporal": None}
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda doc: _taught_row(doc)["temporal"].update(n_obs=-1),
+    (lambda doc: _taught(doc)["temporal"]["n_obs"].__setitem__(0, -1),
      "n_obs is -1, below 0"),
-    (lambda doc: _taught_row(doc)["temporal"].update(n_obs="7"),
+    (lambda doc: _taught(doc)["temporal"]["n_obs"].__setitem__(0, "7"),
      "n_obs is '7', not an integer"),
-    (lambda doc: _taught_row(doc).update(d=_taught_row(doc)["d"][32:]),
+    (lambda doc: _taught(doc).update(d="".join(
+        _taught(doc)["d"][i + 32:i + 64]
+        for i in range(0, len(_taught(doc)["d"]), 64))),
      "descriptor width 128 differs from 256"),
     (lambda doc: doc["local_maps"][0].update(
-        alternatives=[{"created_at": 2, "features": []}]),
-     "alternative created at 2 whose rows were inserted at []"),
-    (lambda doc: doc["local_maps"][0].update(alternatives=[
-        {"created_at": 2, "features": [dict(_taught_row(doc), inserted_at=1,
-                                            temporal=None)]}]),
-     "alternative created at 2 whose rows were inserted at [1]"),
-    (lambda doc: doc["local_maps"][1].update(features=[]),
-     "taught set has no rows"),
-    (lambda doc: [rec["temporal"].update(mu=7.5) for lm in doc["local_maps"]
-                  for rec in lm["features"]],
+        alternatives=[_alternative(_taught(doc), [])]),
+     "local map 0's alternative 1 has no rows"),
+    (lambda doc: doc["local_maps"][0].update(
+        alternatives=[_alternative(_taught(doc), [1, 2])]),
+     "local map 0's alternative 1 has rows inserted at [1, 2], not at one "
+     "traversal"),
+    (lambda doc: _taught(doc, 1).update(x=[], y=[], d="", score=[],
+                                        inserted_at=[], temporal=None),
+     "local map 1's taught set has no rows"),
+    (lambda doc: [lm["features"]["temporal"].update(
+        mu=[7.5] * len(lm["features"]["x"])) for lm in doc["local_maps"]],
      "mu is 7.5, outside [-1, 1]"),
 ], ids=["n_obs-negative", "n_obs-string", "descriptor-narrow",
         "alternative-empty", "alternative-created-elsewhere", "taught-empty",
@@ -693,13 +692,13 @@ def test_written_maps_have_models_on_every_row_or_none(tmp_path):
     n_alternatives = 0
     for kind, p in maps + [("generate", tmp_path / "gen" / "map.json")]:
         doc = json.loads(p.read_text())
-        for lm in doc["local_maps"]:
+        for i, lm in enumerate(doc["local_maps"]):
             n_alternatives += len(lm["alternatives"])
-            sets = [(True, lm["features"])] + [(False, a["features"])
+            sets = [(True, lm["features"])] + [(False, a)
                                                for a in lm["alternatives"]]
-            for taught, rows in sets:
-                has = {r["temporal"] is not None for r in rows}
-                assert has == {kind == "fremen" and taught}, (kind, lm["index"])
+            for taught, cols in sets:
+                has = cols["temporal"] is not None
+                assert has == (kind == "fremen" and taught), (kind, i)
         again = tmp_path / "again.json"
         write_map_snapshot(read_map_snapshot(p), again)
         assert again.read_bytes() == p.read_bytes(), kind

@@ -9,11 +9,12 @@ import pytest
 import scipy.special
 import scipy.stats
 
-from longnav.errors import ConfigError, LongNavError
+from longnav.errors import ConfigError, DatasetError, LongNavError
 from longnav.evaluation import (ComparisonReport, ErrorSequence, _betainc,
                                 build_report, compare_strategies, error_cdf,
                                 paired_t_test, registration_errors,
                                 unique_labels, write_report)
+from longnav.io import write_dataset
 from longnav.registration import RegistrationParams
 from longnav.simulator import (LocationRecord, WorldConfig, World,
                                generate_frames, run_closed_loop,
@@ -287,6 +288,19 @@ def test_compare_list_source_matches_world_source():
         np.testing.assert_array_equal(rep_world.sequences["score"].values,
                                       rep.sequences["score"].values)
         assert rep_world.stream_hashes["score"] == rep.stream_hashes["score"]
+
+
+def test_compare_rejects_a_dataset_file_without_repeat_frames(tmp_path):
+    # such a file once raised ConfigError about the sequences sharing 0
+    # frames, naming neither the file nor what it lacks
+    frames = generate_frames(World(world_cfg()), 2, 3600.0)
+    path = tmp_path / "teach.jsonl"
+    write_dataset(((tr, f) for tr, f in frames if tr == 0), path)
+    with pytest.raises(DatasetError, match=f"^{path}: no repeat frames "
+                                           r"\(traversal 1 or later\) to "
+                                           "replay$"):
+        compare_strategies(path, [StrategyConfig(kind="static"),
+                                  StrategyConfig(kind="score")])
 
 
 def test_compare_closed_loop_runs():

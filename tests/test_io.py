@@ -237,6 +237,81 @@ def test_dataset_columns_round_trip_bit_exact(case):
     assert hashes[0] == hashes[1]
 
 
+@st.composite
+def _snapshots(draw):
+    """A path of 1..3 local maps, each a taught set and 0..2 alternatives of
+    0..6 rows whose descriptors share a width that is a multiple of 4; each
+    set with or without a fremen model of 1..13 periods, an alternative's
+    rows inserted at one traversal."""
+    width = 4 * draw(st.integers(1, 80))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    unit = st.floats(-1.0, 1.0)
+    traversal = st.integers(-(2**63), 2**63 - 1)
+
+    def column(values, n):
+        return draw(st.lists(values, min_size=n, max_size=n))
+
+    def feature_set(inserted_at):
+        n = draw(st.integers(0, 6))
+        temporal = None
+        if draw(st.booleans()):
+            periods = draw(st.lists(st.floats(1e-3, 1e12), min_size=1,
+                                    max_size=13))
+            temporal = FremenModel(periods, n)
+            temporal.n_obs[:] = column(st.integers(0, 2**62), n)
+            temporal.mu[:] = column(unit, n)
+            for a in (temporal.re, temporal.im):
+                a.flat[:] = column(unit, a.size)
+        descs = [Descriptor.from_int(v, width)
+                 for v in column(st.integers(0, (1 << width) - 1), n)]
+        return block_from_descriptors(
+            column(st.floats(0.0, 640.0, exclude_max=True), n),
+            column(finite, n), descs, score=np.array(column(finite, n)),
+            inserted_at=np.array(column(inserted_at, n), dtype=np.int64),
+            temporal=temporal)
+
+    maps = [LocalMap(i, 1.5 * i, feature_set(traversal),
+                     [feature_set(st.just(draw(traversal)))
+                      for _ in range(draw(st.integers(0, 2)))])
+            for i in range(draw(st.integers(1, 3)))]
+    return PathMap(maps, image_width=640, descriptor_width=width,
+                   taught_at=draw(finite))
+
+
+def _set_bytes(block):
+    """The bytes of a set's arrays, its fremen model's periods included."""
+    arrays = [block.x, block.y, block.words, block.score, block.inserted_at]
+    m = block.temporal
+    if m is not None:
+        arrays += [np.array(m.periods), m.n_obs, m.mu, m.re, m.im]
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+@given(_snapshots())
+@settings(max_examples=100, deadline=None)
+def test_map_snapshot_columns_round_trip_bit_exact(pm):
+    with tempfile.TemporaryDirectory() as tmp:
+        p, again = Path(tmp) / "map.json", Path(tmp) / "again.json"
+        write_map_snapshot(pm, p)
+        sets = [s for lm in pm.local_maps for s in [lm.features,
+                                                    *lm.alternatives]]
+        if not all(map(len, sets)):  # an empty set is no map set
+            with pytest.raises(DatasetError, match="has no rows"):
+                read_map_snapshot(p)
+            return
+        back = read_map_snapshot(p)
+        write_map_snapshot(back, again)
+        assert again.read_bytes() == p.read_bytes()
+    assert (back.image_width, back.descriptor_width, back.taught_at) \
+        == (pm.image_width, pm.descriptor_width, pm.taught_at)
+    for lm0, lm1 in zip(pm.local_maps, back.local_maps, strict=True):
+        assert (lm0.index, lm0.odometry_distance) \
+            == (lm1.index, lm1.odometry_distance)
+        for a, b in zip([lm0.features, *lm0.alternatives],
+                        [lm1.features, *lm1.alternatives], strict=True):
+            assert _set_bytes(a) == _set_bytes(b)
+
+
 def _block(rows):
     """A map block from (x, y, descriptor, score, inserted_at, temporal)
     rows; temporal is a model on every row or None on every row."""
@@ -280,8 +355,15 @@ def test_map_snapshot_round_trip(tmp_path):
     back = read_map_snapshot(p)
 
     doc = json.loads(p.read_text())
-    assert [[r["temporal"] is None for r in lm["features"]]
-            for lm in doc["local_maps"]] == [[False] * 3, [True] * 2]
+    lm0 = doc["local_maps"][0]
+    assert set(lm0) == {"odometry_distance", "features", "alternatives"}
+    assert set(lm0["features"]) == {"x", "y", "d", "score", "inserted_at",
+                                    "temporal"}
+    assert set(lm0["features"]["temporal"]) == {"periods", "n_obs", "mu", "re",
+                                                "im"}
+    assert len(lm0["features"]["temporal"]["re"]) == 3 * len(DEFAULT_PERIODS)
+    assert [lm["features"]["temporal"] is None
+            for lm in doc["local_maps"]] == [False, True]
     assert back.image_width == 800 and back.taught_at == 42.0
     assert len(back.local_maps) == 2
     for lm0, lm1 in zip(pm.local_maps, back.local_maps):
@@ -294,38 +376,12 @@ def test_map_snapshot_round_trip(tmp_path):
     alt0 = pm.local_maps[0].alternatives[0]
     alt1 = back.local_maps[0].alternatives[0]
     assert alt1.inserted_at.tolist() == alt0.inserted_at.tolist() == [3]
-    assert doc["local_maps"][0]["alternatives"][0]["created_at"] == 3
+    assert doc["local_maps"][0]["alternatives"][0]["inserted_at"] == [3]
     assert np.array_equal(alt1.words, alt0.words)
 
     p2 = tmp_path / "map2.json"
     write_map_snapshot(back, p2)
     assert p.read_bytes() == p2.read_bytes()
-
-
-@pytest.mark.parametrize("local_map, pattern", [(0, [True, False, True]),
-                                                (1, [True, False])],
-                         ids=["models-on-some", "model-on-one"])
-def test_map_snapshot_rejects_mixed_temporal_rows(tmp_path, local_map, pattern):
-    p = tmp_path / "map.json"
-    write_map_snapshot(snapshot_path_map(), p)
-    doc = json.loads(p.read_text())
-    model = doc["local_maps"][0]["features"][1]["temporal"]
-    for rec, has in zip(doc["local_maps"][local_map]["features"], pattern):
-        rec["temporal"] = model if has else None
-    p.write_text(json.dumps(doc))
-    with pytest.raises(DatasetError, match="mixes rows with and without"):
-        read_map_snapshot(p)
-
-
-def test_map_snapshot_rejects_mixed_fremen_periods(tmp_path):
-    p = tmp_path / "map.json"
-    write_map_snapshot(snapshot_path_map(), p)
-    doc = json.loads(p.read_text())
-    rec = doc["local_maps"][0]["features"][0]
-    rec["temporal"] = {"n_obs": 0, "mu": 0.0, "components": [[3600.0, 0.0, 0.0]]}
-    p.write_text(json.dumps(doc))
-    with pytest.raises(DatasetError, match="different periods"):
-        read_map_snapshot(p)
 
 
 def test_map_snapshot_from_teach(tmp_path):
@@ -344,31 +400,66 @@ def test_map_snapshot_malformed(tmp_path):
         read_map_snapshot(p)
 
 
+def test_map_snapshot_rejects_the_per_feature_layout(tmp_path):
+    p = tmp_path / "map.json"
+    write_map_snapshot(snapshot_path_map(), p)
+    doc = json.loads(p.read_text())
+
+    def records(cols):  # the layout before columns, one record per feature
+        k = len(cols["d"]) // len(cols["x"])
+        return [{"x": x, "y": y, "d": cols["d"][i * k:(i + 1) * k],
+                 "score": score, "inserted_at": inserted, "temporal": None}
+                for i, (x, y, score, inserted) in enumerate(zip(
+                    cols["x"], cols["y"], cols["score"], cols["inserted_at"]))]
+    for i, lm in enumerate(doc["local_maps"]):
+        doc["local_maps"][i] = {
+            "index": i, "odometry_distance": lm["odometry_distance"],
+            "features": records(lm["features"]),
+            "alternatives": [{"created_at": a["inserted_at"][0],
+                              "features": records(a)}
+                             for a in lm["alternatives"]]}
+    p.write_text(json.dumps(doc))
+    with pytest.raises(DatasetError, match="map.json: bad map snapshot: local "
+                                           "map 0's taught set is a list of "
+                                           "feature records: the old "
+                                           "per-feature snapshot layout"):
+        read_map_snapshot(p)
+
+
+def _set(doc, local_map=0):
+    return doc["local_maps"][local_map]["features"]
+
+
+def _alt(doc):
+    return doc["local_maps"][0]["alternatives"][0]
+
+
+def _fremen(doc):
+    return _set(doc)["temporal"]
+
+
 @pytest.mark.parametrize("edit, name", [
-    (lambda doc: doc["local_maps"][0]["features"][0].update(x=math.nan), "x"),
-    (lambda doc: doc["local_maps"][1]["features"][0].update(y=math.inf), "y"),
-    (lambda doc: doc["local_maps"][0]["features"][1].update(score=math.nan),
-     "score"),
+    (lambda doc: _set(doc)["x"].__setitem__(0, math.nan), "x"),
+    (lambda doc: _set(doc, 1)["y"].__setitem__(0, math.inf), "y"),
+    (lambda doc: _set(doc)["score"].__setitem__(1, math.nan), "score"),
     (lambda doc: doc["local_maps"][1].update(odometry_distance=math.nan),
      "odometry_distance"),
     (lambda doc: doc.update(taught_at=-math.inf), "taught_at"),
-    (lambda doc: doc["local_maps"][0]["features"][1]["temporal"].update(
-        mu=math.nan), "mu"),
-    (lambda doc: doc["local_maps"][0]["features"][1]["temporal"]
-     ["components"][0].__setitem__(1, math.inf), "fremen component value"),
-    (lambda doc: doc["local_maps"][0]["features"][0].update(x="12.5"), "x"),
+    (lambda doc: _fremen(doc)["mu"].__setitem__(1, math.nan), "mu"),
+    (lambda doc: _fremen(doc)["re"].__setitem__(0, math.inf), "re"),
+    (lambda doc: _fremen(doc)["im"].__setitem__(5, -math.inf), "im"),
+    (lambda doc: _fremen(doc)["periods"].__setitem__(2, math.nan), "period"),
+    (lambda doc: _set(doc)["x"].__setitem__(0, "12.5"), "x"),
     (lambda doc: doc.update(image_width=640.9), "image_width"),
-    (lambda doc: doc["local_maps"][1]["features"][0].update(inserted_at=0.5),
+    (lambda doc: _set(doc, 1)["inserted_at"].__setitem__(0, 0.5),
      "inserted_at"),
-    (lambda doc: doc["local_maps"][0]["features"][1]["temporal"].update(
-        n_obs=-1), "n_obs"),
-    (lambda doc: doc["local_maps"][0]["features"][1]["temporal"].update(
-        n_obs="7"), "n_obs"),
-    (lambda doc: doc["local_maps"][0]["features"][1]["temporal"].update(
-        n_obs=2.0), "n_obs"),
-], ids=["x", "y", "score", "odometry", "taught_at", "mu", "component", "x-str",
-        "image_width", "inserted_at", "n_obs-negative", "n_obs-string",
-        "n_obs-float"])
+    (lambda doc: _fremen(doc)["n_obs"].__setitem__(1, -1), "n_obs"),
+    (lambda doc: _fremen(doc)["n_obs"].__setitem__(1, "7"), "n_obs"),
+    (lambda doc: _fremen(doc)["n_obs"].__setitem__(1, 2.0), "n_obs"),
+], ids=["x", "y", "score", "odometry", "taught_at", "mu", "component", "im",
+        "period",
+        "x-str", "image_width", "inserted_at", "n_obs-negative",
+        "n_obs-string", "n_obs-float"])
 def test_map_snapshot_rejects_non_finite_values(tmp_path, edit, name):
     p = tmp_path / "map.json"
     write_map_snapshot(snapshot_path_map(), p)
@@ -379,41 +470,69 @@ def test_map_snapshot_rejects_non_finite_values(tmp_path, edit, name):
         read_map_snapshot(p)
 
 
-def _taught_row(doc, local_map=0, row=1):
-    return doc["local_maps"][local_map]["features"][row]
+def _narrow(cols):
+    """Every 256-bit descriptor of the set cut to 128 bits."""
+    d = cols["d"]
+    cols["d"] = "".join(d[i + 32:i + 64] for i in range(0, len(d), 64))
+
+
+def _second_row(cols, inserted_at):
+    """The set's row 0 again, inserted at inserted_at."""
+    for key in ("x", "y", "score"):
+        cols[key].append(cols[key][0])
+    cols["d"] += cols["d"][:64]
+    cols["inserted_at"].append(inserted_at)
+
+
+def _empty(cols):
+    cols.update(x=[], y=[], d="", score=[], inserted_at=[])
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda doc: _taught_row(doc)["temporal"]["components"][0].pop(),
-     r"a fremen component is not \[period, re, im\]"),
-    (lambda doc: _taught_row(doc, 1, 0).update(d=_taught_row(doc, 1, 0)["d"][32:]),
-     "descriptor width 128 differs from 256"),
-    (lambda doc: _taught_row(doc, 1, 0).update(d=_taught_row(doc, 1, 0)["d"] + "00"),
+    (lambda doc: _narrow(_set(doc, 1)), "descriptor width 128 differs from 256"),
+    (lambda doc: _set(doc, 1).update(d=_set(doc, 1)["d"] + "0000"),
      "descriptor width 264 differs from 256"),
-    (lambda doc: doc["local_maps"][1].update(features=[]),
-     "local map 1's taught set has no rows"),
-    (lambda doc: doc["local_maps"][0]["alternatives"][0].update(features=[]),
-     r"local map 0 has an alternative created at 3 whose rows were inserted "
-     r"at \[\]"),
-    (lambda doc: doc["local_maps"][0]["alternatives"][0].update(created_at=2),
-     r"local map 0 has an alternative created at 2 whose rows were inserted "
-     r"at \[3\]"),
-    (lambda doc: _taught_row(doc)["temporal"].update(mu=7.5),
+    (lambda doc: _empty(_set(doc, 1)), "local map 1's taught set has no rows"),
+    (lambda doc: _empty(_alt(doc)),
+     "local map 0's alternative 1 has no rows"),
+    (lambda doc: _second_row(_alt(doc), 4),
+     r"local map 0's alternative 1 has rows inserted at \[3, 4\], not at one "
+     r"traversal"),
+    (lambda doc: _fremen(doc)["mu"].__setitem__(1, 7.5),
      r"mu is 7.5, outside \[-1, 1\]"),
-    (lambda doc: _taught_row(doc)["temporal"]["components"][2].__setitem__(
-        1, -1.25), r"fremen component re is -1.25, outside \[-1, 1\]"),
-    (lambda doc: _taught_row(doc, row=2)["temporal"]["components"][0]
-     .__setitem__(2, 1.0000001),
-     r"fremen component im is 1.0000001, outside \[-1, 1\]"),
-    (lambda doc: _taught_row(doc, 1, 0).update(x=800.0),
+    (lambda doc: _fremen(doc)["re"].__setitem__(2, -1.25),
+     r"re is -1.25, outside \[-1, 1\]"),
+    (lambda doc: _fremen(doc)["im"].__setitem__(13, 1.0000001),
+     r"im is 1.0000001, outside \[-1, 1\]"),
+    (lambda doc: _set(doc, 1)["x"].__setitem__(0, 800.0),
      r"local map 1's taught set has a feature x outside \[0, 800\)"),
-    (lambda doc: doc["local_maps"][0]["alternatives"][0]["features"][0]
-     .update(x=-0.5),
-     r"local map 0's alternative created at 3 has a feature x outside "
-     r"\[0, 800\)"),
-], ids=["component-pair", "descriptor-narrow", "descriptor-wide", "taught-empty",
+    (lambda doc: _alt(doc)["x"].__setitem__(0, -0.5),
+     r"local map 0's alternative 1 has a feature x outside \[0, 800\)"),
+    (lambda doc: _set(doc)["score"].pop(), "x has 3 values and score 2"),
+    (lambda doc: _set(doc, 1)["inserted_at"].append(1),
+     "x has 2 values and inserted_at 3"),
+    (lambda doc: _fremen(doc)["n_obs"].pop(), "x has 3 values and n_obs 2"),
+    (lambda doc: _fremen(doc)["mu"].append(0.0), "x has 3 values and mu 4"),
+    (lambda doc: _fremen(doc)["im"].pop(), "im has 38 values for 3 rows of 13 "
+                                           "periods"),
+    (lambda doc: _fremen(doc)["re"].pop(), "re has 38 values for 3 rows of 13 "
+                                           "periods"),
+    (lambda doc: _fremen(doc)["im"].extend([0.0] * 13),
+     "im has 52 values for 3 rows of 13 periods"),
+    (lambda doc: _fremen(doc)["periods"].__setitem__(4, 0.0),
+     "candidate periods must be positive"),
+    (lambda doc: _fremen(doc)["periods"].__setitem__(0, -3600.0),
+     "candidate periods must be positive"),
+    (lambda doc: doc["local_maps"][0].update(features=5),
+     "local map 0's taught set is not an object"),
+    (lambda doc: doc["local_maps"][0]["alternatives"].__setitem__(0, "x"),
+     "local map 0's alternative 1 is not an object"),
+], ids=["descriptor-narrow", "descriptor-wide", "taught-empty",
         "alternative-empty", "alternative-created-elsewhere", "mu-range",
-        "re-range", "im-range", "x-at-width", "alternative-x-negative"])
+        "re-range", "im-range", "x-at-width", "alternative-x-negative",
+        "score-short", "inserted_at-long", "n_obs-short", "mu-long",
+        "component-pair", "re-count", "im-count", "period-zero", "period-negative",
+        "taught-not-object", "alternative-not-object"])
 def test_map_snapshot_rejects_bad_state(tmp_path, edit, message):
     p = tmp_path / "map.json"
     write_map_snapshot(snapshot_path_map(), p)
