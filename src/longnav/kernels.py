@@ -33,14 +33,14 @@ for every set at once:
   acceptance radius of that column too, so only the product's entries
   within the radius are counted, and every set's pairs come from one pass.
 
-``mutual_nearest_pairs`` reads every set's pairs through the product, or
-one set's through its ``SetProduct``, and the insertion ranking
-(``nearest_distances``) reads a set's column max through its share; no set
-copies or gathers its rows or columns of the product.
-``mutual_nearest_pairs`` called without either builds a one-set
-``ViewProduct``, so every product is reduced the same way. Being exact, the
-shared product gives every set the same distances, and so the same pairs and
-rankings, as a product of its own.
+``mutual_nearest_pairs`` reads every set's pairs through the product, and
+the insertion ranking (``nearest_distances``) reads a set's column max
+through its share (a ``SetProduct``); no set copies or gathers its rows or
+columns of the product. ``mutual_nearest_pairs`` called without a product
+builds a one-set ``ViewProduct``, so every product is reduced the same way
+and its pairs come in one shape. Being exact, the shared product gives every
+set the same distances, and so the same pairs and rankings, as a product of
+its own.
 """
 
 from __future__ import annotations
@@ -309,32 +309,22 @@ class SetProduct:
         (-inf for a set without rows)."""
         return self.product.tops[self.k, cols]
 
-    def pairs(self, d_max: int):
-        """The set's ``(a_idx, b_idx, dist)`` (see ``ViewProduct.pairs``)."""
-        cut, *found = self.product.pairs(d_max)
-        span = slice(cut[self.k], cut[self.k + 1])
-        return tuple(a[span] for a in found)
-
 
 def mutual_nearest_pairs(a: np.ndarray, b: np.ndarray, d_max: int,
-                         share: SetProduct | None = None):
+                         product: ViewProduct | None = None):
     """Mutual nearest neighbours under Hamming distance, within ``d_max``.
 
-    Returns ``(a_idx, b_idx, dist)`` int64 arrays sorted by ``a_idx``. Ties in
-    the nearest neighbour are broken toward the lower index on both sides.
-    ``share``, when given, is a's share of a ``ViewProduct`` with the view b
-    (a ``SetProduct``), whose pairs are read instead of multiplying. It may
-    also be the ``ViewProduct`` itself, a then being its ``ids`` and b its
-    ``view``: every set's pairs come at once, as ``(cut, a_idx, b_idx,
-    dist)`` (see ``ViewProduct.pairs``). Without a share, a and b make a
-    one-set product.
+    Returns ``(cut, a_idx, b_idx, dist)``: set k's pairs are
+    ``cut[k]:cut[k + 1]`` of the int64 arrays, sorted by ``a_idx`` within
+    each set (see ``ViewProduct.pairs``). Ties in the nearest neighbour are
+    broken toward the lower index on both sides. ``product`` is a
+    ``ViewProduct``, whose pairs are read instead of multiplying; a is then
+    its ``ids`` and b its ``view``. Without one, the rows a and the view b
+    make a one-set product, and cut is ``[0, len(a_idx)]``.
     """
-    if share is None:
-        if a.shape[0] == 0 or b.shape[0] == 0:
-            e = np.empty(0, dtype=np.int64)
-            return e, e.copy(), e.copy()
-        share, = ViewProduct(b, [(None, a)]).shares()
-    return share.pairs(d_max)
+    if product is None:
+        product = ViewProduct(b, [(None, a)])
+    return product.pairs(d_max)
 
 
 def nearest_distances(a: np.ndarray, b: np.ndarray,

@@ -10,9 +10,10 @@ product with the view (see view_product), and registers all of them in one
 pass over that product: match_features gathers every set's pairs at once,
 histogram_vote counts every set's votes in one bincount, and
 classify_outcomes gives every set's outcomes in one pass over the pairs.
-The pass runs at the first register call on a product and is kept on it;
-each register call reads its own set's part. Registering one set alone is
-the one-set case of the same pass.
+Each stage takes the sets in this one form only. The pass runs at the first
+register call on a product and is kept on it; each register call reads its
+own set's part. register is the one entry for a single set: without a
+share, it builds a one-set product and runs the same pass.
 """
 
 from __future__ import annotations
@@ -47,8 +48,9 @@ _N, _C, _I = map(int, MatchOutcome)
 class Pairs:
     """Accepted one-to-one matches as parallel arrays, sorted by map index.
 
-    The pairs of several sets come one set after another, set k's being
-    ``cut[k]:cut[k + 1]``; cut is None for one set's pairs."""
+    A pass's pairs hold every set's, one set after another, set k's being
+    ``cut[k]:cut[k + 1]``. A RegistrationResult's pairs are its own set's
+    part of them and carry no cut."""
 
     map_idx: np.ndarray  # int64 row of the map block
     view_idx: np.ndarray  # int64 row of the view block
@@ -99,18 +101,16 @@ class RegistrationResult:
         return 0 if self.delta is None else len(self.pairs) - self.correct_count
 
 
-def view_product(view_features, blocks) -> list:
+def view_product(views: list, blocks: list) -> list:
     """Each block's share (a kernels.SetProduct) of the view's product with
     the rows of all blocks: one matrix product over their distinct rows (by
     row id), reduced once for all of them (see kernels.ViewProduct), and
-    registered once for all of them (see register). view_features is the
-    view, or a list with each block's view: frames that share their
-    descriptors but differ in x (see World.observe_offsets). Blocks with
-    equal ids and x, registered against the same view, are one set of the
-    product: they get one share, and so one RegistrationResult. A view
-    without features matches nothing, whatever width it was given."""
-    views = (view_features if isinstance(view_features, list)
-             else [view_features] * len(blocks))
+    registered once for all of them (see register). views holds each
+    block's view: one frame, or frames that share their descriptors but
+    differ in x (see World.observe_offsets). Blocks with equal ids and x,
+    registered against the same view, are one set of the product: they get
+    one share, and so one RegistrationResult. A view without features
+    matches nothing, whatever width it was given."""
     view = views[0] if len(views[0]) else blocks[0].take(slice(0))
     if any(b.width != view.width for b in blocks):
         raise ValueError("map and view descriptor widths differ")
@@ -143,24 +143,17 @@ def _x_at(blocks: list, owner: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.concatenate([b.x for b in blocks])[start[owner] + idx]
 
 
-def match_features(map_features, view_features, d_max: int = 64,
-                   product=None) -> Pairs:
+def match_features(blocks: list, views: list, d_max: int, product) -> Pairs:
     """Mutual nearest neighbours under Hamming distance, one-to-one, coupled
-    with the horizontal position difference of each accepted pair.
-
-    map_features and view_features may also be lists, several sets' rows and
-    the view each is matched with, and product their kernels.ViewProduct
-    (see view_product); the pairs of every set then come at once, one set
-    after another (see Pairs.cut)."""
-    one = not isinstance(map_features, list)
-    if one:
-        map_features, view_features = [map_features], [view_features]
-        product = view_product(view_features, map_features)[0].product
+    with the horizontal position difference of each accepted pair, for every
+    set at once: blocks[k] matched with views[k] through the
+    kernels.ViewProduct of exactly these sets (see view_product), the pairs
+    one set after another (see Pairs.cut)."""
     cut, ai, bi, dist = kernels.mutual_nearest_pairs(
         product.ids, product.view, d_max, product)
     owner = _owner(cut)
-    diff = _x_at(view_features, owner, bi) - _x_at(map_features, owner, ai)
-    return Pairs(ai, bi, diff, dist, None if one else cut)
+    diff = _x_at(views, owner, bi) - _x_at(blocks, owner, ai)
+    return Pairs(ai, bi, diff, dist, cut)
 
 
 @functools.lru_cache(maxsize=8)
@@ -174,23 +167,17 @@ def _bins(bin_width: float, image_width: int):
     return n_bins, np.lexsort((centers, np.abs(centers)))
 
 
-def histogram_vote(diff, params: RegistrationParams, cut=None):
-    """Estimate the shift delta from the matched pairs' differences.
+def histogram_vote(diff, params: RegistrationParams, cut) -> np.ndarray:
+    """Every set's shift delta from its matched pairs' differences, set k's
+    being diff[cut[k]:cut[k + 1]] (see Pairs.cut), as a float64 array.
 
     Differences are binned over [-W, W]; the winning bin is the most populated
     one (ties prefer the center closer to zero, then the lower center) and
-    delta is the mean of the differences inside it. None when there are no
-    pairs or the winning bin holds fewer than params.min_votes entries.
-
-    cut, when given, splits diff into sets, set k's differences being
-    diff[cut[k]:cut[k + 1]] (see Pairs.cut): every set is voted on at once,
-    and a float64 array of their deltas is returned, NaN where a vote fails.
+    delta is the mean of the differences inside it. NaN when a set has no
+    pairs or its winning bin holds fewer than params.min_votes entries.
     """
     bin_width, image_width = params.bin_width, params.image_width
     diffs = np.asarray(diff, dtype=np.float64)
-    one = cut is None
-    if one:
-        cut = (0, diffs.size)
     k = len(cut) - 1
     n_bins, order = _bins(bin_width, image_width)
     idx = np.floor((diffs + float(image_width)) / bin_width).astype(np.int64)
@@ -209,27 +196,19 @@ def histogram_vote(diff, params: RegistrationParams, cut=None):
     delta = np.full(k, np.nan)
     for s in np.flatnonzero(top >= params.min_votes).tolist():
         delta[s] = np.add.reduce(inside[end[s] - votes[s]:end[s]]) / votes[s]
-    if one:
-        return None if math.isnan(delta[0]) else float(delta[0])
     return delta
 
 
-def classify_outcomes(map_size, pairs: Pairs, delta,
+def classify_outcomes(sizes, pairs: Pairs, delta,
                       params: RegistrationParams) -> np.ndarray:
-    """One int8 outcome per map feature; failed registration means all
-    NotMatched. A pair is matched correctly within params.bin_width of
-    delta.
-
-    For several sets' pairs (see Pairs.cut), map_size and delta hold one
-    value per set, delta NaN where registration failed (as histogram_vote
-    gives them), and the sets' outcomes come one set after another."""
-    cut = pairs.cut
-    if cut is None:
-        map_size, cut = [map_size], (0, len(pairs))
-        delta = [math.nan if delta is None else delta]
-    start = np.add.accumulate([0, *map_size])
+    """One int8 outcome per map feature of every set, the sets' outcomes one
+    set after another. sizes and delta hold one value per set of pairs (see
+    Pairs.cut), delta NaN where registration failed (as histogram_vote gives
+    them): a failed set's features are all NotMatched. A pair is matched
+    correctly within params.bin_width of its set's delta."""
+    start = np.add.accumulate([0, *sizes])
     outcomes = np.zeros(start[-1], dtype=np.int8)  # NotMatched
-    owner = _owner(cut)
+    owner = _owner(pairs.cut)
     off = np.abs(pairs.diff - np.asarray(delta, dtype=np.float64)[owner])
     # NaN, a failed set's, is neither within one bin nor beyond it
     w = params.bin_width
@@ -268,13 +247,13 @@ def register(map_features, view_features,
              params: RegistrationParams | None = None,
              share=None) -> RegistrationResult:
     """Full registration pass; failure is reported as delta None, never
-    raised. share, when given, is the map rows' share of a product with the
-    view (see view_product): the first register call on a product with
-    params equal to these registers every set of it at once, and each call
-    returns its own set's result."""
+    raised. share is the map rows' share of a product with the view (see
+    view_product), by default one of a product of their own: the first
+    register call on a product with params equal to these registers every
+    set of it at once, and each call returns its own set's result."""
     p = params or RegistrationParams()
     if share is None:
-        share, = view_product(view_features, [map_features])
+        share, = view_product([view_features], [map_features])
     memo = share.product.memo
     if p not in memo:
         memo[p] = _register_sets(*memo["sets"], share.product, p)

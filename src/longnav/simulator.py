@@ -513,8 +513,9 @@ def replay_frames(frames, strategies, path: PathMap | None = None,
     with one PathMap and one list of LocationRecord per strategy.
     DatasetError unless frames arrive in non-decreasing traversal order,
     every frame's features lie inside [0, params.image_width), repeat frames
-    name a taught location and, unless featureless (see view_product), have
-    the path's descriptor width, and a supplied path has params.image_width.
+    name a taught location, at most once per traversal, and, unless
+    featureless (see view_product), have the path's descriptor width, and a
+    supplied path has params.image_width.
     """
     strategies = list(strategies)
     if not strategies:
@@ -539,7 +540,7 @@ def replay_frames(frames, strategies, path: PathMap | None = None,
     paths = _strategy_paths(strategies, path)
     n_maps, width = len(path.local_maps), path.descriptor_width
     logs = [[] for _ in strategies]
-    last_tr = 0
+    last_tr, replayed = 0, {}  # location -> the last traversal replaying it
     for tr, frame in itertools.chain(repeats, frames):
         if tr < last_tr:
             raise DatasetError(f"traversal {tr} follows traversal {last_tr}: "
@@ -547,6 +548,10 @@ def replay_frames(frames, strategies, path: PathMap | None = None,
         if not 0 <= frame.location < n_maps:
             raise DatasetError(f"traversal {tr}: location {frame.location} is "
                                f"outside the taught path of {n_maps} locations")
+        if replayed.get(frame.location) == tr:
+            raise DatasetError(f"traversal {tr}: location {frame.location} "
+                               "appears twice")
+        replayed[frame.location] = tr
         _check_in_image(tr, frame, image_width)
         if len(frame.features) and frame.features.width != width:
             raise DatasetError(f"traversal {tr}, location {frame.location}: "

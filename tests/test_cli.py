@@ -152,11 +152,15 @@ def _pad_first_descriptor(rec):
     # missing location registered later locations against the wrong maps
     (lambda recs: recs[:1] + recs, "location 0 repeats"),
     (lambda recs: recs[1:], "location 0 is missing"),
+    # a repeat traversal naming a location twice once replayed both frames
+    # and wrote a log that `longnav report` rejects
+    (lambda recs: recs[:3] + recs[2:], "traversal 1: location 0 appears twice"),
     (_edit_last_frame(lambda rec: rec.update(x={})), "x is not a list"),
     (_edit_last_frame(_pad_first_descriptor), "malformed hex descriptor"),
 ], ids=["location-7", "location-minus-1", "traversal-backwards",
         "teach-repeats-location", "teach-misses-location",
-        "features-not-list", "descriptor-trailing-spaces"])
+        "repeat-repeats-location", "features-not-list",
+        "descriptor-trailing-spaces"])
 def test_replay_rejects_bad_frames(tmp_path, config_path, capsys, edit, message):
     data = tmp_path / "data"
     run_cli("generate", "--config", config_path, "--out", data)

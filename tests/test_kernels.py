@@ -101,8 +101,9 @@ def test_hamming_matrix_shapes(na, nb):
 @pytest.mark.parametrize("na,nb", [(0, 5), (5, 0), (0, 0)])
 def test_mutual_nearest_pairs_empty(na, nb):
     rng = np.random.default_rng(2)
-    pairs = kernels.mutual_nearest_pairs(random_words(rng, na, 256),
-                                         random_words(rng, nb, 256), 64)
+    cut, *pairs = kernels.mutual_nearest_pairs(random_words(rng, na, 256),
+                                               random_words(rng, nb, 256), 64)
+    assert cut == [0, 0]
     assert [(p.shape, p.dtype) for p in pairs] == [((0,), np.int64)] * 3
 
 
@@ -134,7 +135,8 @@ def test_mutual_nearest_pairs_is_one_to_one_and_thresholded():
     a = random_words(rng, 40, 256)
     b = random_words(rng, 50, 256)
     b[:25] = a[:25]  # exact copies must match at distance 0
-    ai, bi, dd = kernels.mutual_nearest_pairs(a, b, 64)
+    cut, ai, bi, dd = kernels.mutual_nearest_pairs(a, b, 64)
+    assert cut == [0, len(ai)]
     assert len(set(ai.tolist())) == len(ai)
     assert len(set(bi.tolist())) == len(bi)
     assert (dd <= 64).all()
@@ -176,23 +178,33 @@ def fresh_ids(sets):
                     np.cumsum([len(w) for w in sets])[:-1])
 
 
+def split_by_set(found):
+    """``mutual_nearest_pairs``' ``(cut, a_idx, b_idx, dist)`` as one
+    ``(a_idx, b_idx, dist)`` per set."""
+    cut, *arrays = found
+    return [tuple(a[cut[k]:cut[k + 1]] for a in arrays)
+            for k in range(len(cut) - 1)]
+
+
 def assert_pairs_match_argmin(view, sets, d_maxes):
     """For each d_max, ``mutual_nearest_pairs`` of every set with the view
     gives the argmin definition's pairs and int64 arrays, whether handed ±1
-    bit rows, packed words or the set's share of a ``ViewProduct`` over all
-    the sets. The view and each set are ``(words, bits)`` pairs."""
+    bit rows, packed words or a ``ViewProduct`` over all the sets, whose
+    pairs come one set after another. The view and each set are ``(words,
+    bits)`` pairs."""
     view_words, view_bits = view
     ids = value_ids([w for w, _ in sets])
-    shares = kernels.ViewProduct(
-        view_bits, [(i, bits) for i, (_, bits) in zip(ids, sets)]).shares()
-    for (words, bits), share in zip(sets, shares):
-        m = hamming_matrix(bits, view_bits)
-        for d_max in d_maxes:
-            want = argmin_pairs(m, d_max)
-            for got in (kernels.mutual_nearest_pairs(bits, view_bits, d_max),
-                        kernels.mutual_nearest_pairs(words, view_words, d_max),
-                        kernels.mutual_nearest_pairs(bits, view_bits, d_max,
-                                                     share)):
+    product = kernels.ViewProduct(
+        view_bits, [(i, bits) for i, (_, bits) in zip(ids, sets)])
+    for d_max in d_maxes:
+        shared = split_by_set(kernels.mutual_nearest_pairs(
+            product.ids, product.view, d_max, product))
+        for (words, bits), from_product in zip(sets, shared):
+            want = argmin_pairs(hamming_matrix(bits, view_bits), d_max)
+            alone = [kernels.mutual_nearest_pairs(bits, view_bits, d_max),
+                     kernels.mutual_nearest_pairs(words, view_words, d_max)]
+            assert [found[0] for found in alone] == [[0, len(want)]] * 2
+            for got in (*(found[1:] for found in alone), from_product):
                 assert [p.dtype for p in got] == [np.int64] * 3
                 assert list(zip(*(p.tolist() for p in got))) == want
 
@@ -233,14 +245,15 @@ def test_mutual_nearest_column_tie_goes_to_lower_row(rows, view):
     assert m[0].argmin() == 0 and m[1].argmin() == 1
     for a_, b_ in ((a, b), (b, a)):  # and the same with the roles swapped
         got = kernels.mutual_nearest_pairs(a_, b_, 64)
-        assert [p.tolist() for p in got] == [[0], [0], [m[0, 0]]]
+        assert [p.tolist() for p in got[1:]] == [[0], [0], [m[0, 0]]]
+        assert got[0] == [0, 1]
 
 
 def test_mutual_nearest_ties_keep_first_index():
     # two identical map rows competing for one view row: index 0 must win
     a = np.zeros((2, 4), dtype=np.uint64)
     b = np.zeros((1, 4), dtype=np.uint64)
-    ai, bi, dd = kernels.mutual_nearest_pairs(a, b, 64)
+    _, ai, bi, dd = kernels.mutual_nearest_pairs(a, b, 64)
     assert ai.tolist() == [0]
     assert bi.tolist() == [0]
     assert dd.tolist() == [0]
@@ -250,7 +263,7 @@ def test_mutual_nearest_ties_keep_first_view_index():
     # two identical view rows competing for one map row: index 0 must win
     a = np.zeros((1, 4), dtype=np.uint64)
     b = np.zeros((2, 4), dtype=np.uint64)
-    ai, bi, dd = kernels.mutual_nearest_pairs(a, b, 64)
+    _, ai, bi, dd = kernels.mutual_nearest_pairs(a, b, 64)
     assert ai.tolist() == [0]
     assert bi.tolist() == [0]
     assert dd.tolist() == [0]
@@ -281,11 +294,12 @@ def assert_product_reduces_each_set_as_its_own(view_words, set_words):
             top = own.max(axis=0, initial=-np.inf)
             assert np.array_equal(product.tops[k], top)
             assert np.array_equal(share.top(cols[::-1]), top[::-1])
-            for d_max in (0, 16, 32, 64, 128):
-                shared = kernels.mutual_nearest_pairs(w, view_words, d_max,
-                                                      share)
-                alone = kernels.mutual_nearest_pairs(w, view_words, d_max)
-                for got, want in zip(shared, alone):
+        for d_max in (0, 16, 32, 64, 128):
+            shared = split_by_set(kernels.mutual_nearest_pairs(
+                product.ids, product.view, d_max, product))
+            for w, from_product in zip(set_words, shared):
+                alone = kernels.mutual_nearest_pairs(w, view_words, d_max)[1:]
+                for got, want in zip(from_product, alone):
                     assert np.array_equal(got, want) and got.dtype == want.dtype
 
 
@@ -318,8 +332,8 @@ def test_a_row_held_twice_by_a_set_counts_twice():
     for ids in (value_ids, fresh_ids):
         product = product_of(view, sets, ids)
         assert product.tops[:, 0].tolist() == [64, 64]
-        pairs = [kernels.mutual_nearest_pairs(w, view, 64, share)
-                 for w, share in zip(sets, product.shares())]
+        pairs = split_by_set(kernels.mutual_nearest_pairs(
+            product.ids, product.view, 64, product))
         assert [[p.tolist() for p in got] for got in pairs] == [
             [[1, 2], [0, 1], [0, 1]], [[0, 1], [0, 1], [0, 1]]]
     assert_product_reduces_each_set_as_its_own(view, sets)
@@ -333,8 +347,8 @@ def test_two_classes_tied_at_a_columns_max():
     sets = [rows_of(0b0101, 0b0011), rows_of(0b1000, 0b0101)]
     product = product_of(view, sets)
     assert product.tops[:, 0].tolist() == [62, 62]
-    got = [kernels.mutual_nearest_pairs(w, view, 64, share)
-           for w, share in zip(sets, product.shares())]
+    got = split_by_set(kernels.mutual_nearest_pairs(
+        product.ids, product.view, 64, product))
     assert [[p.tolist() for p in pairs] for pairs in got] == [
         [[0], [0], [1]], [[1], [0], [1]]]
     assert_product_reduces_each_set_as_its_own(view, sets)
@@ -358,8 +372,8 @@ def test_a_view_without_features_pairs_nothing():
     product = product_of(view, sets)
     assert product.tops.shape == (3, 0)
     assert [len(p) for p in product.pairs(10**6)[1:]] == [0, 0, 0]
-    for w, share in zip(sets, product.shares()):
-        got = kernels.mutual_nearest_pairs(w, view, 256, share)
+    for got in split_by_set(kernels.mutual_nearest_pairs(
+            product.ids, product.view, 256, product)):
         assert [p.tolist() for p in got] == [[], [], []]
     assert_product_reduces_each_set_as_its_own(view, sets)
     assert_product_reduces_each_set_as_its_own(random_words(rng, 4, 256), sets)
@@ -371,7 +385,9 @@ def test_a_one_set_product_keeps_its_repeated_rows():
     rows = rows_of(0b0110, 0b1000, 0b0110)
     product = product_of(view, [rows])
     assert product.tops[0].tolist() == [64, 62]
-    got = kernels.mutual_nearest_pairs(rows, view, 64, *product.shares())
+    cut, *got = kernels.mutual_nearest_pairs(product.ids, product.view, 64,
+                                             product)
+    assert cut == [0, 2]
     assert [p.tolist() for p in got] == [[0, 1], [0, 1], [0, 1]]
     assert_product_reduces_each_set_as_its_own(view, [rows])
 
@@ -396,8 +412,8 @@ def test_equal_rows_under_different_ids_pair_only_the_lowest_row():
     sets = [rows_of(0b0111, 0b0011, 0b0011), rows_of(0b0011)]
     product = kernels.ViewProduct(
         view, [(np.array([5, 7, 9]), sets[0]), (np.array([9]), sets[1])])
-    got = [[p.tolist() for p in kernels.mutual_nearest_pairs(w, view, 64, s)]
-           for w, s in zip(sets, product.shares())]
+    got = [[p.tolist() for p in pairs] for pairs in split_by_set(
+        kernels.mutual_nearest_pairs(product.ids, product.view, 64, product))]
     assert got == [[[1], [0], [0]], [[0], [0], [0]]]
     assert_product_reduces_each_set_as_its_own(view, sets)
 
@@ -411,8 +427,8 @@ def test_a_tie_across_classes_at_a_wide_radius():
     sets = [rows_of(0b0111, 0b1110, 0b1111_0000_0001, 0b1111_0000_0011),
             rows_of(0b1110)]
     product = product_of(view, sets)
-    got = [[p.tolist() for p in kernels.mutual_nearest_pairs(w, view, 64, s)]
-           for w, s in zip(sets, product.shares())]
+    got = [[p.tolist() for p in pairs] for pairs in split_by_set(
+        kernels.mutual_nearest_pairs(product.ids, product.view, 64, product))]
     assert got == [[[0, 2], [0, 1], [1, 1]], [[0], [0], [1]]]
     assert_product_reduces_each_set_as_its_own(view, sets)
 

@@ -191,7 +191,7 @@ def check_one_block_update(case):
                              int(np.count_nonzero(outcomes == C)))
     share = None
     if case["use_share"] and len(active) and len(view):
-        share, = view_product(_twin(view), [feats.take(active)])
+        share, = view_product([_twin(view)], [feats.take(active)])
 
     new_view, ref_view = _twin(view), _twin(view)
     new_lm, ref_lm = (LocalMap(0, 0.0, _twin(feats)) for _ in range(2))

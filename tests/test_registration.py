@@ -1,6 +1,7 @@
 """Matching, histogram voting, and outcome classification with brute-force oracles."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -38,8 +39,9 @@ def flip_bits(desc, bits, rng):
 def test_match_identity():
     rng = np.random.default_rng(0)
     feats = block([rand_feature(rng) for _ in range(10)])
-    pairs = match_features(feats, feats, 64)
-    assert len(pairs) == 10
+    share, = view_product([feats], [feats])
+    pairs = match_features([feats], [feats], 64, share.product)
+    assert len(pairs) == 10 and pairs.cut == [0, 10]
     assert (pairs.map_idx == pairs.view_idx).all() and (pairs.dist == 0).all()
 
 
@@ -47,7 +49,25 @@ def test_match_threshold_excludes_far_descriptors():
     rng = np.random.default_rng(1)
     f = rand_feature(rng)
     far = (f[0], f[1], flip_bits(f[2], 80, rng))
-    assert len(match_features(block([f]), block([far]), 64)) == 0
+    m, v = block([f]), block([far])
+    share, = view_product([v], [m])
+    assert len(match_features([m], [v], 64, share.product)) == 0
+
+
+def brute_force_pairs(map_feats, view_feats, d_max=64):
+    """(map index, view index, distance, x difference) of every accepted
+    pair: exhaustive all-pairs distances, mutual argmin, threshold."""
+    if not map_feats or not view_feats:
+        return []
+    dm = np.array([[hamming_distance(m[2], v[2])
+                    for v in view_feats] for m in map_feats])
+    expect = []
+    for i in range(len(map_feats)):
+        j = int(dm[i].argmin())
+        if int(dm[:, j].argmin()) == i and dm[i, j] <= d_max:
+            expect.append((i, j, int(dm[i, j]),
+                           view_feats[j][0] - map_feats[i][0]))
+    return expect
 
 
 def test_match_planted_pairs_against_brute_force():
@@ -55,36 +75,58 @@ def test_match_planted_pairs_against_brute_force():
     map_feats = [rand_feature(rng) for _ in range(5)]
     view_feats = [(x + 3.0, y, flip_bits(d, 5, rng)) for x, y, d in map_feats]
     view_feats += [rand_feature(rng) for _ in range(2)]
-    pairs = match_features(block(map_feats), block(view_feats), 64)
-
-    # oracle: exhaustive all-pairs distances, mutual argmin, threshold
-    dm = np.array([[hamming_distance(m[2], v[2])
-                    for v in view_feats] for m in map_feats])
-    expect = []
-    for i in range(5):
-        j = int(dm[i].argmin())
-        if int(dm[:, j].argmin()) == i and dm[i, j] <= 64:
-            expect.append((i, j, int(dm[i, j])))
+    m, v = block(map_feats), block(view_feats)
+    share, = view_product([v], [m])
+    pairs = match_features([m], [v], 64, share.product)
     assert list(zip(pairs.map_idx.tolist(), pairs.view_idx.tolist(),
-                    pairs.dist.tolist())) == expect
+                    pairs.dist.tolist(), pairs.diff.tolist())) == (
+        brute_force_pairs(map_feats, view_feats))
     assert len(pairs) == 5
+
+    # several sets at once, against two frames of one draw: every set's
+    # part of the pairs (set k's cut[k]:cut[k + 1]) is the brute-force
+    # oracle's for that set and its own frame's x
+    moved_feats = [(x - 20.0, y, d) for x, y, d in view_feats]
+    moved = v.with_x(v.x - 20.0)
+    for _ in range(10):
+        rows = [[map_feats[i] for i in rng.permutation(5)[:rng.integers(1, 6)]]
+                + [rand_feature(rng) for _ in range(rng.integers(0, 4))]
+                for _ in range(4)]
+        rows += [[], [rand_feature(rng) for _ in range(3)]]  # no pairs
+        sets = [rows[i] for i in rng.permutation(len(rows))]
+        on_moved = rng.random(len(sets)) < 0.5
+        views = [moved if o else v for o in on_moved]
+        blocks = [block(r) for r in sets]
+        product = view_product(views, blocks)[0].product
+        pairs = match_features(blocks, views, 64, product)
+        cut = pairs.cut
+        assert cut[0] == 0 and cut[-1] == len(pairs) and len(cut) == 7
+        for k, (r, o) in enumerate(zip(sets, on_moved)):
+            part = slice(cut[k], cut[k + 1])
+            assert list(zip(pairs.map_idx[part].tolist(),
+                            pairs.view_idx[part].tolist(),
+                            pairs.dist[part].tolist(),
+                            pairs.diff[part].tolist())) == brute_force_pairs(
+                r, moved_feats if o else view_feats)
 
 
 def test_match_empty_and_width_mismatch():
     rng = np.random.default_rng(3)
     f = block([rand_feature(rng)])
-    assert len(match_features(block([]), f)) == 0
-    assert len(match_features(f, block([]))) == 0
+    for m, v in ((block([]), f), (f, block([]))):
+        share, = view_product([v], [m])
+        assert len(match_features([m], [v], 64, share.product)) == 0
     with pytest.raises(ValueError):
-        match_features(f, block([rand_feature(rng, width=128)]))
+        view_product([block([rand_feature(rng, width=128)])], [f])
     with pytest.raises(ValueError, match="descriptor widths differ"):
-        view_product(f, [f, block([rand_feature(rng, width=128)])])
+        view_product([f, f], [f, block([rand_feature(rng, width=128)])])
 
 
 def _pairs(diffs):
+    """One set's pairs, with those differences."""
     idx = np.arange(len(diffs))
     return Pairs(idx, idx, np.asarray(diffs, dtype=np.float64),
-                 np.zeros(len(diffs), dtype=np.int64))
+                 np.zeros(len(diffs), dtype=np.int64), [0, len(diffs)])
 
 
 # one vote is consensus here, unlike a run's default of 3
@@ -92,37 +134,45 @@ ONE_VOTE = RegistrationParams(min_votes=1)
 
 
 def test_histogram_vote_degenerate():
-    assert histogram_vote(_pairs([7.0] * 5).diff,
-                          ONE_VOTE) == pytest.approx(7.0)
+    pairs = _pairs([7.0] * 5)
+    delta, = histogram_vote(pairs.diff, ONE_VOTE, pairs.cut)
+    assert delta == pytest.approx(7.0)
 
 
 def test_histogram_vote_hand_example():
-    delta = histogram_vote(_pairs([12, 13, 11, 55, 12, -40]).diff, ONE_VOTE)
+    pairs = _pairs([12, 13, 11, 55, 12, -40])
+    delta, = histogram_vote(pairs.diff, ONE_VOTE, pairs.cut)
     # winning bin [10, 20): mean of 12, 13, 11, 12
     assert delta == pytest.approx((12 + 13 + 11 + 12) / 4)
 
 
 def test_histogram_vote_empty_and_min_votes():
-    assert histogram_vote(np.empty(0), ONE_VOTE) is None
-    assert histogram_vote(_pairs([1.0, 2.0]).diff,
-                          RegistrationParams(min_votes=3)) is None
-    assert histogram_vote(_pairs([1.0, 2.0]).diff, RegistrationParams(
-        min_votes=2)) == pytest.approx(1.5)
+    got = histogram_vote(np.empty(0), ONE_VOTE, [0, 0])
+    assert got.dtype == np.float64 and got.shape == (1,)
+    assert math.isnan(got[0])
+    pairs = _pairs([1.0, 2.0])
+    assert math.isnan(histogram_vote(pairs.diff,
+                                     RegistrationParams(min_votes=3),
+                                     pairs.cut)[0])
+    assert histogram_vote(pairs.diff, RegistrationParams(min_votes=2),
+                          pairs.cut)[0] == pytest.approx(1.5)
 
 
 def test_histogram_vote_tie_prefers_small_shift():
     # two bins with two votes each; the one nearer zero must win
-    delta = histogram_vote(_pairs([52.0, 55.0, 2.0, 5.0]).diff, ONE_VOTE)
-    assert delta == pytest.approx(3.5)
-    delta = histogram_vote(_pairs([-52.0, -55.0, -2.0, -5.0]).diff, ONE_VOTE)
-    assert delta == pytest.approx(-3.5)
+    for diffs, want in (([52.0, 55.0, 2.0, 5.0], 3.5),
+                        ([-52.0, -55.0, -2.0, -5.0], -3.5)):
+        pairs = _pairs(diffs)
+        delta, = histogram_vote(pairs.diff, ONE_VOTE, pairs.cut)
+        assert delta == pytest.approx(want)
 
 
 def test_histogram_vote_symmetric_tie_prefers_lower_center():
     # bins centered at -5 and +5 tie in votes and in distance from zero:
     # the lower center wins
-    assert histogram_vote(_pairs([-2.0, -4.0, 6.0, 8.0]).diff, ONE_VOTE) == -3.0
-    assert histogram_vote(_pairs([8.0, -4.0, 6.0, -2.0]).diff, ONE_VOTE) == -3.0
+    for diffs in ([-2.0, -4.0, 6.0, 8.0], [8.0, -4.0, 6.0, -2.0]):
+        pairs = _pairs(diffs)
+        assert histogram_vote(pairs.diff, ONE_VOTE, pairs.cut)[0] == -3.0
 
 
 def test_histogram_vote_over_sets_votes_each_set_alone():
@@ -133,60 +183,113 @@ def test_histogram_vote_over_sets_votes_each_set_alone():
     for min_votes in (1, 2, 3):
         p = RegistrationParams(min_votes=min_votes)
         got = histogram_vote(np.concatenate(sets), p, cut)
-        want = [histogram_vote(d, p) for d in sets]
-        assert [None if np.isnan(d) else d for d in got.tolist()] == want
+        want = [histogram_vote(d, p, [0, len(d)])[0] for d in sets]
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+def hand_vote(diffs, bin_width, min_votes):
+    """Oracle: the bins enumerated by hand; NaN without pairs or when the
+    winning bin holds fewer than min_votes."""
+    bins = {}
+    for d in diffs:
+        idx = min(int((d + 640) // bin_width), int(np.ceil(1280 / bin_width)) - 1)
+        bins.setdefault(idx, []).append(d)
+    top = max((len(v) for v in bins.values()), default=0)
+    if top < min_votes:
+        return math.nan
+    cands = [i for i, v in bins.items() if len(v) == top]
+    centers = {i: -640 + (i + 0.5) * bin_width for i in cands}
+    win = min(cands, key=lambda i: (abs(centers[i]), centers[i]))
+    return float(np.mean(bins[win]))
 
 
 def test_histogram_vote_matches_hand_binning_oracle():
+    # several sets voted on at once, at random cuts; an empty set and a set
+    # whose two votes fall in two bins are among them
     rng = np.random.default_rng(4)
+    failed = 0
     for _ in range(50):
-        diffs = rng.uniform(-640, 640, size=rng.integers(1, 40)).tolist()
+        sets = [rng.uniform(-640, 640, size=rng.integers(1, 40)).tolist()
+                for _ in range(rng.integers(1, 5))] + [[], [-300.0, 300.0]]
+        sets = [sets[i] for i in rng.permutation(len(sets))]
+        cut = np.cumsum([0, *map(len, sets)]).tolist()
         bw = float(rng.choice([5.0, 10.0, 20.0]))
-        delta = histogram_vote(_pairs(diffs).diff,
-                               RegistrationParams(bin_width=bw, min_votes=1))
-        # oracle: enumerate bins by hand
-        bins = {}
-        for d in diffs:
-            idx = min(int((d + 640) // bw), int(np.ceil(1280 / bw)) - 1)
-            bins.setdefault(idx, []).append(d)
-        top = max(len(v) for v in bins.values())
-        cands = [i for i, v in bins.items() if len(v) == top]
-        centers = {i: -640 + (i + 0.5) * bw for i in cands}
-        win = min(cands, key=lambda i: (abs(centers[i]), centers[i]))
-        assert delta == pytest.approx(np.mean(bins[win]), abs=1e-12)
+        min_votes = int(rng.integers(1, 4))
+        got = histogram_vote(np.concatenate(sets), RegistrationParams(
+            bin_width=bw, min_votes=min_votes), cut)
+        assert got.dtype == np.float64 and got.shape == (len(sets),)
+        for delta, diffs in zip(got.tolist(), sets):
+            want = hand_vote(diffs, bw, min_votes)
+            if math.isnan(want):
+                assert math.isnan(delta)
+                failed += len(diffs) > 0
+            else:
+                assert delta == pytest.approx(want, abs=1e-12)
+    assert failed  # votes with pairs failed too
+
+
+def per_feature_outcomes(n_map, map_idx, diffs, delta, bin_width=10.0):
+    """Oracle: one set's outcomes by a loop over its map features."""
+    by_map = dict(zip(map_idx, diffs))
+    expect = []
+    for i in range(n_map):
+        if i not in by_map or math.isnan(delta):
+            expect.append(MatchOutcome.NotMatched)
+        elif abs(by_map[i] - delta) <= bin_width:
+            expect.append(MatchOutcome.MatchedCorrectly)
+        else:
+            expect.append(MatchOutcome.MatchedIncorrectly)
+    return expect
 
 
 def test_classify_outcomes_examples():
     pairs = _pairs([10.0, 10.0, 10.0])
-    out = classify_outcomes(3, pairs, 10.0, RegistrationParams()).tolist()
+    out = classify_outcomes([3], pairs, [10.0], RegistrationParams()).tolist()
     assert out == [MatchOutcome.MatchedCorrectly] * 3
 
-    out = classify_outcomes(1, _pairs([35.0]), 10.0,
+    out = classify_outcomes([1], _pairs([35.0]), [10.0],
                             RegistrationParams()).tolist()
     assert out == [MatchOutcome.MatchedIncorrectly]
 
     idx = np.array([0, 1, 2, 4])
     pairs = Pairs(idx, idx, np.array([10.0, 12.0, 9.0, 60.0]),
-                  np.zeros(4, dtype=np.int64))
-    out = classify_outcomes(6, pairs, 10.0, RegistrationParams()).tolist()
-    # oracle: per-feature loop
-    expect = []
-    by_map = dict(zip(pairs.map_idx.tolist(), pairs.diff.tolist()))
-    for i in range(6):
-        if i not in by_map:
-            expect.append(MatchOutcome.NotMatched)
-        elif abs(by_map[i] - 10.0) <= 10.0:
-            expect.append(MatchOutcome.MatchedCorrectly)
-        else:
-            expect.append(MatchOutcome.MatchedIncorrectly)
+                  np.zeros(4, dtype=np.int64), [0, 4])
+    out = classify_outcomes([6], pairs, [10.0], RegistrationParams()).tolist()
+    expect = per_feature_outcomes(6, pairs.map_idx.tolist(),
+                                  pairs.diff.tolist(), 10.0)
     assert out == expect
     assert out.count(MatchOutcome.MatchedCorrectly) == 3
     assert out.count(MatchOutcome.MatchedIncorrectly) == 1
     assert out.count(MatchOutcome.NotMatched) == 2
 
+    # several sets at once, at random cuts: an empty set, a set without
+    # pairs and a failed set (delta NaN) among them
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        specs = [(int(n), int(rng.integers(0, n + 1)),
+                  float(rng.uniform(-50, 50)))
+                 for n in rng.integers(1, 30, size=rng.integers(1, 5))]
+        specs += [(0, 0, 3.0), (5, 0, 3.0), (7, 4, math.nan)]
+        specs = [specs[i] for i in rng.permutation(len(specs))]
+        sizes, deltas = [n for n, _, _ in specs], [d for _, _, d in specs]
+        idx = [np.sort(rng.choice(n, size=k, replace=False))
+               for n, k, _ in specs]
+        diffs = [np.nan_to_num(d, nan=0.0) + rng.uniform(-20, 20, size=len(i))
+                 for i, (_, _, d) in zip(idx, specs)]
+        cut = np.cumsum([0, *map(len, idx)]).tolist()
+        pairs = Pairs(np.concatenate(idx), np.concatenate(idx),
+                      np.concatenate(diffs), np.zeros(cut[-1], dtype=np.int64),
+                      cut)
+        out = classify_outcomes(sizes, pairs, np.array(deltas),
+                                RegistrationParams()).tolist()
+        assert out == [o for n, i, d, delta in zip(sizes, idx, diffs, deltas)
+                       for o in per_feature_outcomes(n, i.tolist(), d.tolist(),
+                                                     delta)]
+
 
 def test_classify_failed_registration_all_not_matched():
-    out = classify_outcomes(4, _pairs([1.0]), None, RegistrationParams())
+    out = classify_outcomes([4], _pairs([1.0]), [math.nan],
+                            RegistrationParams())
     assert out.tolist() == [MatchOutcome.NotMatched] * 4
 
 
@@ -197,8 +300,8 @@ def test_outcome_partition_sums_to_map_size():
         idx = rng.choice(n_map, size=rng.integers(0, n_map + 1), replace=False)
         pairs = Pairs(idx, idx,
                       np.array([float(rng.uniform(-100, 100)) for _ in idx]),
-                      np.zeros(idx.size, dtype=np.int64))
-        out = classify_outcomes(n_map, pairs, 5.0, RegistrationParams())
+                      np.zeros(idx.size, dtype=np.int64), [0, idx.size])
+        out = classify_outcomes([n_map], pairs, [5.0], RegistrationParams())
         assert len(out) == n_map
 
 
@@ -283,7 +386,7 @@ def test_product_registers_once_per_settings_value():
     view = block([(x + 12.0, y, flip_bits(d, int(rng.integers(0, 40)), rng))
                   for x, y, d in taught])
     sets = [block(taught), block(taught[:30]), block(taught[5:50])]
-    shares = view_product(view, sets)
+    shares = view_product([view] * len(sets), sets)
     loose = RegistrationParams(d_max=64, min_votes=3)
     tight = RegistrationParams(d_max=16, min_votes=40)
     got = {p: [register(m, view, p, s) for m, s in zip(sets, shares)]
@@ -393,7 +496,7 @@ def test_equal_rows_under_other_ids_pair_only_the_lower_row():
     view = block(shifted_view(rows, 12.0, rng))
     params = RegistrationParams()
     sets = [both, twin, base]
-    shares = view_product(view, sets)
+    shares = view_product([view] * len(sets), sets)
     assert len({id(s) for s in shares}) == 3
     for m, share in zip(sets, shares):
         got, want = register(m, view, params, share), register(m, view, params)

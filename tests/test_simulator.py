@@ -10,6 +10,7 @@ from numpy.random import default_rng
 
 from longnav import kernels
 from longnav.errors import ConfigError, DatasetError, TeachError
+from longnav.evaluation import compare_strategies
 from longnav.io import (read_dataset, read_map_snapshot, write_dataset,
                         write_map_snapshot)
 from longnav.registration import RegistrationParams
@@ -298,6 +299,28 @@ def test_replay_rejects_out_of_order_and_missing_teach():
         replay_frames(teach_part + tr2 + tr1, [StrategyConfig(kind="static")])
     with pytest.raises(TeachError):
         replay_frames(tr1 + tr2, [StrategyConfig(kind="static")])
+
+
+def test_replay_rejects_a_location_repeated_in_one_traversal(tmp_path):
+    # such a stream once replayed both frames, logging one frame key twice,
+    # and a dataset file of it compared as if it held one more frame
+    w = World(small_cfg(seed=13))  # two locations
+    frames = list(generate_frames(w, 2, 1000.0))
+    first = next(i for i, (tr, f) in enumerate(frames) if tr == 1)
+    frames.insert(first + 1, frames[first])
+    with pytest.raises(DatasetError, match="^traversal 1: location 0 appears "
+                                           "twice$"):
+        replay_frames(frames, [StrategyConfig(kind="static")])
+    path = tmp_path / "dataset.jsonl"
+    write_dataset(frames, path)
+    with pytest.raises(DatasetError, match="location 0 appears twice"):
+        compare_strategies(path, [StrategyConfig(kind="static"),
+                                  StrategyConfig(kind="score")])
+    # a location comes again in each later traversal
+    del frames[first + 1]
+    _, (logs,) = replay_frames(frames, [StrategyConfig(kind="static")])
+    assert [(r.traversal, r.location) for r in logs] == [
+        (1, 0), (1, 1), (2, 0), (2, 1)]
 
 
 @pytest.mark.parametrize("location", [-1, 2, 10**6])

@@ -210,7 +210,8 @@ def test_shared_product_gives_each_set_its_own_pairs_and_ranking(data):
     view = rows_block(view_rows, 3.0)
     maps = [rows_block(s, 0.0).as_map(0) for s in sets]
     actives = [np.flatnonzero(a) for a in active]
-    shares = view_product(view, [m.take(idx) for m, idx in zip(maps, actives)])
+    shares = view_product([view] * len(maps),
+                          [m.take(idx) for m, idx in zip(maps, actives)])
     params = RegistrationParams(d_max=128, min_votes=1)
     for feats, idx, share in zip(maps, actives, shares):
         shared = register(feats.take(idx), view, params, share)
@@ -521,7 +522,7 @@ def test_multiple_cap_warns_and_drops():
 def select_best(lm, view, cfg, t):
     """select_best_alternative on the map's active rows at time t."""
     sets = active_sets(lm, cfg, t)
-    shares = view_product(view, [active for _, active in sets])
+    shares = view_product([view] * len(sets), [active for _, active in sets])
     return select_best_alternative(view, sets, shares)
 
 
