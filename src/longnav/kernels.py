@@ -19,9 +19,11 @@ are converted to integer distances.
 A comparison registers each camera view against many feature sets (every
 strategy's active rows, and each of ``multiple``'s alternatives), and those
 sets share most of their rows: a row keeps its id (``FeatureBlock.ids``)
-wherever it is copied. ``ViewProduct`` multiplies the view once with the
-distinct rows of all the sets, found by id, and reduces that product once,
-for every set at once:
+wherever it is copied. ``ViewProduct`` takes several views at once (a
+traversal's in open loop, a location's draws in closed loop) and each set's
+view. It multiplies each view once with the distinct rows of its sets,
+found by id, one matrix product per view, and reduces the products once,
+for every set of every view at once:
 
 - A row's nearest column does not depend on the set that holds it, so one
   row argmax over the distinct rows serves every set.
@@ -81,18 +83,18 @@ def _distance(dot: np.ndarray, n_bits: int) -> np.ndarray:
     return ((n_bits - dot) * 0.5).astype(np.int64)
 
 
-def _grouped(keys: np.ndarray, kind=None):
-    """``(order, new)`` for the rows of ``keys`` (one integer key per row, or
-    a row of uint64 words): ``order`` lists the rows so that equal keys come
-    together, and ``new[i]`` is True where the key at ``order[i]`` differs
-    from the one before it."""
-    if keys.ndim > 1:  # longer keys are numbered first
-        keys = (keys[:, 0] if keys.shape[1] == 1 else np.unique(
-            keys, axis=0, return_inverse=True)[1].reshape(len(keys)))
-    order = np.argsort(keys, kind=kind)
-    keys = keys[order]
-    new = np.ones(len(keys), dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+def _grouped(*keys):
+    """``(order, new)`` for rows keyed by the 1-D integer arrays keys, the
+    last key sorting first (as ``np.lexsort``): ``order`` lists the rows so
+    that equal keys come together, rows of equal keys in their own order,
+    and ``new[i]`` is True where the keys at ``order[i]`` differ from those
+    before it."""
+    order = np.lexsort(keys)
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for key in keys:
+        key = key[order]
+        new[1:] |= key[1:] != key[:-1]
     return order, new
 
 
@@ -112,18 +114,24 @@ def _membership(owner: np.ndarray, starts: np.ndarray, k: int) -> np.ndarray:
 
 
 class ViewProduct:
-    """One view's product with the rows of several row sets, reduced once for
-    all of them.
+    """Several views' products with the rows of several row sets, each set
+    against its own view, reduced once for all of them.
 
-    ``sets`` holds one ``(ids, bits)`` pair per set: an int64 id per row and
-    the rows' bit rows (see ``bit_rows``; packed words serve too). Rows that
-    share an id must share their bits: a block's rows carry such ids (see
-    ``features.FeatureBlock``). A single set is multiplied as it is, and its
-    ids are not read. Several are multiplied once per distinct id, found
-    with one integer sort, and grouped by membership: the sets that hold
-    the row. The rows of one membership class form one block of the product.
+    ``views`` holds each view's bit rows (see ``bit_rows``; packed words
+    serve too), all of one width, and ``sets`` one ``(v, ids, bits)``
+    triple per set: the index of its view in views, an int64 id per row and
+    the rows' bit rows. Rows that share an id must share their bits: a
+    block's rows carry such ids (see ``features.FeatureBlock``). A single
+    set is multiplied as it is, and its ids are not read. Several are
+    multiplied once per distinct (view, id), found with one integer sort,
+    and grouped by view and membership: the sets of that view that hold the
+    row. The rows of one membership class form one block of the product,
+    and the classes of one view one run of blocks, which is multiplied with
+    that view alone: one matrix product per view, and no entry of a row
+    with another view's column. The product has the widest view's columns;
+    a narrower view's rows read -inf beyond its own.
 
-    The reductions are taken once:
+    The reductions are taken once, over every view:
 
     - the row side, per product row: its nearest column (largest ``dot``,
       then lowest column), that ``dot`` and its distance;
@@ -136,33 +144,40 @@ class ViewProduct:
 
     ``pairs`` finds every set's mutual nearest pairs from them at once, and
     ``shares()`` gives each set's part (a ``SetProduct``). The product keeps
-    its operands, ``ids`` (the sets' ids one after another) and ``view``,
-    and ``memo``, a dict in which callers keep what they derive from it once
-    for all its sets (see ``registration.register``).
+    its operands, ``ids`` (the sets' ids one after another) and ``view``
+    (the views' bit rows one after another), and ``memo``, a dict in which
+    callers keep what they derive from it once for all its sets (see
+    ``registration.register``).
     """
 
     __slots__ = ("_dot", "tops", "_class_max", "_bounds", "_class", "_held",
-                 "_twice", "_row", "_best", "_best_dot", "_dist", "_owner",
-                 "_cut", "_n_bits", "_pairs", "ids", "view", "memo")
+                 "_class_sets", "_twice", "_row", "_best", "_best_dot",
+                 "_dist", "_owner", "_cut", "_n_bits", "_n_cols", "_views",
+                 "_pairs", "ids", "memo")
 
-    def __init__(self, view: np.ndarray, sets):
-        sizes = [len(bits) for _, bits in sets]
+    def __init__(self, views, sets):
+        views = [bit_rows(v) for v in views]
+        n_cols = np.array([len(v) for v in views])
+        set_view = np.array([v for v, _, _ in sets], dtype=np.intp)
+        self._n_cols = n_cols[set_view].tolist()  # each set's view's columns
+        sizes = [len(bits) for *_, bits in sets]
         k = len(sets)
         self._cut = np.array([0, *itertools.accumulate(sizes)])
         self._twice = None  # set rows whose set holds their id twice
         if k == 1:  # one class, the set's rows as they are
-            (ids, bits), = sets
+            (v, ids, bits), = sets
             n = sizes[0]
             starts = [0] if n else []
+            row_view = np.full(n, v)
             self._owner = np.zeros(n, dtype=np.intp)
-            self._class = self._held = self._row = None
+            self._class = self._held = self._class_sets = self._row = None
         else:
-            ids = np.concatenate([i for i, _ in sets])
+            ids = np.concatenate([i for _, i, _ in sets])
             self._owner = owner = np.repeat(np.arange(k), sizes)
-            # the rows of one id together, a set's in set order
-            by_id, new = _grouped(ids, "stable")
+            # the rows of one (view, id) together, a set's in set order
+            by_id, new = _grouped(ids, set_view[owner])
             runs = new.nonzero()[0]
-            id_of = np.cumsum(new) - 1  # each sorted row's distinct id
+            id_of = np.cumsum(new) - 1  # each sorted row's distinct row
             owner = owner[by_id]
             twice = ~new[1:] & (owner[1:] == owner[:-1])
             if twice.any():
@@ -171,34 +186,61 @@ class ViewProduct:
                 both[:-1] |= twice
                 self._twice = np.empty_like(both)
                 self._twice[by_id] = both
-            member = _membership(owner, runs, k)
-            by_class, new = _grouped(member)
+            # each set's place among its view's sets: a membership word
+            # holds a bit per set of one view
+            by_view, first = _grouped(set_view)
+            local = np.empty(k, dtype=np.intp)
+            local[by_view] = np.arange(k) - np.maximum.accumulate(
+                np.where(first, np.arange(k), 0))
+            k_view = int(local.max()) + 1
+            member = _membership(local[owner], runs, k_view)
+            run_view = set_view[owner[runs]]
+            by_class, new = _grouped(*member.T, run_view)
             n = len(runs)
             starts = new.nonzero()[0].tolist()
             self._class = np.cumsum(new) - 1  # of each product row
-            # which sets hold each class, and a last, empty class that every
-            # set holds
-            held = np.unpackbits(member[by_class[new]].view(np.uint8), axis=1,
-                                 count=k, bitorder="little").view(bool)
-            self._held = np.concatenate((held, np.ones((1, k), dtype=bool)))
-            at = np.empty(n, dtype=np.intp)  # each distinct id's product row
+            # each class's sets: which of its view's sets hold it, and
+            # those sets' indices
+            heads = by_class[new]
+            self._held = np.unpackbits(member[heads].view(np.uint8), axis=1,
+                                       count=k_view,
+                                       bitorder="little").view(bool)
+            set_at = np.zeros((len(views), k_view), dtype=np.intp)
+            set_at[set_view, local] = np.arange(k)
+            self._class_sets = set_at[run_view[heads]]
+            at = np.empty(n, dtype=np.intp)  # each distinct row's product row
             at[by_class] = np.arange(n)
             self._row = np.empty(len(ids), dtype=np.intp)
             self._row[by_id] = at[id_of]
-            bits = np.concatenate([b for _, b in sets])[by_id[runs[by_class]]]
-        dot, n_bits = _dot(bits, view)
+            row_view = run_view[by_class]
+            bits = np.concatenate([b for *_, b in sets])[by_id[runs[by_class]]]
+        n_bits = _n_bits(views[0])
+        width = int(n_cols.max(initial=0))
+        # each view's rows widened and multiplied with it alone, one view
+        # at a time; a narrower view's rows read -inf beyond its columns
+        bits = bit_rows(bits)
+        dot = np.empty((n, width), dtype=np.float32)
+        ends = np.searchsorted(row_view, np.arange(len(views) + 1))
+        for view, start, end in zip(views, ends, ends[1:]):
+            if start < end:
+                c = len(view)
+                dot[start:end, c:] = -np.inf
+                np.matmul(bits[start:end].astype(np.float32),
+                          view.astype(np.float32).T, out=dot[start:end, :c])
         self._dot, self._n_bits = dot, n_bits
-        n_cols = dot.shape[1]
-        if n_cols:
+        if width:
             best = dot.argmax(axis=1)
             best_dot = dot[np.arange(n), best]
-            dist = _distance(best_dot, n_bits)
-        else:  # a view without features: no row has a nearest column
+        else:
             best = np.zeros(n, dtype=np.intp)
             best_dot = np.zeros(n, dtype=np.float32)
-            dist = np.full(n, np.iinfo(np.int64).max)
+        # a view without features: its rows have no nearest column
+        blank = n_cols[row_view] == 0
+        best_dot[blank] = 0
+        dist = _distance(best_dot, n_bits)
+        dist[blank] = np.iinfo(np.int64).max
         # one row per class, and a last, empty class: max -inf
-        class_max = np.full((len(starts) + 1, n_cols), -np.inf,
+        class_max = np.full((len(starts) + 1, width), -np.inf,
                             dtype=np.float32)
         self._bounds = bounds = [*starts, n]
         for top, start, end in zip(class_max, bounds, bounds[1:]):
@@ -206,11 +248,14 @@ class ViewProduct:
         self._class_max = class_max
         if k == 1:
             self.tops = class_max[:1]  # the set's class, or the empty one
-        else:  # every set's classes, the empty one last: no list is empty
-            member, classes = np.nonzero(self._held.T)
+        else:  # every set's classes, and the empty one: no list is empty
+            c, j = self._held.nonzero()
+            member = np.concatenate((self._class_sets[c, j], np.arange(k)))
+            classes = np.concatenate((c, np.full(k, len(starts))))
+            order = np.argsort(member, kind="stable")
             self.tops = np.maximum.reduceat(
-                class_max[classes], np.searchsorted(member, np.arange(k)),
-                axis=0)
+                class_max[classes[order]],
+                np.searchsorted(member[order], np.arange(k)), axis=0)
         # the sets' rows one after another: nearest column, its dot and
         # distance (and product row, see _row)
         if self._row is None:
@@ -220,7 +265,14 @@ class ViewProduct:
             self._best, self._best_dot = best[rows], best_dot[rows]
             self._dist = dist[rows]
         self._pairs = {}
-        self.ids, self.view, self.memo = ids, view, {}
+        self._views, self.ids, self.memo = views, ids, {}
+
+    @property
+    def view(self) -> np.ndarray:
+        """Every view's bit rows, one view after another."""
+        if len(self._views) == 1:
+            return self._views[0]
+        return np.concatenate(self._views)
 
     def shares(self) -> list:
         """Every set's share, in set order."""
@@ -228,7 +280,8 @@ class ViewProduct:
 
     def pairs(self, d_max: int):
         """Every set's mutual nearest pairs within ``d_max``: ``(cut, a_idx,
-        b_idx, dist)``, set k's being ``cut[k]:cut[k + 1]`` of the others.
+        b_idx, dist)``, set k's being ``cut[k]:cut[k + 1]`` of the others,
+        b_idx a column of its own view.
 
         A row within ``d_max`` of its nearest column pairs with it when its
         ``dot`` there is its set's column max and no other row of the set
@@ -281,11 +334,13 @@ class ViewProduct:
         at = within.ravel().nonzero()[0]
         row, col = np.divmod(at, n_cols)
         value = dot.ravel()[at]
-        if k > 1:  # an entry counts for each set that holds its row and
-            # whose column max it is
-            entry, held_by = (self._held[self._class[row]]
-                              & (self.tops.T[col] == value[:, None])).nonzero()
-            col = held_by * n_cols + col[entry]
+        if k > 1:  # an entry counts for each set of its view that holds its
+            # row and whose column max it is
+            cls = self._class[row]
+            sets = self._class_sets[cls]
+            entry, j = (self._held[cls] & (self.tops[sets, col[:, None]]
+                                           == value[:, None])).nonzero()
+            col = sets[entry, j] * n_cols + col[entry]
             cols = owner * n_cols + cols
         else:
             col = col[self.tops[0, col] == value]
@@ -297,7 +352,7 @@ class ViewProduct:
 
 class SetProduct:
     """Set k's share of a ``ViewProduct``: its reductions, read for that
-    set's rows and columns."""
+    set's rows and its view's columns."""
 
     __slots__ = ("product", "k")
 
@@ -305,9 +360,11 @@ class SetProduct:
         self.product, self.k = product, k
 
     def top(self, cols) -> np.ndarray:
-        """The column max of ``dot`` over the set's rows, at columns cols
-        (-inf for a set without rows)."""
-        return self.product.tops[self.k, cols]
+        """The column max of ``dot`` over the set's rows, at columns cols of
+        its view (an index array or a mask over them; -inf for a set
+        without rows)."""
+        p = self.product
+        return p.tops[self.k, :p._n_cols[self.k]][cols]
 
 
 def mutual_nearest_pairs(a: np.ndarray, b: np.ndarray, d_max: int,
@@ -323,7 +380,7 @@ def mutual_nearest_pairs(a: np.ndarray, b: np.ndarray, d_max: int,
     make a one-set product, and cut is ``[0, len(a_idx)]``.
     """
     if product is None:
-        product = ViewProduct(b, [(None, a)])
+        product = ViewProduct([b], [(0, None, a)])
     return product.pairs(d_max)
 
 
@@ -348,6 +405,7 @@ def nearest_distances(a: np.ndarray, b: np.ndarray,
 
 def self_nearest_distances(a: np.ndarray) -> np.ndarray:
     """Per-row distance to the nearest *other* row (needs at least 2 rows)."""
-    dot, n_bits = _dot(a, a)
+    w = bit_rows(a).astype(np.float32)
+    dot = w @ w.T  # one operand: the symmetric product, half the work
     np.fill_diagonal(dot, -np.inf)
-    return _distance(dot.max(axis=1), n_bits)
+    return _distance(dot.max(axis=1), w.shape[1])

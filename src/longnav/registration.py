@@ -5,9 +5,10 @@ view and a local map by matching binary features and voting on the horizontal
 position differences (x_view - x_map). Every map feature then gets exactly one
 outcome: not matched, matched consistently with delta, or matched against it.
 
-A comparison registers each view against many feature sets, which share one
-product with the view (see view_product), and registers all of them in one
-pass over that product: match_features gathers every set's pairs at once,
+A comparison registers each view against many feature sets, and several
+views at once (a traversal's in open loop, a location's draws in closed
+loop): the sets share one product with their views (see view_product), and
+all of them register in one pass over that product: match_features gathers every set's pairs at once,
 histogram_vote counts every set's votes in one bincount, and
 classify_outcomes gives every set's outcomes in one pass over the pairs.
 Each stage takes the sets in this one form only. The pass runs at the first
@@ -102,17 +103,20 @@ class RegistrationResult:
 
 
 def view_product(views: list, blocks: list) -> list:
-    """Each block's share (a kernels.SetProduct) of the view's product with
-    the rows of all blocks: one matrix product over their distinct rows (by
-    row id), reduced once for all of them (see kernels.ViewProduct), and
-    registered once for all of them (see register). views holds each
-    block's view: one frame, or frames that share their descriptors but
-    differ in x (see World.observe_offsets). Blocks with equal ids and x,
-    registered against the same view, are one set of the product: they get
-    one share, and so one RegistrationResult. A view without features
-    matches nothing, whatever width it was given."""
-    view = views[0] if len(views[0]) else blocks[0].take(slice(0))
-    if any(b.width != view.width for b in blocks):
+    """Each block's share (a kernels.SetProduct) of one product of the views
+    with the rows of all blocks, each block against its own view: one matrix
+    product per distinct view over its blocks' distinct rows (by row id),
+    reduced once for all of them (see kernels.ViewProduct), and registered
+    once for all of them (see register). views holds each block's view.
+    Views that share their descriptors (one frame, or frames that differ
+    only in x, see World.observe_offsets) are one view of the product.
+    Blocks with equal ids and x, registered against the same view, are one
+    set of the product: they get one share, and so one RegistrationResult.
+    A view without features matches nothing, whatever width it was given.
+    ValueError unless every block and every view with features have one
+    descriptor width."""
+    if len({b.width for b in blocks}
+           | {v.width for v in views if len(v)}) > 1:
         raise ValueError("map and view descriptor widths differ")
     slots, sets, first = [], {}, []  # (view, ids, x) -> set of the product
     for i, (b, v) in enumerate(zip(blocks, views)):
@@ -122,8 +126,14 @@ def view_product(views: list, blocks: list) -> list:
         slots.append(j)
     if len(first) < len(blocks):
         blocks, views = [blocks[i] for i in first], [views[i] for i in first]
-    product = kernels.ViewProduct(pack_features(view),
-                                  [(b.ids, pack_features(b)) for b in blocks])
+    bits = [pack_features(b) for b in blocks]
+    at, product_views = {}, []  # descriptor array id -> view of the product
+    for v, b in zip(views, bits):
+        if at.setdefault(id(v.words), len(at)) == len(product_views):
+            product_views.append(pack_features(v) if len(v) else b[:0])
+    product = kernels.ViewProduct(product_views, [
+        (at[id(v.words)], b.ids, rows)
+        for v, b, rows in zip(views, blocks, bits)])
     product.memo["sets"] = blocks, views
     shares = product.shares()
     return [shares[j] for j in slots]

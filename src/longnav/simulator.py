@@ -39,6 +39,11 @@ _SALT_WORLD = 0x1A11D
 _SALT_TEACH = 0x7EAC4
 _SALT_TURNOVER = 0x70C4E
 _SALT_OFFSET = 0x0FF5E
+# the estimated size, in cells (map rows times view features), up to which
+# a traversal's frames register through one product: small maps register a
+# traversal at once, dense ones a location at a time, as their product
+# alone outweighs the per-product bookkeeping
+_PRODUCT_CELLS = 1 << 20
 
 
 @dataclass
@@ -397,8 +402,9 @@ def traverse(world: World, paths, strategies, traversal: int, t: float,
     Turnover advances once. At each location every strategy gets the frame
     it would draw alone at its own offset from default_rng((run_seed,
     traversal, location)); strategies whose offsets keep the same landmarks
-    in the image share one draw (see World.observe_offsets) and register
-    through one product (see _replay_frame). Each offset, updated in place
+    in the image share one draw (see World.observe_offsets), and every
+    strategy's frame of the location registers through one product (see
+    _replay_frame). Each offset, updated in place
     in `offsets`, then evolves as offset - gain*(delta/px_per_m) plus
     odometry noise from that strategy's rng; a failed registration leaves it
     uncorrected.
@@ -408,8 +414,8 @@ def traverse(world: World, paths, strategies, traversal: int, t: float,
     for loc in range(wc.n_locations):
         rngs = [default_rng((run_seed, traversal, loc)) for _ in strategies]
         frames = world.observe_offsets(loc, t, offsets, rngs)
-        _replay_frame(frames, traversal, strategies, paths, logs, params,
-                      offsets)
+        _replay_frame(list(enumerate(frames)), traversal, strategies, paths,
+                      logs, params, offsets)
         for i, (rng, log) in enumerate(zip(rngs, logs)):
             delta = log[-1].delta_px
             if delta is not None:
@@ -462,33 +468,57 @@ def generate_frames(world: World, traversals: int, interval_s: float,
             yield tr, world.observe(loc, t, offset, rng)
 
 
-def _replay_frame(frames, traversal: int, strategies, paths, logs,
+def _replay_frame(jobs, traversal: int, strategies, paths, logs,
                   params: RegistrationParams, offsets=None):
-    """Every strategy's process_frame on its own frame of one location (one
-    frame per strategy, each logged with its offset from `offsets`). Frames
-    that share their descriptors, as one frame does or the frames of one
-    draw (see World.observe_offsets), register through one product of the
-    view with the active rows of all their strategies, each set against its
-    own frame's x, in one registration pass (see registration.register);
-    each product is freed once its strategies are done."""
-    groups = {}  # descriptor array id -> indices of the frames holding it
-    for i, frame in enumerate(frames):
-        groups.setdefault(id(frame.features.words), []).append(i)
-    for members in groups.values():
-        maps = [paths[i].local_maps[frames[i].location] for i in members]
-        sets = [active_sets(lm, strategies[i], frames[i].time)
-                for i, lm in zip(members, maps)]
-        shares = view_product(
-            [frames[i].features for i, ss in zip(members, sets) for _ in ss],
-            [active for ss in sets for _, active in ss])
-        start = 0
-        for i, lm, ss in zip(members, maps, sets):
-            rec, _ = process_frame(lm, frames[i], strategies[i], traversal,
-                                   params, ss, shares[start:start + len(ss)],
-                                   None if offsets is None else offsets[i])
-            start += len(ss)
-            logs[i].append(rec)
-        del shares
+    """The frame step of both loops: every job's process_frame, a job being
+    (i, frame), strategy i's frame of one location, logged with offsets[i].
+    The frames' views register through one product with the active rows of
+    every job (see registration.view_product): frames that share their
+    descriptors, as one frame does or the frames of one draw (see
+    World.observe_offsets), are one view of it, each set registered against
+    its own frame's x, all in one registration pass (see
+    registration.register). A location is one job's per strategy at most,
+    so no job's update changes a map that another job registers against.
+    The product is freed once every job is done."""
+    maps = [paths[i].local_maps[frame.location] for i, frame in jobs]
+    sets = [active_sets(lm, strategies[i], frame.time)
+            for (i, frame), lm in zip(jobs, maps)]
+    shares = view_product(
+        [frame.features for (_, frame), ss in zip(jobs, sets) for _ in ss],
+        [active for ss in sets for _, active in ss])
+    start = 0
+    for (i, frame), lm, ss in zip(jobs, maps, sets):
+        rec, _ = process_frame(lm, frame, strategies[i], traversal, params,
+                               ss, shares[start:start + len(ss)],
+                               None if offsets is None else offsets[i])
+        start += len(ss)
+        logs[i].append(rec)
+
+
+def _replay_traversal(frames, traversal: int, strategies, paths, logs,
+                      params: RegistrationParams) -> None:
+    """Every strategy's step on each of one traversal's frames (see
+    _replay_frame), all through one product unless it would exceed
+    _PRODUCT_CELLS; then through one product per run of frames within it.
+    A frame's cells are estimated as its feature count times the rows of
+    every strategy's map at its location, and a run holds one frame at
+    least."""
+    def step(run):
+        _replay_frame([(i, frame) for frame in run
+                       for i in range(len(strategies))], traversal,
+                      strategies, paths, logs, params)
+
+    run, cells = [], 0
+    for frame in frames:
+        maps = [p.local_maps[frame.location] for p in paths]
+        n = len(frame.features) * sum(
+            len(lm.features) + sum(map(len, lm.alternatives)) for lm in maps)
+        if run and cells + n > _PRODUCT_CELLS:
+            step(run)
+            run, cells = [], 0
+        run.append(frame)
+        cells += n
+    step(run)
 
 
 def _check_in_image(traversal: int, frame: Frame, image_width: int) -> None:
@@ -506,11 +536,15 @@ def replay_frames(frames, strategies, path: PathMap | None = None,
     """Open-loop lockstep replay of one (traversal, Frame) stream through a
     sequence of StrategyConfigs, reading the stream once.
 
-    Every repeat frame is processed by each strategy in turn, against that
+    Every repeat frame is processed by each strategy, against that
     strategy's own copy of `path`, or else of the path taught from the
-    traversal-0 frames; each view is multiplied once with the distinct
-    active rows of all strategies (see _replay_frame). Returns (paths, logs)
-    with one PathMap and one list of LocationRecord per strategy.
+    traversal-0 frames. The frames of one traversal are checked as they
+    arrive and then registered together: each view is multiplied once with
+    the distinct active rows of all strategies, and the traversal's views
+    in one product (see _replay_traversal and _replay_frame), so a bad
+    frame stops its traversal before any frame of it registers. Returns
+    (paths, logs) with one PathMap and one list of LocationRecord per
+    strategy.
     DatasetError unless frames arrive in non-decreasing traversal order,
     every frame's features lie inside [0, params.image_width), repeat frames
     name a taught location, at most once per traversal, and, unless
@@ -541,7 +575,11 @@ def replay_frames(frames, strategies, path: PathMap | None = None,
     n_maps, width = len(path.local_maps), path.descriptor_width
     logs = [[] for _ in strategies]
     last_tr, replayed = 0, {}  # location -> the last traversal replaying it
+    batch = []  # the frames of traversal last_tr, checked
     for tr, frame in itertools.chain(repeats, frames):
+        if tr > last_tr and batch:
+            _replay_traversal(batch, last_tr, strategies, paths, logs, params)
+            batch = []
         if tr < last_tr:
             raise DatasetError(f"traversal {tr} follows traversal {last_tr}: "
                                "frames out of traversal order")
@@ -558,6 +596,7 @@ def replay_frames(frames, strategies, path: PathMap | None = None,
                                f"descriptor width {frame.features.width} "
                                f"differs from the path's {width}")
         last_tr = tr
-        _replay_frame([frame] * len(strategies), tr, strategies, paths, logs,
-                      params)
+        batch.append(frame)
+    if batch:
+        _replay_traversal(batch, last_tr, strategies, paths, logs, params)
     return paths, logs

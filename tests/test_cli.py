@@ -155,11 +155,14 @@ def _pad_first_descriptor(rec):
     # a repeat traversal naming a location twice once replayed both frames
     # and wrote a log that `longnav report` rejects
     (lambda recs: recs[:3] + recs[2:], "traversal 1: location 0 appears twice"),
+    # the last frame names the location its traversal's first frame named
+    (_set_last_location(0), "traversal 2: location 0 appears twice"),
     (_edit_last_frame(lambda rec: rec.update(x={})), "x is not a list"),
     (_edit_last_frame(_pad_first_descriptor), "malformed hex descriptor"),
 ], ids=["location-7", "location-minus-1", "traversal-backwards",
         "teach-repeats-location", "teach-misses-location",
-        "repeat-repeats-location", "features-not-list",
+        "repeat-repeats-location", "last-repeats-location",
+        "features-not-list",
         "descriptor-trailing-spaces"])
 def test_replay_rejects_bad_frames(tmp_path, config_path, capsys, edit, message):
     data = tmp_path / "data"

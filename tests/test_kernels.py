@@ -195,7 +195,7 @@ def assert_pairs_match_argmin(view, sets, d_maxes):
     view_words, view_bits = view
     ids = value_ids([w for w, _ in sets])
     product = kernels.ViewProduct(
-        view_bits, [(i, bits) for i, (_, bits) in zip(ids, sets)])
+        [view_bits], [(0, i, bits) for i, (_, bits) in zip(ids, sets)])
     for d_max in d_maxes:
         shared = split_by_set(kernels.mutual_nearest_pairs(
             product.ids, product.view, d_max, product))
@@ -288,7 +288,8 @@ def assert_product_reduces_each_set_as_its_own(view_words, set_words):
     cols = np.arange(len(view_words))
     for ids in (value_ids(set_words), fresh_ids(set_words)):
         product = kernels.ViewProduct(
-            view, [(i, kernels.bit_rows(w)) for i, w in zip(ids, set_words)])
+            [view],
+            [(0, i, kernels.bit_rows(w)) for i, w in zip(ids, set_words)])
         for k, (w, share) in enumerate(zip(set_words, product.shares())):
             own = kernels._dot(w, view_words)[0]
             top = own.max(axis=0, initial=-np.inf)
@@ -320,7 +321,8 @@ def rows_of(*values):
 def product_of(view, sets, ids=value_ids):
     """The ``ViewProduct`` of view with sets (packed rows), rows given ids
     by ``ids``."""
-    return kernels.ViewProduct(view, list(zip(ids(sets), sets)))
+    return kernels.ViewProduct([view], [(0, i, s)
+                                        for i, s in zip(ids(sets), sets)])
 
 
 def test_a_row_held_twice_by_a_set_counts_twice():
@@ -411,7 +413,7 @@ def test_equal_rows_under_different_ids_pair_only_the_lowest_row():
     view = rows_of(0b0011, 0b1100)
     sets = [rows_of(0b0111, 0b0011, 0b0011), rows_of(0b0011)]
     product = kernels.ViewProduct(
-        view, [(np.array([5, 7, 9]), sets[0]), (np.array([9]), sets[1])])
+        [view], [(0, np.array([5, 7, 9]), sets[0]), (0, np.array([9]), sets[1])])
     got = [[p.tolist() for p in pairs] for pairs in split_by_set(
         kernels.mutual_nearest_pairs(product.ids, product.view, 64, product))]
     assert got == [[[1], [0], [0]], [[0], [0], [0]]]

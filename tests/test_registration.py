@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from longnav.errors import ConfigError
 from longnav.features import FeatureBlock
@@ -12,7 +14,7 @@ from longnav.registration import (MatchOutcome, Pairs, RegistrationParams,
                                   classify_outcomes, histogram_vote,
                                   match_features, register, view_product)
 
-from blocks import Descriptor, block_from_descriptors, hamming_distance
+from blocks import ROW, Descriptor, block_from_descriptors, hamming_distance
 
 
 def rand_feature(rng, width=256, x=None):
@@ -504,3 +506,85 @@ def test_equal_rows_under_other_ids_pair_only_the_lower_row():
         assert np.array_equal(got.outcomes, want.outcomes)
     pairs = register(both, view, params, shares[0]).pairs
     assert len(pairs) and (pairs.map_idx < 20).all()
+
+
+@st.composite
+def several_views(draw):
+    """(pool, views, sets, view_of, params): views and row sets drawn from
+    a small pool of 128-bit rows, so that rows repeat and distances tie,
+    each as (pool indices, x shift); set k registers against view
+    view_of[k], in any order. The last view has no features and set 0
+    holds a row twice; a crowded draw puts 65 sets with rows on view 0, at
+    their own x so that they stay 65 sets of the product, and their
+    membership takes two words. Every set also holds the rows common, one
+    class of many rows. d_max runs up to every entry of a product lying
+    within the radius, where only class maxima are counted."""
+    pool = draw(st.lists(ROW, min_size=1, max_size=6)) + [(5, 1), (5, 2)]
+    pick = st.lists(st.integers(0, len(pool) - 1), max_size=8)
+    common = draw(pick)
+    shifted = st.tuples(pick, st.integers(-30, 30))
+    views = draw(st.lists(shifted, min_size=1, max_size=3)) + [([], 0)]
+    others = st.integers(0, len(views) - 1)
+    if draw(st.booleans()):
+        view_of = draw(st.permutations(
+            [0] * 65 + draw(st.lists(others, min_size=1, max_size=3))))
+        rows = st.lists(st.integers(0, len(pool) - 1), min_size=1,
+                        max_size=8)
+        sets = [(draw(rows), k / 8) for k in range(len(view_of))]
+    else:
+        view_of = draw(st.lists(others, min_size=2, max_size=8))
+        sets = [draw(shifted) for _ in view_of]
+    rows, shift = sets[0]
+    sets[0] = (rows[:1] * 2 + rows if rows else [0, 0], shift)
+    sets = [(common + rows, shift) for rows, shift in sets]
+    params = RegistrationParams(d_max=draw(st.sampled_from([0, 8, 24, 64,
+                                                             128])),
+                                min_votes=draw(st.integers(1, 3)))
+    return np.array(pool, dtype=np.uint64), views, sets, view_of, params
+
+
+def pool_block(pool, rows, shift, ids=True):
+    """The pool's rows as a block: x 40 pixels apart by pool index, shifted;
+    a row's id is its pool index, or a fresh one when ids is False."""
+    idx = np.array(rows, dtype=np.intp)
+    return FeatureBlock(np.clip(40.0 * idx + 17.0 + shift, 0.0, 639.0),
+                        np.zeros(len(idx)), pool[idx].reshape(-1, 2), 128,
+                        ids=idx.astype(np.int64) if ids else None)
+
+
+def share_pairs(share, d_max):
+    """A share's part of its product's pairs, as lists, with dtypes."""
+    cut, *found = share.product.pairs(d_max)
+    part = slice(cut[share.k], cut[share.k + 1])
+    return [(a.dtype, a[part].tolist()) for a in found]
+
+
+@given(several_views())
+@settings(max_examples=40, deadline=None)
+def test_a_product_over_several_views_equals_one_product_per_view(data):
+    # one product over every view gives each set the pairs, column maxima
+    # and result that a product over its own view's sets alone gives
+    pool, views, sets, view_of, params = data
+    frames = [pool_block(pool, *v, ids=False) for v in views]
+    blocks = [pool_block(pool, *s) for s in sets]
+    shares = view_product([frames[v] for v in view_of], blocks)
+    results = [register(b, frames[v], params, share)
+               for b, v, share in zip(blocks, view_of, shares)]
+    for v, frame in enumerate(frames):
+        ks = [k for k, u in enumerate(view_of) if u == v]
+        if not ks:
+            continue
+        own = view_product([frame] * len(ks), [blocks[k] for k in ks])
+        cols = np.arange(len(frame))
+        for k, want in zip(ks, own):
+            for at in (cols, cols % 2 == 0):  # indices, and a mask
+                assert np.array_equal(shares[k].top(at), want.top(at))
+            assert (share_pairs(shares[k], params.d_max)
+                    == share_pairs(want, params.d_max))
+            got, alone = results[k], register(blocks[k], frame, params, want)
+            assert (got.delta, got.correct_count) == (alone.delta,
+                                                      alone.correct_count)
+            assert np.array_equal(got.outcomes, alone.outcomes)
+            for name in ("map_idx", "view_idx", "diff", "dist"):
+                assert np.array_equal(getattr(got.pairs, name),
+                                      getattr(alone.pairs, name))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from longnav import kernels
+from longnav import kernels, simulator
 from longnav.errors import ConfigError, DatasetError, TeachError
 from longnav.evaluation import compare_strategies
 from longnav.io import (read_dataset, read_map_snapshot, write_dataset,
@@ -323,6 +323,36 @@ def test_replay_rejects_a_location_repeated_in_one_traversal(tmp_path):
         (1, 0), (1, 1), (2, 0), (2, 1)]
 
 
+@pytest.mark.parametrize("location, message", [
+    (2, "location 2 is outside the taught path of 2 locations"),
+    (0, "location 0 appears twice")])
+def test_a_bad_last_frame_stops_its_traversal_before_it_registers(
+        tmp_path, monkeypatch, location, message):
+    # a traversal registers once all its frames are checked, so a bad last
+    # frame raises before any frame of its traversal registers; the
+    # traversals before it have registered
+    w = World(small_cfg(seed=13))  # two locations
+    frames = list(generate_frames(w, 2, 1000.0))
+    tr, f = frames[-1]
+    frames[-1] = (tr, Frame(location, f.time, f.features, f.gamma))
+    registered = []
+    step = simulator.process_frame
+
+    def recording(local_map, frame, cfg, traversal, *args):
+        registered.append((traversal, frame.location))
+        return step(local_map, frame, cfg, traversal, *args)
+
+    monkeypatch.setattr(simulator, "process_frame", recording)
+    with pytest.raises(DatasetError, match=f"^traversal 2: {message}$"):
+        replay_frames(frames, [StrategyConfig(kind="static")])
+    assert registered == [(1, 0), (1, 1)]
+    path = tmp_path / "dataset.jsonl"
+    write_dataset(frames, path)
+    with pytest.raises(DatasetError, match=f"^traversal 2: {message}$"):
+        compare_strategies(path, [StrategyConfig(kind="static"),
+                                  StrategyConfig(kind="score")])
+
+
 @pytest.mark.parametrize("location", [-1, 2, 10**6])
 def test_replay_rejects_location_outside_path(location):
     w = World(small_cfg(seed=13))  # two locations
@@ -370,15 +400,15 @@ def test_lockstep_replay_matches_each_strategy_alone(tmp_path):
 
 
 def test_replay_keeps_no_view_product_alive(monkeypatch):
-    # reference counting alone frees each product once its frame is done,
-    # before the next is built: no reference cycle holds one for the
+    # reference counting alone frees each product once its traversal is
+    # done, before the next is built: no reference cycle holds one for the
     # garbage collector, which stays off here
     products = []
     build = kernels.ViewProduct.__init__
 
-    def recording(self, view, sets):
+    def recording(self, views, sets):
         assert all(ref() is None for ref in products)
-        build(self, view, sets)
+        build(self, views, sets)
         products.append(weakref.ref(self._dot))
 
     monkeypatch.setattr(kernels.ViewProduct, "__init__", recording)
@@ -388,7 +418,7 @@ def test_replay_keeps_no_view_product_alive(monkeypatch):
         replay_frames(frames, [StrategyConfig(kind=k) for k in STRATEGY_KINDS])
     finally:
         gc.enable()
-    assert len(products) == 3 * 2  # one per repeat frame
+    assert len(products) == 3  # one per traversal
     assert all(ref() is None for ref in products)
 
 
