@@ -40,8 +40,8 @@ _SALT_TEACH = 0x7EAC4
 _SALT_TURNOVER = 0x70C4E
 _SALT_OFFSET = 0x0FF5E
 # the estimated size, in cells (map rows times view features), up to which
-# a traversal's frames register through one product: small maps register a
-# traversal at once, dense ones a location at a time, as their product
+# one frame step's views register through one product: small maps register
+# a traversal at once, dense ones a view at a time, as their matrix product
 # alone outweighs the per-product bookkeeping
 _PRODUCT_CELLS = 1 << 20
 
@@ -404,10 +404,9 @@ def traverse(world: World, paths, strategies, traversal: int, t: float,
     traversal, location)); strategies whose offsets keep the same landmarks
     in the image share one draw (see World.observe_offsets), and every
     strategy's frame of the location registers through one product (see
-    _replay_frame). Each offset, updated in place
-    in `offsets`, then evolves as offset - gain*(delta/px_per_m) plus
-    odometry noise from that strategy's rng; a failed registration leaves it
-    uncorrected.
+    _replay_frame). Each offset, updated in place in `offsets`, then
+    evolves as offset - gain*(delta/px_per_m) plus odometry noise from that
+    strategy's rng; a failed registration leaves it uncorrected.
     """
     wc = world.config
     world.advance_turnover(traversal)
@@ -472,14 +471,38 @@ def _replay_frame(jobs, traversal: int, strategies, paths, logs,
                   params: RegistrationParams, offsets=None):
     """The frame step of both loops: every job's process_frame, a job being
     (i, frame), strategy i's frame of one location, logged with offsets[i].
-    The frames' views register through one product with the active rows of
-    every job (see registration.view_product): frames that share their
-    descriptors, as one frame does or the frames of one draw (see
-    World.observe_offsets), are one view of it, each set registered against
-    its own frame's x, all in one registration pass (see
-    registration.register). A location is one job's per strategy at most,
-    so no job's update changes a map that another job registers against.
-    The product is freed once every job is done."""
+    A location is one job's per strategy at most, so no job's update
+    changes a map that another job registers against.
+
+    Frames that share their descriptors, as one frame does or the frames of
+    one draw (see World.observe_offsets), are one view, each set registered
+    against its own frame's x. The views register through one product with
+    the active rows of their jobs (see registration.view_product), in one
+    registration pass (see registration.register), unless that product
+    would exceed _PRODUCT_CELLS; then through one product per run of views
+    within it, a run holding one view at least. A view's cells are
+    estimated as its feature count times the rows of its jobs' maps. Each
+    product is freed once its jobs are done."""
+    views = {}  # descriptor array id -> the jobs whose frames hold it
+    for job in jobs:
+        views.setdefault(id(job[1].features.words), []).append(job)
+    run, cells = [], 0
+    for members in views.values():
+        maps = [paths[i].local_maps[frame.location] for i, frame in members]
+        n = len(members[0][1].features) * sum(
+            len(lm.features) + sum(map(len, lm.alternatives)) for lm in maps)
+        if run and cells + n > _PRODUCT_CELLS:
+            _register_run(run, traversal, strategies, paths, logs, params,
+                          offsets)
+            run, cells = [], 0
+        run += members
+        cells += n
+    _register_run(run, traversal, strategies, paths, logs, params, offsets)
+
+
+def _register_run(jobs, traversal: int, strategies, paths, logs,
+                  params: RegistrationParams, offsets) -> None:
+    """Every job's process_frame through one product (see _replay_frame)."""
     maps = [paths[i].local_maps[frame.location] for i, frame in jobs]
     sets = [active_sets(lm, strategies[i], frame.time)
             for (i, frame), lm in zip(jobs, maps)]
@@ -493,32 +516,6 @@ def _replay_frame(jobs, traversal: int, strategies, paths, logs,
                                None if offsets is None else offsets[i])
         start += len(ss)
         logs[i].append(rec)
-
-
-def _replay_traversal(frames, traversal: int, strategies, paths, logs,
-                      params: RegistrationParams) -> None:
-    """Every strategy's step on each of one traversal's frames (see
-    _replay_frame), all through one product unless it would exceed
-    _PRODUCT_CELLS; then through one product per run of frames within it.
-    A frame's cells are estimated as its feature count times the rows of
-    every strategy's map at its location, and a run holds one frame at
-    least."""
-    def step(run):
-        _replay_frame([(i, frame) for frame in run
-                       for i in range(len(strategies))], traversal,
-                      strategies, paths, logs, params)
-
-    run, cells = [], 0
-    for frame in frames:
-        maps = [p.local_maps[frame.location] for p in paths]
-        n = len(frame.features) * sum(
-            len(lm.features) + sum(map(len, lm.alternatives)) for lm in maps)
-        if run and cells + n > _PRODUCT_CELLS:
-            step(run)
-            run, cells = [], 0
-        run.append(frame)
-        cells += n
-    step(run)
 
 
 def _check_in_image(traversal: int, frame: Frame, image_width: int) -> None:
@@ -541,7 +538,7 @@ def replay_frames(frames, strategies, path: PathMap | None = None,
     traversal-0 frames. The frames of one traversal are checked as they
     arrive and then registered together: each view is multiplied once with
     the distinct active rows of all strategies, and the traversal's views
-    in one product (see _replay_traversal and _replay_frame), so a bad
+    in one product (see _replay_frame), so a bad
     frame stops its traversal before any frame of it registers. Returns
     (paths, logs) with one PathMap and one list of LocationRecord per
     strategy.
@@ -574,29 +571,31 @@ def replay_frames(frames, strategies, path: PathMap | None = None,
     paths = _strategy_paths(strategies, path)
     n_maps, width = len(path.local_maps), path.descriptor_width
     logs = [[] for _ in strategies]
-    last_tr, replayed = 0, {}  # location -> the last traversal replaying it
-    batch = []  # the frames of traversal last_tr, checked
-    for tr, frame in itertools.chain(repeats, frames):
-        if tr > last_tr and batch:
-            _replay_traversal(batch, last_tr, strategies, paths, logs, params)
-            batch = []
-        if tr < last_tr:
-            raise DatasetError(f"traversal {tr} follows traversal {last_tr}: "
-                               "frames out of traversal order")
-        if not 0 <= frame.location < n_maps:
-            raise DatasetError(f"traversal {tr}: location {frame.location} is "
-                               f"outside the taught path of {n_maps} locations")
-        if replayed.get(frame.location) == tr:
-            raise DatasetError(f"traversal {tr}: location {frame.location} "
-                               "appears twice")
-        replayed[frame.location] = tr
-        _check_in_image(tr, frame, image_width)
-        if len(frame.features) and frame.features.width != width:
-            raise DatasetError(f"traversal {tr}, location {frame.location}: "
-                               f"descriptor width {frame.features.width} "
-                               f"differs from the path's {width}")
-        last_tr = tr
-        batch.append(frame)
-    if batch:
-        _replay_traversal(batch, last_tr, strategies, paths, logs, params)
+    def checked():
+        last_tr, replayed = 0, {}  # location -> the last traversal replaying it
+        for tr, frame in itertools.chain(repeats, frames):
+            if tr < last_tr:
+                raise DatasetError(f"traversal {tr} follows traversal "
+                                   f"{last_tr}: frames out of traversal order")
+            if not 0 <= frame.location < n_maps:
+                raise DatasetError(f"traversal {tr}: location {frame.location}"
+                                   f" is outside the taught path of {n_maps} "
+                                   "locations")
+            if replayed.get(frame.location) == tr:
+                raise DatasetError(f"traversal {tr}: location {frame.location} "
+                                   "appears twice")
+            replayed[frame.location] = tr
+            _check_in_image(tr, frame, image_width)
+            if len(frame.features) and frame.features.width != width:
+                raise DatasetError(f"traversal {tr}, location {frame.location}: "
+                                   f"descriptor width {frame.features.width} "
+                                   f"differs from the path's {width}")
+            last_tr = tr
+            yield tr, frame
+
+    # each traversal's frames are all checked before any of them registers
+    for tr, run in itertools.groupby(checked(), key=lambda pair: pair[0]):
+        _replay_frame([(i, frame) for _, frame in run
+                       for i in range(len(strategies))], tr, strategies,
+                      paths, logs, params)
     return paths, logs
