@@ -188,10 +188,10 @@ class ViewProduct:
                 self._twice[by_id] = both
             # each set's place among its view's sets: a membership word
             # holds a bit per set of one view
-            by_view, first = _grouped(set_view)
+            by_view = np.argsort(set_view, kind="stable")
+            in_order = set_view[by_view]
             local = np.empty(k, dtype=np.intp)
-            local[by_view] = np.arange(k) - np.maximum.accumulate(
-                np.where(first, np.arange(k), 0))
+            local[by_view] = np.arange(k) - np.searchsorted(in_order, in_order)
             k_view = int(local.max()) + 1
             member = _membership(local[owner], runs, k_view)
             run_view = set_view[owner[runs]]

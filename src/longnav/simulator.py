@@ -471,7 +471,7 @@ def _replay_frame(jobs, traversal: int, strategies, paths, logs,
                   params: RegistrationParams, offsets=None):
     """The frame step of both loops: every job's process_frame, a job being
     (i, frame), strategy i's frame of one location, logged with offsets[i].
-    A location is one job's per strategy at most, so no job's update
+    Each strategy has at most one job per location, so no job's update
     changes a map that another job registers against.
 
     Frames that share their descriptors, as one frame does or the frames of
