@@ -174,8 +174,10 @@ class ViewProduct:
         else:
             ids = np.concatenate([i for _, i, _ in sets])
             self._owner = owner = np.repeat(np.arange(k), sizes)
-            # the rows of one (view, id) together, a set's in set order
-            by_id, new = _grouped(ids, set_view[owner])
+            # the rows of one (view, id) together, a set's in set order; the
+            # view is a key only when there are several
+            several = len(views) > 1
+            by_id, new = _grouped(ids, *(set_view[owner],) * several)
             runs = new.nonzero()[0]
             id_of = np.cumsum(new) - 1  # each sorted row's distinct row
             owner = owner[by_id]
@@ -195,7 +197,7 @@ class ViewProduct:
             k_view = int(local.max()) + 1
             member = _membership(local[owner], runs, k_view)
             run_view = set_view[owner[runs]]
-            by_class, new = _grouped(*member.T, run_view)
+            by_class, new = _grouped(*member.T, *(run_view,) * several)
             n = len(runs)
             starts = new.nonzero()[0].tolist()
             self._class = np.cumsum(new) - 1  # of each product row
@@ -235,7 +237,7 @@ class ViewProduct:
             best = np.zeros(n, dtype=np.intp)
             best_dot = np.zeros(n, dtype=np.float32)
         # a view without features: its rows have no nearest column
-        blank = n_cols[row_view] == 0
+        blank = n_cols[row_view] == 0 if 0 in n_cols else slice(0)
         best_dot[blank] = 0
         dist = _distance(best_dot, n_bits)
         dist[blank] = np.iinfo(np.int64).max
@@ -249,7 +251,7 @@ class ViewProduct:
         if k == 1:
             self.tops = class_max[:1]  # the set's class, or the empty one
         else:  # every set's classes, and the empty one: no list is empty
-            c, j = self._held.nonzero()
+            j, c = self._held.T.nonzero()  # set by set, nearly sorted
             member = np.concatenate((self._class_sets[c, j], np.arange(k)))
             classes = np.concatenate((c, np.full(k, len(starts))))
             order = np.argsort(member, kind="stable")

@@ -536,9 +536,10 @@ def replay_frames(frames, strategies, path: PathMap | None = None,
     Every repeat frame is processed by each strategy, against that
     strategy's own copy of `path`, or else of the path taught from the
     traversal-0 frames. The frames of one traversal are checked as they
-    arrive and then registered together: each view is multiplied once with
-    the distinct active rows of all strategies, and the traversal's views
-    in one product (see _replay_frame), so a bad
+    arrive and registered together once the next traversal's first frame
+    (or the stream's end) is read: each view is multiplied once with the
+    distinct active rows of all strategies, and the traversal's views in
+    one product unless it would grow large (see _replay_frame). So a bad
     frame stops its traversal before any frame of it registers. Returns
     (paths, logs) with one PathMap and one list of LocationRecord per
     strategy.
