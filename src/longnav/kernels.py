@@ -188,28 +188,36 @@ class ViewProduct:
                 both[:-1] |= twice
                 self._twice = np.empty_like(both)
                 self._twice[by_id] = both
-            # each set's place among its view's sets: a membership word
-            # holds a bit per set of one view
-            by_view = np.argsort(set_view, kind="stable")
-            in_order = set_view[by_view]
-            local = np.empty(k, dtype=np.intp)
-            local[by_view] = np.arange(k) - np.searchsorted(in_order, in_order)
-            k_view = int(local.max()) + 1
-            member = _membership(local[owner], runs, k_view)
-            run_view = set_view[owner[runs]]
+            if several:  # each set's place among its view's sets: a
+                # membership word holds a bit per set of one view
+                by_view = np.argsort(set_view, kind="stable")
+                in_order = set_view[by_view]
+                local = np.empty(k, dtype=np.intp)
+                local[by_view] = (np.arange(k)
+                                  - np.searchsorted(in_order, in_order))
+                k_view = int(local.max()) + 1
+                member = _membership(local[owner], runs, k_view)
+                run_view = set_view[owner[runs]]
+            else:
+                k_view = k
+                member = _membership(owner, runs, k)
+                run_view = np.zeros(len(runs), dtype=np.intp)
             by_class, new = _grouped(*member.T, *(run_view,) * several)
             n = len(runs)
             starts = new.nonzero()[0].tolist()
             self._class = np.cumsum(new) - 1  # of each product row
-            # each class's sets: which of its view's sets hold it, and
-            # those sets' indices
+            # each class's sets: which of its view's sets hold it, and (of
+            # several views) those sets' indices
             heads = by_class[new]
             self._held = np.unpackbits(member[heads].view(np.uint8), axis=1,
                                        count=k_view,
                                        bitorder="little").view(bool)
-            set_at = np.zeros((len(views), k_view), dtype=np.intp)
-            set_at[set_view, local] = np.arange(k)
-            self._class_sets = set_at[run_view[heads]]
+            if several:
+                set_at = np.zeros((len(views), k_view), dtype=np.intp)
+                set_at[set_view, local] = np.arange(k)
+                self._class_sets = set_at[run_view[heads]]
+            else:
+                self._class_sets = None
             at = np.empty(n, dtype=np.intp)  # each distinct row's product row
             at[by_class] = np.arange(n)
             self._row = np.empty(len(ids), dtype=np.intp)
@@ -251,13 +259,19 @@ class ViewProduct:
         if k == 1:
             self.tops = class_max[:1]  # the set's class, or the empty one
         else:  # every set's classes, and the empty one: no list is empty
-            j, c = self._held.T.nonzero()  # set by set, nearly sorted
-            member = np.concatenate((self._class_sets[c, j], np.arange(k)))
-            classes = np.concatenate((c, np.full(k, len(starts))))
-            order = np.argsort(member, kind="stable")
+            if self._class_sets is None:  # one view: set by set, the empty
+                # class last
+                member, classes = np.vstack(
+                    (self._held, np.ones((1, k), dtype=bool))).T.nonzero()
+            else:
+                j, c = self._held.T.nonzero()
+                member = np.concatenate((self._class_sets[c, j], np.arange(k)))
+                classes = np.concatenate((c, np.full(k, len(starts))))
+                order = np.argsort(member, kind="stable")
+                member, classes = member[order], classes[order]
             self.tops = np.maximum.reduceat(
-                class_max[classes[order]],
-                np.searchsorted(member[order], np.arange(k)), axis=0)
+                class_max[classes], np.searchsorted(member, np.arange(k)),
+                axis=0)
         # the sets' rows one after another: nearest column, its dot and
         # distance (and product row, see _row)
         if self._row is None:
@@ -339,10 +353,15 @@ class ViewProduct:
         if k > 1:  # an entry counts for each set of its view that holds its
             # row and whose column max it is
             cls = self._class[row]
-            sets = self._class_sets[cls]
-            entry, j = (self._held[cls] & (self.tops[sets, col[:, None]]
-                                           == value[:, None])).nonzero()
-            col = sets[entry, j] * n_cols + col[entry]
+            if self._class_sets is None:  # one view: its sets are all sets
+                entry, j = (self._held[cls]
+                            & (self.tops.T[col] == value[:, None])).nonzero()
+                col = j * n_cols + col[entry]
+            else:
+                sets = self._class_sets[cls]
+                entry, j = (self._held[cls] & (self.tops[sets, col[:, None]]
+                                               == value[:, None])).nonzero()
+                col = sets[entry, j] * n_cols + col[entry]
             cols = owner * n_cols + cols
         else:
             col = col[self.tops[0, col] == value]

@@ -39,10 +39,12 @@ _SALT_WORLD = 0x1A11D
 _SALT_TEACH = 0x7EAC4
 _SALT_TURNOVER = 0x70C4E
 _SALT_OFFSET = 0x0FF5E
-# the estimated size, in cells (map rows times view features), up to which
-# one frame step's views register through one product: small maps register
-# a traversal at once, dense ones a view at a time, as their matrix product
-# alone outweighs the per-product bookkeeping
+# the estimated size, in cells (view features times its maps' rows), up to
+# which one frame step's views register through one product. Fewer products
+# measured faster or equal on every workload, but a product's float32 arrays
+# grow with its cells, so this bounds its memory (the dot at most 4 MB): it
+# lies above every traversal of small maps and below a single view of dense
+# ones (BENCH_traversal.json, "product_cells")
 _PRODUCT_CELLS = 1 << 20
 
 
@@ -536,11 +538,12 @@ def replay_frames(frames, strategies, path: PathMap | None = None,
     Every repeat frame is processed by each strategy, against that
     strategy's own copy of `path`, or else of the path taught from the
     traversal-0 frames. The frames of one traversal are checked as they
-    arrive and registered together once the next traversal's first frame
-    (or the stream's end) is read: each view is multiplied once with the
-    distinct active rows of all strategies, and the traversal's views in
-    one product unless it would grow large (see _replay_frame). So a bad
-    frame stops its traversal before any frame of it registers. Returns
+    arrive and registered together when a frame of another traversal
+    arrives, before that frame is checked, or at the stream's end: each
+    view is multiplied once with the distinct active rows of all
+    strategies, and the traversal's views in one product unless it would
+    grow large (see _replay_frame). So a bad frame stops its own traversal
+    before any frame of it registers, and no other. Returns
     (paths, logs) with one PathMap and one list of LocationRecord per
     strategy.
     DatasetError unless frames arrive in non-decreasing traversal order,
@@ -572,31 +575,37 @@ def replay_frames(frames, strategies, path: PathMap | None = None,
     paths = _strategy_paths(strategies, path)
     n_maps, width = len(path.local_maps), path.descriptor_width
     logs = [[] for _ in strategies]
-    def checked():
-        last_tr, replayed = 0, {}  # location -> the last traversal replaying it
-        for tr, frame in itertools.chain(repeats, frames):
-            if tr < last_tr:
-                raise DatasetError(f"traversal {tr} follows traversal "
-                                   f"{last_tr}: frames out of traversal order")
-            if not 0 <= frame.location < n_maps:
-                raise DatasetError(f"traversal {tr}: location {frame.location}"
-                                   f" is outside the taught path of {n_maps} "
-                                   "locations")
-            if replayed.get(frame.location) == tr:
-                raise DatasetError(f"traversal {tr}: location {frame.location} "
-                                   "appears twice")
-            replayed[frame.location] = tr
-            _check_in_image(tr, frame, image_width)
-            if len(frame.features) and frame.features.width != width:
-                raise DatasetError(f"traversal {tr}, location {frame.location}: "
-                                   f"descriptor width {frame.features.width} "
-                                   f"differs from the path's {width}")
-            last_tr = tr
-            yield tr, frame
 
-    # each traversal's frames are all checked before any of them registers
-    for tr, run in itertools.groupby(checked(), key=lambda pair: pair[0]):
-        _replay_frame([(i, frame) for _, frame in run
+    def register(tr, run):
+        _replay_frame([(i, frame) for frame in run
                        for i in range(len(strategies))], tr, strategies,
                       paths, logs, params)
+
+    # a traversal registers once all its frames are checked: when a frame
+    # of another traversal arrives, before that frame is checked
+    last_tr, run, replayed = 0, [], {}  # location -> its last traversal
+    for tr, frame in itertools.chain(repeats, frames):
+        if tr != last_tr and run:
+            register(last_tr, run)
+            run = []
+        if tr < last_tr:
+            raise DatasetError(f"traversal {tr} follows traversal "
+                               f"{last_tr}: frames out of traversal order")
+        if not 0 <= frame.location < n_maps:
+            raise DatasetError(f"traversal {tr}: location {frame.location}"
+                               f" is outside the taught path of {n_maps} "
+                               "locations")
+        if replayed.get(frame.location) == tr:
+            raise DatasetError(f"traversal {tr}: location {frame.location} "
+                               "appears twice")
+        replayed[frame.location] = tr
+        _check_in_image(tr, frame, image_width)
+        if len(frame.features) and frame.features.width != width:
+            raise DatasetError(f"traversal {tr}, location {frame.location}: "
+                               f"descriptor width {frame.features.width} "
+                               f"differs from the path's {width}")
+        last_tr = tr
+        run.append(frame)
+    if run:
+        register(last_tr, run)
     return paths, logs

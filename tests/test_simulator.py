@@ -323,18 +323,20 @@ def test_replay_rejects_a_location_repeated_in_one_traversal(tmp_path):
         (1, 0), (1, 1), (2, 0), (2, 1)]
 
 
-@pytest.mark.parametrize("location, message", [
-    (2, "location 2 is outside the taught path of 2 locations"),
-    (0, "location 0 appears twice")])
+@pytest.mark.parametrize("at, location, message", [
+    (-1, 2, "location 2 is outside the taught path of 2 locations"),
+    (-1, 0, "location 0 appears twice"),
+    (-2, 2, "location 2 is outside the taught path of 2 locations")])
 def test_a_bad_last_frame_stops_its_traversal_before_it_registers(
-        tmp_path, monkeypatch, location, message):
-    # a traversal registers once all its frames are checked, so a bad last
-    # frame raises before any frame of its traversal registers; the
-    # traversals before it have registered
+        tmp_path, monkeypatch, at, location, message):
+    # a traversal registers once all its frames are checked, so a bad frame
+    # of the last traversal, its last (-1) or its first (-2), raises before
+    # any frame of that traversal registers; the traversals before it have
+    # registered
     w = World(small_cfg(seed=13))  # two locations
-    frames = list(generate_frames(w, 2, 1000.0))
-    tr, f = frames[-1]
-    frames[-1] = (tr, Frame(location, f.time, f.features, f.gamma))
+    frames = list(generate_frames(w, 3, 1000.0))
+    tr, f = frames[at]
+    frames[at] = (tr, Frame(location, f.time, f.features, f.gamma))
     registered = []
     step = simulator.process_frame
 
@@ -343,12 +345,12 @@ def test_a_bad_last_frame_stops_its_traversal_before_it_registers(
         return step(local_map, frame, cfg, traversal, *args)
 
     monkeypatch.setattr(simulator, "process_frame", recording)
-    with pytest.raises(DatasetError, match=f"^traversal 2: {message}$"):
+    with pytest.raises(DatasetError, match=f"^traversal 3: {message}$"):
         replay_frames(frames, [StrategyConfig(kind="static")])
-    assert registered == [(1, 0), (1, 1)]
+    assert registered == [(1, 0), (1, 1), (2, 0), (2, 1)]
     path = tmp_path / "dataset.jsonl"
     write_dataset(frames, path)
-    with pytest.raises(DatasetError, match=f"^traversal 2: {message}$"):
+    with pytest.raises(DatasetError, match=f"^traversal 3: {message}$"):
         compare_strategies(path, [StrategyConfig(kind="static"),
                                   StrategyConfig(kind="score")])
 
