@@ -79,6 +79,24 @@ def _dot(a: np.ndarray, b: np.ndarray):
     return a @ b.T, a.shape[1]
 
 
+def _dots(a: np.ndarray, views: list, row_view: np.ndarray):
+    """``_dot`` of several views: the rows a, grouped by view (row i of view
+    ``row_view[i]``), each multiplied with its own view alone, one view at a
+    time. The product has the widest view's columns; a narrower view's rows
+    read -inf beyond its own."""
+    a = bit_rows(a)
+    dot = np.empty((len(a), max(map(len, views))), dtype=np.float32)
+    ends = np.searchsorted(row_view, np.arange(len(views) + 1))
+    for view, start, end in zip(views, ends, ends[1:]):
+        if start < end:
+            c = len(view)
+            dot[start:end, c:] = -np.inf
+            np.matmul(a[start:end].astype(np.float32),
+                      bit_rows(view).astype(np.float32).T,
+                      out=dot[start:end, :c])
+    return dot, _n_bits(a)
+
+
 def _distance(dot: np.ndarray, n_bits: int) -> np.ndarray:
     return ((n_bits - dot) * 0.5).astype(np.int64)
 
@@ -156,10 +174,13 @@ class ViewProduct:
                  "_pairs", "ids", "memo")
 
     def __init__(self, views, sets):
-        views = [bit_rows(v) for v in views]
-        n_cols = np.array([len(v) for v in views])
-        set_view = np.array([v for v, _, _ in sets], dtype=np.intp)
-        self._n_cols = n_cols[set_view].tolist()  # each set's view's columns
+        several = len(views) > 1
+        if several:  # each set's view, and each view's and set's columns
+            set_view = np.array([v for v, _, _ in sets], dtype=np.intp)
+            n_cols = np.array([len(v) for v in views])
+            self._n_cols = n_cols[set_view].tolist()
+        else:
+            self._n_cols = None
         sizes = [len(bits) for *_, bits in sets]
         k = len(sets)
         self._cut = np.array([0, *itertools.accumulate(sizes)])
@@ -176,8 +197,8 @@ class ViewProduct:
             self._owner = owner = np.repeat(np.arange(k), sizes)
             # the rows of one (view, id) together, a set's in set order; the
             # view is a key only when there are several
-            several = len(views) > 1
-            by_id, new = _grouped(ids, *(set_view[owner],) * several)
+            by_id, new = _grouped(ids,
+                                  *((set_view[owner],) if several else ()))
             runs = new.nonzero()[0]
             id_of = np.cumsum(new) - 1  # each sorted row's distinct row
             owner = owner[by_id]
@@ -201,8 +222,8 @@ class ViewProduct:
             else:
                 k_view = k
                 member = _membership(owner, runs, k)
-                run_view = np.zeros(len(runs), dtype=np.intp)
-            by_class, new = _grouped(*member.T, *(run_view,) * several)
+            by_class, new = _grouped(*member.T,
+                                     *((run_view,) if several else ()))
             n = len(runs)
             starts = new.nonzero()[0].tolist()
             self._class = np.cumsum(new) - 1  # of each product row
@@ -222,33 +243,30 @@ class ViewProduct:
             at[by_class] = np.arange(n)
             self._row = np.empty(len(ids), dtype=np.intp)
             self._row[by_id] = at[id_of]
-            row_view = run_view[by_class]
+            if several:
+                row_view = run_view[by_class]
             bits = np.concatenate([b for *_, b in sets])[by_id[runs[by_class]]]
-        n_bits = _n_bits(views[0])
-        width = int(n_cols.max(initial=0))
-        # each view's rows widened and multiplied with it alone, one view
-        # at a time; a narrower view's rows read -inf beyond its columns
-        bits = bit_rows(bits)
-        dot = np.empty((n, width), dtype=np.float32)
-        ends = np.searchsorted(row_view, np.arange(len(views) + 1))
-        for view, start, end in zip(views, ends, ends[1:]):
-            if start < end:
-                c = len(view)
-                dot[start:end, c:] = -np.inf
-                np.matmul(bits[start:end].astype(np.float32),
-                          view.astype(np.float32).T, out=dot[start:end, :c])
+        if several:
+            dot, n_bits = _dots(bits, views, row_view)
+        else:
+            dot, n_bits = _dot(bits, views[0])
         self._dot, self._n_bits = dot, n_bits
+        width = dot.shape[1]
         if width:
             best = dot.argmax(axis=1)
             best_dot = dot[np.arange(n), best]
-        else:
+            # of several views, a row of a view without features has no
+            # nearest column
+            blank = n_cols[row_view] == 0 if several and 0 in n_cols else None
+            if blank is not None:
+                best_dot[blank] = 0
+            dist = _distance(best_dot, n_bits)
+            if blank is not None:
+                dist[blank] = np.iinfo(np.int64).max
+        else:  # no view has features: no row has a nearest column
             best = np.zeros(n, dtype=np.intp)
             best_dot = np.zeros(n, dtype=np.float32)
-        # a view without features: its rows have no nearest column
-        blank = n_cols[row_view] == 0 if 0 in n_cols else slice(0)
-        best_dot[blank] = 0
-        dist = _distance(best_dot, n_bits)
-        dist[blank] = np.iinfo(np.int64).max
+            dist = np.full(n, np.iinfo(np.int64).max)
         # one row per class, and a last, empty class: max -inf
         class_max = np.full((len(starts) + 1, width), -np.inf,
                             dtype=np.float32)
@@ -288,7 +306,7 @@ class ViewProduct:
         """Every view's bit rows, one view after another."""
         if len(self._views) == 1:
             return self._views[0]
-        return np.concatenate(self._views)
+        return np.concatenate([bit_rows(v) for v in self._views])
 
     def shares(self) -> list:
         """Every set's share, in set order."""
@@ -385,6 +403,8 @@ class SetProduct:
         its view (an index array or a mask over them; -inf for a set
         without rows)."""
         p = self.product
+        if p._n_cols is None:  # one view
+            return p.tops[self.k, cols]
         return p.tops[self.k, :p._n_cols[self.k]][cols]
 
 

@@ -40,11 +40,13 @@ _SALT_TEACH = 0x7EAC4
 _SALT_TURNOVER = 0x70C4E
 _SALT_OFFSET = 0x0FF5E
 # the estimated size, in cells (view features times its maps' rows), up to
-# which one frame step's views register through one product. Fewer products
-# measured faster or equal on every workload, but a product's float32 arrays
-# grow with its cells, so this bounds its memory (the dot at most 4 MB): it
-# lies above every traversal of small maps and below a single view of dense
-# ones (BENCH_traversal.json, "product_cells")
+# which an open-loop traversal's views register through one product. Time
+# did not depend on it in the benchmark's open-loop workloads beyond a
+# product per traversal of small maps, but a product's float32 arrays grow
+# with its cells, so it bounds their memory (the dot at most 4 MB). Measured
+# (BENCH_traversal.json, "product_cells"): every sparse-replay traversal
+# lies below it (0.49-0.71 M cells) and every open-dense view above it
+# (1.97-2.35 M), which so registers a view at a time
 _PRODUCT_CELLS = 1 << 20
 
 
@@ -405,10 +407,13 @@ def traverse(world: World, paths, strategies, traversal: int, t: float,
     it would draw alone at its own offset from default_rng((run_seed,
     traversal, location)); strategies whose offsets keep the same landmarks
     in the image share one draw (see World.observe_offsets), and every
-    strategy's frame of the location registers through one product (see
-    _replay_frame). Each offset, updated in place in `offsets`, then
-    evolves as offset - gain*(delta/px_per_m) plus odometry noise from that
-    strategy's rng; a failed registration leaves it uncorrected.
+    strategy's frame of the location goes to one frame step (see
+    _replay_frame), which registers each draw through its own product (one
+    product per location measured no faster on the benchmark's closed-loop
+    workload, and pays for the bookkeeping of several views). Each offset,
+    updated in place in `offsets`, then evolves as offset -
+    gain*(delta/px_per_m) plus odometry noise from that strategy's rng; a
+    failed registration leaves it uncorrected.
     """
     wc = world.config
     world.advance_turnover(traversal)
@@ -416,7 +421,7 @@ def traverse(world: World, paths, strategies, traversal: int, t: float,
         rngs = [default_rng((run_seed, traversal, loc)) for _ in strategies]
         frames = world.observe_offsets(loc, t, offsets, rngs)
         _replay_frame(list(enumerate(frames)), traversal, strategies, paths,
-                      logs, params, offsets)
+                      logs, params, offsets, cells=0)
         for i, (rng, log) in enumerate(zip(rngs, logs)):
             delta = log[-1].delta_px
             if delta is not None:
@@ -470,7 +475,8 @@ def generate_frames(world: World, traversals: int, interval_s: float,
 
 
 def _replay_frame(jobs, traversal: int, strategies, paths, logs,
-                  params: RegistrationParams, offsets=None):
+                  params: RegistrationParams, offsets=None,
+                  cells: int = _PRODUCT_CELLS):
     """The frame step of both loops: every job's process_frame, a job being
     (i, frame), strategy i's frame of one location, logged with offsets[i].
     Each strategy has at most one job per location, so no job's update
@@ -481,24 +487,24 @@ def _replay_frame(jobs, traversal: int, strategies, paths, logs,
     against its own frame's x. The views register through one product with
     the active rows of their jobs (see registration.view_product), in one
     registration pass (see registration.register), unless that product
-    would exceed _PRODUCT_CELLS; then through one product per run of views
-    within it, a run holding one view at least. A view's cells are
-    estimated as its feature count times the rows of its jobs' maps. Each
-    product is freed once its jobs are done."""
+    would exceed `cells`; then through one product per run of views within
+    it, a run holding one view at least (cells=0: one product per view). A
+    view's cells are estimated as its feature count times the rows of its
+    jobs' maps. Each product is freed once its jobs are done."""
     views = {}  # descriptor array id -> the jobs whose frames hold it
     for job in jobs:
         views.setdefault(id(job[1].features.words), []).append(job)
-    run, cells = [], 0
+    run, size = [], 0
     for members in views.values():
         maps = [paths[i].local_maps[frame.location] for i, frame in members]
         n = len(members[0][1].features) * sum(
             len(lm.features) + sum(map(len, lm.alternatives)) for lm in maps)
-        if run and cells + n > _PRODUCT_CELLS:
+        if run and size + n > cells:
             _register_run(run, traversal, strategies, paths, logs, params,
                           offsets)
-            run, cells = [], 0
+            run, size = [], 0
         run += members
-        cells += n
+        size += n
     _register_run(run, traversal, strategies, paths, logs, params, offsets)
 
 
