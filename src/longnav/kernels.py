@@ -19,11 +19,10 @@ are converted to integer distances.
 A comparison registers each camera view against many feature sets (every
 strategy's active rows, and each of ``multiple``'s alternatives), and those
 sets share most of their rows: a row keeps its id (``FeatureBlock.ids``)
-wherever it is copied. ``ViewProduct`` takes several views at once (a
-traversal's in open loop, a location's draws in closed loop) and each set's
-view. It multiplies each view once with the distinct rows of its sets,
-found by id, one matrix product per view, and reduces the products once,
-for every set of every view at once:
+wherever it is copied. ``ViewProduct`` takes several views at once (an
+open-loop traversal's) and each set's view. It multiplies each view once
+with the distinct rows of its sets, found by id, one matrix product per
+view, and reduces the products once, for every set of every view at once:
 
 - A row's nearest column does not depend on the set that holds it, so one
   row argmax over the distinct rows serves every set.
@@ -147,7 +146,9 @@ class ViewProduct:
     and the classes of one view one run of blocks, which is multiplied with
     that view alone: one matrix product per view, and no entry of a row
     with another view's column. The product has the widest view's columns;
-    a narrower view's rows read -inf beyond its own.
+    a narrower view's rows read -inf beyond its own. A product of one view
+    leaves the view out of its keys, keeps no per-view tables and
+    multiplies its rows in one matrix product.
 
     The reductions are taken once, over every view:
 

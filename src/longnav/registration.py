@@ -6,12 +6,11 @@ position differences (x_view - x_map). Every map feature then gets exactly one
 outcome: not matched, matched consistently with delta, or matched against it.
 
 A comparison registers each view against many feature sets, and several
-views at once (a traversal's in open loop, a location's draws in closed
-loop): the sets share one product with their views (see view_product), and
-all of them register in one pass over that product: match_features gathers
-every set's pairs at once, histogram_vote counts every set's votes in one
-bincount, and classify_outcomes gives every set's outcomes in one pass over
-the pairs.
+views at once (an open-loop traversal's): the sets share one product with
+their views (see view_product), and all of them register in one pass over
+that product: match_features gathers every set's pairs at once,
+histogram_vote counts every set's votes in one bincount, and
+classify_outcomes gives every set's outcomes in one pass over the pairs.
 Each stage takes the sets in this one form only. The pass runs at the first
 register call on a product and is kept on it; each register call reads its
 own set's part. register is the one entry for a single set: without a
