@@ -19,16 +19,18 @@ are converted to integer distances.
 A comparison registers each camera view against many feature sets (every
 strategy's active rows, and each of ``multiple``'s alternatives), and those
 sets share most of their rows: a row keeps its id (``FeatureBlock.ids``)
-wherever it is copied. ``ViewProduct`` takes several views at once (an
-open-loop traversal's) and each set's view. It multiplies each view once
+wherever it is copied. ``ViewProduct`` takes one view or several at once
+(an open-loop traversal's) and each set's view. It multiplies each view once
 with the distinct rows of its sets, found by id, one matrix product per
-view, and reduces the products once, for every set of every view at once:
+view, and reduces the products once, for every set of every view at once,
+the same way whatever the number of views:
 
 - A row's nearest column does not depend on the set that holds it, so one
   row argmax over the distinct rows serves every set.
 - The distinct rows are grouped by the sets that hold them, so that the
-  rows of one membership class lie in one block. Each block gives its
-  column max, and a set's column max is the max over its own classes.
+  rows of one membership class lie in one block. A row's sets are all of
+  its view, so a class never mixes views. Each block gives its column max,
+  and a set's column max is the max over its own classes.
 - A row pairs with its nearest column when it alone among its set's rows
   reaches the set's max there. A row that reaches it lies within the
   acceptance radius of that column too, so only the product's entries
@@ -79,10 +81,10 @@ def _dot(a: np.ndarray, b: np.ndarray):
 
 
 def _dots(a: np.ndarray, views: list, row_view: np.ndarray):
-    """``_dot`` of several views: the rows a, grouped by view (row i of view
-    ``row_view[i]``), each multiplied with its own view alone, one view at a
-    time. The product has the widest view's columns; a narrower view's rows
-    read -inf beyond its own."""
+    """``_dot`` of one view or several: the rows a, grouped by view (row i
+    of view ``row_view[i]``), each multiplied with its own view alone, one
+    view at a time. The product has the widest view's columns; a narrower
+    view's rows read -inf beyond its own."""
     a = bit_rows(a)
     dot = np.empty((len(a), max(map(len, views))), dtype=np.float32)
     ends = np.searchsorted(row_view, np.arange(len(views) + 1))
@@ -141,14 +143,15 @@ class ViewProduct:
     block's rows carry such ids (see ``features.FeatureBlock``). A single
     set is multiplied as it is, and its ids are not read. Several are
     multiplied once per distinct (view, id), found with one integer sort,
-    and grouped by view and membership: the sets of that view that hold the
-    row. The rows of one membership class form one block of the product,
-    and the classes of one view one run of blocks, which is multiplied with
-    that view alone: one matrix product per view, and no entry of a row
-    with another view's column. The product has the widest view's columns;
-    a narrower view's rows read -inf beyond its own. A product of one view
-    leaves the view out of its keys, keeps no per-view tables and
-    multiplies its rows in one matrix product.
+    and grouped by view and membership: the sets that hold the row, one bit
+    per set of the product. Only sets of the row's view hold it, so the
+    rows of one membership class, which form one block of the product, are
+    of one view, and the classes of one view form one run of blocks, which
+    is multiplied with that view alone: one matrix product per view, and no
+    entry of a row with another view's column. The product has the widest
+    view's columns; a narrower view's rows read -inf beyond its own. A
+    product of one view leaves the view out of its sort keys (they would be
+    constant); every other step is the same for one view and for several.
 
     The reductions are taken once, over every view:
 
@@ -170,18 +173,15 @@ class ViewProduct:
     """
 
     __slots__ = ("_dot", "tops", "_class_max", "_bounds", "_class", "_held",
-                 "_class_sets", "_twice", "_row", "_best", "_best_dot",
-                 "_dist", "_owner", "_cut", "_n_bits", "_n_cols", "_views",
-                 "_pairs", "ids", "memo")
+                 "_twice", "_row", "_best", "_best_dot", "_dist", "_owner",
+                 "_cut", "_n_bits", "_n_cols", "_views", "_pairs", "ids",
+                 "memo")
 
     def __init__(self, views, sets):
         several = len(views) > 1
-        if several:  # each set's view, and each view's and set's columns
-            set_view = np.array([v for v, _, _ in sets], dtype=np.intp)
-            n_cols = np.array([len(v) for v in views])
-            self._n_cols = n_cols[set_view].tolist()
-        else:
-            self._n_cols = None
+        set_view = np.array([v for v, _, _ in sets], dtype=np.intp)
+        n_cols = np.array([len(v) for v in views])
+        self._n_cols = n_cols[set_view].tolist()  # each set's view's columns
         sizes = [len(bits) for *_, bits in sets]
         k = len(sets)
         self._cut = np.array([0, *itertools.accumulate(sizes)])
@@ -192,7 +192,7 @@ class ViewProduct:
             starts = [0] if n else []
             row_view = np.full(n, v)
             self._owner = np.zeros(n, dtype=np.intp)
-            self._class = self._held = self._class_sets = self._row = None
+            self._class = self._held = self._row = None
         else:
             ids = np.concatenate([i for _, i, _ in sets])
             self._owner = owner = np.repeat(np.arange(k), sizes)
@@ -210,55 +210,31 @@ class ViewProduct:
                 both[:-1] |= twice
                 self._twice = np.empty_like(both)
                 self._twice[by_id] = both
-            if several:  # each set's place among its view's sets: a
-                # membership word holds a bit per set of one view
-                by_view = np.argsort(set_view, kind="stable")
-                in_order = set_view[by_view]
-                local = np.empty(k, dtype=np.intp)
-                local[by_view] = (np.arange(k)
-                                  - np.searchsorted(in_order, in_order))
-                k_view = int(local.max()) + 1
-                member = _membership(local[owner], runs, k_view)
-                run_view = set_view[owner[runs]]
-            else:
-                k_view = k
-                member = _membership(owner, runs, k)
+            member = _membership(owner, runs, k)
+            run_view = set_view[owner[runs]]
+            # a class's sets are all of its rows' view; the view key keeps
+            # each view's classes in one run, as _dots needs
             by_class, new = _grouped(*member.T,
                                      *((run_view,) if several else ()))
             n = len(runs)
             starts = new.nonzero()[0].tolist()
             self._class = np.cumsum(new) - 1  # of each product row
-            # each class's sets: which of its view's sets hold it, and (of
-            # several views) those sets' indices
-            heads = by_class[new]
-            self._held = np.unpackbits(member[heads].view(np.uint8), axis=1,
-                                       count=k_view,
-                                       bitorder="little").view(bool)
-            if several:
-                set_at = np.zeros((len(views), k_view), dtype=np.intp)
-                set_at[set_view, local] = np.arange(k)
-                self._class_sets = set_at[run_view[heads]]
-            else:
-                self._class_sets = None
+            self._held = np.unpackbits(  # which sets hold each class
+                member[by_class[new]].view(np.uint8), axis=1, count=k,
+                bitorder="little").view(bool)
             at = np.empty(n, dtype=np.intp)  # each distinct row's product row
             at[by_class] = np.arange(n)
             self._row = np.empty(len(ids), dtype=np.intp)
             self._row[by_id] = at[id_of]
-            if several:
-                row_view = run_view[by_class]
+            row_view = run_view[by_class]
             bits = np.concatenate([b for *_, b in sets])[by_id[runs[by_class]]]
-        if several:
-            dot, n_bits = _dots(bits, views, row_view)
-        else:
-            dot, n_bits = _dot(bits, views[0])
-        self._dot, self._n_bits = dot, n_bits
+        self._dot, self._n_bits = dot, n_bits = _dots(bits, views, row_view)
         width = dot.shape[1]
         if width:
             best = dot.argmax(axis=1)
             best_dot = dot[np.arange(n), best]
-            # of several views, a row of a view without features has no
-            # nearest column
-            blank = n_cols[row_view] == 0 if several and 0 in n_cols else None
+            # a row of a view without features has no nearest column
+            blank = n_cols[row_view] == 0 if 0 in n_cols else None
             if blank is not None:
                 best_dot[blank] = 0
             dist = _distance(best_dot, n_bits)
@@ -277,17 +253,9 @@ class ViewProduct:
         self._class_max = class_max
         if k == 1:
             self.tops = class_max[:1]  # the set's class, or the empty one
-        else:  # every set's classes, and the empty one: no list is empty
-            if self._class_sets is None:  # one view: set by set, the empty
-                # class last
-                member, classes = np.vstack(
-                    (self._held, np.ones((1, k), dtype=bool))).T.nonzero()
-            else:
-                j, c = self._held.T.nonzero()
-                member = np.concatenate((self._class_sets[c, j], np.arange(k)))
-                classes = np.concatenate((c, np.full(k, len(starts))))
-                order = np.argsort(member, kind="stable")
-                member, classes = member[order], classes[order]
+        else:  # set by set, its classes and the empty one: no list is empty
+            member, classes = np.vstack(
+                (self._held, np.ones((1, k), dtype=bool))).T.nonzero()
             self.tops = np.maximum.reduceat(
                 class_max[classes], np.searchsorted(member, np.arange(k)),
                 axis=0)
@@ -369,18 +337,11 @@ class ViewProduct:
         at = within.ravel().nonzero()[0]
         row, col = np.divmod(at, n_cols)
         value = dot.ravel()[at]
-        if k > 1:  # an entry counts for each set of its view that holds its
-            # row and whose column max it is
-            cls = self._class[row]
-            if self._class_sets is None:  # one view: its sets are all sets
-                entry, j = (self._held[cls]
-                            & (self.tops.T[col] == value[:, None])).nonzero()
-                col = j * n_cols + col[entry]
-            else:
-                sets = self._class_sets[cls]
-                entry, j = (self._held[cls] & (self.tops[sets, col[:, None]]
-                                               == value[:, None])).nonzero()
-                col = sets[entry, j] * n_cols + col[entry]
+        if k > 1:  # an entry counts for each set that holds its row (all
+            # of the row's view) and whose column max it is
+            entry, j = (self._held[self._class[row]]
+                        & (self.tops.T[col] == value[:, None])).nonzero()
+            col = j * n_cols + col[entry]
             cols = owner * n_cols + cols
         else:
             col = col[self.tops[0, col] == value]
@@ -404,8 +365,6 @@ class SetProduct:
         its view (an index array or a mask over them; -inf for a set
         without rows)."""
         p = self.product
-        if p._n_cols is None:  # one view
-            return p.tops[self.k, cols]
         return p.tops[self.k, :p._n_cols[self.k]][cols]
 
 

@@ -63,14 +63,18 @@ class Pairs:
         return self.map_idx.shape[0]
 
 
+_MAX_BINS = 2 ** 16  # a vote's bins, at most
+
+
 @dataclass(frozen=True)
 class RegistrationParams:
     """Settings of one registration pass, one value for every stage.
 
     d_max is the Hamming acceptance radius (default width/4 for 256-bit
     descriptors). bin_width is the vote's bin, and a pair counts as matched
-    correctly within one bin_width of delta. min_votes is the smallest
-    winning-bin count accepted as consensus.
+    correctly within one bin_width of delta; the vote's 2 * image_width /
+    bin_width bins, rounded up, may number at most 2**16. min_votes is the
+    smallest winning-bin count accepted as consensus.
     """
 
     d_max: int = 64
@@ -85,6 +89,13 @@ class RegistrationParams:
              "finite and > 0"),
             *((name, is_int(getattr(self, name), 1), "a positive integer")
               for name in ("image_width", "min_votes")),
+        ])
+        # image_width is known valid only once the checks above pass
+        fewest = 2.0 * self.image_width / _MAX_BINS
+        check_settings(self, [
+            ("bin_width", self.bin_width >= fewest,
+             f"at least 2 * image_width / 2**16 = {fewest:g}, so that the "
+             "vote has at most 2**16 bins"),
         ])
 
 

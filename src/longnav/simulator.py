@@ -410,10 +410,9 @@ def traverse(world: World, paths, strategies, traversal: int, t: float,
     strategy's frame of the location goes to one frame step (see
     _replay_frame), which registers each draw through its own product (one
     product per location measured no faster on the benchmark's closed-loop
-    workload, and pays for the bookkeeping of several views). Each offset,
-    updated in place in `offsets`, then evolves as offset -
-    gain*(delta/px_per_m) plus odometry noise from that strategy's rng; a
-    failed registration leaves it uncorrected.
+    workload). Each offset, updated in place in `offsets`, then evolves as
+    offset - gain*(delta/px_per_m) plus odometry noise from that strategy's
+    rng; a failed registration leaves it uncorrected.
     """
     wc = world.config
     world.advance_turnover(traversal)

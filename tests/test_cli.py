@@ -178,14 +178,20 @@ def test_replay_rejects_bad_frames(tmp_path, config_path, capsys, edit, message)
 
 
 def test_bad_registration_config_exits_1(tmp_path, config_path, capsys):
+    # a bin so narrow that the vote's bins would not fit in memory is
+    # rejected too, as one error line
     doc = json.loads(config_path.read_text())
-    doc["registration"] = {"bin_width": 0}
     bad = tmp_path / "bad_reg.json"
-    bad.write_text(json.dumps(doc))
-    capsys.readouterr()
-    assert run_cli("generate", "--config", bad, "--out", tmp_path / "o") == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "bin_width" in err
+    for bin_width in (0, 1e-6, 1e-9, 1e-300):
+        doc["registration"] = {"bin_width": bin_width}
+        bad.write_text(json.dumps(doc))
+        for command in ("generate", "compare"):
+            capsys.readouterr()
+            assert run_cli(command, "--config", bad,
+                           "--out", tmp_path / "o") == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "bin_width" in err
+            assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("args, edit, message", [

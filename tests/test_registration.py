@@ -356,6 +356,8 @@ def test_register_failure_as_value():
     {"d_max": True},
     {"bin_width": 0.0}, {"bin_width": -5.0}, {"bin_width": float("inf")},
     {"bin_width": float("nan")},
+    # more than 2**16 vote bins over 2 * image_width
+    {"bin_width": 1e-6}, {"bin_width": 1e-9}, {"bin_width": 1e-300},
     {"image_width": 0}, {"image_width": 640.5}, {"image_width": True},
     {"min_votes": 0}, {"min_votes": 2.5}, {"min_votes": True},
 ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
@@ -514,20 +516,29 @@ def several_views(draw):
     a small pool of 128-bit rows, so that rows repeat and distances tie,
     each as (pool indices, x shift); set k registers against view
     view_of[k], in any order. The last view has no features and set 0
-    holds a row twice; a crowded draw puts 65 sets with rows on view 0, at
-    their own x so that they stay 65 sets of the product, and their
-    membership takes two words. Every set also holds the rows common, one
-    class of many rows. d_max runs up to every entry of a product lying
+    holds a row twice. A crowded draw gives the product more than 64 sets
+    with rows, at their own x so that they stay sets of their own, and
+    their membership takes two words: 65 sets on view 0, or more than 64
+    over views 0 and 1 with fewer than 64 on each, so that one membership
+    word holds sets of both views. Every set also holds the rows common,
+    one class of many rows. d_max runs up to every entry of a product lying
     within the radius, where only class maxima are counted."""
     pool = draw(st.lists(ROW, min_size=1, max_size=6)) + [(5, 1), (5, 2)]
     pick = st.lists(st.integers(0, len(pool) - 1), max_size=8)
     common = draw(pick)
     shifted = st.tuples(pick, st.integers(-30, 30))
-    views = draw(st.lists(shifted, min_size=1, max_size=3)) + [([], 0)]
+    crowd = draw(st.sampled_from(["", "one view", "two views"]))
+    views = draw(st.lists(shifted, min_size=1 + (crowd == "two views"),
+                          max_size=3)) + [([], 0)]
     others = st.integers(0, len(views) - 1)
-    if draw(st.booleans()):
-        view_of = draw(st.permutations(
-            [0] * 65 + draw(st.lists(others, min_size=1, max_size=3))))
+    if crowd:
+        if crowd == "one view":
+            crowded = [0] * 65 + draw(st.lists(others, min_size=1,
+                                               max_size=3))
+        else:
+            n = draw(st.integers(2, 63))
+            crowded = [0] * n + [1] * draw(st.integers(65 - n, 63))
+        view_of = draw(st.permutations(crowded))
         rows = st.lists(st.integers(0, len(pool) - 1), min_size=1,
                         max_size=8)
         sets = [(draw(rows), k / 8) for k in range(len(view_of))]
